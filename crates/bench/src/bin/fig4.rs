@@ -6,13 +6,9 @@
 //!   fig4 [--app NAME] [--sizes a,b,c] [--full] [--max-blocks N]
 //!        [--trace PATH] [--profile] [--hotspots] [--mem SIZE] [--async]
 //!        [--fuel N] [--job-timeout-ms N] [--chaos-seed N]
-//!        [--engine vm|walker] [--json PATH] [--quick]
+//!        [--json PATH] [--quick]
 //!
-//! `--engine` selects the minic execution engine for every machine in the
-//! run (guest `run()` driver, host-fallback, replay): the register
-//! bytecode VM (default) or the tree-walking oracle. Checksums and
-//! simulated clocks are bit-identical between the two; only wall time
-//! differs. `--json PATH` additionally writes a machine-readable
+//! `--json PATH` additionally writes a machine-readable
 //! perf-trajectory artifact (wall-clock + simulated-clock per app and
 //! variant, including a host-sequential series at each app's
 //! `bench_size`) for the CI bench-smoke regression gate. `--quick` runs
@@ -56,16 +52,13 @@
 //!
 //! `--hotspots` prints each app's guest-source "hot lines" table: VM
 //! instruction/dispatch counters attributed to source lines through the
-//! compiler's pc→line tables. The attribution always comes from a
-//! dedicated host-sequential pass on the bytecode VM (at the app's test
-//! size), regardless of `--engine` — the walker executes the same
-//! statements but dispatches no bytecode, so the VM's table is *the*
-//! hotspot table for both engines and `--engine vm` / `--engine walker`
-//! print identical output.
+//! compiler's pc→line tables. The attribution comes from a dedicated
+//! host-sequential pass (at the app's test size).
 
 use std::sync::Arc;
 
 use gpusim::ExecMode;
+use ompi_core::{ResolvedConfig, RunnerConfig};
 use unibench::{
     all_apps, app_by_name, build_variant_cfg, host_machine, measure, output_checksum,
     run_host_once, runner_config, Variant,
@@ -99,7 +92,6 @@ fn main() {
     let mut job_timeout_ms: Option<u64> = None;
     let mut async_streams = false;
     let mut chaos_seed: Option<u64> = None;
-    let mut engine = "vm".to_string();
     let mut json_path: Option<std::path::PathBuf> = None;
     let mut quick = false;
     let mut i = 0;
@@ -163,14 +155,6 @@ fn main() {
                 chaos_seed = Some(args[i + 1].parse().expect("chaos-seed"));
                 i += 2;
             }
-            "--engine" => {
-                engine = args[i + 1].clone();
-                if engine != "vm" && engine != "walker" {
-                    eprintln!("--engine: expected `vm` or `walker`, got `{engine}`");
-                    std::process::exit(2);
-                }
-                i += 2;
-            }
             "--json" => {
                 json_path = Some(std::path::PathBuf::from(&args[i + 1]));
                 i += 2;
@@ -185,14 +169,30 @@ fn main() {
             }
         }
     }
-    // Every Machine built after this point (runner, host-fallback, replay,
-    // host-sequential series) picks the engine up at construction.
-    std::env::set_var("OMPI_ENGINE", &engine);
-
-    let obs =
-        if trace_path.is_some() || profile { obs::Obs::enabled() } else { obs::Obs::disabled() };
-
     let mode = if full { ExecMode::Functional } else { ExecMode::Sampled { max_blocks } };
+
+    // What the OMPi variant sets on top of `runner_config`. The runners
+    // share one explicit sink, so its flight-dump path (`OMPI_FLIGHT_DUMP`)
+    // comes from the same env snapshot they will take of this config.
+    let ompi_knobs = |cfg: &mut RunnerConfig| {
+        if let Some(cap) = mem_cap {
+            let base = cfg.device_mem.unwrap_or(usize::MAX);
+            cfg.device_mem = Some((cap as usize).min(base));
+        }
+        cfg.async_streams = Some(async_streams);
+        if let Some(seed) = chaos_seed {
+            cfg.fault_spec = Some(format!("chaos:{seed}"));
+        }
+        cfg.fuel = fuel;
+        cfg.job_timeout = job_timeout_ms.map(std::time::Duration::from_millis);
+    };
+    let mut probe = runner_config(0, mode, true);
+    ompi_knobs(&mut probe);
+    let snapshot = ResolvedConfig::resolve(&probe).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let obs = obs::Obs::new(trace_path.is_some() || profile, snapshot.flight_dump);
     let work = std::env::temp_dir().join("ompi-fig4");
 
     let apps = match &app_filter {
@@ -204,7 +204,7 @@ fn main() {
     };
 
     println!("# Fig. 4 reproduction — simulated Jetson Nano 2GB (sm_53, 128-core Maxwell)");
-    println!("# mode: {:?}; engine: {engine}; times are simulated seconds (kernel + memory operations)\n", mode);
+    println!("# mode: {:?}; times are simulated seconds (kernel + memory operations)\n", mode);
     let mut rows: Vec<JsonRow> = Vec::new();
     for app in apps {
         let sizes: Vec<u32> = sizes_override.clone().unwrap_or_else(|| {
@@ -222,16 +222,7 @@ fn main() {
                 let mut cfg = runner_config((app.footprint)(n), mode, true);
                 cfg.obs = Some(obs.clone());
                 if variant == Variant::OmpiCudadev {
-                    if let Some(cap) = mem_cap {
-                        let base = cfg.device_mem.unwrap_or(usize::MAX);
-                        cfg.device_mem = Some((cap as usize).min(base));
-                    }
-                    cfg.async_streams = Some(async_streams);
-                    if let Some(seed) = chaos_seed {
-                        cfg.fault_spec = Some(format!("chaos:{seed}"));
-                    }
-                    cfg.fuel = fuel;
-                    cfg.job_timeout = job_timeout_ms.map(std::time::Duration::from_millis);
+                    ompi_knobs(&mut cfg);
                 }
                 let built = build_variant_cfg(&app, variant, &work, &cfg);
                 // Runner::call drains the machine's VM counters into obs
@@ -334,7 +325,7 @@ fn main() {
     }
 
     if let Some(path) = &json_path {
-        match std::fs::write(path, render_json(&engine, &format!("{mode:?}"), &rows)) {
+        match std::fs::write(path, render_json(&format!("{mode:?}"), &rows)) {
             Ok(()) => eprintln!("# perf trajectory written to {}", path.display()),
             Err(e) => {
                 eprintln!("failed to write {}: {e}", path.display());
@@ -362,10 +353,10 @@ fn main() {
 
 /// Hand-rolled JSON for the `BENCH_fig4.json` perf-trajectory artifact —
 /// no serde in the tree, and the shape is flat enough not to want it.
-fn render_json(engine: &str, mode: &str, rows: &[JsonRow]) -> String {
+fn render_json(mode: &str, rows: &[JsonRow]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"schema\": \"ompi-nano/fig4/v1\",\n");
-    s.push_str(&format!("  \"engine\": \"{engine}\",\n"));
+    s.push_str("  \"engine\": \"vm\",\n");
     s.push_str(&format!("  \"mode\": \"{}\",\n", mode.replace('"', "")));
     s.push_str("  \"series\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -391,13 +382,10 @@ fn render_json(engine: &str, mode: &str, rows: &[JsonRow]) -> String {
 }
 
 /// The guest-source hotspot table for one app: a dedicated attribution
-/// pass on the bytecode VM (host-sequential, at the app's test size). The
-/// VM is forced regardless of `--engine`, so the table is identical under
-/// `--engine vm` and `--engine walker` by construction.
+/// pass on the bytecode VM (host-sequential, at the app's test size).
 fn hotspot_table(app: &unibench::App) -> String {
     let n = app.test_size;
     let m = host_machine(app, n).unwrap_or_else(|e| panic!("{} hotspots: {e}", app.name));
-    m.set_engine(minic::interp::Engine::Vm);
     m.set_hotspots(true);
     run_host_once(app, &m, n)
         .unwrap_or_else(|e| panic!("{} hotspot pass failed at n={n}: {e}", app.name));

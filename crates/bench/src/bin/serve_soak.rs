@@ -92,16 +92,17 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("ompinano-serve-soak-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let obs = obs::Obs::disabled();
     let mut cfg = ServeConfig::new(&dir);
     cfg.runner.num_devices = devices;
     cfg.runner.jit_cache_dir = dir.join("jit");
-    cfg.runner.obs = Some(obs.clone());
     cfg.workers = workers;
     let server = Server::new(&cfg).unwrap_or_else(|e| {
         eprintln!("server construction failed: {e}");
         std::process::exit(1);
     });
+    // The server built its sink from the one env snapshot (so
+    // `OMPI_FLIGHT_DUMP` arms its flight recorder).
+    let obs = server.obs().clone();
 
     let names: Vec<String> = (0..tenants).map(|t| format!("t{t}")).collect();
     let mut programs = Vec::new();

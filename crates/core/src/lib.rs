@@ -19,7 +19,7 @@ pub mod transform;
 pub use analyze::TransError;
 pub use driver::{CompiledApp, CompiledCudaApp, CudaCc, Ompicc, OmpiccError};
 pub use runner::{
-    ConfigError, OmpiHooks, ResolvedConfig, Runner, RunnerConfig, DEFAULT_DEVICE_MEM,
+    build_fleet, ConfigError, OmpiHooks, ResolvedConfig, Runner, RunnerConfig, DEFAULT_DEVICE_MEM,
     DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS,
 };
 pub use transform::{

@@ -1,5 +1,5 @@
-//! Config resolution: the one place `OMPI_*` runner knobs are read from
-//! the environment.
+//! Config resolution: the one file under `crates/*/src` that reads the
+//! process environment (`tests/env_reads.rs` enforces it).
 //!
 //! [`RunnerConfig`] keeps the user-facing builder shape — tunable fields
 //! are `Option`s so "explicitly set" and "left at default" are different
@@ -12,11 +12,13 @@
 //!
 //! A malformed env var that would have applied (rule 2) is a typed
 //! [`ConfigError`], never a silent fallback — the same stance
-//! `OMPI_GUEST_FUEL` has taken since the guest governor landed. Long-lived
-//! processes (the `serve` batch server) resolve once at startup and run
-//! every job from the snapshot, so a mid-run `setenv` can never
-//! reconfigure tenants behind their backs.
+//! `OMPI_GUEST_FUEL` has taken since the guest governor landed. Every
+//! layer below (machine, guest limits, obs, host runtime, fault plans,
+//! devices) takes its values from the snapshot, so a `setenv` after
+//! construction can never reconfigure a runner or a server's tenants
+//! behind their backs.
 
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -70,18 +72,22 @@ impl std::error::Error for ConfigError {}
 
 /// A fully-concrete runner configuration: every knob has its final value
 /// and no environment read remains. One snapshot serves any number of
-/// jobs; [`super::Runner::with_shared_registry`] takes it directly.
+/// jobs; [`super::build_fleet`] and [`super::Runner::with_shared_registry`]
+/// take it directly.
 #[derive(Clone, Debug)]
 pub struct ResolvedConfig {
     pub host_mem: usize,
     pub device_mem: usize,
     pub exec_mode: ExecMode,
-    pub jit_cache_dir: std::path::PathBuf,
+    pub jit_cache_dir: PathBuf,
     pub launch_sampling: bool,
     pub num_devices: usize,
     pub async_streams: bool,
     pub fault_plan: Option<Arc<FaultPlan>>,
     pub fault_spec: Option<String>,
+    /// `OMPI_FAULT_PLAN` text, validated and scoped per device by
+    /// [`super::build_fleet`] (after `fault_spec` and `fault_plan`).
+    pub fault_env: Option<String>,
     pub retry: RetryPolicy,
     pub launch_timeout: Duration,
     pub max_resets: u32,
@@ -89,7 +95,25 @@ pub struct ResolvedConfig {
     pub guest_mem: Option<u64>,
     pub guest_stack: Option<u32>,
     pub job_timeout: Option<Duration>,
+    /// `OMP_NUM_THREADS` (a positive integer; anything else is ignored),
+    /// else the Nano's four cores: the host runtime's `nthreads-var`.
+    pub host_threads: usize,
+    /// The explicit sink. With `None` the runner builds its own from
+    /// `trace_path` / `flight_dump` and exports on drop; an explicit sink
+    /// means the caller owns export, so `trace_path`, `profile` and
+    /// `hotspots` are then left off whatever the environment says.
     pub obs: Option<Arc<obs::Obs>>,
+    /// `OMPI_TRACE`: write the Chrome trace here on runner drop.
+    pub trace_path: Option<PathBuf>,
+    /// `OMPI_PROFILE`: print the per-device profile table on runner drop.
+    pub profile: bool,
+    /// `OMPI_HOTSPOTS`: collect guest-source attribution in the machine
+    /// and print the hotspot table on runner drop. Like `profile`, one
+    /// strict [`obs::parse_bool`]; an unrecognized spelling is "off".
+    pub hotspots: bool,
+    /// `OMPI_FLIGHT_DUMP`: the flight recorder's post-mortem path. Callers
+    /// that build the sink themselves (`fig4`) pass it to [`obs::Obs::new`].
+    pub flight_dump: Option<PathBuf>,
 }
 
 impl ResolvedConfig {
@@ -98,74 +122,54 @@ impl ResolvedConfig {
     /// `OMPI_JOB_TIMEOUT_MS` and the `OMPI_GUEST_*` limits may apply
     /// (each only where the config left the field unset).
     pub fn resolve(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
-        Self::resolve_inner(cfg, true)
-    }
-
-    /// Snapshot for the pure-CUDA baseline: the device knobs come from the
-    /// config alone (`OMPI_DEV_MEM` would just crash a baseline that
-    /// manages raw device memory itself), while the job deadline and guest
-    /// limits still honour their env vars.
-    pub fn resolve_cuda(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
-        Self::resolve_inner(cfg, false)
-    }
-
-    fn resolve_inner(cfg: &RunnerConfig, runner_env: bool) -> Result<ResolvedConfig, ConfigError> {
-        let device_mem = match (cfg.device_mem, runner_env) {
-            (Some(m), _) => m,
-            (None, true) => env_size_usize("OMPI_DEV_MEM")?.unwrap_or(DEFAULT_DEVICE_MEM),
-            (None, false) => DEFAULT_DEVICE_MEM,
-        };
-        let async_streams = match (cfg.async_streams, runner_env) {
-            (Some(a), _) => a,
-            (None, true) => env_bool("OMPI_ASYNC")?.unwrap_or(false),
-            (None, false) => false,
-        };
-        let launch_timeout = match (cfg.launch_timeout, runner_env) {
-            (Some(t), _) => t,
-            (None, true) => env_u64("OMPI_LAUNCH_TIMEOUT_MS")?
-                .map(Duration::from_millis)
-                .unwrap_or(DEFAULT_LAUNCH_TIMEOUT),
-            (None, false) => DEFAULT_LAUNCH_TIMEOUT,
-        };
-        let max_resets = match (cfg.max_resets, runner_env) {
-            (Some(n), _) => n,
-            (None, true) => env_u32("OMPI_MAX_RESETS")?.unwrap_or(DEFAULT_MAX_RESETS),
-            (None, false) => DEFAULT_MAX_RESETS,
-        };
-        let job_timeout = match cfg.job_timeout {
-            Some(t) => Some(t),
-            None => env_u64("OMPI_JOB_TIMEOUT_MS")?.map(Duration::from_millis),
-        };
-        let fuel = match cfg.fuel {
-            Some(f) => Some(f),
-            None => env_u64("OMPI_GUEST_FUEL")?,
-        };
-        let guest_mem = match cfg.guest_mem {
-            Some(m) => Some(m),
-            None => env_size("OMPI_GUEST_MEM")?,
-        };
-        let guest_stack = match cfg.guest_stack {
-            Some(s) => Some(s),
-            None => env_u32("OMPI_GUEST_STACK")?,
-        };
+        let own_sink = cfg.obs.is_none();
+        let flag =
+            |var| own_sink && env_text(var).and_then(|v| obs::parse_bool(&v)).unwrap_or(false);
         Ok(ResolvedConfig {
             host_mem: cfg.host_mem,
-            device_mem,
+            device_mem: or_env(cfg.device_mem, || env_size_usize("OMPI_DEV_MEM"))?
+                .unwrap_or(DEFAULT_DEVICE_MEM),
             exec_mode: cfg.exec_mode,
             jit_cache_dir: cfg.jit_cache_dir.clone(),
             launch_sampling: cfg.launch_sampling,
             num_devices: cfg.num_devices,
-            async_streams,
+            async_streams: or_env(cfg.async_streams, || env_bool("OMPI_ASYNC"))?.unwrap_or(false),
             fault_plan: cfg.fault_plan.clone(),
             fault_spec: cfg.fault_spec.clone(),
+            fault_env: env_text("OMPI_FAULT_PLAN"),
             retry: cfg.retry,
-            launch_timeout,
-            max_resets,
-            fuel,
-            guest_mem,
-            guest_stack,
-            job_timeout,
+            launch_timeout: or_env(cfg.launch_timeout, || env_ms("OMPI_LAUNCH_TIMEOUT_MS"))?
+                .unwrap_or(DEFAULT_LAUNCH_TIMEOUT),
+            max_resets: or_env(cfg.max_resets, || env_int("OMPI_MAX_RESETS"))?
+                .unwrap_or(DEFAULT_MAX_RESETS),
+            fuel: or_env(cfg.fuel, || env_int("OMPI_GUEST_FUEL"))?,
+            guest_mem: or_env(cfg.guest_mem, || env_size("OMPI_GUEST_MEM"))?,
+            guest_stack: or_env(cfg.guest_stack, || env_int("OMPI_GUEST_STACK"))?,
+            job_timeout: or_env(cfg.job_timeout, || env_ms("OMPI_JOB_TIMEOUT_MS"))?,
+            host_threads: env_text("OMP_NUM_THREADS")
+                .and_then(|v| v.trim().parse().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or(hostomp::DEFAULT_NUM_THREADS),
             obs: cfg.obs.clone(),
+            trace_path: env_text("OMPI_TRACE").filter(|_| own_sink).map(PathBuf::from),
+            profile: flag("OMPI_PROFILE"),
+            hotspots: flag("OMPI_HOTSPOTS"),
+            flight_dump: env_text("OMPI_FLIGHT_DUMP").map(PathBuf::from),
+        })
+    }
+
+    /// Snapshot for the pure-CUDA baseline: the four device knobs come
+    /// from the config alone (`OMPI_DEV_MEM` would just crash a baseline
+    /// that manages raw device memory itself) — unset ones are pinned to
+    /// their defaults, so their variables are not even read — while
+    /// everything else is snapshotted as in [`ResolvedConfig::resolve`].
+    pub fn resolve_cuda(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
+        Self::resolve(&RunnerConfig {
+            device_mem: cfg.device_mem.or(Some(DEFAULT_DEVICE_MEM)),
+            async_streams: cfg.async_streams.or(Some(false)),
+            launch_timeout: cfg.launch_timeout.or(Some(DEFAULT_LAUNCH_TIMEOUT)),
+            max_resets: cfg.max_resets.or(Some(DEFAULT_MAX_RESETS)),
+            ..cfg.clone()
         })
     }
 
@@ -182,26 +186,30 @@ impl ResolvedConfig {
     }
 }
 
-fn env_u64(var: &'static str) -> Result<Option<u64>, ConfigError> {
+/// Rules 1 and 2 of the precedence: the explicit value, else whatever
+/// `env` reads. `env` is not called when the field is set, so a malformed
+/// variable that would not apply is not even looked at.
+fn or_env<T>(
+    explicit: Option<T>,
+    env: impl FnOnce() -> Result<Option<T>, ConfigError>,
+) -> Result<Option<T>, ConfigError> {
+    explicit.map_or_else(env, |v| Ok(Some(v)))
+}
+
+/// A variable's value; unset and blank are both `None`.
+fn env_text(var: &str) -> Option<String> {
+    std::env::var(var).ok().filter(|s| !s.trim().is_empty())
+}
+
+fn env_int<T: std::str::FromStr>(var: &'static str) -> Result<Option<T>, ConfigError> {
     match std::env::var(var) {
-        Ok(s) => s
-            .trim()
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| ConfigError::Int { var, value: s.clone() }),
+        Ok(s) => s.trim().parse().map(Some).map_err(|_| ConfigError::Int { var, value: s }),
         Err(_) => Ok(None),
     }
 }
 
-fn env_u32(var: &'static str) -> Result<Option<u32>, ConfigError> {
-    match std::env::var(var) {
-        Ok(s) => s
-            .trim()
-            .parse::<u32>()
-            .map(Some)
-            .map_err(|_| ConfigError::Int { var, value: s.clone() }),
-        Err(_) => Ok(None),
-    }
+fn env_ms(var: &'static str) -> Result<Option<Duration>, ConfigError> {
+    Ok(env_int(var)?.map(Duration::from_millis))
 }
 
 fn env_bool(var: &'static str) -> Result<Option<bool>, ConfigError> {

@@ -11,7 +11,7 @@
 
 use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
 use devmod::{DeviceModule, DeviceRegistry};
-use gpusim::{ExecMode, FaultPlan};
+use gpusim::{ExecMode, FaultPlan, FaultPlanError};
 use minic::interp::{Hooks, IResult, Interp, InterpError, Machine};
 use std::sync::Arc;
 use vmcommon::Value;
@@ -55,9 +55,10 @@ pub struct RunnerConfig {
     /// `None` defers to `OMPI_ASYNC` (strict boolean), then `false`.
     pub async_streams: Option<bool>,
     /// Deterministic fault-injection plan for device 0 (tests). `None`
-    /// falls back to the `OMPI_FAULT_PLAN` environment variable, whose
-    /// `devN:`-prefixed rules scope to device `N`. For programmatic
-    /// multi-device plans use [`RunnerConfig::fault_spec`] instead.
+    /// falls back to the `OMPI_FAULT_PLAN` environment variable
+    /// (snapshotted at construction), whose `devN:`-prefixed rules scope
+    /// to device `N`. For programmatic multi-device plans use
+    /// [`RunnerConfig::fault_spec`] instead.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Fault-plan source text with optional `devN:` prefixes, parsed once
     /// per device. Takes precedence over [`RunnerConfig::fault_plan`].
@@ -88,11 +89,12 @@ pub struct RunnerConfig {
     /// fuel-check boundary. `None` = no deadline.
     pub job_timeout: Option<std::time::Duration>,
     /// Explicit observability sink (tracer + metrics). `None` resolves the
-    /// `OMPI_TRACE` / `OMPI_PROFILE` environment variables: a set
-    /// `OMPI_TRACE` makes the runner write Chrome trace-event JSON there on
-    /// drop, and `OMPI_PROFILE=1` prints the per-device profile table to
-    /// stderr. An explicit sink suppresses both automatic outputs — the
-    /// caller owns export.
+    /// `OMPI_TRACE` / `OMPI_PROFILE` / `OMPI_HOTSPOTS` / `OMPI_FLIGHT_DUMP`
+    /// environment variables: a set `OMPI_TRACE` makes the runner write
+    /// Chrome trace-event JSON there on drop, `OMPI_PROFILE=1` prints the
+    /// per-device profile table to stderr, `OMPI_HOTSPOTS=1` the
+    /// guest-source hotspot table. An explicit sink suppresses all of
+    /// these — the caller owns export.
     pub obs: Option<Arc<obs::Obs>>,
 }
 
@@ -120,44 +122,50 @@ impl Default for RunnerConfig {
     }
 }
 
-/// How a runner's observability was resolved (explicit sink vs env vars).
-struct ObsSetup {
-    obs: Arc<obs::Obs>,
-    /// Write the trace here on drop (env-var mode only).
-    trace_path: Option<std::path::PathBuf>,
-    /// Print the profile table to stderr on drop (env-var mode only).
-    profile: bool,
-    /// Print the guest-source hotspot table to stderr on drop
-    /// (`OMPI_HOTSPOTS=1`; env-var mode only).
-    hotspots: bool,
-    /// The runner owns this sink (env-var mode): it may fire the
-    /// last-chance flight post-mortem at drop. An explicit shared sink
-    /// must not — a short-lived runner would consume the one dump out
-    /// from under longer-lived ones (first-trigger-wins).
-    env_owned: bool,
-}
-
-impl ObsSetup {
-    fn resolve(cfg: &ResolvedConfig) -> ObsSetup {
-        if let Some(o) = &cfg.obs {
-            return ObsSetup {
-                obs: o.clone(),
-                trace_path: None,
-                profile: false,
-                hotspots: false,
-                env_owned: false,
+/// Build the device fleet for a kernel directory — the one place
+/// `CudaDev`s are constructed: `rc.num_devices` simulated GPUs, each with
+/// its own clock, broken-latch and fault plan. Every device's plan is
+/// resolved (and so validated) here, by one rule: `fault_spec` text, else
+/// the explicit `fault_plan` on device 0, else the snapshotted
+/// `OMPI_FAULT_PLAN` text. Lazy device initialization reports any init
+/// error as "device unavailable" (host fallback), which would silently
+/// turn a malformed plan into a fault-free run; failing construction is
+/// the loud alternative.
+pub fn build_fleet(
+    rc: &ResolvedConfig,
+    kernel_dir: &std::path::Path,
+    obs: &Arc<obs::Obs>,
+) -> Result<Vec<Arc<CudaDev>>, FaultPlanError> {
+    (0..rc.num_devices as u32)
+        .map(|device_id| {
+            let fault_plan = match (&rc.fault_spec, &rc.fault_plan, &rc.fault_env) {
+                (Some(spec), _, _) => Some(FaultPlan::parse_for_device(spec, device_id)?.into()),
+                // An explicit pre-parsed plan has no device scoping; it
+                // belongs to device 0 (the only device before the registry
+                // existed).
+                (None, Some(plan), _) if device_id == 0 => Some(plan.clone()),
+                (None, _, Some(text)) => Some(FaultPlan::parse_for_device(text, device_id)?)
+                    .filter(|p| !p.rules().is_empty())
+                    .map(Arc::new),
+                _ => None,
             };
-        }
-        let env = obs::ObsEnv::from_env();
-        let obs = if env.trace_path.is_some() { obs::Obs::enabled() } else { obs::Obs::disabled() };
-        ObsSetup {
-            obs,
-            trace_path: env.trace_path,
-            profile: env.profile,
-            hotspots: env.hotspots,
-            env_owned: true,
-        }
-    }
+            Ok(Arc::new(CudaDev::new(CudaDevConfig {
+                device_id,
+                global_mem: rc.device_mem,
+                kernel_dir: kernel_dir.to_path_buf(),
+                jit_cache_dir: rc.jit_cache_dir.clone(),
+                exec_mode: rc.exec_mode,
+                launch_sampling: rc.launch_sampling,
+                async_streams: rc.async_streams,
+                fault_plan,
+                retry: rc.retry,
+                launch_timeout: rc.launch_timeout,
+                max_resets: rc.max_resets,
+                obs: obs.clone(),
+                ..CudaDevConfig::default()
+            })))
+        })
+        .collect()
 }
 
 /// A runnable application instance.
@@ -171,132 +179,110 @@ pub struct Runner {
     profile_on_drop: bool,
     /// Print the hotspot table on drop (`OMPI_HOTSPOTS` mode).
     hotspots_on_drop: bool,
-    /// Fire the last-chance flight post-mortem on drop (env-var mode).
+    /// The runner built this sink itself (no explicit one): it may fire
+    /// the last-chance flight post-mortem at drop. An explicit shared sink
+    /// must not — a short-lived runner would consume the one dump out
+    /// from under longer-lived ones (first-trigger-wins).
     flight_on_drop: bool,
     /// Wall-clock deadline armed on the machine at every guest call.
     job_timeout: Option<std::time::Duration>,
 }
 
 impl Runner {
-    /// Build the device registry for a kernel directory: `cfg.num_devices`
-    /// simulated GPUs, each with its own clock, broken-latch, and
-    /// device-scoped fault plan.
-    fn build_registry(
+    /// A runner that owns its fleet: the sink (explicit, or built from the
+    /// snapshot and then exported on drop), [`build_fleet`], a registry
+    /// over all of it, and then the same per-job view the batch server
+    /// uses over its long-lived fleet.
+    fn with_own_fleet(
+        host: &minic::ast::Program,
+        host_info: &minic::sema::ProgramInfo,
         kernel_dir: &std::path::Path,
-        cfg: &ResolvedConfig,
-        obs: &Arc<obs::Obs>,
-    ) -> IResult<Arc<DeviceRegistry>> {
-        // Validate `OMPI_FAULT_PLAN` eagerly: lazy device initialization
-        // reports any init error as "device unavailable" (host fallback),
-        // which would silently turn a malformed plan into a fault-free
-        // run. A bad plan must fail construction loudly instead.
-        if cfg.fault_spec.is_none() && cfg.fault_plan.is_none() {
-            FaultPlan::from_env()
-                .map_err(|e| InterpError::Trap(format!("OMPI_FAULT_PLAN: {e}")))?;
-        }
-        let mut devices: Vec<Arc<dyn DeviceModule>> = Vec::with_capacity(cfg.num_devices);
-        for i in 0..cfg.num_devices {
-            let fault_plan = match &cfg.fault_spec {
-                Some(spec) => Some(Arc::new(
-                    FaultPlan::parse_for_device(spec, i as u32)
-                        .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?,
-                )),
-                // An explicit pre-parsed plan has no device scoping; it
-                // belongs to device 0 (the only device before the registry
-                // existed). Other devices still honour `OMPI_FAULT_PLAN`
-                // through their `device_id`.
-                None if i == 0 => cfg.fault_plan.clone(),
-                None => None,
-            };
-            devices.push(Arc::new(CudaDev::new(CudaDevConfig {
-                device_id: i as u32,
-                global_mem: cfg.device_mem,
-                kernel_dir: kernel_dir.to_path_buf(),
-                jit_cache_dir: cfg.jit_cache_dir.clone(),
-                exec_mode: cfg.exec_mode,
-                launch_sampling: cfg.launch_sampling,
-                async_streams: cfg.async_streams,
-                fault_plan,
-                retry: cfg.retry,
-                launch_timeout: cfg.launch_timeout,
-                max_resets: cfg.max_resets,
-                obs: obs.clone(),
-                ..CudaDevConfig::default()
-            })));
-        }
-        Ok(Arc::new(DeviceRegistry::new(devices)))
+        cuda_module: Option<String>,
+        mut rc: ResolvedConfig,
+    ) -> IResult<Runner> {
+        let owns_obs = rc.obs.is_none();
+        let obs = rc
+            .obs
+            .get_or_insert_with(|| obs::Obs::new(rc.trace_path.is_some(), rc.flight_dump.clone()))
+            .clone();
+        let fleet = build_fleet(&rc, kernel_dir, &obs)
+            .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?;
+        let host_pid = fleet.len() as u64;
+        let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
+        let registry = Arc::new(DeviceRegistry::new(devices, host_pid, rc.host_threads));
+        let mut runner = Self::job_view(host, host_info, registry, cuda_module, &rc)?;
+        runner.machine.set_hotspots(rc.hotspots);
+        runner.trace_path = rc.trace_path;
+        runner.profile_on_drop = rc.profile;
+        runner.hotspots_on_drop = rc.hotspots;
+        runner.flight_on_drop = owns_obs;
+        Ok(runner)
     }
 
-    /// The one constructor: every application — OpenMP or pure CUDA — runs
-    /// against a registry-dispatched hook set; the only variation is
-    /// whether kernel launches resolve through a fixed CUDA module.
-    fn with_registry(
-        host: minic::ast::Program,
-        host_info: minic::sema::ProgramInfo,
+    /// One job's view over a registry somebody else may own: a fresh
+    /// machine and hook set, nothing exported on drop. Every application —
+    /// OpenMP or pure CUDA — runs against a registry-dispatched hook set;
+    /// the only variation is whether kernel launches resolve through a
+    /// fixed CUDA module.
+    fn job_view(
+        host: &minic::ast::Program,
+        host_info: &minic::sema::ProgramInfo,
         registry: Arc<DeviceRegistry>,
         cuda_module: Option<String>,
-        cfg: &ResolvedConfig,
-        setup: ObsSetup,
+        rc: &ResolvedConfig,
     ) -> IResult<Runner> {
-        // Guest limits come from the snapshot — `Machine` must not re-read
-        // `OMPI_GUEST_*` per job in a long-running server.
-        let machine = Machine::new_with_limits(host, host_info, cfg.host_mem, cfg.guest_limits())?;
-        let hooks = Arc::new(OmpiHooks::new(registry, cuda_module, setup.obs));
+        let machine = Machine::new_with_limits(
+            host.clone(),
+            host_info.clone(),
+            rc.host_mem,
+            rc.guest_limits(),
+        )?;
+        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
+        let hooks = Arc::new(OmpiHooks::new(registry, cuda_module, obs));
         let hooks_dyn: Arc<dyn Hooks> = hooks.clone();
         Ok(Runner {
             machine,
             hooks,
             hooks_dyn,
-            trace_path: setup.trace_path,
-            profile_on_drop: setup.profile,
-            hotspots_on_drop: setup.hotspots,
-            flight_on_drop: setup.env_owned,
-            job_timeout: cfg.job_timeout,
+            trace_path: None,
+            profile_on_drop: false,
+            hotspots_on_drop: false,
+            flight_on_drop: false,
+            job_timeout: rc.job_timeout,
         })
     }
 
-    /// Instantiate a compiled OpenMP application.
+    /// Instantiate a compiled OpenMP application on a fleet of its own.
     ///
-    /// Env vars apply only to fields the config leaves unset (see
-    /// [`ResolvedConfig::resolve`]): with no explicit
-    /// [`RunnerConfig::device_mem`], `OMPI_DEV_MEM=64M`-style values cap
-    /// the per-device arena, exercising the memory governor's degradation
-    /// ladder (OpenMP path only — the CUDA baseline manages raw device
-    /// memory itself and would just crash).
+    /// The environment is snapshotted here, once; env vars apply only to
+    /// fields the config leaves unset (see [`ResolvedConfig::resolve`]):
+    /// with no explicit [`RunnerConfig::device_mem`], `OMPI_DEV_MEM=64M`-style
+    /// values cap the per-device arena, exercising the memory governor's
+    /// degradation ladder (OpenMP path only — the CUDA baseline manages
+    /// raw device memory itself and would just crash).
     pub fn new(app: &CompiledApp, cfg: &RunnerConfig) -> IResult<Runner> {
         let rc = ResolvedConfig::resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let setup = ObsSetup::resolve(&rc);
-        let registry = Self::build_registry(&app.kernel_dir, &rc, &setup.obs)?;
-        Self::with_registry(app.host.clone(), app.host_info.clone(), registry, None, &rc, setup)
+        Self::with_own_fleet(&app.host, &app.host_info, &app.kernel_dir, None, rc)
     }
 
     /// Instantiate a compiled OpenMP application against a caller-owned
-    /// registry and a pre-resolved config snapshot. This is the batch
-    /// server's path: the scheduler owns the device fleet and hands each
-    /// job the device(s) it placed it on; nothing here reads the
-    /// environment.
+    /// registry and a pre-resolved config snapshot (whose `obs` is the
+    /// caller's sink). This is the batch server's path: the scheduler owns
+    /// the device fleet and hands each job the device(s) it placed it on;
+    /// nothing here reads the environment.
     pub fn with_shared_registry(
         app: &CompiledApp,
         registry: Arc<DeviceRegistry>,
         cfg: &ResolvedConfig,
     ) -> IResult<Runner> {
-        let setup = ObsSetup::resolve(cfg);
-        Self::with_registry(app.host.clone(), app.host_info.clone(), registry, None, cfg, setup)
+        Self::job_view(&app.host, &app.host_info, registry, None, cfg)
     }
 
-    /// Instantiate a compiled pure-CUDA application.
+    /// Instantiate a compiled pure-CUDA application on a fleet of its own.
     pub fn new_cuda(app: &CompiledCudaApp, cfg: &RunnerConfig) -> IResult<Runner> {
         let rc = ResolvedConfig::resolve_cuda(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let setup = ObsSetup::resolve(&rc);
-        let registry = Self::build_registry(&app.kernel_dir, &rc, &setup.obs)?;
-        Self::with_registry(
-            app.host.clone(),
-            app.host_info.clone(),
-            registry,
-            Some(app.module_name.clone()),
-            &rc,
-            setup,
-        )
+        let module = Some(app.module_name.clone());
+        Self::with_own_fleet(&app.host, &app.host_info, &app.kernel_dir, module, rc)
     }
 
     /// Call a guest function. A guest that exceeds a configured resource
@@ -475,10 +461,10 @@ impl Runner {
 }
 
 impl Drop for Runner {
-    /// Env-var mode export: `OMPI_TRACE` writes the trace JSON,
+    /// Own-sink export: `OMPI_TRACE` writes the trace JSON,
     /// `OMPI_PROFILE` prints the profile table to stderr, `OMPI_HOTSPOTS`
     /// the guest-source hotspot table. Explicit `RunnerConfig::obs` sinks
-    /// skip all three (the caller owns export).
+    /// and per-job views skip all three (the caller owns export).
     fn drop(&mut self) {
         if let Some(path) = self.trace_path.take() {
             if let Err(e) = self.write_trace(&path) {
@@ -493,7 +479,7 @@ impl Drop for Runner {
         }
         // Last-chance flight dump (`OMPI_FLIGHT_DUMP` with no fault this
         // run): a no-op without a dump path, and first-trigger-wins if a
-        // latch or watchdog already dumped. Env-var mode only — with an
+        // latch or watchdog already dumped. Own sink only — with an
         // explicit shared sink the caller owns the end-of-run trigger.
         if self.flight_on_drop {
             self.hooks.obs.flight.post_mortem("runner drop");

@@ -25,8 +25,12 @@ pub struct HostDevice {
 }
 
 impl HostDevice {
-    pub fn new() -> HostDevice {
-        HostDevice { rt: Arc::new(HostRt::new()), clock: Mutex::new(DevClock::default()) }
+    /// A shim whose host thread teams default to `host_threads` threads.
+    pub fn new(host_threads: usize) -> HostDevice {
+        HostDevice {
+            rt: Arc::new(HostRt::new(host_threads)),
+            clock: Mutex::new(DevClock::default()),
+        }
     }
 
     /// The host OpenMP runtime this shim wraps; the runner's `ort_*` hooks
@@ -43,12 +47,6 @@ impl HostDevice {
         let mut clk = self.clock.lock();
         clk.fallback_s += seconds;
         clk.fallbacks += 1;
-    }
-}
-
-impl Default for HostDevice {
-    fn default() -> Self {
-        HostDevice::new()
     }
 }
 

@@ -20,30 +20,27 @@ pub struct DeviceRegistry {
     host: Arc<HostDevice>,
     /// The `default-device-var` ICV (`omp_get/set_default_device`).
     default_dev: AtomicI64,
-    /// Trace/metrics pid for the host shim. Defaults to `num_devices()`
-    /// (the initial-device number); a scheduler placing jobs on registries
-    /// that view a slice of a larger fleet overrides it so host-shim
-    /// metrics do not collide with another fleet device's pid.
+    /// Trace/metrics pid for the host shim (see [`DeviceRegistry::new`]).
     host_pid: u64,
 }
 
 impl DeviceRegistry {
-    /// A registry over `devices` with a fresh host shim as the initial
-    /// device; the default device starts at 0 (or the host if there are no
-    /// offload devices).
-    pub fn new(devices: Vec<Arc<dyn DeviceModule>>) -> DeviceRegistry {
-        let host_pid = devices.len() as u64;
-        Self::with_host_pid(devices, host_pid)
-    }
-
-    /// A registry whose host shim records metrics under an explicit pid
-    /// instead of `num_devices()`. The batch server hands each job a
-    /// single-device view of the fleet; without this, every job's host
-    /// shim would land on pid 1 — a real fleet device.
-    pub fn with_host_pid(devices: Vec<Arc<dyn DeviceModule>>, host_pid: u64) -> DeviceRegistry {
+    /// A registry over `devices` with a fresh host shim (teams of
+    /// `host_threads` by default) as the initial device; the default
+    /// device starts at 0 (or the host if there are no offload devices).
+    /// The host shim records metrics and traces under `host_pid`: a
+    /// registry that owns its whole fleet passes `devices.len()` (the
+    /// initial-device number), the batch server's single-device job views
+    /// pass the fleet size so no job's host shim lands on a real fleet
+    /// device's pid.
+    pub fn new(
+        devices: Vec<Arc<dyn DeviceModule>>,
+        host_pid: u64,
+        host_threads: usize,
+    ) -> DeviceRegistry {
         DeviceRegistry {
             devices,
-            host: Arc::new(HostDevice::new()),
+            host: Arc::new(HostDevice::new(host_threads)),
             default_dev: AtomicI64::new(0),
             host_pid,
         }
@@ -247,7 +244,7 @@ mod tests {
     }
 
     fn two_dev_registry() -> DeviceRegistry {
-        DeviceRegistry::new(vec![FakeDev::new(1.0), FakeDev::new(2.0)])
+        DeviceRegistry::new(vec![FakeDev::new(1.0), FakeDev::new(2.0)], 2, 4)
     }
 
     #[test]
@@ -273,12 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn host_pid_defaults_to_num_devices_and_can_be_overridden() {
+    fn host_pid_is_independent_of_local_device_numbering() {
         let reg = two_dev_registry();
         assert_eq!(reg.host_pid(), 2);
         // A single-device view of a larger fleet: device numbering is
         // still 0-based locally, but the host shim's pid is pinned.
-        let reg = DeviceRegistry::with_host_pid(vec![FakeDev::new(1.0)], 8);
+        let reg = DeviceRegistry::new(vec![FakeDev::new(1.0)], 8, 4);
         assert_eq!(reg.host_pid(), 8);
         assert_eq!(reg.initial_device_id(), 1);
     }
@@ -327,7 +324,7 @@ mod tests {
             retries: 4,
             fallbacks: 2,
         };
-        let reg = DeviceRegistry::new(vec![FakeDev::seeded(busy), FakeDev::seeded(busy)]);
+        let reg = DeviceRegistry::new(vec![FakeDev::seeded(busy), FakeDev::seeded(busy)], 2, 4);
 
         let before = reg.aggregate_clock();
         assert_eq!(before.retries, 8);

@@ -46,26 +46,10 @@ pub struct NamedBarrier {
     cv: Condvar,
 }
 
-/// Default for how long a simulated barrier may block host-side before we
-/// declare the guest deadlocked.
+/// How long a simulated barrier may block host-side before we declare the
+/// guest deadlocked (what [`crate::warp::Warp::bar_sync`] passes to
+/// [`NamedBarrier::sync`]).
 pub const BARRIER_HOST_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// The effective host-side deadlock timeout: `OMPI_BARRIER_TIMEOUT_MS`
-/// (milliseconds) when set and parseable, else [`BARRIER_HOST_TIMEOUT`].
-/// Read once per process; tests that need a short timeout (so a deadlock
-/// regression fails in ~200 ms instead of stalling 30 s) set the variable
-/// before the first barrier wait.
-pub fn barrier_host_timeout() -> Duration {
-    static TIMEOUT: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
-    *TIMEOUT.get_or_init(|| {
-        std::env::var("OMPI_BARRIER_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-            .unwrap_or(BARRIER_HOST_TIMEOUT)
-    })
-}
 
 impl NamedBarrier {
     pub fn new(id: u32) -> NamedBarrier {
@@ -77,8 +61,14 @@ impl NamedBarrier {
     }
 
     /// Arrive on behalf of one warp (32 threads) and wait until
-    /// `expected_threads` have arrived. Updates the caller's virtual clock.
-    pub fn sync(&self, expected_threads: u32, cycles: &mut u64) -> Result<(), BarrierTimeout> {
+    /// `expected_threads` have arrived, or `host_timeout` of wall time has
+    /// passed. Updates the caller's virtual clock.
+    pub fn sync(
+        &self,
+        expected_threads: u32,
+        cycles: &mut u64,
+        host_timeout: Duration,
+    ) -> Result<(), BarrierTimeout> {
         debug_assert_eq!(expected_threads % timing::WARP_SIZE, 0);
         let mut st = self.st.lock();
         st.arrived += timing::WARP_SIZE;
@@ -94,7 +84,7 @@ impl NamedBarrier {
         }
         let gen = st.generation;
         loop {
-            if self.cv.wait_for(&mut st, barrier_host_timeout()).timed_out() {
+            if self.cv.wait_for(&mut st, host_timeout).timed_out() {
                 let arrived = st.arrived;
                 // Undo our arrival so a late retry does not double-count.
                 st.arrived = st.arrived.saturating_sub(timing::WARP_SIZE);
@@ -125,7 +115,7 @@ mod tests {
             let b = b.clone();
             handles.push(std::thread::spawn(move || {
                 let mut cycles = 100 * (w + 1);
-                b.sync(128, &mut cycles).unwrap();
+                b.sync(128, &mut cycles, BARRIER_HOST_TIMEOUT).unwrap();
                 cycles
             }));
         }
@@ -145,7 +135,7 @@ mod tests {
             let b = b1.clone();
             std::thread::spawn(move || {
                 let mut c = 10;
-                b.sync(64, &mut c).unwrap();
+                b.sync(64, &mut c, BARRIER_HOST_TIMEOUT).unwrap();
                 c
             })
         };
@@ -153,7 +143,7 @@ mod tests {
             let b = b1.clone();
             std::thread::spawn(move || {
                 let mut c = 50;
-                b.sync(64, &mut c).unwrap();
+                b.sync(64, &mut c, BARRIER_HOST_TIMEOUT).unwrap();
                 c
             })
         };
@@ -170,7 +160,7 @@ mod tests {
                 let b = b.clone();
                 handles.push(std::thread::spawn(move || {
                     let mut c = round * 1000 + w;
-                    b.sync(64, &mut c).unwrap();
+                    b.sync(64, &mut c, BARRIER_HOST_TIMEOUT).unwrap();
                     c
                 }));
             }

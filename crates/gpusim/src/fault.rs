@@ -329,28 +329,6 @@ impl FaultPlan {
         Ok(FaultPlan::new(rules))
     }
 
-    /// Plan from the `OMPI_FAULT_PLAN` environment variable, if set.
-    /// `Ok(None)` when the variable is unset or empty; a malformed plan is
-    /// a typed error for the caller to surface (never a silent fault-free
-    /// run).
-    pub fn from_env() -> Result<Option<FaultPlan>, FaultPlanError> {
-        FaultPlan::from_env_for_device(0)
-    }
-
-    /// Per-device variant of [`FaultPlan::from_env`]: the plan a registry
-    /// device `dev` derives from `OMPI_FAULT_PLAN`. `Ok(None)` when the
-    /// variable is unset, empty, or has no rules for this device.
-    pub fn from_env_for_device(dev: u32) -> Result<Option<FaultPlan>, FaultPlanError> {
-        let Ok(text) = std::env::var("OMPI_FAULT_PLAN") else { return Ok(None) };
-        if text.trim().is_empty() {
-            return Ok(None);
-        }
-        match FaultPlan::parse_for_device(&text, dev) {
-            Ok(p) if p.rules.is_empty() => Ok(None),
-            other => other.map(Some),
-        }
-    }
-
     /// A seeded random — but *completion-safe* — plan for the chaos soak
     /// harness (`OMPI_FAULT_PLAN=chaos:<seed>`): 2–4 rules, at most one
     /// per site, drawn so that every run still completes with bit-exact

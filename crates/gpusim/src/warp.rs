@@ -19,7 +19,7 @@ use vmcommon::addr::{self, Space};
 use vmcommon::fmt::FmtArg;
 use vmcommon::{MemArena, Value};
 
-use crate::barrier::NamedBarrier;
+use crate::barrier::{NamedBarrier, BARRIER_HOST_TIMEOUT};
 use crate::device::{Device, ExecError};
 use crate::timing;
 
@@ -249,7 +249,11 @@ impl<'a> Warp<'a> {
             )));
         }
         self.issue += timing::BARRIER_ISSUE;
-        self.env.ctx.barriers[id as usize].sync(expected_threads, &mut self.clock)?;
+        self.env.ctx.barriers[id as usize].sync(
+            expected_threads,
+            &mut self.clock,
+            BARRIER_HOST_TIMEOUT,
+        )?;
         Ok(())
     }
 

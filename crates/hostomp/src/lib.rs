@@ -44,19 +44,16 @@ pub struct HostRt {
 }
 
 impl Default for HostRt {
+    /// A runtime with [`DEFAULT_NUM_THREADS`] as its `nthreads-var`.
     fn default() -> Self {
-        Self::new()
+        Self::new(DEFAULT_NUM_THREADS)
     }
 }
 
 impl HostRt {
-    /// Create a runtime, honouring `OMP_NUM_THREADS`.
-    pub fn new() -> HostRt {
-        let default_threads = std::env::var("OMP_NUM_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(DEFAULT_NUM_THREADS);
+    /// Create a runtime whose `nthreads-var` ICV is `default_threads` (the
+    /// runner passes its snapshot of `OMP_NUM_THREADS`).
+    pub fn new(default_threads: usize) -> HostRt {
         HostRt { default_threads, criticals: Mutex::new(HashMap::new()), start: Instant::now() }
     }
 
@@ -218,7 +215,7 @@ mod tests {
 
     #[test]
     fn parallel_runs_all_threads() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let hits = AtomicUsize::new(0);
         let tids = Mutex::new(Vec::new());
         rt.parallel(Some(4), |tid| {
@@ -233,7 +230,7 @@ mod tests {
 
     #[test]
     fn thread_num_queries() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         assert_eq!(rt.thread_num(), 0);
         assert_eq!(rt.num_threads(), 1);
         assert!(!rt.in_parallel());
@@ -249,7 +246,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_serializes() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let inner_sizes = Mutex::new(Vec::new());
         rt.parallel(Some(2), |_tid| {
             rt.parallel(Some(4), |_inner| {
@@ -263,7 +260,7 @@ mod tests {
 
     #[test]
     fn barrier_orders_phases() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let phase1 = AtomicUsize::new(0);
         let ok = AtomicUsize::new(0);
         rt.parallel(Some(4), |_tid| {
@@ -278,7 +275,7 @@ mod tests {
 
     #[test]
     fn critical_is_mutually_exclusive() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let counter = AtomicUsize::new(0);
         let max_inside = AtomicUsize::new(0);
         rt.parallel(Some(4), |_tid| {
@@ -295,7 +292,7 @@ mod tests {
 
     #[test]
     fn distinct_critical_names_do_not_exclude() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         // Just check no deadlock when nesting differently-named criticals.
         rt.parallel(Some(2), |tid| {
             if tid == 0 {
@@ -310,7 +307,7 @@ mod tests {
 
     #[test]
     fn single_picks_one_thread_per_instance() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let winners = AtomicUsize::new(0);
         rt.parallel(Some(4), |_tid| {
             for _ in 0..3 {
@@ -325,7 +322,7 @@ mod tests {
 
     #[test]
     fn sections_distribute_all() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let run: Mutex<Vec<u64>> = Mutex::new(Vec::new());
         rt.parallel(Some(3), |_tid| {
             let ws = rt.sections_begin();
@@ -341,7 +338,7 @@ mod tests {
 
     #[test]
     fn loop_dynamic_schedule_covers() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let seen = Mutex::new(vec![false; 100]);
         rt.parallel(Some(4), |_tid| {
             let ws = rt.loop_begin(100);
@@ -359,7 +356,7 @@ mod tests {
 
     #[test]
     fn loop_guided_schedule_covers() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let seen = Mutex::new(vec![false; 500]);
         rt.parallel(Some(4), |_tid| {
             let ws = rt.loop_begin(500);
@@ -377,7 +374,7 @@ mod tests {
 
     #[test]
     fn wtime_advances() {
-        let rt = HostRt::new();
+        let rt = HostRt::default();
         let a = rt.wtime();
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(rt.wtime() > a);

@@ -15,10 +15,10 @@
 //! * [`crate::walker::TreeWalker`] — the original tree-walking
 //!   interpreter, retained as the differential-test oracle.
 //!
-//! [`Interp::new`] picks the engine from the machine (default VM; the
-//! `OMPI_ENGINE=walker` environment variable or [`Machine::set_engine`]
-//! selects the oracle). Both engines produce bit-identical results — same
-//! values, same traps, same output — which the differential tests assert.
+//! [`Interp::new`] picks the engine from the machine: always the VM unless
+//! a test selected the oracle with [`Machine::set_engine`]. Both engines
+//! produce bit-identical results — same values, same traps, same output —
+//! which the differential tests assert.
 //!
 //! All program state lives in a guest [`MemArena`], so `&x`, pointer
 //! arithmetic and byte-exact `memcpy` to the simulated device all behave
@@ -268,19 +268,17 @@ pub struct Machine {
 pub(crate) const STACK_SIZE: u64 = 4 << 20;
 
 impl Machine {
-    /// Build a machine for an analyzed program with `mem_bytes` of guest
-    /// memory. Global variables and string literals are laid out
-    /// immediately; initializers run on the first [`Interp`] creation.
+    /// Build an ungoverned machine (default [`GuestLimits`]) for an
+    /// analyzed program with `mem_bytes` of guest memory.
     pub fn new(prog: Program, info: ProgramInfo, mem_bytes: usize) -> IResult<Arc<Machine>> {
-        let limits = GuestLimits::from_env().map_err(InterpError::Trap)?;
-        Self::new_with_limits(prog, info, mem_bytes, limits)
+        Self::new_with_limits(prog, info, mem_bytes, GuestLimits::default())
     }
 
-    /// Build a machine with pre-resolved guest limits, skipping the
-    /// `OMPI_GUEST_*` environment read entirely. Long-running hosts (the
-    /// batch server) snapshot the environment once at startup and must not
-    /// re-read it per job — a `setenv` mid-soak would silently reconfigure
-    /// every tenant.
+    /// Build a machine with the given guest limits. Global variables and
+    /// string literals are laid out immediately; initializers run on the
+    /// first [`Interp`] creation. Nothing here reads the environment: the
+    /// runner's config snapshot supplies `limits` (and the hotspot switch,
+    /// through [`Machine::set_hotspots`]).
     pub fn new_with_limits(
         prog: Program,
         info: ProgramInfo,
@@ -325,13 +323,6 @@ impl Machine {
             }
         }
 
-        let engine = match std::env::var("OMPI_ENGINE").as_deref() {
-            Ok("walker") => Engine::Walker,
-            _ => Engine::Vm,
-        };
-        let hotspots = matches!(std::env::var("OMPI_HOTSPOTS").as_deref(),
-                                Ok(v) if !v.is_empty() && v != "0");
-
         Ok(Arc::new(Machine {
             prog,
             info,
@@ -343,10 +334,10 @@ impl Machine {
             output: Mutex::new(None),
             captured: Mutex::new(String::new()),
             globals_ready: AtomicBool::new(false),
-            engine: AtomicU8::new(engine as u8),
+            engine: AtomicU8::new(Engine::Vm as u8),
             compiled: OnceLock::new(),
             vm_counters: Default::default(),
-            hotspots: AtomicBool::new(hotspots),
+            hotspots: AtomicBool::new(false),
             line_hits: Mutex::new(HashMap::new()),
             limits,
         }))
@@ -423,8 +414,9 @@ impl Machine {
         c
     }
 
-    /// Is guest-source hotspot attribution on? (Set by the
-    /// `OMPI_HOTSPOTS` environment variable or [`Machine::set_hotspots`].)
+    /// Is guest-source hotspot attribution on? (Off until
+    /// [`Machine::set_hotspots`]; the runner turns it on for
+    /// `OMPI_HOTSPOTS=1`.)
     pub fn hotspots_enabled(&self) -> bool {
         self.hotspots.load(Ordering::Relaxed)
     }
@@ -472,9 +464,7 @@ impl Machine {
     }
 
     /// The guest resource governor (fuel, memory ceiling, stack depth,
-    /// deadline). Read the `OMPI_GUEST_*` environment at machine build;
-    /// the runner overrides from [`RunnerConfig`]-style settings via the
-    /// setters on [`GuestLimits`].
+    /// deadline), as passed to [`Machine::new_with_limits`].
     pub fn limits(&self) -> &GuestLimits {
         &self.limits
     }

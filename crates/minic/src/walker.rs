@@ -5,8 +5,8 @@
 //! run [`crate::vm::Vm`] through the [`crate::interp::Interp`] façade.
 //! The walker survives because its semantics are the executable
 //! specification: differential tests run both engines over the same
-//! programs and assert bit-identical results (`OMPI_ENGINE=walker`
-//! switches production paths back for A/B measurement).
+//! programs and assert bit-identical results (a test selects it per
+//! machine with `Machine::set_engine`; there is no runtime selector).
 
 use std::sync::Arc;
 

@@ -305,13 +305,13 @@ impl Scheduler {
     /// job's device is local number 0; its host shim records metrics
     /// under pid `fleet.len()` so per-job host activity never collides
     /// with another fleet device's pid.
-    pub fn job_registry(&self, device: Option<usize>) -> Arc<DeviceRegistry> {
+    pub fn job_registry(&self, device: Option<usize>, host_threads: usize) -> Arc<DeviceRegistry> {
         let host_pid = self.fleet.len() as u64;
         let devs: Vec<Arc<dyn DeviceModule>> = match device {
             Some(d) => vec![self.fleet[d].clone() as Arc<dyn DeviceModule>],
             None => Vec::new(),
         };
-        Arc::new(DeviceRegistry::with_host_pid(devs, host_pid))
+        Arc::new(DeviceRegistry::new(devs, host_pid, host_threads))
     }
 }
 
@@ -448,7 +448,7 @@ mod tests {
         let p = s.next().unwrap();
         assert_eq!(p.affinity, Affinity::Host);
         assert_eq!(p.device, None);
-        let reg = s.job_registry(p.device);
+        let reg = s.job_registry(p.device, 4);
         assert_eq!(reg.num_devices(), 0);
         assert_eq!(reg.host_pid(), 2);
         s.complete("a", p.device);

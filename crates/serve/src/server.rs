@@ -2,9 +2,10 @@
 //!
 //! Lifecycle: [`Server::new`] resolves configuration **once** (this is the
 //! env snapshot — no job ever reads `OMPI_*`), builds the device fleet the
-//! scheduler owns, and compiles nothing. Tenants register programs
-//! ([`Server::register_program`] — each gets a unique module-name prefix
-//! so every tenant's `k0_main` coexists in the shared kernel directory),
+//! scheduler owns with [`ompi_core::build_fleet`], and compiles nothing.
+//! Tenants register programs ([`Server::register_program`] — each gets a
+//! unique module-name prefix so every tenant's `k0_main` coexists in the
+//! shared kernel directory),
 //! submit jobs ([`Server::submit`], which runs admission control inline
 //! and returns typed rejections), and claim results ([`Server::wait`]).
 //! Worker threads pull placements from the scheduler and execute each job
@@ -24,9 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cudadev::{CudaDev, CudaDevConfig};
-use gpusim::FaultPlan;
-use ompi_core::{CompiledApp, Ompicc, ResolvedConfig, Runner};
+use cudadev::CudaDev;
+use ompi_core::{build_fleet, CompiledApp, Ompicc, ResolvedConfig, Runner};
 use vmcommon::sync::{Condvar, Mutex};
 use vmcommon::Value;
 
@@ -73,44 +73,17 @@ impl Server {
     /// every device's fault plan eagerly.
     pub fn new(cfg: &ServeConfig) -> Result<Server, ServeError> {
         let mut rc = ResolvedConfig::resolve(&cfg.runner).map_err(ServeError::Config)?;
-        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
-        rc.obs = Some(obs.clone());
+        rc.num_devices = rc.num_devices.max(1);
+        let obs =
+            rc.obs.get_or_insert_with(|| obs::Obs::new(false, rc.flight_dump.clone())).clone();
 
         let kernel_dir = cfg.work_dir.join("kernels");
         std::fs::create_dir_all(&kernel_dir).map_err(|e| ServeError::Io(e.to_string()))?;
-
-        let n = rc.num_devices.max(1);
-        let mut fleet = Vec::with_capacity(n);
-        for i in 0..n {
-            // Fault plans resolve at startup, not at lazy device init: a
-            // malformed `OMPI_FAULT_PLAN` must fail server construction,
-            // never surface later as one tenant's mysterious host run.
-            let fault_plan = match (&rc.fault_spec, i, &rc.fault_plan) {
-                (Some(spec), _, _) => Some(Arc::new(
-                    FaultPlan::parse_for_device(spec, i as u32)
-                        .map_err(|e| ServeError::FaultPlan(e.to_string()))?,
-                )),
-                (None, 0, Some(p)) => Some(p.clone()),
-                _ => FaultPlan::from_env_for_device(i as u32)
-                    .map_err(|e| ServeError::FaultPlan(e.to_string()))?
-                    .map(Arc::new),
-            };
-            fleet.push(Arc::new(CudaDev::new(CudaDevConfig {
-                device_id: i as u32,
-                global_mem: rc.device_mem,
-                kernel_dir: kernel_dir.clone(),
-                jit_cache_dir: rc.jit_cache_dir.clone(),
-                exec_mode: rc.exec_mode,
-                launch_sampling: rc.launch_sampling,
-                async_streams: rc.async_streams,
-                fault_plan,
-                retry: rc.retry,
-                launch_timeout: rc.launch_timeout,
-                max_resets: rc.max_resets,
-                obs: obs.clone(),
-                ..CudaDevConfig::default()
-            })));
-        }
+        // Fault plans resolve at startup, not at lazy device init: a
+        // malformed `OMPI_FAULT_PLAN` must fail server construction, never
+        // surface later as one tenant's mysterious host run.
+        let fleet = build_fleet(&rc, &kernel_dir, &obs)
+            .map_err(|e| ServeError::FaultPlan(e.to_string()))?;
 
         let worker_count = if cfg.workers == 0 { fleet.len().max(1) } else { cfg.workers };
         let serve_pid = fleet.len() as u64 + 1;
@@ -301,7 +274,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         m.incr(inner.serve_pid, affinity, 1);
 
-        let registry = inner.sched.job_registry(p.device);
+        let registry = inner.sched.job_registry(p.device, inner.rc.host_threads);
         let (value, output) = match Runner::with_shared_registry(&job.app, registry, &inner.rc) {
             Ok(runner) => {
                 let value = runner.call(&job.entry, &job.args).map_err(|e| e.to_string());

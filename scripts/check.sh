@@ -36,6 +36,17 @@ for f in $(find crates/core/src crates/obs/src crates/serve/src -name '*.rs') $m
 done
 [ "$oversized" -eq 0 ] || exit 1
 
+echo "== environment access (only crates/core/src/runner/config.rs; tests/env_reads.rs is the tier-1 twin) =="
+if grep -rnE 'env::var|var_os|set_var' crates/*/src --include='*.rs' \
+    | grep -v -e '^crates/bench/src/bin' -e '^crates/core/src/runner/config.rs'; then
+    echo "FAIL: library crates take values from ResolvedConfig, not from the environment"
+    exit 1
+fi
+if grep -rn 'set_var' crates/bench; then
+    echo "FAIL: crates/bench must not write the process environment"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

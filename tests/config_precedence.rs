@@ -16,7 +16,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use ompi_nano::ompi_core::{DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS};
-use ompi_nano::{ConfigError, Ompicc, ResolvedConfig, Runner, RunnerConfig};
+use ompi_nano::serve::{JobSpec, ServeConfig, Server};
+use ompi_nano::{
+    ConfigError, DeviceModule, DeviceRegistry, Ompicc, ResolvedConfig, Runner, RunnerConfig, Value,
+};
 
 /// Env vars are process globals; every test here serializes on this.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -280,5 +283,119 @@ fn runner_new_reports_malformed_env() {
         let cfg = RunnerConfig { async_streams: Some(false), ..Default::default() };
         let runner = Runner::new(&app, &cfg).unwrap();
         assert_eq!(runner.run_main().unwrap(), ompi_nano::Value::I32(0));
+    });
+}
+
+/// `OMPI_HOTSPOTS` used to be parsed twice: the machine collected per-pc
+/// hits for any non-empty value but `"0"` (so `off` meant *on*), while the
+/// drop-time table used the strict vocabulary — collection that nothing
+/// ever printed. One strict parse in the snapshot now drives both; like
+/// the other display flags an unrecognized spelling is "off", not an error.
+#[test]
+fn hotspots_env_is_parsed_once_and_strictly() {
+    let dir = std::env::temp_dir().join(format!("ompinano-hotspots-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = Ompicc::new(&dir).compile(TRIVIAL).unwrap();
+    for (value, on) in
+        [("1", true), ("on", true), ("0", false), ("off", false), ("banana", false), ("", false)]
+    {
+        with_env(&[("OMPI_HOTSPOTS", Some(value))], || {
+            let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
+            assert_eq!(rc.hotspots, on, "OMPI_HOTSPOTS={value:?}");
+            let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
+            assert_eq!(runner.machine.hotspots_enabled(), on, "machine, OMPI_HOTSPOTS={value:?}");
+            runner.run_main().unwrap();
+            assert_eq!(!runner.machine.line_profile().is_empty(), on, "OMPI_HOTSPOTS={value:?}");
+
+            // An explicit sink owns export: nothing would print the
+            // table, so nothing is collected either.
+            let cfg = RunnerConfig { obs: Some(obs::Obs::disabled()), ..Default::default() };
+            assert!(!ResolvedConfig::resolve(&cfg).unwrap().hotspots);
+            assert!(!Runner::new(&app, &cfg).unwrap().machine.hotspots_enabled());
+        });
+    }
+}
+
+const JOB: &str = r#"
+int job(int k) {
+    int n = 64;
+    float x[64];
+    for (int i = 0; i < n; i++) x[i] = (float) (i + k);
+    #pragma omp target teams distribute parallel for map(tofrom: x[0:n])
+    for (int i = 0; i < n; i++)
+        x[i] = 2.0f * x[i] + 1.0f;
+    float s = 0.0f;
+    for (int i = 0; i < n; i++) s = s + x[i];
+    return (int) s;
+}
+int main() { return job(0); }
+"#;
+
+/// Construction time is the only snapshot. A runner and a 2-device server
+/// are built under a clean environment; hostile variables set *afterwards*
+/// — before the first offload and the first job, when devices initialize
+/// lazily and per-job machines are built — must change nothing. (Devices
+/// used to re-read `OMPI_FAULT_PLAN` at lazy init, and every machine
+/// `OMPI_HOTSPOTS`.)
+#[test]
+fn setenv_after_construction_changes_nothing() {
+    const HOSTILE: &[(&str, &str)] = &[
+        ("OMPI_FAULT_PLAN", "init@1x*,dev1:init@1x*"),
+        ("OMPI_GUEST_FUEL", "1"),
+        ("OMPI_HOTSPOTS", "1"),
+        ("OMP_NUM_THREADS", "1"),
+    ];
+    let clean: Vec<(&str, Option<&str>)> = HOSTILE.iter().map(|(k, _)| (*k, None)).collect();
+    with_env(&clean, || {
+        let dir = std::env::temp_dir().join(format!("ompinano-snapshot-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = Ompicc::new(dir.join("app")).compile(JOB).unwrap();
+        let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
+        let mut cfg = ServeConfig::new(dir.join("serve"));
+        cfg.runner.num_devices = 2;
+        cfg.runner.jit_cache_dir = dir.join("jit");
+        let server = Server::new(&cfg).unwrap();
+        let program = server.register_program("t", JOB).unwrap();
+
+        for (k, v) in HOSTILE {
+            std::env::set_var(k, v);
+        }
+
+        let expected = Value::I32((0..64).map(|i| 2 * (i + 3) + 1).sum());
+        assert_eq!(runner.call("job", &[Value::I32(3)]).unwrap(), expected);
+        let clk = runner.dev_clock();
+        assert!(clk.launches > 0, "the region must still offload");
+        assert_eq!(runner.dev_clock_of(runner.num_devices()).unwrap().fallbacks, 0);
+        assert!(!runner.device_broken());
+        assert!(!runner.machine.hotspots_enabled());
+        assert!(runner.machine.line_profile().is_empty());
+        assert_eq!(runner.hooks.rt.default_threads, 4);
+
+        server.start();
+        let ids: Vec<_> = (0..4)
+            .map(|_| {
+                let mut spec = JobSpec::new(program);
+                spec.entry = "job".to_string();
+                spec.args = vec![Value::I32(3)];
+                server.submit("t", spec).unwrap()
+            })
+            .collect();
+        for id in ids {
+            assert_eq!(server.wait(id).value, Ok(expected));
+        }
+        server.shutdown();
+        let m = &server.obs().metrics;
+        assert_eq!(m.counter(server.serve_pid(), "serve.affinity.host"), 0);
+        assert_eq!(m.counter(server.serve_pid(), "serve.jobs_completed"), 4);
+        let launches: u64 = (0..2).map(|d| server.device(d).unwrap().clock().launches).sum();
+        assert_eq!(launches, 4, "every job must run on a device");
+        let fallbacks: u64 = (0..3).map(|pid| m.counter(pid, "fallbacks")).sum();
+        assert_eq!(fallbacks, 0);
+
+        // The per-job view the workers build, under the same hostile env.
+        let registry = std::sync::Arc::new(DeviceRegistry::new(Vec::new(), 2, 4));
+        let view = Runner::with_shared_registry(&app, registry, server.resolved()).unwrap();
+        assert!(!view.machine.hotspots_enabled());
+        assert_eq!(view.machine.limits().fuel_budget(), None);
     });
 }
