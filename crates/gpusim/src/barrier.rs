@@ -13,6 +13,11 @@
 //! Besides releasing the OS threads that simulate the warps, the barrier
 //! synchronizes their *virtual clocks*: every released warp resumes at the
 //! latest arrival time plus the barrier latency.
+//!
+//! A barrier can also be *aborted* ([`NamedBarrier::abort`]): when a warp
+//! of the block fails, its siblings can never be released by arrivals, so
+//! every waiter (and every later arrival) returns [`Released::Aborted`] at
+//! once instead of sitting out the deadlock timeout.
 
 use std::time::Duration;
 
@@ -28,6 +33,16 @@ pub struct BarrierTimeout {
     pub arrived_threads: u32,
 }
 
+/// How a wait on a barrier ended without timing out.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Released {
+    /// The expected number of threads arrived.
+    Complete,
+    /// The block was torn down while waiting (a sibling warp failed); the
+    /// caller's clock is untouched.
+    Aborted,
+}
+
 struct State {
     /// Threads that have arrived in the current generation.
     arrived: u32,
@@ -37,6 +52,8 @@ struct State {
     max_cycles: u64,
     /// Clock value all waiters of the *previous* generation resume at.
     release_cycles: u64,
+    /// Set once by [`NamedBarrier::abort`]; never cleared.
+    aborted: bool,
 }
 
 /// One named barrier.
@@ -55,22 +72,38 @@ impl NamedBarrier {
     pub fn new(id: u32) -> NamedBarrier {
         NamedBarrier {
             id,
-            st: Mutex::new(State { arrived: 0, generation: 0, max_cycles: 0, release_cycles: 0 }),
+            st: Mutex::new(State {
+                arrived: 0,
+                generation: 0,
+                max_cycles: 0,
+                release_cycles: 0,
+                aborted: false,
+            }),
             cv: Condvar::new(),
         }
     }
 
+    /// Release every current and future waiter with [`Released::Aborted`].
+    pub fn abort(&self) {
+        self.st.lock().aborted = true;
+        self.cv.notify_all();
+    }
+
     /// Arrive on behalf of one warp (32 threads) and wait until
-    /// `expected_threads` have arrived, or `host_timeout` of wall time has
-    /// passed. Updates the caller's virtual clock.
+    /// `expected_threads` have arrived, the barrier is aborted, or
+    /// `host_timeout` of wall time has passed. A completed barrier updates
+    /// the caller's virtual clock.
     pub fn sync(
         &self,
         expected_threads: u32,
         cycles: &mut u64,
         host_timeout: Duration,
-    ) -> Result<(), BarrierTimeout> {
+    ) -> Result<Released, BarrierTimeout> {
         debug_assert_eq!(expected_threads % timing::WARP_SIZE, 0);
         let mut st = self.st.lock();
+        if st.aborted {
+            return Ok(Released::Aborted);
+        }
         st.arrived += timing::WARP_SIZE;
         st.max_cycles = st.max_cycles.max(*cycles);
         if st.arrived >= expected_threads {
@@ -80,7 +113,7 @@ impl NamedBarrier {
             st.generation += 1;
             *cycles = st.release_cycles;
             self.cv.notify_all();
-            return Ok(());
+            return Ok(Released::Complete);
         }
         let gen = st.generation;
         loop {
@@ -96,7 +129,10 @@ impl NamedBarrier {
             }
             if st.generation != gen {
                 *cycles = st.release_cycles;
-                return Ok(());
+                return Ok(Released::Complete);
+            }
+            if st.aborted {
+                return Ok(Released::Aborted);
             }
         }
     }

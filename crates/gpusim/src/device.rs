@@ -57,6 +57,10 @@ pub enum ExecError {
     Alloc(vmcommon::alloc::AllocError),
     Trap(String),
     BarrierDeadlock(BarrierTimeout),
+    /// This warp was released from a barrier because a sibling warp of its
+    /// block failed. Secondary by construction: the launch reports the
+    /// sibling's error, never this one.
+    BlockAborted,
     UnknownKernel(String),
     UnknownIntrinsic(String),
     BadLaunch(String),
@@ -95,6 +99,7 @@ impl std::fmt::Display for ExecError {
                 "barrier {} deadlock: {} of {} threads arrived",
                 b.barrier, b.arrived_threads, b.expected_threads
             ),
+            ExecError::BlockAborted => write!(f, "block aborted after a sibling warp failed"),
             ExecError::UnknownKernel(n) => write!(f, "unknown kernel `{n}`"),
             ExecError::UnknownIntrinsic(n) => write!(
                 f,
@@ -165,6 +170,10 @@ pub struct Device {
     pub printf_output: Mutex<String>,
     /// Deterministic fault-injection plan, if any.
     fault: Mutex<Option<Arc<FaultPlan>>>,
+    /// Host threads a launch spreads its blocks over: the parallelism the
+    /// process had when the device was created (at most 8), asked for once
+    /// here because the query costs an affinity syscall and cgroup reads.
+    pub(crate) block_workers: usize,
     /// Fast gate for [`Device::trace`]: avoids the lock when not tracing.
     trace_on: AtomicBool,
     trace: Mutex<Option<DevTrace>>,
@@ -183,6 +192,7 @@ impl Device {
             stats: Mutex::new(DeviceStats::default()),
             printf_output: Mutex::new(String::new()),
             fault: Mutex::new(None),
+            block_workers: std::thread::available_parallelism().map_or(4, |n| n.get()).min(8),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
         }

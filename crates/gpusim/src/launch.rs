@@ -1,5 +1,6 @@
 //! Kernel launches: grid iteration, block execution (one OS thread per
-//! warp), sampled simulation and the kernel time model.
+//! warp of a multi-warp block), sampled simulation and the kernel time
+//! model.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -170,68 +171,70 @@ fn launch_view(
     let accum = Mutex::new(BlockAccum::default());
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(8)
-        .min(chosen.len().max(1));
+    let workers = device.block_workers.min(chosen.len());
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= chosen.len() || error.lock().is_some() {
-                    return;
-                }
-                let lin = chosen[i];
-                match run_block(
-                    device,
-                    module,
-                    kidx,
-                    cfg,
-                    lib,
-                    lin,
-                    threads_per_block as u32,
-                    kfun.shared_size,
-                    tile,
-                ) {
-                    Ok(b) => {
-                        if let Some(t) = device.trace() {
-                            // One complete event per simulated block. All
-                            // start at the launch base — wave pipelining is
-                            // summarized by the launch span, not re-modeled
-                            // per block.
-                            t.obs.tracer.complete(
-                                t.pid,
-                                BLOCK_TRACK_BASE + lin % BLOCK_TRACKS,
-                                &format!("block {lin}"),
-                                "block",
-                                t.base_s,
-                                b.max_block_cycles as f64 / device.props.clock_hz,
-                                vec![
-                                    ("cycles", b.max_block_cycles.into()),
-                                    ("lane_insts", b.lane_insts.into()),
-                                ],
-                            );
-                        }
-                        let mut a = accum.lock();
-                        a.issue += b.issue;
-                        a.transactions += b.transactions;
-                        a.lane_insts += b.lane_insts;
-                        a.divergent += b.divergent;
-                        a.max_block_cycles = a.max_block_cycles.max(b.max_block_cycles);
-                        a.executed += 1;
-                    }
-                    Err(e) => {
-                        let mut slot = error.lock();
-                        if slot.is_none() {
-                            *slot = Some(e);
-                        }
-                    }
-                }
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= chosen.len() || error.lock().is_some() {
+            return;
         }
-    });
+        let lin = chosen[i];
+        match run_block(
+            device,
+            module,
+            kidx,
+            cfg,
+            lib,
+            lin,
+            threads_per_block as u32,
+            kfun.shared_size,
+            tile,
+        ) {
+            Ok(b) => {
+                if let Some(t) = device.trace() {
+                    // One complete event per simulated block. All
+                    // start at the launch base — wave pipelining is
+                    // summarized by the launch span, not re-modeled
+                    // per block.
+                    t.obs.tracer.complete(
+                        t.pid,
+                        BLOCK_TRACK_BASE + lin % BLOCK_TRACKS,
+                        &format!("block {lin}"),
+                        "block",
+                        t.base_s,
+                        b.max_block_cycles as f64 / device.props.clock_hz,
+                        vec![
+                            ("cycles", b.max_block_cycles.into()),
+                            ("lane_insts", b.lane_insts.into()),
+                        ],
+                    );
+                }
+                let mut a = accum.lock();
+                a.issue += b.issue;
+                a.transactions += b.transactions;
+                a.lane_insts += b.lane_insts;
+                a.divergent += b.divergent;
+                a.max_block_cycles = a.max_block_cycles.max(b.max_block_cycles);
+                a.executed += 1;
+            }
+            Err(e) => {
+                let mut slot = error.lock();
+                if slot.is_none() {
+                    *slot = Some(e);
+                }
+            }
+        }
+    };
+    // A set of one runs on the calling thread.
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
 
     if let Some(e) = error.into_inner() {
         return Err(e);
@@ -335,30 +338,48 @@ fn run_block(
     // kernel's static allocation (slot convention shared with cudadev).
     env.ctx.ext[crate::SHMEM_SP_SLOT].store(shared_static, Ordering::Relaxed);
 
-    let nwarps = nthreads.div_ceil(timing::WARP_SIZE);
-    let results: Mutex<Vec<BlockRunResult>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for w in 0..nwarps {
-            let env = &env;
-            let results = &results;
-            scope.spawn(move || {
-                let mut warp = Warp::new(env, w);
-                let mask = warp.initial_mask();
-                let r = warp.run_kernel(kidx, &cfg.params, mask);
-                results.lock().push(r.map(|_| (warp.issue, warp.clock, warp.stats)));
-            });
+    // A warp that fails aborts the block, so siblings parked on a barrier
+    // return at once rather than after the deadlock timeout.
+    let run_warp = |w: u32| -> BlockRunResult {
+        let mut warp = Warp::new(&env, w);
+        let mask = warp.initial_mask();
+        let r = warp.run_kernel(kidx, &cfg.params, mask);
+        if r.is_err() {
+            env.ctx.abort();
         }
-    });
+        r.map(|_| (warp.issue, warp.clock, warp.stats))
+    };
+    // Results in warp-id order; a one-warp block runs on the calling thread.
+    let nwarps = nthreads.div_ceil(timing::WARP_SIZE);
+    let results: Vec<BlockRunResult> = if nwarps == 1 {
+        vec![run_warp(0)]
+    } else {
+        std::thread::scope(|scope| {
+            let warps: Vec<_> = (0..nwarps).map(|w| scope.spawn(move || run_warp(w))).collect();
+            warps
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
 
+    // The block's error is its lowest failing warp's own error; a warp that
+    // only left a barrier because of the abort never masks it.
     let mut out =
         BlockResult { issue: 0, transactions: 0, lane_insts: 0, divergent: 0, max_block_cycles: 0 };
-    for r in results.into_inner() {
-        let (issue, clock, stats) = r?;
-        out.issue += issue;
-        out.transactions += stats.mem_transactions;
-        out.lane_insts += stats.lane_insts;
-        out.divergent += stats.divergent_branches;
-        out.max_block_cycles = out.max_block_cycles.max(clock);
+    let mut aborted = None;
+    for r in results {
+        match r {
+            Ok((issue, clock, stats)) => {
+                out.issue += issue;
+                out.transactions += stats.mem_transactions;
+                out.lane_insts += stats.lane_insts;
+                out.divergent += stats.divergent_branches;
+                out.max_block_cycles = out.max_block_cycles.max(clock);
+            }
+            Err(e @ ExecError::BlockAborted) => aborted = Some(e),
+            Err(e) => return Err(e),
+        }
     }
-    Ok(out)
+    aborted.map_or(Ok(out), Err)
 }

@@ -7,10 +7,12 @@
 //! global-memory arena with relaxed-atomic word access, and a calibrated
 //! timing model ([`timing`]).
 //!
-//! The execution model: each *warp* runs on one OS thread so that warps of
-//! a block make independent progress and can park on named barriers — the
-//! concurrency the paper's master/worker scheme requires. Blocks are
-//! independent and are simulated by a small worker pool.
+//! The execution model: each *warp* of a multi-warp block runs on one OS
+//! thread so that warps of a block make independent progress and can park
+//! on named barriers — the concurrency the paper's master/worker scheme
+//! requires — and steps its instructions warp-wide, 32 lanes per decode
+//! (see [`warp`]). Blocks are independent and are simulated by a small
+//! worker pool.
 
 pub mod barrier;
 pub mod device;

@@ -1,0 +1,293 @@
+//! The warp's view of memory: generic (tagged) addressing into the global
+//! arena, the block's shared memory and the warp-local stack, the per-lane
+//! side of `ld`/`st`/`atom`, and the coalescing model.
+//!
+//! Memory is where lanes stay *ordered*. Addresses and values are computed
+//! warp-wide, but every access goes through [`MemArena`]'s bounds, alignment
+//! and space checks one active lane at a time, lowest lane first: the fault
+//! reported is the lowest faulting lane's, two lanes storing to one address
+//! leave the higher lane's value, and a float atomic accumulates in lane
+//! order — all of which a guest can observe.
+
+use sptx::MemTy;
+use vmcommon::addr::{self, Space};
+use vmcommon::mem::MemResult;
+use vmcommon::MemArena;
+
+use super::{iter_lanes, LaneVec, Warp};
+use crate::device::ExecError;
+use crate::timing;
+
+enum Resolved<'m> {
+    Arena(&'m MemArena, u64),
+    Local(usize),
+}
+
+/// One lane's atomic read-modify-write: `(arena, offset, operand) -> old`.
+pub(super) type AtomFn = fn(&MemArena, u64, u64) -> MemResult<u64>;
+
+/// The lane operation of an `atom` instruction, selected once per warp
+/// instruction.
+pub(super) fn atom_fn(op: sptx::AtomOp) -> AtomFn {
+    use sptx::AtomOp::*;
+    match op {
+        CasB32 => unreachable!("separate instruction"),
+        AddI32 => |m, off, v| Ok(m.fetch_add_u32(off, v as u32)? as u64),
+        AddI64 => |m, off, v| m.fetch_add_u64(off, v),
+        AddF32 => |m, off, v| Ok(m.fetch_add_f32(off, f32::from_bits(v as u32))?.to_bits() as u64),
+        AddF64 => |m, off, v| Ok(m.fetch_add_f64(off, f64::from_bits(v))?.to_bits()),
+        ExchB32 => |m, off, v| Ok(m.swap_u32(off, v as u32)? as u64),
+        MinI32 => |m, off, v| Ok(m.fetch_min_i32(off, v as i32)? as u32 as u64),
+        MaxI32 => |m, off, v| Ok(m.fetch_max_i32(off, v as i32)? as u32 as u64),
+    }
+}
+
+// Arena accesses of the narrow widths, in register (zero-extended u64) terms.
+fn load_u8(m: &MemArena, off: u64) -> MemResult<u64> {
+    m.load_u8(off).map(u64::from)
+}
+fn load_u32(m: &MemArena, off: u64) -> MemResult<u64> {
+    m.load_u32(off).map(u64::from)
+}
+fn store_u8(m: &MemArena, off: u64, v: u64) -> MemResult<()> {
+    m.store_u8(off, v as u8)
+}
+fn store_u32(m: &MemArena, off: u64, v: u64) -> MemResult<()> {
+    m.store_u32(off, v as u32)
+}
+
+impl<'a> Warp<'a> {
+    /// Resolve a tagged guest address to the arena (or the local stack) it
+    /// lives in.
+    fn resolve(&self, a: u64) -> Result<Resolved<'a>, ExecError> {
+        let env = self.env;
+        match addr::space(a) {
+            Some(Space::Global) => Ok(Resolved::Arena(&env.device.global, addr::offset(a))),
+            Some(Space::Shared) => Ok(Resolved::Arena(&env.ctx.shared, addr::offset(a))),
+            Some(Space::Local) => Ok(Resolved::Local(addr::offset(a) as usize)),
+            _ => Err(ExecError::Mem(vmcommon::MemError::BadSpace { addr: a })),
+        }
+    }
+
+    /// The arena word an atomic targets; local memory has no atomics.
+    pub(super) fn resolve_atomic(&self, a: u64) -> Result<(&'a MemArena, u64), ExecError> {
+        match self.resolve(a)? {
+            Resolved::Arena(m, off) => Ok((m, off)),
+            Resolved::Local(_) => Err(ExecError::Trap("atomic on local memory".into())),
+        }
+    }
+
+    /// One lane's load of `size` bytes at `a`; `arena` is the access for
+    /// that width.
+    #[inline(always)]
+    fn load_one(
+        &self,
+        a: u64,
+        size: usize,
+        arena: impl Fn(&MemArena, u64) -> MemResult<u64>,
+    ) -> Result<u64, ExecError> {
+        Ok(match self.resolve(a)? {
+            Resolved::Arena(m, off) => arena(m, off)?,
+            Resolved::Local(off) => {
+                let end = off.checked_add(size).ok_or(ExecError::Trap("local overflow".into()))?;
+                if end > self.local_stack.len() {
+                    return Err(ExecError::Trap(format!("local read out of bounds at {off:#x}")));
+                }
+                let mut buf = [0u8; 8];
+                buf[..size].copy_from_slice(&self.local_stack[off..end]);
+                u64::from_le_bytes(buf)
+            }
+        })
+    }
+
+    /// One lane's store of the low `size` bytes of `v` at `a`.
+    #[inline(always)]
+    fn store_one(
+        &mut self,
+        a: u64,
+        v: u64,
+        size: usize,
+        arena: impl Fn(&MemArena, u64, u64) -> MemResult<()>,
+    ) -> Result<(), ExecError> {
+        match self.resolve(a)? {
+            Resolved::Arena(m, off) => arena(m, off, v)?,
+            Resolved::Local(off) => {
+                let end = off.checked_add(size).ok_or(ExecError::Trap("local overflow".into()))?;
+                if end > self.local_stack.len() {
+                    return Err(ExecError::Trap(format!("local write out of bounds at {off:#x}")));
+                }
+                self.local_stack[off..end].copy_from_slice(&v.to_le_bytes()[..size]);
+            }
+        }
+        Ok(())
+    }
+
+    /// `ld`: load each active lane's address, lowest lane first; inactive
+    /// lanes read 0.
+    pub(super) fn load_lanes(
+        &self,
+        ty: MemTy,
+        addrs: &LaneVec,
+        mask: u32,
+    ) -> Result<LaneVec, ExecError> {
+        let mut out = [0u64; 32];
+        macro_rules! each {
+            ($size:expr, $arena:expr) => {
+                for lane in iter_lanes(mask) {
+                    out[lane as usize] = self.load_one(addrs[lane as usize], $size, $arena)?;
+                }
+            };
+        }
+        match ty {
+            MemTy::B8 => each!(1, load_u8),
+            MemTy::B32 | MemTy::F32 => each!(4, load_u32),
+            MemTy::B64 | MemTy::F64 => each!(8, MemArena::load_u64),
+        }
+        Ok(out)
+    }
+
+    /// `st`: store each active lane's value, lowest lane first.
+    pub(super) fn store_lanes(
+        &mut self,
+        ty: MemTy,
+        addrs: &LaneVec,
+        vals: &LaneVec,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        macro_rules! each {
+            ($size:expr, $arena:expr) => {
+                for lane in iter_lanes(mask) {
+                    self.store_one(addrs[lane as usize], vals[lane as usize], $size, $arena)?;
+                }
+            };
+        }
+        match ty {
+            MemTy::B8 => each!(1, store_u8),
+            MemTy::B32 | MemTy::F32 => each!(4, store_u32),
+            MemTy::B64 | MemTy::F64 => each!(8, MemArena::store_u64),
+        }
+        Ok(())
+    }
+
+    /// A single access, for the device-library helpers below.
+    fn load_mem(&self, ty: MemTy, a: u64) -> Result<u64, ExecError> {
+        match ty {
+            MemTy::B8 => self.load_one(a, 1, load_u8),
+            MemTy::B32 | MemTy::F32 => self.load_one(a, 4, load_u32),
+            MemTy::B64 | MemTy::F64 => self.load_one(a, 8, MemArena::load_u64),
+        }
+    }
+
+    fn store_mem(&mut self, ty: MemTy, a: u64, v: u64) -> Result<(), ExecError> {
+        match ty {
+            MemTy::B8 => self.store_one(a, v, 1, store_u8),
+            MemTy::B32 | MemTy::F32 => self.store_one(a, v, 4, store_u32),
+            MemTy::B64 | MemTy::F64 => self.store_one(a, v, 8, MemArena::store_u64),
+        }
+    }
+
+    /// Copy raw bytes between any device-visible spaces (device-library
+    /// helper, e.g. `cudadev_push_shmem`).
+    pub fn copy_bytes(&mut self, dst: u64, src: u64, len: u64) -> Result<(), ExecError> {
+        for i in 0..len {
+            let b = self.load_mem(MemTy::B8, src + i)? as u8;
+            self.store_mem(MemTy::B8, dst + i, b as u64)?;
+        }
+        Ok(())
+    }
+
+    /// Read a device-side NUL-terminated string.
+    pub fn read_cstr(&mut self, mut a: u64) -> Result<String, ExecError> {
+        let mut s = Vec::new();
+        loop {
+            let b = self.load_mem(MemTy::B8, a)? as u8;
+            if b == 0 {
+                break;
+            }
+            s.push(b);
+            a += 1;
+            if s.len() > 1 << 16 {
+                return Err(ExecError::Trap("unterminated device string".into()));
+            }
+        }
+        Ok(String::from_utf8_lossy(&s).into_owned())
+    }
+
+    /// Public typed accessors for the device library.
+    pub fn mem_read_u32(&mut self, a: u64) -> Result<u32, ExecError> {
+        Ok(self.load_mem(MemTy::B32, a)? as u32)
+    }
+
+    pub fn mem_write_u32(&mut self, a: u64, v: u32) -> Result<(), ExecError> {
+        self.store_mem(MemTy::B32, a, v as u64)
+    }
+
+    pub fn mem_read_u64(&mut self, a: u64) -> Result<u64, ExecError> {
+        self.load_mem(MemTy::B64, a)
+    }
+
+    pub fn mem_write_u64(&mut self, a: u64, v: u64) -> Result<(), ExecError> {
+        self.store_mem(MemTy::B64, a, v)
+    }
+
+    /// Charge one `ld`/`st` for its memory traffic: the distinct 32-byte
+    /// global segments the active lanes touch (issue cycles and
+    /// transactions) and one exposed access latency, that of the first
+    /// active lane's space.
+    pub(super) fn coalesce(&mut self, addrs: &LaneVec, mask: u32) {
+        let nsegs = global_segments(addrs, mask);
+        self.stats.mem_transactions += nsegs;
+        // Throughput: roughly one transaction per cycle of issue;
+        // latency: one exposed access per instruction.
+        self.issue += nsegs;
+        if mask != 0 {
+            let lat = match addr::space(addrs[mask.trailing_zeros() as usize]) {
+                Some(Space::Global) => timing::GLOBAL_MEM_LAT,
+                Some(Space::Shared) => timing::SHARED_MEM_LAT,
+                _ => timing::LOCAL_MEM_LAT,
+            };
+            self.clock += lat;
+        }
+    }
+}
+
+/// Number of distinct 32-byte global-memory segments among the active
+/// lanes' addresses.
+fn global_segments(addrs: &LaneVec, mask: u32) -> u64 {
+    let seg_of = |lane: u32| {
+        let a = addrs[lane as usize];
+        (addr::space(a) == Some(Space::Global)).then(|| addr::offset(a) / timing::TRANSACTION_BYTES)
+    };
+    // The usual access is unit- or fixed-stride in the lane index, so the
+    // segment sequence never steps backwards and the distinct segments are
+    // exactly the steps forward.
+    let mut nsegs = 0u64;
+    let mut last = None;
+    let mut monotone = true;
+    for seg in iter_lanes(mask).filter_map(seg_of) {
+        match last {
+            Some(l) if seg < l => {
+                monotone = false;
+                break;
+            }
+            Some(l) if seg == l => {}
+            _ => {
+                nsegs += 1;
+                last = Some(seg);
+            }
+        }
+    }
+    if monotone {
+        return nsegs;
+    }
+    // Any other pattern (descending, permuted): first-seen scan.
+    let mut segs = [0u64; 32];
+    let mut n = 0usize;
+    for seg in iter_lanes(mask).filter_map(seg_of) {
+        if !segs[..n].contains(&seg) {
+            segs[n] = seg;
+            n += 1;
+        }
+    }
+    n as u64
+}

@@ -1,0 +1,273 @@
+//! What a guest can observe of lane order in memory — faults, same-address
+//! stores, float atomics — plus the coalescing model and call frames.
+
+use std::collections::HashSet;
+
+use sptx::{AtomOp, BinOp, Inst, MemTy, Reg, SpecialReg};
+use vmcommon::MemError;
+
+use super::super::*;
+use super::{sentinel, with_warp, LOCAL_SIZE, MASKS, NUM_REGS, R0, R1, R2};
+
+fn global_addrs(base: u64) -> LaneVec {
+    std::array::from_fn(|lane| base + 4 * lane as u64)
+}
+
+#[test]
+fn a_faulting_access_reports_the_lowest_faulting_active_lane() {
+    with_warp(sptx::Module::default(), |w| {
+        let base = w.env.device.mem_alloc(256).unwrap();
+        let off = addr::offset(base);
+        let arena = w.env.device.global.size() as u64;
+        let mut addrs = global_addrs(base);
+        addrs[5] = base + 4 * 5 + 2; // misaligned
+        addrs[9] = addr::make(Space::Global, arena); // out of bounds
+        addrs[12] = addr::make(Space::Host, 64); // not a device space
+        let ld = Inst::Ld { ty: MemTy::B32, dst: R2, addr: Operand::Reg(R0), offset: 0 };
+        let st =
+            Inst::St { ty: MemTy::B32, src: Operand::ImmI(1), addr: Operand::Reg(R0), offset: 0 };
+        for inst in [ld, st] {
+            let mut fault = |mask: u32| {
+                *w.row_mut(R0) = addrs;
+                match w.exec_inst(&inst, mask) {
+                    Err(ExecError::Mem(e)) => Some(e),
+                    Ok(_) => None,
+                    Err(e) => panic!("{e}"),
+                }
+            };
+            let (l5, l9, l12) = (1u32 << 5, 1u32 << 9, 1u32 << 12);
+            assert_eq!(fault(u32::MAX), Some(MemError::Misaligned { offset: off + 22, align: 4 }));
+            assert_eq!(fault(!l5), Some(MemError::OutOfBounds { offset: arena, size: 4 }));
+            assert_eq!(fault(!(l5 | l9)), Some(MemError::BadSpace { addr: addrs[12] }));
+            assert_eq!(fault(l12 | l9), Some(MemError::OutOfBounds { offset: arena, size: 4 }));
+            assert_eq!(fault(!(l5 | l9 | l12)), None, "the faulting lanes are switched off");
+        }
+        // Atomics have no local-memory form.
+        let atom = Inst::Atom {
+            op: AtomOp::AddI32,
+            dst: R2,
+            addr: Operand::LocalBase,
+            val: Operand::ImmI(1),
+        };
+        let err = w.exec_inst(&atom, 1).unwrap_err();
+        assert_eq!(err.to_string(), "device trap: atomic on local memory");
+    });
+}
+
+#[test]
+fn loads_fill_active_lanes_from_every_space() {
+    with_warp(sptx::Module::default(), |w| {
+        let base = w.env.device.mem_alloc(256).unwrap();
+        for lane in 0..32u64 {
+            w.env
+                .device
+                .global
+                .store_u32(addr::offset(base) + 4 * lane, 1000 + lane as u32)
+                .unwrap();
+            w.env.ctx.shared.store_u64(8 * lane, 2000 + lane).unwrap();
+        }
+        w.local_stack.iter_mut().enumerate().for_each(|(i, b)| *b = i as u8);
+        let shared: LaneVec =
+            std::array::from_fn(|lane| addr::make(Space::Shared, 8 * lane as u64));
+        for mask in MASKS {
+            // Global b32 at `r0 + 4`, shared b64, the lane's own local byte 3.
+            let lanes =
+                |f: fn(u64) -> u64| -> LaneVec { std::array::from_fn(|lane| f(lane as u64)) };
+            let cases = [
+                (MemTy::F32, Operand::Reg(R0), 4, global_addrs(base - 4), lanes(|l| 1000 + l)),
+                (MemTy::B64, Operand::Reg(R0), 0, shared, lanes(|l| 2000 + l)),
+                (MemTy::B8, Operand::LocalBase, 3, [0; 32], lanes(|l| (l * LOCAL_SIZE + 3) & 0xff)),
+            ];
+            for (ty, addr, offset, r0, want) in cases {
+                *w.row_mut(R0) = r0;
+                *w.row_mut(R2) = sentinel();
+                let inst = Inst::Ld { ty, dst: R2, addr, offset };
+                w.exec_inst(&inst, mask).unwrap();
+                let mut expect = sentinel();
+                alu::blend(&mut expect, &want, mask);
+                assert_eq!(*w.row(R2), expect, "{ty:?} mask {mask:#x}");
+            }
+        }
+    });
+}
+
+#[test]
+fn of_two_lanes_storing_to_one_address_the_higher_lane_wins() {
+    with_warp(sptx::Module::default(), |w| {
+        let base = w.env.device.mem_alloc(64).unwrap();
+        let inst = Inst::St {
+            ty: MemTy::B32,
+            src: Operand::Special(SpecialReg::LaneId),
+            addr: Operand::ImmI(base as i64),
+            offset: 0,
+        };
+        for mask in MASKS {
+            w.exec_inst(&inst, mask).unwrap();
+            let got = w.env.device.global.load_u32(addr::offset(base)).unwrap();
+            assert_eq!(got, 31 - mask.leading_zeros(), "mask {mask:#x}");
+        }
+    });
+}
+
+#[test]
+fn float_atomic_add_accumulates_in_ascending_lane_order() {
+    with_warp(sptx::Module::default(), |w| {
+        let base = w.env.device.mem_alloc(64).unwrap();
+        let word = addr::offset(base);
+        // Magnitudes far enough apart that any other order rounds differently.
+        let vals: [f32; 32] =
+            std::array::from_fn(|lane| [1e8, 1.0, -1e8, 0.25, 3e-3, 7e5, -0.5, 1e-6][lane % 8]);
+        let inst = Inst::Atom {
+            op: AtomOp::AddF32,
+            dst: R2,
+            addr: Operand::ImmI(base as i64),
+            val: Operand::Reg(R1),
+        };
+        for mask in MASKS {
+            w.env.device.global.store_u32(word, 0.5f32.to_bits()).unwrap();
+            *w.row_mut(R1) = vals.map(|v| v.to_bits() as u64);
+            *w.row_mut(R2) = sentinel();
+            w.exec_inst(&inst, mask).unwrap();
+            let mut acc = 0.5f32;
+            for (lane, v) in vals.iter().enumerate() {
+                if mask >> lane & 1 != 0 {
+                    assert_eq!(w.row(R2)[lane], acc.to_bits() as u64, "old value, lane {lane}");
+                    acc += v;
+                } else {
+                    assert_eq!(w.row(R2)[lane], sentinel()[lane]);
+                }
+            }
+            assert_eq!(
+                w.env.device.global.load_u32(word).unwrap(),
+                acc.to_bits(),
+                "mask {mask:#x}"
+            );
+        }
+        let reversed = vals.iter().rev().fold(0.5f32, |acc, v| acc + v);
+        let ascending = vals.iter().fold(0.5f32, |acc, v| acc + v);
+        assert_ne!(reversed.to_bits(), ascending.to_bits(), "the values must tell orders apart");
+    });
+}
+
+#[test]
+fn coalescing_counts_distinct_global_segments() {
+    with_warp(sptx::Module::default(), |w| {
+        let g = |off: u64| addr::make(Space::Global, 4096 + off);
+        let sh = |off: u64| addr::make(Space::Shared, off);
+        let patterns: [(&str, LaneVec); 8] = [
+            ("unit stride", std::array::from_fn(|l| g(4 * l as u64))),
+            ("stride 32 B", std::array::from_fn(|l| g(32 * l as u64))),
+            ("stride 12 B", std::array::from_fn(|l| g(12 * l as u64))),
+            ("descending", std::array::from_fn(|l| g(4 * (31 - l) as u64))),
+            ("permuted", std::array::from_fn(|l| g(4 * ((l * 13 + 5) % 32) as u64))),
+            ("duplicated", std::array::from_fn(|l| g(64 * (l % 3) as u64))),
+            ("one word", [g(100); 32]),
+            (
+                "mixed spaces",
+                std::array::from_fn(
+                    |l| if l % 3 == 0 { sh(8 * l as u64) } else { g(40 * l as u64) },
+                ),
+            ),
+        ];
+        for (name, addrs) in patterns {
+            for mask in MASKS {
+                let want: HashSet<u64> = iter_lanes(mask)
+                    .map(|lane| addrs[lane as usize])
+                    .filter(|&a| addr::space(a) == Some(Space::Global))
+                    .map(|a| addr::offset(a) / timing::TRANSACTION_BYTES)
+                    .collect();
+                let first = addrs[mask.trailing_zeros() as usize];
+                let lat = match addr::space(first) {
+                    Some(Space::Global) => timing::GLOBAL_MEM_LAT,
+                    _ => timing::SHARED_MEM_LAT,
+                };
+                let (tx, issue, clock) = (w.stats.mem_transactions, w.issue, w.clock);
+                w.coalesce(&addrs, mask);
+                let n = want.len() as u64;
+                assert_eq!(w.stats.mem_transactions - tx, n, "{name} mask {mask:#x}");
+                assert_eq!(w.issue - issue, n, "{name} mask {mask:#x}: one issue cycle each");
+                assert_eq!(w.clock - clock, lat, "{name} mask {mask:#x}: first lane's space");
+            }
+        }
+        // 32 consecutive words are 4 segments.
+        let tx = w.stats.mem_transactions;
+        w.coalesce(&global_addrs(g(0)), u32::MAX);
+        assert_eq!(w.stats.mem_transactions - tx, 4);
+        // A local access is charged the local latency and no transaction.
+        let (tx, clock) = (w.stats.mem_transactions, w.clock);
+        w.coalesce(&[addr::make(Space::Local, 0); 32], 0x10);
+        assert_eq!((w.stats.mem_transactions - tx, w.clock - clock), (0, timing::LOCAL_MEM_LAT));
+    });
+}
+
+// ------------------------------------------------------------------- calls
+
+/// `sum(p0..pN) = p0 + … + pN` over i64, calling itself never.
+fn sum_fn(nparams: usize) -> sptx::Function {
+    let mut b = sptx::builder::FnBuilder::new("sum", false);
+    let params: Vec<Reg> = (0..nparams).map(|i| b.param(&format!("p{i}"), ScalarTy::I64)).collect();
+    let mut acc = b.mov(Operand::ImmI(0));
+    for p in params {
+        acc = b.bin(ScalarTy::I64, BinOp::Add, Operand::Reg(acc), Operand::Reg(p));
+    }
+    b.ret(Some(Operand::Reg(acc)));
+    b.build()
+}
+
+#[test]
+fn calls_pass_short_and_long_argument_packs() {
+    let module = sptx::Module {
+        name: "calls".into(),
+        arch: "sm_53".into(),
+        functions: vec![sum_fn(2), sum_fn(INLINE_ARGS + 3)],
+        device_lib_linked: true,
+    };
+    with_warp(module, |w| {
+        for (func, nargs) in [(0u32, 2usize), (1, INLINE_ARGS + 3)] {
+            // Arguments cycle through register, immediate and special.
+            let args: Vec<Operand> = (0..nargs)
+                .map(|i| match i % 3 {
+                    0 => Operand::Reg(R0),
+                    1 => Operand::ImmI(10 + i as i64),
+                    _ => Operand::Special(SpecialReg::LaneId),
+                })
+                .collect();
+            for mask in MASKS {
+                *w.row_mut(R0) = std::array::from_fn(|lane| 1000 * lane as u64);
+                *w.row_mut(R2) = sentinel();
+                let inst = Inst::Call { func, dst: Some(R2), args: args.clone() };
+                let mut expect = sentinel();
+                for lane in iter_lanes(mask) {
+                    expect[lane as usize] =
+                        args.iter().map(|a| w.op_val(a, lane)).fold(0u64, u64::wrapping_add);
+                }
+                let before = (w.issue, w.clock, w.stats.lane_insts);
+                assert_eq!(w.exec_inst(&inst, mask).unwrap(), mask);
+                assert_eq!(*w.row(R2), expect, "{inst:?} mask {mask:#x}");
+                assert!(w.issue > before.0 && w.clock > before.1 && w.stats.lane_insts > before.2);
+                // The callee's registers and locals are popped again.
+                assert_eq!((w.frames.len(), w.regs.len()), (1, NUM_REGS * 32));
+            }
+        }
+    });
+}
+
+#[test]
+fn runaway_recursion_traps_and_unwinds_the_register_stack() {
+    // f() { return f(); }
+    let mut b = sptx::builder::FnBuilder::new("f", false);
+    let r = b.call(0, vec![], true);
+    b.ret(r.map(Operand::Reg));
+    let module = sptx::Module {
+        name: "rec".into(),
+        arch: "sm_53".into(),
+        functions: vec![b.build()],
+        device_lib_linked: true,
+    };
+    with_warp(module, |w| {
+        let err = w.call_device_fn(0, &[], u32::MAX).unwrap_err();
+        assert_eq!(err.to_string(), "device trap: device call stack overflow");
+        assert_eq!((w.frames.len(), w.regs.len()), (1, NUM_REGS * 32));
+        assert_eq!(w.local_stack.len(), LOCAL_SIZE as usize * 32);
+    });
+}

@@ -1,0 +1,61 @@
+//! A warp that fails aborts its block: siblings parked on a named barrier
+//! return at once, and the launch reports the failing warp's own error.
+//! (A genuine deadlock still times out: `barrier_timeout.rs`.)
+
+use std::time::{Duration, Instant};
+
+use gpusim::{launch, Device, ExecError, ExecMode, LaunchConfig, NoLib};
+use sptx::builder::{op, FnBuilder};
+use sptx::{BinOp, Inst, ScalarTy, SpecialReg};
+
+/// Warps whose id is in `trapping` divide by zero; every other warp waits
+/// on barrier 1 for the whole block, which can therefore never complete.
+fn kernel(trapping: &[i64]) -> sptx::Module {
+    let mut b = FnBuilder::new("k", true);
+    let zero = b.param("zero", ScalarTy::I32);
+    let mut traps = b.mov(op::i(0));
+    for &w in trapping {
+        let hit = b.bin(ScalarTy::I32, BinOp::SetEq, op::sp(SpecialReg::WarpId), op::i(w));
+        traps = b.bin(ScalarTy::I32, BinOp::Or, op::r(traps), op::r(hit));
+    }
+    b.begin_if();
+    b.bin(ScalarTy::I32, BinOp::Div, op::i(7), op::r(zero));
+    b.begin_else();
+    b.emit(Inst::BarSync { id: op::i(1), count: None });
+    b.end_if_else(op::r(traps));
+    sptx::Module {
+        name: "abort".into(),
+        arch: "sm_53".into(),
+        functions: vec![b.build()],
+        device_lib_linked: true,
+    }
+}
+
+fn launch_128(m: &sptx::Module) -> (Result<(), ExecError>, Duration) {
+    let d = Device::new(1 << 20);
+    let cfg = LaunchConfig { grid: [1, 1, 1], block: [128, 1, 1], params: vec![0] };
+    let start = Instant::now();
+    let r = launch(&d, m, "k", &cfg, &NoLib, ExecMode::Functional).map(|_| ());
+    (r, start.elapsed())
+}
+
+#[test]
+fn trap_in_warp_0_releases_warps_parked_on_a_barrier() {
+    let (r, waited) = launch_128(&kernel(&[0]));
+    let err = r.expect_err("warp 0 divides by zero");
+    assert_eq!(err.to_string(), "device trap: division by zero in warp 0");
+    assert!(waited < Duration::from_secs(1), "parked warps held the launch for {waited:?}");
+}
+
+#[test]
+fn the_lowest_failing_warp_is_reported_not_a_released_sibling() {
+    // Warps 0 and 1 are parked (and leave with the secondary
+    // `BlockAborted`), warps 2 and 3 both trap: the error is warp 2's,
+    // whichever of the two trapped first.
+    for _ in 0..20 {
+        let (r, waited) = launch_128(&kernel(&[2, 3]));
+        let err = r.expect_err("warps 2 and 3 divide by zero");
+        assert_eq!(err.to_string(), "device trap: division by zero in warp 2");
+        assert!(waited < Duration::from_secs(1), "took {waited:?}");
+    }
+}

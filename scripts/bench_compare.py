@@ -3,7 +3,7 @@
 
 Usage: bench_compare.py BASELINE CURRENT [--max-ratio R]
 
-Three gates, per (app, variant, n) series point present in both files:
+Four gates, per (app, variant, n) series point present in both files:
 
 * **checksum** — must match bit-exactly. The guest programs are
   deterministic IEEE-754, so checksums are machine-independent; any
@@ -13,6 +13,14 @@ Three gates, per (app, variant, n) series point present in both files:
   stream; drift means the compiler changed what it emits (or the VM
   changed how it counts), which is a semantics-facing change that must
   be a deliberate baseline update, never an accident.
+* **simulated time** — `sim_s`, `kernel_s`, `memcpy_s` and `launches` of
+  every `cuda`/`ompi` row must equal the baseline exactly (the JSON
+  numbers, digit for digit). The simulated clock is a deterministic
+  function of the kernels and the timing model, and `sim_s` (kernel +
+  memcpy) is the quantity the paper's Fig. 4 plots: an interpreter or
+  runtime change that moves it is a change to the reproduced result and
+  needs a deliberate baseline refresh. This is the cross-commit twin of
+  the repo benchmark's in-run pinned-facts check.
 * **wall clock** — `wall_s` may not exceed `max-ratio` (default 2.0)
   times the baseline. Only `host-seq` rows are gated: they measure raw
   engine throughput, while device rows are dominated by the simulator
@@ -26,6 +34,8 @@ Exit status 0 = pass, 1 = regression, 2 = usage/shape error.
 
 import json
 import sys
+
+SIM_FIELDS = ("sim_s", "kernel_s", "memcpy_s", "launches")
 
 
 def key(row):
@@ -68,6 +78,14 @@ def main(argv):
                     "instruction counts are bit-deterministic — an intentional "
                     "compiler change needs a baseline refresh)"
                 )
+        if row["variant"] in ("cuda", "ompi"):
+            for field in SIM_FIELDS:
+                if row[field] != b[field]:
+                    failures.append(
+                        f"{tag}: {field} {row[field]!r} != baseline {b[field]!r} "
+                        "(the simulated clock is deterministic — a timing-model or "
+                        "kernel change needs a baseline refresh)"
+                    )
         if row["variant"] == "host-seq" and b["wall_s"] > 0:
             ratio = row["wall_s"] / b["wall_s"]
             mark = " REGRESSION" if ratio > max_ratio else ""

@@ -5,7 +5,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== module size ratchet (core, obs, serve, minic execution engine; 900 lines) =="
+echo "== module size ratchet (core, obs, serve, gpusim, minic execution engine; 900 lines) =="
 # The transform monolith was split into a pass pipeline; keep it split.
 # The obs crate starts split (trace/metrics/profile/json, plus the PR-8
 # flight recorder and hotspots modules, covered by the same find); keep
@@ -15,6 +15,8 @@ echo "== module size ratchet (core, obs, serve, minic execution engine; 900 line
 # resource governor and the fuzz generator); keep each layer under
 # the cap rather than letting the VM regrow into a monolith. (The parser
 # predates the ratchet and is exempt until it gets the same treatment.)
+# gpusim's warp interpreter was split on its seam (warp/{mod,alu,mem}.rs:
+# control flow, lane arithmetic, memory + coalescing); keep it split.
 minic_engine="
 crates/minic/src/interp.rs
 crates/minic/src/walker.rs
@@ -27,7 +29,8 @@ crates/minic/src/limits.rs
 crates/minic/src/fuzzgen.rs
 "
 oversized=0
-for f in $(find crates/core/src crates/obs/src crates/serve/src -name '*.rs') $minic_engine; do
+for f in $(find crates/core/src crates/obs/src crates/serve/src crates/gpusim/src -name '*.rs') \
+    $minic_engine; do
     lines=$(wc -l < "$f")
     if [ "$lines" -gt 900 ]; then
         echo "FAIL: $f has $lines lines (limit 900)"
