@@ -12,8 +12,9 @@
 //! perf-trajectory artifact (wall-clock + simulated-clock per app and
 //! variant, including a host-sequential series at each app's
 //! `bench_size`) for the CI bench-smoke regression gate. `--quick` runs
-//! the device series at each app's test size instead of the paper sizes —
-//! the configuration the committed baseline and CI use.
+//! the device series at each app's test size (gramschmidt: also n = 128)
+//! instead of the paper sizes — the configuration the committed baseline
+//! and CI use.
 //!
 //! `--chaos-seed N` runs the OMPi variant under the chaos fault plan
 //! `chaos:N` (see `gpusim::FaultPlan::chaos`): a seeded random mix of
@@ -76,6 +77,18 @@ struct JsonRow {
     launches: u64,
     checksum: u64,
     vm_instructions: u64,
+}
+
+/// The `--quick` device sizes: each app's test size, and for gramschmidt
+/// also n = 128, where one 256-thread block folds a float `reduction(+)`
+/// across its warps — so the baseline's exact checksum gate covers a
+/// multi-warp float reduction.
+fn quick_sizes(app: &unibench::App) -> Vec<u32> {
+    let mut sizes = vec![app.test_size];
+    if app.name == "gramschmidt" {
+        sizes.push(128);
+    }
+    sizes
 }
 
 fn main() {
@@ -209,7 +222,7 @@ fn main() {
     for app in apps {
         let sizes: Vec<u32> = sizes_override.clone().unwrap_or_else(|| {
             if quick {
-                vec![app.test_size]
+                quick_sizes(&app)
             } else {
                 app.paper_sizes.to_vec()
             }

@@ -184,6 +184,16 @@ fn first(mask: u32, args: &LaneVec) -> u64 {
     args[mask.trailing_zeros().min(31) as usize]
 }
 
+/// The calls that park the calling warp on a named barrier until sibling
+/// warps arrive: exactly the `match` arms below that call
+/// [`bar_sync_traced`]. A kernel that reaches none of them (nor a `bar.sync`
+/// or lock of its own) is run by gpusim without a thread per warp, and a
+/// barrier reached from an arm missing here traps. `cudadev_critical_enter`
+/// is not one: a warp takes the lock and releases it before it ends, so in a
+/// kernel without barriers no sibling ever holds it while this warp runs.
+const BLOCKING: [&str; 4] =
+    ["cudadev_register_parallel", "cudadev_workerfunc", "cudadev_exit_target", "cudadev_barrier"];
+
 /// `bar_sync` with a trace event: records the simulated cycles this warp
 /// spent parked at the barrier as a complete event on the warp's track
 /// (tid = 1 + warp_id; tid 0 is the driver stream).
@@ -237,6 +247,10 @@ fn uniform_ret(v: u64) -> Option<LaneVec> {
 }
 
 impl DeviceLib for CudaDeviceLib {
+    fn may_wait(&self, name: &str) -> bool {
+        BLOCKING.contains(&name)
+    }
+
     fn call(
         &self,
         name: &str,
@@ -667,6 +681,17 @@ mod tests {
         assert_eq!(round_barrier_count(1), 32);
         assert_eq!(round_barrier_count(33), 64);
         assert_eq!(round_barrier_count(0), 32);
+    }
+
+    #[test]
+    fn only_the_listed_exports_block() {
+        let lib = CudaDeviceLib::new(0);
+        let e = exports();
+        for name in BLOCKING {
+            assert!(lib.may_wait(name));
+            assert!(e.iter().any(|s| s == name), "{name} is not exported");
+        }
+        assert_eq!(e.iter().filter(|s| lib.may_wait(s)).count(), BLOCKING.len());
     }
 
     #[test]

@@ -1,6 +1,25 @@
-//! Kernel launches: grid iteration, block execution (one OS thread per
-//! warp of a multi-warp block), sampled simulation and the kernel time
-//! model.
+//! Kernel launches: grid iteration, block execution, sampled simulation
+//! and the kernel time model.
+//!
+//! **Who runs a block's warps.** Blocks are independent and are handed to
+//! `Device::block_workers` worker threads. Within a block the launch
+//! decides once, from the kernel's code ([`crate::waits::can_wait`]):
+//!
+//! * A kernel that *cannot wait on a sibling warp* — no `bar.sync`, no
+//!   `atom.cas`/`atom.exch`, no blocking library call anywhere in its call
+//!   graph; every combined `target teams distribute parallel for` with a
+//!   static schedule is of this kind — runs warp 0, 1, 2, … to completion
+//!   on the block worker's own thread, in warp-id order, and stops at the
+//!   first warp that fails. No thread is spawned, and everything the
+//!   block's warps do to memory happens in one fixed order.
+//! * A kernel that *can* wait (the master/worker scheme of paper §3.2,
+//!   `__syncthreads()`, a hand-written lock) gets one OS thread per warp,
+//!   because a warp parked on a barrier makes progress only if its
+//!   siblings run meanwhile.
+//!
+//! Issue cycles, the latency clock, `lane_insts` and transactions are kept
+//! per warp and meet only at barriers, so both ways produce the same
+//! simulated numbers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -8,6 +27,7 @@ use vmcommon::sync::Mutex;
 
 use crate::device::{Device, ExecError};
 use crate::timing;
+use crate::waits;
 use crate::warp::{BlockCtx, BlockEnv, DeviceLib, Warp};
 
 /// Launch configuration (grid/block shapes + kernel parameters as raw bit
@@ -168,6 +188,11 @@ fn launch_view(
         }
     };
 
+    // A one-warp block has no sibling to wait for and runs on the calling
+    // thread with its barriers live, whatever the kernel.
+    let inline_warps =
+        threads_per_block > timing::WARP_SIZE as u64 && !waits::can_wait(module, kidx, lib);
+
     let accum = Mutex::new(BlockAccum::default());
     let error: Mutex<Option<ExecError>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
@@ -187,7 +212,7 @@ fn launch_view(
             lib,
             lin,
             threads_per_block as u32,
-            kfun.shared_size,
+            inline_warps,
             tile,
         ) {
             Ok(b) => {
@@ -289,12 +314,23 @@ fn launch_view(
 const BLOCK_TRACK_BASE: u64 = 64;
 const BLOCK_TRACKS: u64 = 32;
 
+#[derive(Default)]
 struct BlockResult {
     issue: u64,
     transactions: u64,
     lane_insts: u64,
     divergent: u64,
     max_block_cycles: u64,
+}
+
+impl BlockResult {
+    fn add_warp(&mut self, (issue, clock, stats): (u64, u64, crate::warp::WarpStats)) {
+        self.issue += issue;
+        self.transactions += stats.mem_transactions;
+        self.lane_insts += stats.lane_insts;
+        self.divergent += stats.divergent_branches;
+        self.max_block_cycles = self.max_block_cycles.max(clock);
+    }
 }
 
 /// Outcome of running one block: `(cycles, dram_words, warp stats)`.
@@ -309,9 +345,11 @@ fn run_block(
     lib: &dyn DeviceLib,
     lin_block: u64,
     nthreads: u32,
-    shared_static: u64,
+    inline_warps: bool,
     tile: Option<TileView>,
 ) -> Result<BlockResult, ExecError> {
+    let kfun = &module.functions[kidx as usize];
+    let shared_static = kfun.shared_size;
     // Under a tiled launch the block takes its identity (and the grid
     // shape it reports) from the logical grid, not the physical window.
     let logical_grid = tile.map_or(cfg.grid, |t| t.logical_grid);
@@ -333,6 +371,8 @@ fn run_block(
         ctaid,
         nthreads,
         shared_static,
+        kernel: &kfun.name,
+        inline_warps,
     };
     // The device library's dynamic shared-memory stack starts above the
     // kernel's static allocation (slot convention shared with cudadev).
@@ -349,34 +389,30 @@ fn run_block(
         }
         r.map(|_| (warp.issue, warp.clock, warp.stats))
     };
-    // Results in warp-id order; a one-warp block runs on the calling thread.
     let nwarps = nthreads.div_ceil(timing::WARP_SIZE);
-    let results: Vec<BlockRunResult> = if nwarps == 1 {
-        vec![run_warp(0)]
-    } else {
-        std::thread::scope(|scope| {
-            let warps: Vec<_> = (0..nwarps).map(|w| scope.spawn(move || run_warp(w))).collect();
-            warps
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-    };
+    let mut out = BlockResult::default();
+    if inline_warps || nwarps == 1 {
+        // On this thread, in warp-id order, up to the first warp that fails.
+        for w in 0..nwarps {
+            out.add_warp(run_warp(w)?);
+        }
+        return Ok(out);
+    }
+    // Results in warp-id order.
+    let results: Vec<BlockRunResult> = std::thread::scope(|scope| {
+        let warps: Vec<_> = (0..nwarps).map(|w| scope.spawn(move || run_warp(w))).collect();
+        warps
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
 
     // The block's error is its lowest failing warp's own error; a warp that
     // only left a barrier because of the abort never masks it.
-    let mut out =
-        BlockResult { issue: 0, transactions: 0, lane_insts: 0, divergent: 0, max_block_cycles: 0 };
     let mut aborted = None;
     for r in results {
         match r {
-            Ok((issue, clock, stats)) => {
-                out.issue += issue;
-                out.transactions += stats.mem_transactions;
-                out.lane_insts += stats.lane_insts;
-                out.divergent += stats.divergent_branches;
-                out.max_block_cycles = out.max_block_cycles.max(clock);
-            }
+            Ok(w) => out.add_warp(w),
             Err(e @ ExecError::BlockAborted) => aborted = Some(e),
             Err(e) => return Err(e),
         }

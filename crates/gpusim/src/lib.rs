@@ -7,12 +7,14 @@
 //! global-memory arena with relaxed-atomic word access, and a calibrated
 //! timing model ([`timing`]).
 //!
-//! The execution model: each *warp* of a multi-warp block runs on one OS
-//! thread so that warps of a block make independent progress and can park
-//! on named barriers — the concurrency the paper's master/worker scheme
-//! requires — and steps its instructions warp-wide, 32 lanes per decode
-//! (see [`warp`]). Blocks are independent and are simulated by a small
-//! worker pool.
+//! The execution model: a warp steps its instructions warp-wide, 32 lanes
+//! per decode (see [`warp`]). Blocks are independent and are simulated by a
+//! small worker pool. Within a block, a kernel that can make one warp wait
+//! for another — named barriers, the paper's master/worker scheme, a
+//! hand-written lock — gets one OS thread per warp so that parked warps and
+//! running ones make independent progress; every other kernel runs its
+//! warps one after another on the block worker's thread (see [`launch`],
+//! [`waits`]).
 
 pub mod barrier;
 pub mod device;
@@ -20,6 +22,7 @@ pub mod fault;
 pub mod launch;
 pub mod stream;
 pub mod timing;
+pub mod waits;
 pub mod warp;
 
 pub use device::{DevTrace, Device, DeviceProps, DeviceStats, ExecError};

@@ -26,13 +26,34 @@
 //! `div`/`rem` (only an executing lane may trap on a zero divisor), and
 //! device-library calls.
 //!
-//! **Why a thread per warp.** Warps of the same block interact only
-//! through shared/global memory, atomics and the block's named barriers —
-//! which is precisely the paper's master/worker machinery (§3.2): worker
-//! warps park on barrier B1 while the master warp executes sequential code,
-//! so the warps of a multi-warp block *must* run concurrently. A warp that
-//! fails aborts its block ([`BlockCtx::abort`]) so parked siblings leave at
-//! once instead of waiting out the deadlock timeout.
+//! **Who runs a warp.** Warps of one block interact only through
+//! shared/global memory, atomics and the block's named barriers. The launch
+//! decides from the kernel's code whether one of them can *wait* for
+//! another ([`crate::waits::can_wait`]): through a `bar.sync`, through a
+//! blocking device-library call ([`DeviceLib::may_wait`] — the paper's
+//! master/worker machinery of §3.2, where worker warps park on barrier B1
+//! while the master warp executes sequential code), or through an
+//! `atom.cas`/`atom.exch`, which is how a lock or flag hand-off between
+//! warps is written (the loser spins until a sibling stores again).
+//!
+//! * A kernel that cannot wait runs warp 0, 1, 2, … to completion on the
+//!   block worker's thread. There is nothing to schedule: no warp ever
+//!   needs a sibling to have run, and the order in which the block's warps
+//!   touch memory — float atomics included — is the same on every run.
+//!   Should such a warp reach [`Warp::bar_sync`] after all (a library whose
+//!   `may_wait` left a call out), it traps at once; it never parks.
+//! * A kernel that can wait gets one OS thread per warp, so the warps of
+//!   its block run concurrently, and a warp that fails aborts the block
+//!   ([`BlockCtx::abort`]) so parked siblings leave at once instead of
+//!   waiting out the deadlock timeout. Here the interleaving of warps — and
+//!   with it the order of float atomics to one address — is the host
+//!   scheduler's.
+//!
+//! What neither gives: with more than one block worker, atomics from
+//! *different blocks* to one address land in host order. And a kernel that
+//! spins on a plain `ld` until a higher-numbered sibling warp stores is
+//! not recognised as waiting: run inline it spins forever, the one shape
+//! that a thread per warp ran and this rule does not.
 
 mod alu;
 mod mem;
@@ -65,6 +86,15 @@ pub trait DeviceLib: Send + Sync {
         args: &[LaneVec],
         sargs: &[String],
     ) -> Result<Option<LaneVec>, ExecError>;
+
+    /// Can a call to `name` make the calling warp wait until a sibling warp
+    /// of its block acts — in practice, arrives at a named barrier? The
+    /// launch asks before it runs a kernel ([`crate::waits::can_wait`]); a
+    /// library that answers `false` for a call that does reach
+    /// [`Warp::bar_sync`] gets a trap, not a hang.
+    fn may_wait(&self, _name: &str) -> bool {
+        false
+    }
 }
 
 /// A library that resolves nothing (pure-CUDA kernels).
@@ -132,6 +162,12 @@ pub struct BlockEnv<'a> {
     /// Static shared-memory bytes claimed by the kernel (the dynamic
     /// shared-memory stack of the device library starts above this).
     pub shared_static: u64,
+    /// Name of the kernel being run (diagnostics).
+    pub kernel: &'a str,
+    /// The launch found that this kernel cannot wait on a sibling warp, so
+    /// the block's warps run one after another on one thread: a barrier one
+    /// of them parks on could never be released.
+    pub inline_warps: bool,
 }
 
 /// Per-warp execution statistics.
@@ -326,6 +362,13 @@ impl<'a> Warp<'a> {
             return Err(ExecError::Trap(format!(
                 "bar.sync count {expected_threads} is not a positive multiple of {}",
                 timing::WARP_SIZE
+            )));
+        }
+        if self.env.inline_warps {
+            return Err(ExecError::Trap(format!(
+                "kernel `{}` reached bar.sync {id} in warp {} but was classified as never \
+                 waiting on a sibling warp (DeviceLib::may_wait must name every blocking call)",
+                self.env.kernel, self.warp_id
             )));
         }
         self.issue += timing::BARRIER_ISSUE;

@@ -73,6 +73,8 @@ fn with_warp(module: sptx::Module, f: impl FnOnce(&mut Warp<'_>)) {
         ctaid: [2, 1, 0],
         nthreads: 64,
         shared_static: 0,
+        kernel: "k",
+        inline_warps: false,
     };
     let mut warp = Warp::new(&env, 1);
     warp.regs.resize(NUM_REGS * 32, 0);

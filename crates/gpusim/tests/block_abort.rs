@@ -1,12 +1,14 @@
 //! A warp that fails aborts its block: siblings parked on a named barrier
 //! return at once, and the launch reports the failing warp's own error.
-//! (A genuine deadlock still times out: `barrier_timeout.rs`.)
+//! (A genuine deadlock still times out: `barrier_timeout.rs`.) A kernel
+//! without barriers runs its warps in order on one thread and stops at the
+//! first that fails.
 
 use std::time::{Duration, Instant};
 
 use gpusim::{launch, Device, ExecError, ExecMode, LaunchConfig, NoLib};
 use sptx::builder::{op, FnBuilder};
-use sptx::{BinOp, Inst, ScalarTy, SpecialReg};
+use sptx::{BinOp, CvtTy, Inst, MemTy, ScalarTy, SpecialReg};
 
 /// Warps whose id is in `trapping` divide by zero; every other warp waits
 /// on barrier 1 for the whole block, which can therefore never complete.
@@ -57,5 +59,44 @@ fn the_lowest_failing_warp_is_reported_not_a_released_sibling() {
         let err = r.expect_err("warps 2 and 3 divide by zero");
         assert_eq!(err.to_string(), "device trap: division by zero in warp 2");
         assert!(waited < Duration::from_secs(1), "took {waited:?}");
+    }
+}
+
+#[test]
+fn a_barrier_free_kernel_stops_at_its_first_failing_warp() {
+    // Every warp stores id + 1 to out[id]; then warps 2 and 3 divide by zero.
+    let mut b = FnBuilder::new("k", true);
+    let out = b.param("out", ScalarTy::I64);
+    let zero = b.param("zero", ScalarTy::I32);
+    let wid = b.mov(op::sp(SpecialReg::WarpId));
+    let w64 = b.cvt(CvtTy::I64, CvtTy::I32, op::r(wid));
+    let off = b.bin(ScalarTy::I64, BinOp::Mul, op::r(w64), op::i(4));
+    let addr = b.bin(ScalarTy::I64, BinOp::Add, op::r(out), op::r(off));
+    let tag = b.bin(ScalarTy::I32, BinOp::Add, op::r(wid), op::i(1));
+    b.st(MemTy::B32, op::r(tag), op::r(addr), 0);
+    let traps = b.bin(ScalarTy::I32, BinOp::SetGe, op::r(wid), op::i(2));
+    b.begin_if();
+    b.bin(ScalarTy::I32, BinOp::Div, op::i(7), op::r(zero));
+    b.end_if(op::r(traps));
+    let m = sptx::Module {
+        name: "abort".into(),
+        arch: "sm_53".into(),
+        functions: vec![b.build()],
+        device_lib_linked: true,
+    };
+    for _ in 0..20 {
+        let d = Device::new(1 << 20);
+        let buf = d.mem_alloc(16).unwrap();
+        d.memset_d8(buf, 0, 16).unwrap();
+        let cfg = LaunchConfig { grid: [1, 1, 1], block: [128, 1, 1], params: vec![buf, 0] };
+        let err = launch(&d, &m, "k", &cfg, &NoLib, ExecMode::Functional)
+            .expect_err("warps 2 and 3 divide by zero");
+        assert_eq!(err.to_string(), "device trap: division by zero in warp 2");
+        let mut raw = [0u8; 16];
+        d.memcpy_d2h(&mut raw, buf).unwrap();
+        let tags: Vec<u32> =
+            raw.chunks(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
+        // Warp 2 stored before it trapped; warp 3 never started.
+        assert_eq!(tags, [1, 2, 3, 0]);
     }
 }

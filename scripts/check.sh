@@ -50,6 +50,16 @@ if grep -rn 'set_var' crates/bench; then
     exit 1
 fi
 
+echo "== warp threads (std::thread::scope only in crates/gpusim/src/launch.rs) =="
+# A kernel that cannot wait on a sibling warp runs its warps on the block
+# worker's thread; launch.rs is the one place gpusim spawns (block workers,
+# and warps of kernels that can wait).
+if grep -rn 'thread::scope' crates/gpusim/src --include='*.rs' \
+    | grep -v '^crates/gpusim/src/launch.rs:'; then
+    echo "FAIL: gpusim spawns threads only in launch.rs"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
