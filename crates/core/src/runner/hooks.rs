@@ -636,24 +636,23 @@ impl Hooks for OmpiHooks {
             }
             "cudaMemcpy" => {
                 // cudaMemcpy(dst, src, bytes, kind): 1 = HtoD, 2 = DtoH.
-                let bytes = a(2).as_i64().max(0) as usize;
+                // Bytes move arena to arena, as in cudadev; a bad host range
+                // is the guest's memory fault, reported before the device
+                // sees the copy.
+                let bytes = a(2).as_i64().max(0) as u64;
                 let kind = a(3).as_i64();
                 let device = self.baseline_device()?;
+                let trap = |e: gpusim::ExecError| InterpError::Trap(e.to_string());
                 let t = match kind {
                     1 => {
-                        let mut buf = vec![0u8; bytes];
-                        mem.read_bytes(vmcommon::addr::offset(a(1).as_ptr()), &mut buf)?;
-                        device
-                            .memcpy_h2d(a(0).as_ptr(), &buf)
-                            .map_err(|e| InterpError::Trap(e.to_string()))?
+                        let src = vmcommon::addr::offset(a(1).as_ptr());
+                        mem.check_range(src, bytes)?;
+                        device.memcpy_h2d_from(a(0).as_ptr(), mem, src, bytes).map_err(trap)?
                     }
                     2 => {
-                        let mut buf = vec![0u8; bytes];
-                        let t = device
-                            .memcpy_d2h(&mut buf, a(1).as_ptr())
-                            .map_err(|e| InterpError::Trap(e.to_string()))?;
-                        mem.write_bytes(vmcommon::addr::offset(a(0).as_ptr()), &buf)?;
-                        t
+                        let dst = vmcommon::addr::offset(a(0).as_ptr());
+                        mem.check_range(dst, bytes)?;
+                        device.memcpy_d2h_to(mem, dst, a(1).as_ptr(), bytes).map_err(trap)?
                     }
                     other => {
                         return Err(InterpError::Trap(format!(
@@ -662,7 +661,7 @@ impl Hooks for OmpiHooks {
                     }
                 };
                 if let Some(d) = self.registry.device(0) {
-                    let (h2d, d2h) = if kind == 1 { (bytes as u64, 0) } else { (0, bytes as u64) };
+                    let (h2d, d2h) = if kind == 1 { (bytes, 0) } else { (0, bytes) };
                     d.record_memcpy(t, h2d, d2h);
                 }
                 Ok(Some(Value::I32(0)))

@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use gpusim::fault::{FaultPlan, FaultSite};
 use gpusim::{Device, ExecError, ExecMode, LaunchConfig, LaunchStats};
+use vmcommon::addr::offset;
 use vmcommon::sync::Mutex;
 use vmcommon::MemArena;
 
@@ -31,6 +32,7 @@ use crate::jit;
 mod governor;
 mod recovery;
 mod stream;
+mod transfer;
 
 pub use governor::{MemPressure, PressureOutcome, TileParam};
 pub use recovery::BreakerState;
@@ -245,9 +247,10 @@ pub struct CudaDevConfig {
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Retry policy for transient driver faults.
     pub retry: RetryPolicy,
-    /// Staging-buffer bound for host↔device transfers: copies larger than
-    /// this are split into chunked transfers (the governor's "stage" rung),
-    /// capping peak transient usage on the shared 2 GB arena.
+    /// Staging bound for host↔device transfers: copies larger than this
+    /// are split into chunked simulated transfers (the governor's "stage"
+    /// rung), each one driver copy with its own fault-site call. The bytes
+    /// still move arena to arena; there is no host staging buffer.
     pub staging_bytes: u64,
     /// Async command streams: transfers and launches inside a target
     /// region are queued on per-region streams and scheduled on a copy
@@ -602,7 +605,8 @@ impl CudaDev {
         let dev_ptr = match self.cache_take(host_addr, len) {
             Some(cached) => {
                 obs.metrics.incr(self.pid(), "cache.reuse", 1);
-                if want_in && self.cache_contents_match(host_mem, host_addr, len, &cached) {
+                if want_in && self.cache_contents_match(&device, host_mem, host_addr, len, &cached)
+                {
                     obs.tracer.instant(
                         self.pid(),
                         0,
@@ -668,22 +672,20 @@ impl CudaDev {
         );
         obs.metrics.observe(self.pid(), "alloc_bytes", len);
         if need_h2d {
-            let mut buf = vec![0u8; len as usize];
-            host_mem
-                .read_bytes(vmcommon::addr::offset(host_addr), &mut buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
-            if let Err(e) = self.h2d_copy(&device, dev_ptr, &buf) {
+            let upload = || self.h2d_copy(&device, dev_ptr, host_mem, offset(host_addr), len);
+            if let Err(e) = upload() {
                 if e.is_terminal() {
                     // The buffer just allocated is not in the map table
                     // yet; `extra` keeps it alive (at the same address)
-                    // across the reset so the probe can re-upload into it.
+                    // across the reset so the probe can re-upload into it
+                    // from the host range, which is still authoritative.
                     self.recover_terminal(
                         Some(&device),
                         Some(host_mem),
                         "h2d",
                         &[(dev_ptr, len)],
                         e,
-                        || self.h2d_copy(&device, dev_ptr, &buf),
+                        upload,
                     )?;
                 } else {
                     return Err(CudadevError::Data(e));
@@ -734,20 +736,17 @@ impl CudaDev {
         }
         let obs = &self.cfg.obs;
         let want_out = entry.copy_out || matches!(kind, MapKind::From | MapKind::ToFrom);
-        let mut synced: Option<Vec<u8>> = None;
-        if want_out
+        let copy_back = want_out
             && kind != MapKind::Delete
             && kind != MapKind::Release
             // A dirty device copy is stale (the host recomputed the data in
             // a fallback); copying it back would clobber the good results.
-            && !entry.host_dirty
-        {
-            let mut buf = vec![0u8; entry.len as usize];
-            self.d2h_copy(&device, entry.dev_ptr, &mut buf).map_err(|e| self.latch("d2h", e))?;
-            host_mem
-                .write_bytes(vmcommon::addr::offset(host_addr), &buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
-            synced = Some(buf);
+            && !entry.host_dirty;
+        if copy_back {
+            // On failure the host range is untouched: the runtime can
+            // re-execute the region there.
+            self.d2h_copy(&device, entry.dev_ptr, host_mem, offset(host_addr), entry.len)
+                .map_err(|e| self.latch("d2h", e))?;
         }
         if kind == MapKind::Delete {
             self.free_dev(&device, entry.dev_ptr)?;
@@ -762,7 +761,7 @@ impl CudaDev {
         } else {
             // Keep the buffer as an LRU cache entry for transfer reuse;
             // the evict rung reclaims it under allocation pressure.
-            self.cache_insert(host_addr, &entry, synced);
+            self.cache_insert(host_addr, &entry, copy_back);
         }
         Ok(())
     }
@@ -785,11 +784,8 @@ impl CudaDev {
         }
         let len = len.min(entry.len);
         if to_device {
-            let mut buf = vec![0u8; len as usize];
-            host_mem
-                .read_bytes(vmcommon::addr::offset(host_addr), &mut buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
-            self.h2d_copy(&device, entry.dev_ptr, &buf).map_err(|e| self.latch("h2d", e))?;
+            self.h2d_copy(&device, entry.dev_ptr, host_mem, offset(host_addr), len)
+                .map_err(|e| self.latch("h2d", e))?;
             // The device copy is fresh again — both sides agree.
             entry.host_dirty = false;
             entry.device_dirty = false;
@@ -799,11 +795,8 @@ impl CudaDev {
                 // pulling the stale device copy would lose data.
                 return Ok(());
             }
-            let mut buf = vec![0u8; len as usize];
-            self.d2h_copy(&device, entry.dev_ptr, &mut buf).map_err(|e| self.latch("d2h", e))?;
-            host_mem
-                .write_bytes(vmcommon::addr::offset(host_addr), &buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
+            self.d2h_copy(&device, entry.dev_ptr, host_mem, offset(host_addr), len)
+                .map_err(|e| self.latch("d2h", e))?;
             if len == entry.len {
                 // The host now holds everything the kernel wrote.
                 entry.device_dirty = false;

@@ -10,7 +10,8 @@
 //!    and the allocation is retried.
 //! 2. **stage** — host↔device copies larger than the configured staging
 //!    bound ([`super::CudaDevConfig::staging_bytes`]) are split into
-//!    chunked transfers, capping peak transient usage.
+//!    chunked simulated transfers (`host::transfer`). Only the simulated
+//!    copy is chunked: bytes move arena to arena, no host buffer exists.
 //! 3. **tile** — a combined `target teams distribute parallel for` region
 //!    whose mapped arrays still don't fit runs as a sequence of smaller
 //!    grids: each tile streams the slices of oversized (*pending*) arrays
@@ -31,6 +32,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use gpusim::{Device, ExecError, LaunchConfig, TileView};
+use vmcommon::addr::offset;
 use vmcommon::alloc::AllocError;
 use vmcommon::sched::static_block;
 use vmcommon::MemArena;
@@ -80,26 +82,14 @@ pub struct MemPressure {
 pub(super) struct CacheEntry {
     pub dev_ptr: u64,
     pub len: u64,
-    /// Hash of the buffer contents *as last synced with the host* (set
-    /// when the unmap copy-back ran, so device == host at insert time).
-    /// `None` when the device copy was never re-read — reuse must then
-    /// re-upload.
-    pub synced_hash: Option<u64>,
+    /// The unmap copy-back ran, so device == host at insert time and
+    /// nothing has written the parked buffer since. Only then may a
+    /// re-map skip its upload, and only if the host range still equals
+    /// the device range ([`CudaDev::cache_contents_match`]). `false` when
+    /// the device copy was never read back — reuse must then re-upload.
+    pub synced: bool,
     /// LRU stamp; smallest is evicted first.
     pub tick: u64,
-}
-
-/// FNV-1a, enough to recognize "the host bytes have not changed since the
-/// last sync" for transfer reuse. Collisions only cost a skipped upload of
-/// stale data in an adversarial setting; for the deterministic benchmark
-/// workloads the hash is exact bookkeeping.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// A pending buffer being streamed slice-by-slice during a tiled launch.
@@ -217,35 +207,12 @@ impl CudaDev {
         }
     }
 
-    /// Do the host bytes still match what the cached device buffer holds?
-    pub(super) fn cache_contents_match(
-        &self,
-        host_mem: &MemArena,
-        host_addr: u64,
-        len: u64,
-        cached: &CacheEntry,
-    ) -> bool {
-        let Some(expect) = cached.synced_hash else {
-            return false;
-        };
-        let mut buf = vec![0u8; len as usize];
-        if host_mem.read_bytes(vmcommon::addr::offset(host_addr), &mut buf).is_err() {
-            return false;
-        }
-        fnv64(&buf) == expect
-    }
-
-    /// Park an unmapped buffer in the LRU cache. `synced` carries the
-    /// bytes just copied back to the host (device == host), enabling a
-    /// hash-verified upload skip on the next map.
-    pub(super) fn cache_insert(&self, host_addr: u64, entry: &MapEntry, synced: Option<Vec<u8>>) {
+    /// Park an unmapped buffer in the LRU cache. `synced` says the unmap
+    /// just copied it back (device == host), which lets the next map skip
+    /// the upload when the host range is still equal.
+    pub(super) fn cache_insert(&self, host_addr: u64, entry: &MapEntry, synced: bool) {
         let tick = self.lru_tick.fetch_add(1, Ordering::Relaxed);
-        let ce = CacheEntry {
-            dev_ptr: entry.dev_ptr,
-            len: entry.len,
-            synced_hash: synced.as_deref().map(fnv64),
-            tick,
-        };
+        let ce = CacheEntry { dev_ptr: entry.dev_ptr, len: entry.len, synced, tick };
         self.cache.lock().insert(host_addr, ce);
         self.cfg.obs.metrics.incr(self.pid(), "cache.insert", 1);
     }
@@ -266,116 +233,6 @@ impl CudaDev {
             self.free_dev(&device, c.dev_ptr)?;
         }
         Ok(())
-    }
-
-    // ------------------------------------------- rung 2: staged transfers
-
-    /// Host→device copy, chunked through the staging bound. Emits the
-    /// `h2d` span and charges the clock exactly like the unchunked path,
-    /// so small copies keep their historical trace/fault numbering. On an
-    /// async stream the copy still executes eagerly, but its simulated
-    /// time is queued on the copy engine and drawn on the stream's track.
-    pub(super) fn h2d_copy(
-        &self,
-        device: &Device,
-        dev_ptr: u64,
-        buf: &[u8],
-    ) -> Result<(), ExecError> {
-        let obs = &self.cfg.obs;
-        let len = buf.len() as u64;
-        let async_stream = self.async_stream();
-        let _span = async_stream.is_none().then(|| {
-            obs.tracer.span(
-                self.pid(),
-                0,
-                "h2d",
-                "memcpy",
-                || self.now(),
-                vec![("bytes", len.into())],
-            )
-        });
-        let cap = self.staging_cap();
-        let mut total = 0.0;
-        if buf.len() > cap {
-            let chunks = buf.len().div_ceil(cap) as u64;
-            self.pressure(
-                "stage",
-                vec![("dir", "h2d".into()), ("bytes", len.into()), ("chunks", chunks.into())],
-            );
-            obs.metrics.incr(self.pid(), "staged_chunks", chunks);
-        }
-        for (i, chunk) in buf.chunks(cap).enumerate() {
-            let dst = dev_ptr + (i * cap) as u64;
-            total += self.retrying("h2d", || device.memcpy_h2d(dst, chunk))?;
-        }
-        let mut clk = self.clock.lock();
-        clk.h2d_bytes += len;
-        match async_stream {
-            Some(s) => {
-                drop(clk);
-                self.async_copy(s, /*h2d*/ true, total, len);
-            }
-            None => {
-                clk.h2d_s += total;
-                drop(clk);
-            }
-        }
-        obs.metrics.incr(self.pid(), "h2d_bytes", len);
-        Ok(())
-    }
-
-    /// Device→host copy into `buf`, chunked through the staging bound.
-    pub(super) fn d2h_copy(
-        &self,
-        device: &Device,
-        dev_ptr: u64,
-        buf: &mut [u8],
-    ) -> Result<(), ExecError> {
-        let obs = &self.cfg.obs;
-        let len = buf.len() as u64;
-        let async_stream = self.async_stream();
-        let _span = async_stream.is_none().then(|| {
-            obs.tracer.span(
-                self.pid(),
-                0,
-                "d2h",
-                "memcpy",
-                || self.now(),
-                vec![("bytes", len.into())],
-            )
-        });
-        let cap = self.staging_cap();
-        let mut total = 0.0;
-        if buf.len() > cap {
-            let chunks = buf.len().div_ceil(cap) as u64;
-            self.pressure(
-                "stage",
-                vec![("dir", "d2h".into()), ("bytes", len.into()), ("chunks", chunks.into())],
-            );
-            obs.metrics.incr(self.pid(), "staged_chunks", chunks);
-        }
-        for (i, chunk) in buf.chunks_mut(cap).enumerate() {
-            let src = dev_ptr + (i * cap) as u64;
-            total += self.retrying("d2h", || device.memcpy_d2h(chunk, src))?;
-        }
-        let mut clk = self.clock.lock();
-        clk.d2h_bytes += len;
-        match async_stream {
-            Some(s) => {
-                drop(clk);
-                self.async_copy(s, /*h2d*/ false, total, len);
-            }
-            None => {
-                clk.d2h_s += total;
-                drop(clk);
-            }
-        }
-        obs.metrics.incr(self.pid(), "d2h_bytes", len);
-        Ok(())
-    }
-
-    fn staging_cap(&self) -> usize {
-        (self.cfg.staging_bytes.max(vmcommon::alloc::BlockAllocator::ALIGN)) as usize
     }
 
     // ----------------------------------------- dirty tracking (fallback)
@@ -440,11 +297,8 @@ impl CudaDev {
                 }
             };
             let device = self.try_device()?;
-            let mut buf = vec![0u8; len as usize];
-            host_mem
-                .read_bytes(vmcommon::addr::offset(addr), &mut buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
-            self.h2d_copy(&device, dev_ptr, &buf).map_err(|e| self.latch("h2d", e))?;
+            self.h2d_copy(&device, dev_ptr, host_mem, offset(addr), len)
+                .map_err(|e| self.latch("h2d", e))?;
             self.cfg.obs.metrics.incr(self.pid(), "dirty_refresh", 1);
             if let Some(e) = self.maps.lock().get_mut(&addr) {
                 e.host_dirty = false;
@@ -474,11 +328,8 @@ impl CudaDev {
         let device = self.try_device()?;
         let mut synced = 0u64;
         for (host, dev_ptr, len) in live {
-            let mut buf = vec![0u8; len as usize];
-            self.d2h_copy(&device, dev_ptr, &mut buf).map_err(|e| self.latch("d2h", e))?;
-            host_mem
-                .write_bytes(vmcommon::addr::offset(host), &buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
+            self.d2h_copy(&device, dev_ptr, host_mem, offset(host), len)
+                .map_err(|e| self.latch("d2h", e))?;
             if let Some(e) = self.maps.lock().get_mut(&host) {
                 // The host copy is now current.
                 e.device_dirty = false;
@@ -652,7 +503,7 @@ impl CudaDev {
         for s in &mut streams {
             let mut buf = vec![0u8; s.len as usize];
             host_mem
-                .read_bytes(vmcommon::addr::offset(s.host_addr), &mut buf)
+                .read_bytes(offset(s.host_addr), &mut buf)
                 .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
             s.pristine = buf;
         }
@@ -700,7 +551,7 @@ impl CudaDev {
         if result.is_err() {
             // Put the host copies back the way the region found them.
             for s in &streams {
-                let _ = host_mem.write_bytes(vmcommon::addr::offset(s.host_addr), &s.pristine);
+                let _ = host_mem.write_bytes(offset(s.host_addr), &s.pristine);
             }
         } else {
             // Resident buffers may have been written by the tiled kernel
@@ -859,11 +710,8 @@ impl CudaDev {
         for s in bufs {
             let lo = (lb * s.row).min(s.len);
             let hi = (ub * s.row).min(s.len);
-            let mut buf = vec![0u8; (hi - lo) as usize];
-            host_mem
-                .read_bytes(vmcommon::addr::offset(s.host_addr) + lo, &mut buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
-            self.h2d_copy(device, s.dev_ptr, &buf).map_err(|e| self.latch("h2d", e))?;
+            self.h2d_copy(device, s.dev_ptr, host_mem, offset(s.host_addr) + lo, hi - lo)
+                .map_err(|e| self.latch("h2d", e))?;
         }
         Ok(())
     }
@@ -880,11 +728,8 @@ impl CudaDev {
         for s in bufs {
             let lo = (lb * s.row).min(s.len);
             let hi = (ub * s.row).min(s.len);
-            let mut buf = vec![0u8; (hi - lo) as usize];
-            self.d2h_copy(device, s.dev_ptr, &mut buf).map_err(|e| self.latch("d2h", e))?;
-            host_mem
-                .write_bytes(vmcommon::addr::offset(s.host_addr) + lo, &buf)
-                .map_err(|e| CudadevError::Data(ExecError::Mem(e)))?;
+            self.d2h_copy(device, s.dev_ptr, host_mem, offset(s.host_addr) + lo, hi - lo)
+                .map_err(|e| self.latch("d2h", e))?;
         }
         Ok(())
     }

@@ -31,6 +31,7 @@
 use std::sync::Arc;
 
 use gpusim::{Device, ExecError};
+use vmcommon::addr::offset;
 use vmcommon::MemArena;
 
 use crate::devlib::NUM_LOCKS;
@@ -277,9 +278,7 @@ impl CudaDev {
                 .map(|(&h, e)| (h, e.dev_ptr, e.len))
                 .collect();
             for (host, dev_ptr, len) in dirty {
-                let mut buf = vec![0u8; len as usize];
-                self.d2h_copy(device, dev_ptr, &mut buf)?;
-                hm.write_bytes(vmcommon::addr::offset(host), &buf).map_err(ExecError::Mem)?;
+                self.d2h_copy(device, dev_ptr, hm, offset(host), len)?;
                 if let Some(e) = self.maps.lock().get_mut(&host) {
                     e.device_dirty = false;
                 }
@@ -311,9 +310,7 @@ impl CudaDev {
                     "device recovery with live mappings but no host arena".into(),
                 ));
             };
-            let mut buf = vec![0u8; len as usize];
-            hm.read_bytes(vmcommon::addr::offset(host), &mut buf).map_err(ExecError::Mem)?;
-            self.h2d_copy(device, dev_ptr, &buf)?;
+            self.h2d_copy(device, dev_ptr, hm, offset(host), len)?;
             if let Some(e) = self.maps.lock().get_mut(&host) {
                 // Device and host agree again.
                 e.host_dirty = false;

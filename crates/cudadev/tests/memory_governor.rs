@@ -1,7 +1,8 @@
 //! Memory-governor tests: fragmentation-induced OOM at the allocator
 //! level, LRU eviction reclaiming contiguous arena space, chunked staging
-//! of oversized transfers, transfer reuse from the cache, and the typed
-//! `InvalidFree` error under fault injection.
+//! of oversized transfers (and a chunked copy-back that fails leaving the
+//! host untouched), transfer reuse from the cache and when it must not
+//! fire, and the typed `InvalidFree` error under fault injection.
 
 use std::sync::Arc;
 
@@ -128,36 +129,142 @@ fn oversized_transfers_are_staged_in_chunks() {
     dev.unmap(&host, ha, MapKind::To).unwrap();
 }
 
+/// The host bytes `[off, off+len)`.
+fn host_bytes(host: &MemArena, off: u64, len: u64) -> Vec<u8> {
+    let mut out = vec![0u8; len as usize];
+    host.read_bytes(off, &mut out).unwrap();
+    out
+}
+
+/// A copy-back is checked chunk by chunk before any byte lands. With a
+/// terminal fault on the second of four chunks the unmap fails and the
+/// host range is byte-identical to its state before the unmap — the
+/// runtime re-executes the region there. With a transient fault there the
+/// chunk is retried once and all four land.
+#[test]
+fn failed_copy_back_leaves_the_host_range_untouched() {
+    let (base, len) = (4096u64, 16u64 << 10);
+    let ha = addr::make(addr::Space::Host, base);
+    for (plan, terminal) in [("d2h@2x*", true), ("d2h@2", false)] {
+        let obs = obs::Obs::enabled();
+        let dev = dev_with(obs.clone(), &format!("copyback-{terminal}"), |cfg| {
+            cfg.staging_bytes = 4096;
+            cfg.fault_plan = Some(Arc::new(FaultPlan::parse(plan).unwrap()));
+        });
+        let host = MemArena::new(1 << 16);
+        for i in 0..len / 4 {
+            host.store_u32(base + 4 * i, i as u32).unwrap();
+        }
+        let dp = dev.map(&host, ha, len, MapKind::ToFrom).unwrap();
+        // Stand in for a kernel: every chunk of the device copy changes.
+        let results: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+        dev.device().memcpy_h2d(dp, &results).unwrap();
+        let before = host_bytes(&host, base, len);
+
+        let unmapped = dev.unmap(&host, ha, MapKind::From);
+        if terminal {
+            let err = unmapped.expect_err("the copy-back is lost");
+            assert!(err.is_device_lost(), "{plan}: got {err}");
+            assert_eq!(host_bytes(&host, base, len), before, "{plan}: no chunk may land");
+            assert_eq!(dev.clock.lock().d2h_bytes, 0, "{plan}: nothing was copied back");
+        } else {
+            unmapped.expect("a transient fault is retried");
+            assert_eq!(counter(&obs, "retries.d2h"), 1, "{plan}");
+            assert_eq!(host_bytes(&host, base, len), results, "{plan}: all four chunks land");
+            assert_eq!(dev.clock.lock().d2h_bytes, len, "{plan}");
+        }
+        assert_eq!(counter(&obs, "staged_chunks"), 8, "{plan}: four up, four down");
+    }
+}
+
 /// Transfer reuse: re-mapping a host buffer whose cached device copy is
-/// provably in sync (the unmap copy-back recorded its hash) skips the
-/// upload entirely.
+/// provably in sync (the unmap copied it back, and the host range still
+/// equals the device range) skips the upload entirely.
 #[test]
 fn remap_of_synced_buffer_skips_the_upload() {
     let obs = obs::Obs::enabled();
     let dev = dev_with(obs.clone(), "reuse", |cfg| cfg.global_mem = 1 << 20);
     let host = MemArena::new(1 << 16);
-    let ha = addr::make(addr::Space::Host, 256);
-    for i in 0..64u64 {
-        host.store_u32(256 + 4 * i, i as u32).unwrap();
+    // An unaligned host offset and an odd length: the compare walks a
+    // byte head, words and a byte tail.
+    let (off, len) = (259u64, 251u64);
+    let ha = addr::make(addr::Space::Host, off);
+    for i in 0..len {
+        host.store_u8(off + i, (i * 7 + 3) as u8).unwrap();
     }
 
-    dev.map(&host, ha, 256, MapKind::ToFrom).unwrap();
-    dev.unmap(&host, ha, MapKind::From).unwrap(); // copy-back records the hash
+    dev.map(&host, ha, len, MapKind::ToFrom).unwrap();
+    dev.unmap(&host, ha, MapKind::From).unwrap(); // copy-back: device == host
     let h2d_before = dev.clock.lock().h2d_bytes;
 
-    dev.map(&host, ha, 256, MapKind::To).unwrap();
+    dev.map(&host, ha, len, MapKind::To).unwrap();
     assert_eq!(counter(&obs, "cache.reuse"), 1);
     assert_eq!(counter(&obs, "transfer_reuse"), 1, "contents match: no re-upload");
     assert_eq!(dev.clock.lock().h2d_bytes, h2d_before, "no h2d traffic on reuse");
 
-    // Mutating the host copy invalidates the proof: the next cycle must
-    // re-upload instead of trusting the stale cache entry.
-    dev.unmap(&host, ha, MapKind::To).unwrap();
-    host.store_u32(256, 0xdead_beef).unwrap();
-    dev.map(&host, ha, 256, MapKind::To).unwrap();
+    // Copy back again, so the entry is synced, then change the host's
+    // *last* byte: the compare must see it and the next map re-upload.
+    dev.unmap(&host, ha, MapKind::From).unwrap();
+    let last = off + len - 1;
+    host.store_u8(last, host.load_u8(last).unwrap() ^ 0x5a).unwrap();
+    let dp = dev.map(&host, ha, len, MapKind::To).unwrap();
+    assert_eq!(counter(&obs, "cache.reuse"), 2, "the buffer itself is still reused");
     assert_eq!(counter(&obs, "transfer_reuse"), 1, "stale contents must not reuse");
-    assert!(dev.clock.lock().h2d_bytes > h2d_before, "the changed buffer re-uploads");
+    assert_eq!(dev.clock.lock().h2d_bytes, h2d_before + len, "the changed buffer re-uploads");
+    let mut on_device = vec![0u8; len as usize];
+    dev.device().memcpy_d2h(&mut on_device, dp).unwrap();
+    assert_eq!(on_device, host_bytes(&host, off, len));
     dev.unmap(&host, ha, MapKind::To).unwrap();
+}
+
+/// A `map(to:)`-only buffer is never copied back, so its cached device
+/// copy proves nothing about the host: the re-map reuses the allocation
+/// but uploads again, even though the bytes happen to be equal.
+#[test]
+fn remap_without_copy_back_uploads_again() {
+    let obs = obs::Obs::enabled();
+    let dev = dev_with(obs.clone(), "reuse-to", |cfg| cfg.global_mem = 1 << 20);
+    let host = MemArena::new(1 << 16);
+    let ha = addr::make(addr::Space::Host, 512);
+    host.write_bytes(512, &[7u8; 256]).unwrap();
+
+    dev.map(&host, ha, 256, MapKind::To).unwrap();
+    dev.unmap(&host, ha, MapKind::To).unwrap();
+    dev.map(&host, ha, 256, MapKind::To).unwrap();
+    assert_eq!(counter(&obs, "cache.reuse"), 1, "the allocation is reused");
+    assert_eq!(counter(&obs, "transfer_reuse"), 0, "no copy-back, no reuse");
+    assert_eq!(dev.clock.lock().h2d_bytes, 512, "both maps upload");
+    dev.unmap(&host, ha, MapKind::To).unwrap();
+}
+
+/// A recovery reset clears the transfer-reuse cache: a synced buffer
+/// re-mapped after the reset is allocated and uploaded afresh, even if
+/// the reset arena still holds equal bytes where it used to live.
+#[test]
+fn remap_after_recovery_reset_uploads_again() {
+    let obs = obs::Obs::enabled();
+    let dev = dev_with(obs.clone(), "reuse-reset", |cfg| {
+        cfg.global_mem = 1 << 20;
+        // The second upload hangs once: watchdog, reset, replay, probe.
+        cfg.fault_plan = Some(Arc::new(FaultPlan::parse("hang@h2d@2").unwrap()));
+    });
+    let host = MemArena::new(1 << 16);
+    let (a, b) = (addr::make(addr::Space::Host, 256), addr::make(addr::Space::Host, 4096));
+    host.write_bytes(256, &[3u8; 512]).unwrap();
+    host.write_bytes(4096, &[4u8; 512]).unwrap();
+
+    dev.map(&host, a, 512, MapKind::ToFrom).unwrap();
+    dev.unmap(&host, a, MapKind::From).unwrap(); // synced and cached
+    dev.map(&host, b, 512, MapKind::To).unwrap(); // hangs, recovers
+    assert_eq!(counter(&obs, "recovery.reset"), 1);
+    assert_eq!(dev.cached_bytes(), 0, "the reset dropped the cache");
+
+    let h2d_before = dev.clock.lock().h2d_bytes;
+    dev.map(&host, a, 512, MapKind::To).unwrap();
+    assert_eq!(counter(&obs, "cache.reuse"), 0);
+    assert_eq!(counter(&obs, "transfer_reuse"), 0);
+    assert_eq!(dev.clock.lock().h2d_bytes, h2d_before + 512, "the re-map uploads");
+    assert!(!dev.is_broken());
 }
 
 /// Unmapping or updating an address with no live mapping is a typed

@@ -326,39 +326,94 @@ impl Device {
     /// `cuMemcpyHtoD`: copy from a host buffer into device memory.
     /// Returns the simulated copy time in seconds.
     pub fn memcpy_h2d(&self, dst: u64, src: &[u8]) -> Result<f64, ExecError> {
-        self.fault_check(FaultSite::H2D)?;
-        if addr::space(dst) != Some(Space::Global) {
-            return Err(ExecError::Trap(format!("HtoD destination {dst:#x} is not device memory")));
-        }
+        self.h2d_check(dst)?;
         self.global.write_bytes(addr::offset(dst), src)?;
-        let t = timing::MEMCPY_OVERHEAD_S + src.len() as f64 / timing::MEMCPY_BYTES_PER_S;
-        let mut st = self.stats.lock();
-        st.bytes_h2d += src.len() as u64;
-        st.busy_time_s += t;
-        Ok(t)
+        Ok(self.charge_copy(src.len() as u64, true))
+    }
+
+    /// `cuMemcpyHtoD` straight from `len` bytes of a host arena at
+    /// `src_off`: the checks, timing and stats of [`Device::memcpy_h2d`],
+    /// one pass over the bytes.
+    pub fn memcpy_h2d_from(
+        &self,
+        dst: u64,
+        src: &MemArena,
+        src_off: u64,
+        len: u64,
+    ) -> Result<f64, ExecError> {
+        self.h2d_check(dst)?;
+        src.copy_to(src_off, &self.global, addr::offset(dst), len)?;
+        Ok(self.charge_copy(len, true))
     }
 
     /// `cuMemcpyDtoH`. Returns the simulated copy time in seconds.
     pub fn memcpy_d2h(&self, dst: &mut [u8], src: u64) -> Result<f64, ExecError> {
+        self.memcpy_d2h_check(src, dst.len() as u64)?;
+        self.global.read_bytes(addr::offset(src), dst)?;
+        Ok(self.charge_copy(dst.len() as u64, false))
+    }
+
+    /// `cuMemcpyDtoH` straight into `len` bytes of a host arena at
+    /// `dst_off`: [`Device::memcpy_d2h_check`], then
+    /// [`Device::memcpy_d2h_commit`].
+    pub fn memcpy_d2h_to(
+        &self,
+        dst: &MemArena,
+        dst_off: u64,
+        src: u64,
+        len: u64,
+    ) -> Result<f64, ExecError> {
+        self.memcpy_d2h_check(src, len)?;
+        self.memcpy_d2h_commit(dst, dst_off, src, len)
+    }
+
+    /// Everything `cuMemcpyDtoH` checks before a byte moves, in order:
+    /// the fault site, the source space, the source range. A chunked
+    /// copy-back runs this for every chunk before committing any, so a
+    /// failure leaves the host untouched.
+    pub fn memcpy_d2h_check(&self, src: u64, len: u64) -> Result<(), ExecError> {
         self.fault_check(FaultSite::D2H)?;
         if addr::space(src) != Some(Space::Global) {
             return Err(ExecError::Trap(format!("DtoH source {src:#x} is not device memory")));
         }
-        self.global.read_bytes(addr::offset(src), dst)?;
-        let t = timing::MEMCPY_OVERHEAD_S + dst.len() as f64 / timing::MEMCPY_BYTES_PER_S;
-        let mut st = self.stats.lock();
-        st.bytes_d2h += dst.len() as u64;
-        st.busy_time_s += t;
-        Ok(t)
+        self.global.check_range(addr::offset(src), len)?;
+        Ok(())
     }
 
-    /// Device-to-device copy (used by `omp target update` on unified
-    /// buffers). Returns the simulated time.
-    pub fn memcpy_d2d(&self, dst: u64, src: u64, len: u64) -> Result<f64, ExecError> {
-        let mut buf = vec![0u8; len as usize];
-        self.global.read_bytes(addr::offset(src), &mut buf)?;
-        self.global.write_bytes(addr::offset(dst), &buf)?;
-        Ok(timing::MEMCPY_OVERHEAD_S + 2.0 * len as f64 / timing::MEMCPY_BYTES_PER_S)
+    /// Move the bytes of a copy-back whose [`Device::memcpy_d2h_check`]
+    /// passed, and charge it. Returns the simulated copy time in seconds.
+    pub fn memcpy_d2h_commit(
+        &self,
+        dst: &MemArena,
+        dst_off: u64,
+        src: u64,
+        len: u64,
+    ) -> Result<f64, ExecError> {
+        self.global.copy_to(addr::offset(src), dst, dst_off, len)?;
+        Ok(self.charge_copy(len, false))
+    }
+
+    /// What `cuMemcpyHtoD` checks before a byte moves: the fault site,
+    /// then the destination space.
+    fn h2d_check(&self, dst: u64) -> Result<(), ExecError> {
+        self.fault_check(FaultSite::H2D)?;
+        if addr::space(dst) != Some(Space::Global) {
+            return Err(ExecError::Trap(format!("HtoD destination {dst:#x} is not device memory")));
+        }
+        Ok(())
+    }
+
+    /// The simulated time of one `len`-byte copy, booked in the stats.
+    fn charge_copy(&self, len: u64, h2d: bool) -> f64 {
+        let t = timing::MEMCPY_OVERHEAD_S + len as f64 / timing::MEMCPY_BYTES_PER_S;
+        let mut st = self.stats.lock();
+        if h2d {
+            st.bytes_h2d += len;
+        } else {
+            st.bytes_d2h += len;
+        }
+        st.busy_time_s += t;
+        t
     }
 
     /// Fill a device range with a byte value (`cuMemsetD8`).
@@ -398,6 +453,36 @@ mod tests {
         assert_eq!(back, data);
         d.mem_free(p).unwrap();
         assert_eq!(d.mem_in_use(), 0);
+    }
+
+    /// The arena copies move the same bytes and charge the same time and
+    /// stats as the slice copies; a rejected copy moves nothing.
+    #[test]
+    fn arena_copies_match_slice_copies() {
+        let d = Device::new(1 << 20);
+        let p = d.mem_alloc(1024).unwrap();
+        let host = MemArena::new(4096);
+        let data: Vec<u8> = (0..200).collect();
+        host.write_bytes(13, &data).unwrap();
+
+        let t = d.memcpy_h2d_from(p, &host, 13, 200).unwrap();
+        assert_eq!(t, d.memcpy_h2d(p + 512, &data).unwrap(), "same timing formula");
+        let mut back = vec![0u8; 200];
+        d.memcpy_d2h(&mut back, p).unwrap();
+        assert_eq!(back, data);
+        assert_eq!(d.memcpy_d2h_to(&host, 1001, p + 512, 200).unwrap(), t);
+        host.read_bytes(1001, &mut back).unwrap();
+        assert_eq!(back, data);
+        let st = d.stats.lock().clone();
+        assert_eq!((st.bytes_h2d, st.bytes_d2h), (400, 400));
+
+        assert!(d.memcpy_h2d_from(addr::make(Space::Host, 64), &host, 0, 8).is_err());
+        assert!(d.memcpy_d2h_to(&host, 4090, p, 16).is_err(), "host range too short");
+        assert!(d.memcpy_d2h_check(p + (1 << 20), 8).is_err(), "device range out of bounds");
+        let mut tail = [0u8; 6];
+        host.read_bytes(4090, &mut tail).unwrap();
+        assert_eq!(tail, [0; 6], "a rejected copy-back moves nothing");
+        assert_eq!(d.stats.lock().bytes_d2h, 400, "and charges nothing");
     }
 
     #[test]

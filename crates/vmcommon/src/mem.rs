@@ -10,6 +10,7 @@
 //! guidance in "Rust Atomics and Locks" on building locks from atomics.
 
 use std::alloc::{alloc_zeroed, dealloc, Layout};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Errors produced by guest memory accesses.
@@ -249,59 +250,141 @@ impl MemArena {
         }
     }
 
-    /// Bulk copy out of the arena. Not atomic as a whole (like a real DMA),
-    /// but each word read is atomic.
+    /// Is `[offset, offset+len)` inside the arena? The bounds check every
+    /// bulk operation below makes, for callers that must know before the
+    /// first byte moves.
+    pub fn check_range(&self, offset: u64, len: u64) -> MemResult<()> {
+        self.check(offset, len, 1).map(|_| ())
+    }
+
+    // The bulk operations below check bounds once for the whole range and
+    // then walk it with `walk`: bytes up to the first 8-byte boundary,
+    // relaxed atomic words, bytes after the last boundary. Not atomic as a
+    // whole (like a real DMA), but every word access is.
+
+    /// Bulk copy out of the arena.
     pub fn read_bytes(&self, offset: u64, dst: &mut [u8]) -> MemResult<()> {
-        self.check(offset, dst.len() as u64, 1)?;
-        let mut i = 0usize;
-        // Word-wise where alignment allows, byte-wise at the edges.
-        while i < dst.len() {
-            let off = offset + i as u64;
-            if off.is_multiple_of(8) && dst.len() - i >= 8 {
-                dst[i..i + 8].copy_from_slice(&self.load_u64(off)?.to_le_bytes());
-                i += 8;
-            } else {
-                dst[i] = self.load_u8(off)?;
-                i += 1;
-            }
-        }
+        let p = self.at(self.check(offset, dst.len() as u64, 1)?);
+        let out = Cell::from_mut(dst).as_slice_of_cells();
+        // SAFETY: `check` bounded the range and `walk` stays inside it; its
+        // word indices sit at 8-aligned arena offsets, hence 8-aligned
+        // addresses (arena bases are 16-aligned).
+        walk(
+            offset,
+            out.len(),
+            |i| {
+                out[i].set(unsafe { byte(p.add(i)) }.load(Ordering::Relaxed));
+                true
+            },
+            |i| {
+                let w = unsafe { word(p.add(i)) }.load(Ordering::Relaxed);
+                out[i..i + 8].iter().zip(w.to_le_bytes()).for_each(|(c, b)| c.set(b));
+                true
+            },
+        );
         Ok(())
     }
 
-    /// Bulk copy into the arena; word-atomic like [`MemArena::read_bytes`].
+    /// Bulk copy into the arena.
     pub fn write_bytes(&self, offset: u64, src: &[u8]) -> MemResult<()> {
-        self.check(offset, src.len() as u64, 1)?;
-        let mut i = 0usize;
-        while i < src.len() {
-            let off = offset + i as u64;
-            if off.is_multiple_of(8) && src.len() - i >= 8 {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(&src[i..i + 8]);
-                self.store_u64(off, u64::from_le_bytes(w))?;
-                i += 8;
-            } else {
-                self.store_u8(off, src[i])?;
-                i += 1;
-            }
-        }
+        let p = self.at(self.check(offset, src.len() as u64, 1)?);
+        // SAFETY: as in `read_bytes`.
+        walk(
+            offset,
+            src.len(),
+            |i| {
+                unsafe { byte(p.add(i)) }.store(src[i], Ordering::Relaxed);
+                true
+            },
+            |i| {
+                let w = u64::from_le_bytes(src[i..i + 8].try_into().unwrap());
+                unsafe { word(p.add(i)) }.store(w, Ordering::Relaxed);
+                true
+            },
+        );
         Ok(())
     }
 
     /// Zero a byte range.
     pub fn zero(&self, offset: u64, len: u64) -> MemResult<()> {
-        self.check(offset, len, 1)?;
-        let mut i = 0u64;
-        while i < len {
-            let off = offset + i;
-            if off.is_multiple_of(8) && len - i >= 8 {
-                self.store_u64(off, 0)?;
-                i += 8;
-            } else {
-                self.store_u8(off, 0)?;
-                i += 1;
-            }
+        let p = self.at(self.check(offset, len, 1)?);
+        // SAFETY: as in `read_bytes`.
+        walk(
+            offset,
+            len as usize,
+            |i| {
+                unsafe { byte(p.add(i)) }.store(0, Ordering::Relaxed);
+                true
+            },
+            |i| {
+                unsafe { word(p.add(i)) }.store(0, Ordering::Relaxed);
+                true
+            },
+        );
+        Ok(())
+    }
+
+    /// Copy `len` bytes from this arena at `offset` into `dst` at
+    /// `dst_offset` — one pass, no intermediate buffer. Both ranges are
+    /// checked before any byte moves. Words are used when the two offsets
+    /// agree mod 8, bytes otherwise. Overlapping ranges in one arena copy
+    /// front to back.
+    pub fn copy_to(&self, offset: u64, dst: &MemArena, dst_offset: u64, len: u64) -> MemResult<()> {
+        let s = self.at(self.check(offset, len, 1)?);
+        let d = dst.at(dst.check(dst_offset, len, 1)?);
+        // SAFETY: both ranges were bounded above and every index stays
+        // inside them; word indices come from `walk` only when the offsets
+        // agree mod 8, so they are aligned on both sides.
+        let copy_byte = |i: usize| {
+            unsafe {
+                byte(d.add(i)).store(byte(s.add(i)).load(Ordering::Relaxed), Ordering::Relaxed)
+            };
+            true
+        };
+        if offset % 8 == dst_offset % 8 {
+            walk(offset, len as usize, copy_byte, |i| {
+                unsafe {
+                    word(d.add(i)).store(word(s.add(i)).load(Ordering::Relaxed), Ordering::Relaxed)
+                };
+                true
+            });
+        } else {
+            (0..len as usize).for_each(|i| {
+                copy_byte(i);
+            });
         }
         Ok(())
+    }
+
+    /// Do `len` bytes at `offset` equal `len` bytes of `other` at
+    /// `other_offset`? Same checks and loop shape as
+    /// [`MemArena::copy_to`]; stops at the first difference.
+    pub fn range_eq(
+        &self,
+        offset: u64,
+        other: &MemArena,
+        other_offset: u64,
+        len: u64,
+    ) -> MemResult<bool> {
+        let a = self.at(self.check(offset, len, 1)?);
+        let b = other.at(other.check(other_offset, len, 1)?);
+        // SAFETY: as in `copy_to`.
+        let eq_byte = |i: usize| unsafe {
+            byte(a.add(i)).load(Ordering::Relaxed) == byte(b.add(i)).load(Ordering::Relaxed)
+        };
+        Ok(if offset % 8 == other_offset % 8 {
+            walk(offset, len as usize, eq_byte, |i| unsafe {
+                word(a.add(i)).load(Ordering::Relaxed) == word(b.add(i)).load(Ordering::Relaxed)
+            })
+        } else {
+            (0..len as usize).all(eq_byte)
+        })
+    }
+
+    /// Base pointer of a range `check` has already bounded.
+    #[inline]
+    fn at(&self, o: usize) -> *mut u8 {
+        self.base.wrapping_add(o)
     }
 
     /// Read a NUL-terminated guest string (bounded by the arena end).
@@ -325,6 +408,40 @@ impl Drop for MemArena {
         // SAFETY: allocated in `new` with this layout.
         unsafe { dealloc(self.base, self.layout) };
     }
+}
+
+/// The atomic byte at `p`.
+///
+/// # Safety
+/// `p` lies inside a live arena.
+#[inline]
+unsafe fn byte<'a>(p: *mut u8) -> &'a AtomicU8 {
+    unsafe { AtomicU8::from_ptr(p) }
+}
+
+/// The atomic word at `p`.
+///
+/// # Safety
+/// `p..p+8` lies inside a live arena and `p` is 8-byte aligned.
+#[inline]
+unsafe fn word<'a>(p: *mut u8) -> &'a AtomicU64 {
+    unsafe { AtomicU64::from_ptr(p as *mut u64) }
+}
+
+/// Walk `len` bytes that start at arena offset `offset`: `byte(i)` for
+/// each byte before the first 8-byte boundary, `word(i)` for each whole
+/// word, `byte(i)` for the bytes after the last boundary, `i` counted from
+/// the start of the range. Stops at the first `false` and returns it.
+#[inline(always)]
+fn walk(
+    offset: u64,
+    len: usize,
+    mut byte: impl FnMut(usize) -> bool,
+    mut word: impl FnMut(usize) -> bool,
+) -> bool {
+    let head = ((offset.wrapping_neg() % 8) as usize).min(len);
+    let tail = head + (len - head) / 8 * 8;
+    (0..head).all(&mut byte) && (head..tail).step_by(8).all(&mut word) && (tail..len).all(&mut byte)
 }
 
 #[cfg(test)]
@@ -377,6 +494,114 @@ mod tests {
         let mut out = vec![0u8; 37];
         m.read_bytes(3, &mut out).unwrap();
         assert_eq!(out, data);
+    }
+
+    #[test]
+    fn bulk_ops_cover_heads_words_and_tails() {
+        // Every (offset mod 8, length) shape of the head/word/tail walk.
+        for off in 0..8u64 {
+            for len in 0..=27usize {
+                let m = MemArena::new(64);
+                let data: Vec<u8> = (0..len as u8).map(|b| b.wrapping_mul(37) | 1).collect();
+                m.write_bytes(off, &data).unwrap();
+                let mut out = vec![0u8; len];
+                m.read_bytes(off, &mut out).unwrap();
+                assert_eq!(out, data, "offset {off}, length {len}");
+                m.zero(off, len as u64).unwrap();
+                m.read_bytes(off, &mut out).unwrap();
+                assert!(out.iter().all(|&b| b == 0), "zero at offset {off}, length {len}");
+            }
+        }
+        let m = MemArena::new(64);
+        assert!(matches!(m.zero(60, 8), Err(MemError::OutOfBounds { .. })));
+        assert!(matches!(m.write_bytes(57, &[1; 8]), Err(MemError::OutOfBounds { .. })));
+        assert!(matches!(m.read_bytes(57, &mut [0; 8]), Err(MemError::OutOfBounds { .. })));
+    }
+
+    /// An arena of `size` bytes holding `byte(i) = i * 7 + seed`.
+    fn patterned(size: usize, seed: u8) -> MemArena {
+        let m = MemArena::new(size);
+        let data: Vec<u8> =
+            (0..m.size()).map(|i| (i as u8).wrapping_mul(7).wrapping_add(seed)).collect();
+        m.write_bytes(0, &data).unwrap();
+        m
+    }
+
+    fn snapshot(m: &MemArena) -> Vec<u8> {
+        let mut out = vec![0u8; m.size()];
+        m.read_bytes(0, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn copy_to_moves_exactly_the_range() {
+        // (src offset, dst offset, length): same alignment mod 8 with a
+        // head and a tail, different alignment, whole words only, shorter
+        // than one word, and zero length at the very end of both arenas.
+        for (so, dof, len) in
+            [(3u64, 11u64, 37u64), (3, 6, 37), (8, 16, 32), (5, 13, 2), (1, 2, 7), (128, 256, 0)]
+        {
+            let src = patterned(128, 1);
+            let dst = patterned(256, 99);
+            let before = snapshot(&dst);
+            src.copy_to(so, &dst, dof, len).unwrap();
+            let after = snapshot(&dst);
+            let s = snapshot(&src);
+            let (so, dof, len) = (so as usize, dof as usize, len as usize);
+            assert_eq!(
+                &after[dof..dof + len],
+                &s[so..so + len],
+                "copied bytes ({so}, {dof}, {len})"
+            );
+            assert_eq!(
+                &after[..dof],
+                &before[..dof],
+                "bytes before the range ({so}, {dof}, {len})"
+            );
+            assert_eq!(
+                &after[dof + len..],
+                &before[dof + len..],
+                "bytes after ({so}, {dof}, {len})"
+            );
+            assert_eq!(snapshot(&src), s, "the source is never written");
+        }
+    }
+
+    #[test]
+    fn copy_to_out_of_bounds_is_typed_and_moves_nothing() {
+        let src = patterned(64, 1);
+        let dst = patterned(64, 2);
+        let before = snapshot(&dst);
+        // Source side, destination side, and an overflowing offset.
+        for (so, dof, len) in [(40u64, 0u64, 32u64), (0, 40, 32), (u64::MAX - 3, 0, 8)] {
+            let err = src.copy_to(so, &dst, dof, len).unwrap_err();
+            assert!(matches!(err, MemError::OutOfBounds { .. }), "({so}, {dof}, {len}): {err}");
+            assert_eq!(snapshot(&dst), before, "({so}, {dof}, {len}) moved bytes");
+        }
+        assert!(matches!(src.range_eq(60, &dst, 0, 8), Err(MemError::OutOfBounds { .. })));
+        assert!(matches!(src.range_eq(0, &dst, 60, 8), Err(MemError::OutOfBounds { .. })));
+        assert!(matches!(src.check_range(64, 1), Err(MemError::OutOfBounds { .. })));
+        assert_eq!(src.check_range(64, 0), Ok(()));
+    }
+
+    #[test]
+    fn range_eq_finds_a_difference_anywhere() {
+        for (ao, bo, len) in [(3u64, 19u64, 45u64), (3, 6, 45), (0, 8, 40), (2, 10, 3)] {
+            let a = patterned(128, 5);
+            let b = MemArena::new(128);
+            a.copy_to(ao, &b, bo, len).unwrap();
+            assert!(a.range_eq(ao, &b, bo, len).unwrap(), "equal ranges ({ao}, {bo}, {len})");
+            assert!(b.range_eq(bo, &a, ao, len).unwrap(), "symmetric ({ao}, {bo}, {len})");
+            // First, middle and last byte.
+            for at in [0, len / 2, len - 1] {
+                let orig = b.load_u8(bo + at).unwrap();
+                b.store_u8(bo + at, orig ^ 0x80).unwrap();
+                assert!(!a.range_eq(ao, &b, bo, len).unwrap(), "byte {at} of ({ao}, {bo}, {len})");
+                b.store_u8(bo + at, orig).unwrap();
+            }
+        }
+        let (a, b) = (patterned(64, 1), patterned(64, 2));
+        assert!(a.range_eq(64, &b, 64, 0).unwrap(), "empty ranges are equal");
     }
 
     #[test]

@@ -155,6 +155,43 @@ int main() {
     assert!(runner.device_broken());
 }
 
+/// Root-level twin of cudadev's `failed_copy_back_leaves_the_host_range_
+/// untouched`: a mapping over the default 16 MiB staging bound copies
+/// back in two chunks, and the second is lost terminally. The first chunk
+/// must not have landed: the region re-executes on the host from its
+/// inputs, and `main` returns 0 only if every updated element equals the
+/// sequential answer (a landed first chunk would apply the update twice).
+#[test]
+fn copy_back_lost_on_its_second_chunk_reexecutes_on_the_host() {
+    const TWO_CHUNKS: &str = r#"
+int main() {
+    int n = 4200000;
+    int stride = (n - 1) / 63;
+    float *y = (float *) malloc(n * sizeof(float));
+    for (int i = 0; i < 64; i++) y[i * stride] = (float) i;
+    #pragma omp target map(tofrom: y[0:n])
+    {
+        int i;
+        #pragma omp parallel for
+        for (i = 0; i < 64; i++)
+            y[i * stride] = 2.0f * y[i * stride] + 1.0f;
+    }
+    int bad = 0;
+    for (int i = 0; i < 64; i++)
+        if (y[i * stride] != 2.0f * (float) i + 1.0f) bad++;
+    return bad;
+}
+"#;
+    let app = Ompicc::new(work("copy-back-chunk")).compile(TWO_CHUNKS).unwrap();
+    let cfg = RunnerConfig { fault_plan: plan("d2h@2x*"), ..Default::default() };
+    let runner = Runner::new(&app, &cfg).unwrap();
+    assert_eq!(runner.run_main().unwrap(), Value::I32(0));
+    assert!(runner.device_broken(), "the terminal copy-back fault latches the device");
+    let clk = runner.dev_clock();
+    assert_eq!(clk.launches, 1, "the kernel itself ran on the device");
+    assert_eq!(clk.d2h_bytes, 0, "no copy-back committed");
+}
+
 /// Host fallback is bit-identical to device execution for a unibench app:
 /// the same compiled binary, run once healthy and once with a dead device,
 /// produces the exact same output bits.
