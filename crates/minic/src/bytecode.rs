@@ -21,6 +21,13 @@
 //! * **Everything slow stays a single op.** Calls, printf, kernel
 //!   launches and traps carry pool indices; the pools live in
 //!   [`CompiledProgram`].
+//! * **Typed ops where the tags are proven.** The compiler's
+//!   specialisation pass (`compile/specialize.rs`) rewrites `Bin`,
+//!   `FmaAssign`, compare-and-branch and `k++` shapes whose operand tags
+//!   it proved (`I32` or `F32`) into typed and fused ops (`AddI` …
+//!   `IncI`, at the end of [`Op`]). `Bin` and `FmaAssign` stay as the form
+//!   for unproven tags. Each typed op is one dispatch and counts as one
+//!   instruction.
 
 use crate::ast::BinOp;
 use vmcommon::Value;
@@ -305,6 +312,105 @@ pub enum Op {
     Trap {
         msg: u32,
     },
+
+    // Typed and fused ops. Only [`crate::compile`]'s specialisation pass
+    // emits them, where it proved the operand tags; each VM arm re-checks
+    // the tags and otherwise runs the generic sequence it replaced. `conv`
+    // marks an op that also absorbed the following `Conv` to its own type
+    // (so the generic path must convert too).
+    /// `Bin Add` on two `I32` operands.
+    AddI {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    SubI {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    MulI {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    /// `Bin Add`/`Sub` of an `I32` and an `I32` constant (a subtraction
+    /// stores the negated constant).
+    AddIK {
+        dst: R,
+        a: R,
+        k: i32,
+        conv: bool,
+    },
+    MulIK {
+        dst: R,
+        a: R,
+        k: i32,
+        conv: bool,
+    },
+    /// `Bin Add`/`Sub`/`Mul` on two `F32` operands.
+    AddF {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    SubF {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    MulF {
+        dst: R,
+        a: R,
+        b: R,
+        conv: bool,
+    },
+    /// `Bin Mul` of a non-NaN `F32` constant and an `F32` (either order:
+    /// with a non-NaN constant the product does not depend on it).
+    MulKF {
+        dst: R,
+        a: R,
+        k: f32,
+        conv: bool,
+    },
+    /// `FmaAssign` to a `float` with all three operands `F32`.
+    FmaF {
+        dst: R,
+        a: R,
+        b: R,
+    },
+    /// A comparison `Bin` and the `Jz`/`Jnz` that consumed it: jump when
+    /// `(a op b) == when`. `float` selects the `F32` domain (compared in
+    /// f64, like `apply_binop`), else the `I32` domain.
+    Jcmp {
+        op: BinOp,
+        a: R,
+        b: R,
+        to: u32,
+        when: bool,
+        float: bool,
+    },
+    /// `Jcmp` of an `I32` against an `I32` constant that fits in 16 bits
+    /// (so `Op` stays 12 bytes): jump when `(a op k) == when` (a constant
+    /// on the left is mirrored to the right).
+    JcmpIK {
+        op: BinOp,
+        a: R,
+        k: i16,
+        to: u32,
+        when: bool,
+    },
+    /// `r++`/`r--` as a statement on an `int` register slot (`Mov; Const
+    /// I64(±1); Bin Add; Conv int`): `r = convert(r + I64(k), int)`.
+    IncI {
+        r: R,
+        k: i32,
+    },
 }
 
 /// How an incoming argument binds to the callee frame.
@@ -409,8 +515,21 @@ impl Op {
             | Truth { .. }
             | Stride { .. }
             | StrideD { .. }
-            | DimFix { .. } => OpCat::Alu,
-            Jmp { .. } | Jz { .. } | Jnz { .. } | Ret { .. } => OpCat::Ctrl,
+            | DimFix { .. }
+            | AddI { .. }
+            | SubI { .. }
+            | MulI { .. }
+            | AddIK { .. }
+            | MulIK { .. }
+            | AddF { .. }
+            | SubF { .. }
+            | MulF { .. }
+            | MulKF { .. }
+            | FmaF { .. }
+            | IncI { .. } => OpCat::Alu,
+            Jmp { .. } | Jz { .. } | Jnz { .. } | Jcmp { .. } | JcmpIK { .. } | Ret { .. } => {
+                OpCat::Ctrl
+            }
             Call { .. }
             | CallBuiltin { .. }
             | CallHook { .. }

@@ -3,6 +3,7 @@
 
 use vmcommon::Value;
 
+use super::specialize::{specialize, ChunkFacts};
 use super::{mutates, pure_nt, residency, store_kind, tyk, Cx, FnCx, Loop, Place, SizeV};
 use crate::ast::*;
 use crate::bytecode::{Chunk, Op, ParamSpec, TyK, R};
@@ -69,15 +70,14 @@ pub(super) fn compile_fn(cx: &mut Cx<'_>, fd: &FuncDef) -> Chunk {
     let out = f.conv_ret(z);
     f.emit(Op::Ret { src: out });
 
-    let lines = std::mem::take(&mut f.lines);
-    let line_table = f.cx.line_table(lines);
+    let (code, line_table) = f.finish(&zero_init);
     Chunk {
         name: fd.sig.name.clone(),
         nregs: f.max_reg,
         frame_size: fd.frame.size,
         params,
         zero_init,
-        code: f.code,
+        code,
         line_table,
     }
 }
@@ -116,20 +116,29 @@ pub(super) fn compile_global_init(cx: &mut Cx<'_>) -> Option<Chunk> {
     }
     let z = f.const_into(Value::I32(0));
     f.emit(Op::Ret { src: z });
-    let lines = std::mem::take(&mut f.lines);
-    let line_table = f.cx.line_table(lines);
+    let (code, line_table) = f.finish(&[]);
     Some(Chunk {
         name: "<global-init>".into(),
         nregs: f.max_reg,
         frame_size: 0,
         params: Vec::new(),
         zero_init: Vec::new(),
-        code: f.code,
+        code,
         line_table,
     })
 }
 
 impl FnCx<'_, '_> {
+    /// Specialise the emitted code (`slots`: the register slots' declared
+    /// types) and intern its line table.
+    fn finish(&mut self, slots: &[(R, TyK)]) -> (Vec<Op>, u32) {
+        let facts =
+            ChunkFacts { consts: &self.cx.consts, slots, nregs: self.max_reg, rets: &self.cx.rets };
+        let (code, lines) =
+            specialize(std::mem::take(&mut self.code), std::mem::take(&mut self.lines), &facts);
+        (code, self.cx.line_table(lines))
+    }
+
     // -------------------------------------------------------- statements
 
     fn stmt(&mut self, s: &Stmt) {

@@ -46,6 +46,7 @@ pub fn compile(m: &Machine) -> CompiledProgram {
         fn_chunk: HashMap::new(),
         line_tables: Vec::new(),
         line_map: HashMap::new(),
+        rets: Vec::new(),
     };
     let defs: Vec<&FuncDef> = m
         .prog
@@ -56,6 +57,7 @@ pub fn compile(m: &Machine) -> CompiledProgram {
             _ => None,
         })
         .collect();
+    cx.rets = defs.iter().map(|fd| tyk(&fd.sig.ret)).collect();
     // Later definitions shadow earlier ones in `Machine::fn_defs`
     // (last insert wins); keep the same resolution.
     for (i, fd) in defs.iter().enumerate() {
@@ -88,6 +90,8 @@ struct Cx<'m> {
     fn_chunk: HashMap<String, u32>,
     line_tables: Vec<Vec<(u32, u32)>>,
     line_map: HashMap<Vec<(u32, u32)>, u32>,
+    /// Declared return type per chunk index (what its `Ret` converts to).
+    rets: Vec<Option<TyK>>,
 }
 
 impl Cx<'_> {
@@ -697,5 +701,6 @@ fn store_kind(ty: &Ty) -> Option<TyK> {
 }
 
 mod expr;
+mod specialize;
 
 use expr::{compile_fn, compile_global_init};

@@ -12,8 +12,13 @@
 //! * mostly-terminating control flow (bounded `for`/`while`, guarded
 //!   self-recursion), with a rare deliberately unbounded loop — the fuel
 //!   governor's job is to stop it;
-//! * `int`/`long`/`double` scalars, a fixed `int` array with masked
-//!   (always in-bounds) indexing, and helper functions;
+//! * `int`/`long`/`char`/`float`/`double` scalars, fixed `int` and `float`
+//!   arrays with masked (always in-bounds) indexing, and helper functions;
+//! * the shapes the VM specialises on proven value tags, and their
+//!   near-misses: `++`/`--`/`+=`/`-=` on every scalar kind (a `char`
+//!   narrows, an `int` wraps), `long` and `float` loop counters,
+//!   comparisons across `int`/`long`/`float`/`double`, and ternaries whose
+//!   arms have different types (their tag is only known at run time);
 //! * trap-prone operations (`/`, `%`, deep recursion) at low probability:
 //!   both engines must produce byte-identical trap messages.
 //!
@@ -29,13 +34,16 @@ pub fn generate(seed: u64) -> String {
 
 struct Gen {
     rng: XorShift64,
-    /// In-scope `int`-ish scalar names (ints and longs both mix fine).
+    /// In-scope `int`-ish scalar names (ints, longs and chars mix fine).
     ints: Vec<String>,
+    /// In-scope `float` names.
+    floats: Vec<String>,
     /// In-scope `double` names.
     doubles: Vec<String>,
     /// Helper signatures emitted so far: name, arity (all-`int` params).
     helpers: Vec<(String, usize)>,
-    /// Is `main`'s fixed array in scope? (Helpers must not reference it.)
+    /// Are `main`'s fixed arrays in scope? (Helpers must not reference
+    /// them.)
     has_arr: bool,
     /// Only one unbounded loop per program — one is enough to need fuel,
     /// more just slows every fuel-limited run down.
@@ -46,6 +54,8 @@ struct Gen {
 
 /// Size of the `int` array in `main`; indices are masked with `& 15`.
 const ARR_LEN: usize = 16;
+/// Size of the `float` array in `main`; indices are masked with `& 7`.
+const FARR_LEN: usize = 8;
 
 impl Gen {
     fn new(seed: u64) -> Gen {
@@ -54,6 +64,7 @@ impl Gen {
             // unrelated streams.
             rng: XorShift64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1)),
             ints: Vec::new(),
+            floats: Vec::new(),
             doubles: Vec::new(),
             helpers: Vec::new(),
             has_arr: false,
@@ -106,6 +117,7 @@ impl Gen {
         scope.extend(params.iter().cloned());
         self.ints = scope;
         let saved_doubles = std::mem::take(&mut self.doubles);
+        let saved_floats = std::mem::take(&mut self.floats);
 
         let mut body = String::new();
         if self.rng.chance(1, 2) {
@@ -133,6 +145,7 @@ impl Gen {
 
         self.ints = saved_ints;
         self.doubles = saved_doubles;
+        self.floats = saved_floats;
         self.helpers.push((name.clone(), arity));
 
         let sig: Vec<String> = params.iter().map(|p| format!("int {p}")).collect();
@@ -143,11 +156,17 @@ impl Gen {
         self.has_arr = true;
         let mut body = String::new();
 
-        // Locals: 2–4 ints/longs, 0–2 doubles, one fixed array.
+        // Locals: 2–4 ints/longs, 0–1 chars (initialised out of range to
+        // narrow), 0–2 doubles, 0–2 floats, the two fixed arrays.
         for _ in 0..2 + self.rng.below(3) {
             let name = self.fresh("x");
             let ty = if self.rng.chance(1, 4) { "long" } else { "int" };
             body.push_str(&format!("  {ty} {name} = {};\n", self.rng.range_i64(-100, 100)));
+            self.ints.push(name);
+        }
+        if self.rng.chance(1, 2) {
+            let name = self.fresh("c");
+            body.push_str(&format!("  char {name} = {};\n", self.rng.range_i64(-200, 200)));
             self.ints.push(name);
         }
         for _ in 0..self.rng.below(3) {
@@ -155,9 +174,19 @@ impl Gen {
             body.push_str(&format!("  double {name} = {}.25;\n", self.rng.range_i64(-20, 20)));
             self.doubles.push(name);
         }
+        for _ in 0..self.rng.below(3) {
+            let name = self.fresh("f");
+            body.push_str(&format!("  float {name} = {}.5f;\n", self.rng.range_i64(-20, 20)));
+            self.floats.push(name);
+        }
         body.push_str(&format!("  int arr[{ARR_LEN}];\n"));
         body.push_str(&format!(
             "  for (int z0 = 0; z0 < {ARR_LEN}; z0++) arr[z0] = z0 * {};\n",
+            self.rng.range_i64(-5, 5)
+        ));
+        body.push_str(&format!("  float farr[{FARR_LEN}];\n"));
+        body.push_str(&format!(
+            "  for (int z1 = 0; z1 < {FARR_LEN}; z1++) farr[z1] = z1 * {}.25f;\n",
             self.rng.range_i64(-5, 5)
         ));
 
@@ -182,7 +211,7 @@ impl Gen {
             let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
             return format!("{pad}while (1) {{ {v} = {v} + 1; }}\n");
         }
-        match self.rng.below(if d < 2 { 7 } else { 4 }) {
+        match self.rng.below(if d < 2 { 10 } else { 6 }) {
             // Scalar assignment.
             0 => {
                 let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
@@ -197,8 +226,12 @@ impl Gen {
             }
             // printf.
             2 => {
-                if !self.doubles.is_empty() && self.rng.chance(1, 3) {
-                    let e = self.double_expr(2);
+                if self.rng.chance(1, 3) {
+                    let e = if self.rng.chance(1, 2) {
+                        self.double_expr(2)
+                    } else {
+                        self.float_expr(2)
+                    };
                     format!("{pad}printf(\"%f\\n\", {e});\n")
                 } else {
                     let e = self.int_expr(2);
@@ -218,8 +251,60 @@ impl Gen {
                     format!("{pad}{v} = {e};\n")
                 }
             }
-            // Bounded for loop with a fresh counter.
+            // Update in place: ++, --, += or -= on any scalar kind.
             4 => {
+                let v = self.any_scalar();
+                match self.rng.below(5) {
+                    0 => format!("{pad}{v}++;\n"),
+                    1 => format!("{pad}{v}--;\n"),
+                    2 => format!("{pad}++{v};\n"),
+                    3 if self.rng.chance(1, 2) => {
+                        // `acc += a * b`, the accumulate-a-product shape
+                        // (all `float` on a float, mixed otherwise).
+                        let (a, b) = match self.floats.contains(&v) {
+                            true => (self.float_expr(0), self.float_expr(0)),
+                            false => (self.any_expr(0), self.any_expr(0)),
+                        };
+                        format!("{pad}{v} += {a} * {b};\n")
+                    }
+                    k => {
+                        let e = self.any_expr(1);
+                        let op = if k == 3 { "+=" } else { "-=" };
+                        format!("{pad}{v} {op} {e};\n")
+                    }
+                }
+            }
+            // Float scalar or float array element.
+            5 => {
+                let e = self.float_expr(2);
+                if self.floats.is_empty() || self.rng.chance(1, 3) {
+                    let i = self.int_expr(1);
+                    format!("{pad}farr[({i}) & {}] = {e};\n", FARR_LEN - 1)
+                } else {
+                    let v = self.pick(&self.floats.clone());
+                    format!("{pad}{v} = {e};\n")
+                }
+            }
+            // Bounded loop on a `long` or `float` counter (a `float` counter
+            // is not visible to the body).
+            6 => {
+                let k = 1 + self.rng.below(8);
+                if self.rng.chance(1, 2) {
+                    let i = self.fresh("l");
+                    self.ints.push(i.clone());
+                    let inner = self.block(d + 1);
+                    self.ints.pop();
+                    format!("{pad}for (long {i} = 0; {i} < {k}; {i}++) {{\n{inner}{pad}}}\n")
+                } else {
+                    let q = self.fresh("q");
+                    let inner = self.block(d + 1);
+                    format!(
+                        "{pad}for (float {q} = 0.5f; {q} < {k}.25f; {q}++) {{\n{inner}{pad}}}\n"
+                    )
+                }
+            }
+            // Bounded for loop with a fresh counter.
+            7 => {
                 let i = self.fresh("i");
                 let k = 1 + self.rng.below(12);
                 self.ints.push(i.clone());
@@ -228,7 +313,7 @@ impl Gen {
                 format!("{pad}for (int {i} = 0; {i} < {k}; {i}++) {{\n{inner}{pad}}}\n")
             }
             // Bounded while loop over a fresh countdown.
-            5 => {
+            8 => {
                 let t = self.fresh("w");
                 let k = 1 + self.rng.below(10);
                 self.ints.push(t.clone());
@@ -282,10 +367,11 @@ impl Gen {
                 let b = self.int_expr(d - 1);
                 format!("({a} {op} {b})")
             }
+            // Comparisons across int, long, char, float and double.
             3..=4 => {
                 let op = *self.rng.pick(&["<", ">", "==", "!=", "<=", ">="]);
-                let a = self.int_expr(d - 1);
-                let b = self.int_expr(d - 1);
+                let a = self.any_expr(d - 1);
+                let b = self.any_expr(d - 1);
                 format!("({a} {op} {b})")
             }
             5 => {
@@ -328,17 +414,75 @@ impl Gen {
 
     /// A random `double`-typed expression with at most `d` operator levels.
     fn double_expr(&mut self, d: u32) -> String {
+        if d > 0 && self.rng.chance(1, 8) {
+            return self.ternary(d);
+        }
         if d == 0 || self.doubles.is_empty() || self.rng.chance(1, 3) {
             if !self.doubles.is_empty() && self.rng.chance(1, 2) {
-                return self.doubles[self.rng.below(self.doubles.len() as u64) as usize].clone();
+                return self.pick(&self.doubles.clone());
             }
             return format!("{}.125", self.rng.range_i64(-40, 40));
         }
         let op = *self.rng.pick(&["+", "-", "*"]);
         let a = self.double_expr(d - 1);
-        // Mixing an int operand in exercises the promotion rules.
-        let b = if self.rng.chance(1, 3) { self.int_expr(d - 1) } else { self.double_expr(d - 1) };
+        // Mixing an int or float operand in exercises the promotion rules.
+        let b = match self.rng.below(4) {
+            0 => self.int_expr(d - 1),
+            1 => self.float_expr(d - 1),
+            _ => self.double_expr(d - 1),
+        };
         format!("({a} {op} {b})")
+    }
+
+    /// A random `float`-typed expression with at most `d` operator levels
+    /// (an int operand keeps f32 arithmetic here, as in `apply_binop`).
+    fn float_expr(&mut self, d: u32) -> String {
+        if d > 0 && self.rng.chance(1, 8) {
+            return self.ternary(d);
+        }
+        if d == 0 || self.rng.chance(1, 3) {
+            return match self.rng.below(3) {
+                0 if !self.floats.is_empty() => self.pick(&self.floats.clone()),
+                1 if self.has_arr => {
+                    let i = self.int_expr(0);
+                    format!("farr[({i}) & {}]", FARR_LEN - 1)
+                }
+                _ => format!("{}.25f", self.rng.range_i64(-40, 40)),
+            };
+        }
+        let op = *self.rng.pick(&["+", "-", "*"]);
+        let a = self.float_expr(d - 1);
+        let b = if self.rng.chance(1, 4) { self.int_expr(d - 1) } else { self.float_expr(d - 1) };
+        format!("({a} {op} {b})")
+    }
+
+    /// `c ? a : b` with arms of different types: the value's tag is only
+    /// known at run time.
+    fn ternary(&mut self, d: u32) -> String {
+        let c = self.int_expr(d - 1);
+        let a = self.any_expr(d - 1);
+        let b = self.any_expr(d - 1);
+        format!("(({c}) ? {a} : {b})")
+    }
+
+    /// An expression of a random scalar kind.
+    fn any_expr(&mut self, d: u32) -> String {
+        match self.rng.below(3) {
+            0 => self.float_expr(d),
+            1 => self.double_expr(d),
+            _ => self.int_expr(d),
+        }
+    }
+
+    /// A scalar variable of any kind.
+    fn any_scalar(&mut self) -> String {
+        let all: Vec<String> =
+            self.ints.iter().chain(&self.floats).chain(&self.doubles).cloned().collect();
+        self.pick(&all)
+    }
+
+    fn pick(&mut self, names: &[String]) -> String {
+        names[self.rng.below(names.len() as u64) as usize].clone()
     }
 }
 

@@ -6,6 +6,8 @@
 //! contract between [`crate::vm`] and [`crate::walker`] checkable: both
 //! engines call the same functions for every arithmetic step.
 
+use std::cmp::Ordering;
+
 use vmcommon::addr::{self, Space};
 use vmcommon::fmt::FmtArg;
 use vmcommon::Value;
@@ -27,78 +29,42 @@ pub fn convert(v: Value, ty: &Ty) -> Value {
     }
 }
 
-/// f32 helper so `f32 op f32` keeps single-precision rounding.
-trait PseudoOp {
-    fn pseudo_op(self, op: BinOp, rhs: Self) -> Self;
+/// Does comparison `op` hold for operands ordered `ord` (`None`: unordered,
+/// a NaN took part)? A table lookup, so a typed compare-and-branch costs
+/// no second jump table.
+#[inline(always)]
+pub fn cmp_holds(op: BinOp, ord: Option<Ordering>) -> bool {
+    // Bits: less, equal, greater, unordered.
+    let mask: u8 = match op {
+        BinOp::Lt => 0b0001,
+        BinOp::Le => 0b0011,
+        BinOp::Eq => 0b0010,
+        BinOp::Ge => 0b0110,
+        BinOp::Gt => 0b0100,
+        BinOp::Ne => 0b1101,
+        _ => 0,
+    };
+    let bit = match ord {
+        Some(o) => (o as i8 + 1) as u8,
+        None => 3,
+    };
+    mask >> bit & 1 != 0
 }
 
-impl PseudoOp for f32 {
-    fn pseudo_op(self, op: BinOp, rhs: f32) -> f32 {
-        match op {
-            BinOp::Add => self + rhs,
-            BinOp::Sub => self - rhs,
-            BinOp::Mul => self * rhs,
-            BinOp::Div => self / rhs,
-            BinOp::Rem => self % rhs,
-            _ => f32::NAN,
-        }
-    }
-}
-
-/// The full C binary-operator semantics over runtime values: pointer±int
-/// with the pointer operand's stride, f32-preserving float arithmetic,
-/// wrapping integer arithmetic, div/rem-by-zero traps. `lstride` is the
-/// stride of whichever operand is pointer-typed (1 otherwise).
+/// `p + i * stride` in guest address arithmetic: wraps like the C the
+/// guest was written in, never panics the host.
 #[inline]
-pub fn apply_binop(op: BinOp, lv: Value, lstride: u64, rv: Value) -> IResult<Value> {
+pub fn ptr_offset(p: u64, i: i64, stride: u64) -> u64 {
+    p.wrapping_add(i.wrapping_mul(stride as i64) as u64)
+}
+
+/// The integer domain of [`apply_binop`] over operands widened to `i64`:
+/// wrapping arithmetic, div/rem-by-zero traps, comparisons as 0/1. The
+/// caller narrows to `I32` unless an operand was 64-bit.
+#[inline(always)]
+pub fn int_op(op: BinOp, a: i64, b: i64) -> IResult<i64> {
     use BinOp::*;
-    // Pointer ± integer.
-    if let Value::Ptr(p) = lv {
-        if matches!(op, Add | Sub) {
-            let off = rv.as_i64() * lstride as i64;
-            let np = if op == Add { (p as i64 + off) as u64 } else { (p as i64 - off) as u64 };
-            return Ok(Value::Ptr(np));
-        }
-    }
-    if let Value::Ptr(p) = rv {
-        if op == Add {
-            let off = lv.as_i64() * lstride as i64;
-            return Ok(Value::Ptr((p as i64 + off) as u64));
-        }
-    }
-    let float =
-        matches!(lv, Value::F32(_) | Value::F64(_)) || matches!(rv, Value::F32(_) | Value::F64(_));
-    let both_f32 = matches!(lv, Value::F32(_) | Value::I32(_) | Value::I64(_))
-        && matches!(rv, Value::F32(_) | Value::I32(_) | Value::I64(_))
-        && (matches!(lv, Value::F32(_)) || matches!(rv, Value::F32(_)));
-    if float {
-        let a = lv.as_f64();
-        let b = rv.as_f64();
-        let r = match op {
-            Add => a + b,
-            Sub => a - b,
-            Mul => a * b,
-            Div => a / b,
-            Rem => a % b,
-            Lt => return Ok(Value::I32((a < b) as i32)),
-            Gt => return Ok(Value::I32((a > b) as i32)),
-            Le => return Ok(Value::I32((a <= b) as i32)),
-            Ge => return Ok(Value::I32((a >= b) as i32)),
-            Eq => return Ok(Value::I32((a == b) as i32)),
-            Ne => return Ok(Value::I32((a != b) as i32)),
-            _ => return Err(InterpError::Trap(format!("bitwise op {op:?} on float"))),
-        };
-        // Preserve f32 semantics when no f64 operand participates.
-        if both_f32 {
-            return Ok(Value::F32(lv.as_f32().pseudo_op(op, rv.as_f32())));
-        }
-        return Ok(Value::F64(r));
-    }
-    let wide =
-        matches!(lv, Value::I64(_) | Value::Ptr(_)) || matches!(rv, Value::I64(_) | Value::Ptr(_));
-    let a = lv.as_i64();
-    let b = rv.as_i64();
-    let r: i64 = match op {
+    Ok(match op {
         Add => a.wrapping_add(b),
         Sub => a.wrapping_sub(b),
         Mul => a.wrapping_mul(b),
@@ -119,15 +85,84 @@ pub fn apply_binop(op: BinOp, lv: Value, lstride: u64, rv: Value) -> IResult<Val
         BitAnd => a & b,
         BitOr => a | b,
         BitXor => a ^ b,
-        Lt => return Ok(Value::I32((a < b) as i32)),
-        Gt => return Ok(Value::I32((a > b) as i32)),
-        Le => return Ok(Value::I32((a <= b) as i32)),
-        Ge => return Ok(Value::I32((a >= b) as i32)),
-        Eq => return Ok(Value::I32((a == b) as i32)),
-        Ne => return Ok(Value::I32((a != b) as i32)),
+        Lt | Gt | Le | Ge | Eq | Ne => cmp_holds(op, Some(a.cmp(&b))) as i64,
         LogAnd | LogOr => unreachable!("short-circuit forms are lowered before apply_binop"),
-    };
-    Ok(if wide { Value::I64(r) } else { Value::I32(r as i32) })
+    })
+}
+
+/// The f32 domain: arithmetic with single-precision rounding, used when
+/// an `F32` meets an `F32` or an integer. Only called for the five
+/// arithmetic operators.
+#[inline(always)]
+pub fn f32_op(op: BinOp, a: f32, b: f32) -> f32 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        _ => f32::NAN,
+    }
+}
+
+/// The f64 domain: arithmetic when a `F64` participates, and every float
+/// comparison (f32 operands compare after widening, exactly).
+#[inline(always)]
+pub fn f64_op(op: BinOp, a: f64, b: f64) -> IResult<Value> {
+    use BinOp::*;
+    Ok(match op {
+        Add => Value::F64(a + b),
+        Sub => Value::F64(a - b),
+        Mul => Value::F64(a * b),
+        Div => Value::F64(a / b),
+        Rem => Value::F64(a % b),
+        Lt | Gt | Le | Ge | Eq | Ne => Value::I32(cmp_holds(op, a.partial_cmp(&b)) as i32),
+        _ => return Err(InterpError::Trap(format!("bitwise op {op:?} on float"))),
+    })
+}
+
+/// The full C binary-operator semantics over runtime values: pointer±int
+/// with the pointer operand's stride, f32-preserving float arithmetic,
+/// wrapping integer arithmetic, div/rem-by-zero traps. `lstride` is the
+/// stride of whichever operand is pointer-typed (1 otherwise).
+///
+/// The typed VM ops call the same domain helpers ([`int_op`], [`f32_op`],
+/// [`f64_op`]) when their operand tags match, and this function otherwise.
+#[inline]
+pub fn apply_binop(op: BinOp, lv: Value, lstride: u64, rv: Value) -> IResult<Value> {
+    use BinOp::*;
+    // Pointer ± integer.
+    if let Value::Ptr(p) = lv {
+        if matches!(op, Add | Sub) {
+            let i = rv.as_i64();
+            return Ok(Value::Ptr(ptr_offset(
+                p,
+                if op == Add { i } else { i.wrapping_neg() },
+                lstride,
+            )));
+        }
+    }
+    if let Value::Ptr(p) = rv {
+        if op == Add {
+            return Ok(Value::Ptr(ptr_offset(p, lv.as_i64(), lstride)));
+        }
+    }
+    let float =
+        matches!(lv, Value::F32(_) | Value::F64(_)) || matches!(rv, Value::F32(_) | Value::F64(_));
+    if float {
+        let r = f64_op(op, lv.as_f64(), rv.as_f64())?;
+        // Preserve f32 semantics when no f64 operand participates.
+        let both_f32 = !matches!(lv, Value::F64(_) | Value::Ptr(_))
+            && !matches!(rv, Value::F64(_) | Value::Ptr(_));
+        if both_f32 && !op.is_comparison() {
+            return Ok(Value::F32(f32_op(op, lv.as_f32(), rv.as_f32())));
+        }
+        return Ok(r);
+    }
+    let wide =
+        matches!(lv, Value::I64(_) | Value::Ptr(_)) || matches!(rv, Value::I64(_) | Value::Ptr(_));
+    let r = int_op(op, lv.as_i64(), rv.as_i64())?;
+    Ok(if wide && !op.is_comparison() { Value::I64(r) } else { Value::I32(r as i32) })
 }
 
 /// For each conversion in a printf format: does it consume a string?
@@ -261,4 +296,87 @@ pub fn call_builtin(m: &Machine, which: u16, args: &[Value]) -> IResult<Value> {
         "exit" => return Err(InterpError::Trap(format!("guest called exit({})", a0().as_i32()))),
         other => unreachable!("unhandled builtin {other}"),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const OPS: [BinOp; 16] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Rem,
+        BinOp::Shl,
+        BinOp::Shr,
+        BinOp::Lt,
+        BinOp::Gt,
+        BinOp::Le,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::BitAnd,
+        BinOp::BitOr,
+        BinOp::BitXor,
+    ];
+
+    /// Bit-exact outcome, errors by message; any NaN matches any NaN (Rust
+    /// leaves a NaN result's sign and payload unspecified).
+    fn key(r: IResult<Value>) -> String {
+        match r {
+            Ok(Value::F32(x)) if x.is_nan() => "F32(NaN)".into(),
+            Ok(Value::F64(x)) if x.is_nan() => "F64(NaN)".into(),
+            Ok(Value::F32(x)) => format!("F32({:#x})", x.to_bits()),
+            Ok(Value::F64(x)) => format!("F64({:#x})", x.to_bits()),
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        }
+    }
+
+    /// The domain helpers the typed VM arms call give `apply_binop`'s
+    /// answer for operands of their domain: i32::MIN / -1, % -1, zero
+    /// divisors, shifts past the width, int ⊕ long, ±0.0 and NaN.
+    #[test]
+    fn domain_helpers_agree_with_apply_binop() {
+        let ints = [0, 1, -1, 2, 31, 32, 64, i32::MIN, i32::MAX];
+        let longs = [0, -1, 1 << 40, i64::MIN, i64::MAX];
+        for op in OPS {
+            for a in ints {
+                for b in ints {
+                    let got = int_op(op, a as i64, b as i64).map(|r| Value::I32(r as i32));
+                    let want = apply_binop(op, Value::I32(a), 1, Value::I32(b));
+                    assert_eq!(key(got), key(want), "{a} {op:?} {b}");
+                }
+                for l in longs {
+                    let widen = |r: i64| match op.is_comparison() {
+                        true => Value::I32(r as i32),
+                        false => Value::I64(r),
+                    };
+                    let got = int_op(op, l, a as i64).map(widen);
+                    assert_eq!(key(got), key(apply_binop(op, Value::I64(l), 1, Value::I32(a))));
+                    let got = int_op(op, a as i64, l).map(widen);
+                    assert_eq!(key(got), key(apply_binop(op, Value::I32(a), 1, Value::I64(l))));
+                }
+            }
+        }
+        let floats = [0.0f32, -0.0, 1.5, -2.0, f32::NAN, f32::INFINITY, 3.0e38, 1.0e-45];
+        for op in OPS {
+            for a in floats {
+                for b in floats {
+                    let want32 = apply_binop(op, Value::F32(a), 1, Value::F32(b));
+                    let got32 = match op {
+                        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem => {
+                            Ok(Value::F32(f32_op(op, a, b)))
+                        }
+                        _ => f64_op(op, a as f64, b as f64),
+                    };
+                    assert_eq!(key(got32), key(want32), "{a} {op:?} {b} (f32)");
+                    let (a, b) = (a as f64 * 1.25, b as f64);
+                    let want64 = apply_binop(op, Value::F64(a), 1, Value::F64(b));
+                    assert_eq!(key(f64_op(op, a, b)), key(want64), "{a} {op:?} {b} (f64)");
+                }
+            }
+        }
+    }
 }

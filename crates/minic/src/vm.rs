@@ -7,14 +7,22 @@
 //! walker's `load_typed`/`store_typed` byte-for-byte, and trap conditions
 //! carry the walker's exact messages. Only dispatch cost differs.
 //!
-//! Execution model: one `Value` register window per guest call (the
-//! compiler pre-resolves scalar locals into window slots), a guest-memory
-//! stack frame identical to the walker's for address-taken and aggregate
-//! locals, and guest-to-guest calls on an explicit [`Frame`] stack —
-//! guest recursion must not consume host stack, whose debug-build frames
-//! would overflow well before the guest's configurable frame limit
-//! (`OMPI_GUEST_STACK`, default 200). Dispatch and
-//! instruction counts accumulate locally and flush to the machine's
+//! Execution model: one `Value` register stack per `Vm`, on which each
+//! guest call pushes a window of its chunk's `nregs` registers (the
+//! compiler pre-resolves scalar locals into window slots; a call's
+//! arguments are read in place from the caller's window, so no call
+//! allocates), a guest-memory stack frame identical to the walker's for
+//! address-taken and aggregate locals, and guest-to-guest calls on an
+//! explicit [`Frame`] stack — guest recursion must not consume host stack,
+//! whose debug-build frames would overflow well before the guest's
+//! configurable frame limit (`OMPI_GUEST_STACK`, default 200).
+//!
+//! The typed and fused ops (`AddI` … `IncI`) run a fast path when their
+//! operands carry the tags the specialisation pass proved, calling the
+//! same `rt` domain helpers as `apply_binop`; any other tag runs the
+//! generic sequence the op replaced, so a wrong proof costs speed, never
+//! a different answer. Each dispatched op counts once, in its own
+//! category; the counts accumulate locally and flush to the machine's
 //! atomic counters when the top-level call returns (see `obs`'s `vm.*`
 //! metrics).
 
@@ -24,7 +32,7 @@ use vmcommon::addr::{self, Space};
 use vmcommon::{MemArena, MemError, Value};
 
 use crate::ast::BinOp;
-use crate::bytecode::{CompiledProgram, Op, ParamSpec, TyK};
+use crate::bytecode::{CompiledProgram, Op, ParamSpec, TyK, R};
 use crate::interp::{HookCtx, Hooks, IResult, InterpError, Machine, STACK_SIZE};
 use crate::limits::{GuestLimitError, FUEL_CHECK_INTERVAL};
 use crate::rt;
@@ -36,19 +44,21 @@ pub struct Vm {
     stack_block: u64,
     sp: u64,
     depth: u32,
-    /// Instructions retired since the last flush.
-    instructions: u64,
     /// Instructions since the last fuel/deadline checkpoint; billed to the
     /// machine's fuel pool every [`FUEL_CHECK_INTERVAL`] ops and drained
     /// (without trapping) at flush.
     unbilled: u64,
-    /// Dispatch counts by [`crate::bytecode::OpCat`].
+    /// Dispatch counts by [`crate::bytecode::OpCat`] since the last flush
+    /// (their sum is the instruction count).
     dispatch: [u64; 6],
     /// Attribute dispatch to source lines (snapshot of the machine flag;
     /// one predictable branch per op when off).
     hot: bool,
     /// Per-chunk, per-pc hit counts (allocated lazily per chunk entered).
     pc_hits: Vec<Vec<u64>>,
+    /// The register stack: a guest frame is the window
+    /// `[reg_base, reg_base + nregs)`, pushed on call, truncated on return.
+    regs: Vec<Value>,
 }
 
 impl Vm {
@@ -63,11 +73,11 @@ impl Vm {
             stack_block,
             sp: stack_block,
             depth: 0,
-            instructions: 0,
             unbilled: 0,
             dispatch: [0; 6],
             hot,
             pc_hits: Vec::new(),
+            regs: Vec::new(),
         };
         vm.init_globals_once()?;
         Ok(vm)
@@ -110,9 +120,10 @@ impl Vm {
         // then traps at the first checkpoint of the next call.
         self.machine.limits.drain_fuel(self.unbilled);
         self.unbilled = 0;
-        if self.instructions != 0 {
-            self.machine.add_vm_counters(self.instructions, &self.dispatch);
-            self.instructions = 0;
+        // Every dispatched op counts once, in its category.
+        let instructions = self.dispatch.iter().sum::<u64>();
+        if instructions != 0 {
+            self.machine.add_vm_counters(instructions, &self.dispatch);
             self.dispatch = [0; 6];
         }
         if self.hot {
@@ -128,9 +139,15 @@ impl Vm {
     fn call_chunk(&mut self, prog: &CompiledProgram, idx: u32, args: &[Value]) -> IResult<Value> {
         // An error abandons every frame entered since this call (guest
         // state is about to be reported broken anyway) — restore the
-        // stack pointer and depth wholesale.
+        // stack pointer, depth and register stack wholesale.
         let (sp0, depth0) = (self.sp, self.depth);
-        let r = self.run(prog, idx, args);
+        let mut regs = std::mem::take(&mut self.regs);
+        let len0 = regs.len();
+        // The host's arguments sit below the first window, like a caller's.
+        regs.extend_from_slice(args);
+        let r = self.run(prog, idx, &mut regs, len0);
+        regs.truncate(len0);
+        self.regs = regs;
         if r.is_err() {
             self.sp = sp0;
             self.depth = depth0;
@@ -141,11 +158,14 @@ impl Vm {
     /// Enter a guest frame: checks, guest-stack reservation, register
     /// window setup, parameter binding. On error the caller unwinds
     /// `sp`/`depth` (see `call_chunk`).
+    /// The `nargs` arguments are `regs[args..]`; the callee's window is
+    /// pushed at the top of `regs`.
     fn new_frame(
         &mut self,
         prog: &CompiledProgram,
         idx: u32,
-        args: &[Value],
+        regs: &mut Vec<Value>,
+        (args, nargs): (usize, usize),
         ret_dst: u16,
     ) -> IResult<Frame> {
         // Same order as the walker's `call_def`: depth first, then argc,
@@ -155,11 +175,11 @@ impl Vm {
             return Err(GuestLimitError::StackOverflow { limit: stack_limit }.into());
         }
         let chunk = &prog.chunks[idx as usize];
-        if args.len() != chunk.params.len() {
+        if nargs != chunk.params.len() {
             return Err(InterpError::Trap(format!(
                 "call to `{}` with {} args (expected {})",
                 chunk.name,
-                args.len(),
+                nargs,
                 chunk.params.len()
             )));
         }
@@ -174,26 +194,34 @@ impl Vm {
         self.sp = base + chunk.frame_size;
         self.depth += 1;
 
-        let mut regs: Vec<Value> = vec![Value::I32(0); chunk.nregs as usize];
+        let reg_base = regs.len();
+        regs.resize(reg_base + chunk.nregs as usize, Value::I32(0));
         for &(r, ty) in &chunk.zero_init {
-            regs[r as usize] = zero_k(ty);
+            regs[reg_base + r as usize] = zero_k(ty);
         }
-        for (spec, v) in chunk.params.iter().zip(args) {
+        for (k, spec) in chunk.params.iter().enumerate() {
+            let v = regs[args + k];
             match spec {
-                ParamSpec::Reg { reg, ty } => regs[*reg as usize] = convert_k(*v, *ty),
+                ParamSpec::Reg { reg, ty } => regs[reg_base + *reg as usize] = convert_k(v, *ty),
                 ParamSpec::Mem { off, ty } => {
                     let a = addr::make(Space::Host, addr::offset(base) + *off as u64);
-                    store_k(&self.machine, a, *ty, *v)?;
+                    store_k(&self.machine, a, *ty, v)?;
                 }
             }
         }
-        Ok(Frame { chunk: idx, pc: 0, base, saved_sp, ret_dst, regs })
+        Ok(Frame { chunk: idx, pc: 0, base, saved_sp, ret_dst, reg_base })
     }
 
     /// The dispatch loop, over an explicit guest call stack.
-    fn run(&mut self, prog: &CompiledProgram, idx: u32, args: &[Value]) -> IResult<Value> {
+    fn run(
+        &mut self,
+        prog: &CompiledProgram,
+        idx: u32,
+        stack: &mut Vec<Value>,
+        args: usize,
+    ) -> IResult<Value> {
         let mut frames: Vec<Frame> = Vec::new();
-        let mut cur = self.new_frame(prog, idx, args, 0)?;
+        let mut cur = self.new_frame(prog, idx, stack, (args, stack.len() - args), 0)?;
         let machine = self.machine.clone();
         let mem = &machine.mem;
         'frame: loop {
@@ -210,10 +238,9 @@ impl Vm {
             }
             let frame_off = addr::offset(cur.base);
             let mut pc = cur.pc;
-            let regs = &mut cur.regs;
+            let regs = &mut stack[cur.reg_base..cur.reg_base + chunk.nregs as usize];
             loop {
                 let op = &code[pc];
-                self.instructions += 1;
                 self.dispatch[op.cat() as usize] += 1;
                 self.unbilled += 1;
                 if self.unbilled >= FUEL_CHECK_INTERVAL {
@@ -254,14 +281,14 @@ impl Vm {
                         if p == 0 {
                             return Err(InterpError::Mem(MemError::Null));
                         }
-                        regs[*dst as usize] = load_k(&machine, p + *off as u64, *ty)?;
+                        regs[*dst as usize] = load_k(&machine, p.wrapping_add(*off as u64), *ty)?;
                     }
                     Op::Store { addr, off, src, ty } => {
                         let p = regs[*addr as usize].as_ptr();
                         if p == 0 {
                             return Err(InterpError::Mem(MemError::Null));
                         }
-                        store_k(&machine, p + *off as u64, *ty, regs[*src as usize])?;
+                        store_k(&machine, p.wrapping_add(*off as u64), *ty, regs[*src as usize])?;
                     }
                     Op::LoadIdx { dst, base, idx, stride, ty } => {
                         let a =
@@ -327,16 +354,12 @@ impl Vm {
                             rt::apply_binop(*op, regs[*a as usize], s, regs[*b as usize])?;
                     }
                     Op::PtrDiff { dst, a, b, stride } => {
-                        let s = (*stride as u64).max(1);
-                        let d =
-                            regs[*a as usize].as_ptr() as i64 - regs[*b as usize].as_ptr() as i64;
-                        regs[*dst as usize] = Value::I64(d / s as i64);
+                        let s = *stride as u64;
+                        regs[*dst as usize] = ptr_diff(regs[*a as usize], regs[*b as usize], s);
                     }
                     Op::PtrDiffD { dst, a, b, stride } => {
-                        let s = (regs[*stride as usize].as_i64() as u64).max(1);
-                        let d =
-                            regs[*a as usize].as_ptr() as i64 - regs[*b as usize].as_ptr() as i64;
-                        regs[*dst as usize] = Value::I64(d / s as i64);
+                        let s = regs[*stride as usize].as_i64() as u64;
+                        regs[*dst as usize] = ptr_diff(regs[*a as usize], regs[*b as usize], s);
                     }
                     Op::FmaAssign { dst, a, b, ty } => {
                         // Exactly the walker's compound-assign: rhs product,
@@ -387,21 +410,22 @@ impl Vm {
                         let v = regs[*src as usize];
                         self.sp = cur.saved_sp;
                         self.depth -= 1;
+                        stack.truncate(cur.reg_base);
                         match frames.pop() {
                             None => return Ok(v),
                             Some(parent) => {
                                 let dst = cur.ret_dst as usize;
                                 cur = parent;
-                                cur.regs[dst] = v;
+                                stack[cur.reg_base + dst] = v;
                                 continue 'frame;
                             }
                         }
                     }
                     Op::Call { dst, func, abase, nargs } => {
-                        let a = *abase as usize;
-                        let args: Vec<Value> = regs[a..a + *nargs as usize].to_vec();
+                        // The arguments are read in place from this window.
+                        let args = (cur.reg_base + *abase as usize, *nargs as usize);
                         cur.pc = pc + 1;
-                        let callee = self.new_frame(prog, *func, &args, *dst)?;
+                        let callee = self.new_frame(prog, *func, stack, args, *dst)?;
                         frames.push(std::mem::replace(&mut cur, callee));
                         continue 'frame;
                     }
@@ -466,6 +490,87 @@ impl Vm {
                     Op::Trap { msg } => {
                         return Err(InterpError::Trap(prog.strs[*msg as usize].clone()))
                     }
+                    Op::AddI { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        int2(regs, *dst, BinOp::Add, x, y, *conv)?;
+                    }
+                    Op::SubI { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        int2(regs, *dst, BinOp::Sub, x, y, *conv)?;
+                    }
+                    Op::MulI { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        int2(regs, *dst, BinOp::Mul, x, y, *conv)?;
+                    }
+                    Op::AddIK { dst, a, k, conv } => {
+                        let x = regs[*a as usize];
+                        int2(regs, *dst, BinOp::Add, x, Value::I32(*k), *conv)?;
+                    }
+                    Op::MulIK { dst, a, k, conv } => {
+                        let x = regs[*a as usize];
+                        int2(regs, *dst, BinOp::Mul, x, Value::I32(*k), *conv)?;
+                    }
+                    Op::AddF { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        f32x2(regs, *dst, BinOp::Add, x, y, *conv)?;
+                    }
+                    Op::SubF { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        f32x2(regs, *dst, BinOp::Sub, x, y, *conv)?;
+                    }
+                    Op::MulF { dst, a, b, conv } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        f32x2(regs, *dst, BinOp::Mul, x, y, *conv)?;
+                    }
+                    Op::MulKF { dst, a, k, conv } => {
+                        let x = regs[*a as usize];
+                        f32x2(regs, *dst, BinOp::Mul, x, Value::F32(*k), *conv)?;
+                    }
+                    Op::FmaF { dst, a, b } => {
+                        let (s, x, y) = (regs[*dst as usize], regs[*a as usize], regs[*b as usize]);
+                        if let (Value::F32(s), Value::F32(x), Value::F32(y)) = (s, x, y) {
+                            let p = rt::f32_op(BinOp::Mul, x, y);
+                            regs[*dst as usize] = Value::F32(rt::f32_op(BinOp::Add, s, p));
+                        } else {
+                            let p = rt::apply_binop(BinOp::Mul, x, 1, y)?;
+                            generic(regs, *dst, BinOp::Add, s, p, Some(TyK::Float))?;
+                        }
+                    }
+                    Op::Jcmp { op, a, b, to, when, float } => {
+                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
+                        let holds = match (x, y) {
+                            (Value::I32(x), Value::I32(y)) if !*float => {
+                                rt::cmp_holds(*op, Some(x.cmp(&y)))
+                            }
+                            (Value::F32(x), Value::F32(y)) if *float => {
+                                rt::cmp_holds(*op, (x as f64).partial_cmp(&(y as f64)))
+                            }
+                            _ => generic_cmp(*op, x, y)?,
+                        };
+                        if holds == *when {
+                            pc = *to as usize;
+                            continue;
+                        }
+                    }
+                    Op::JcmpIK { op, a, k, to, when } => {
+                        let holds = match regs[*a as usize] {
+                            Value::I32(x) => rt::cmp_holds(*op, Some(x.cmp(&(*k as i32)))),
+                            x => generic_cmp(*op, x, Value::I32(*k as i32))?,
+                        };
+                        if holds == *when {
+                            pc = *to as usize;
+                            continue;
+                        }
+                    }
+                    Op::IncI { r, k } => match regs[*r as usize] {
+                        Value::I32(x) => {
+                            let v = rt::int_op(BinOp::Add, x as i64, *k as i64)?;
+                            regs[*r as usize] = Value::I32(v as i32);
+                        }
+                        x => {
+                            generic(regs, *r, BinOp::Add, x, Value::I64(*k as i64), Some(TyK::Int))?
+                        }
+                    },
                 }
                 pc += 1;
             }
@@ -484,7 +589,8 @@ struct Frame {
     saved_sp: u64,
     /// Caller register receiving the return value.
     ret_dst: u16,
-    regs: Vec<Value>,
+    /// Start of this frame's window in the register stack.
+    reg_base: usize,
 }
 
 impl Drop for Vm {
@@ -501,7 +607,61 @@ fn idx_addr(base: Value, idx: Value, stride: u64) -> IResult<u64> {
     if p == 0 {
         return Err(InterpError::Mem(MemError::Null));
     }
-    Ok((p as i64 + idx.as_i64() * stride as i64) as u64)
+    Ok(rt::ptr_offset(p, idx.as_i64(), stride))
+}
+
+/// Pointer difference `(a - b) / stride` (a zero stride divides by 1).
+fn ptr_diff(a: Value, b: Value, stride: u64) -> Value {
+    let d = (a.as_ptr() as i64).wrapping_sub(b.as_ptr() as i64);
+    Value::I64(d.wrapping_div(stride.max(1) as i64))
+}
+
+// Typed arms: the `I32`/`F32` fast path calls the same domain helper as
+// `rt::apply_binop`; any other tag runs the generic op they replaced.
+// The fast path writes its register itself, apart from the fallback's.
+
+/// The generic form of a typed op: `apply_binop`, then the absorbed
+/// `Conv` if there was one, into `regs[dst]`.
+#[cold]
+#[inline(never)]
+fn generic(
+    regs: &mut [Value],
+    dst: R,
+    op: BinOp,
+    x: Value,
+    y: Value,
+    conv: Option<TyK>,
+) -> IResult<()> {
+    let v = rt::apply_binop(op, x, 1, y)?;
+    regs[dst as usize] = conv.map_or(v, |ty| convert_k(v, ty));
+    Ok(())
+}
+
+/// The generic form of a `Jcmp`'s comparison.
+#[cold]
+#[inline(never)]
+fn generic_cmp(op: BinOp, x: Value, y: Value) -> IResult<bool> {
+    Ok(rt::apply_binop(op, x, 1, y)?.is_truthy())
+}
+
+/// `regs[dst] = x op y` on two `I32`s; other tags run the generic form.
+#[inline(always)]
+fn int2(regs: &mut [Value], dst: R, op: BinOp, x: Value, y: Value, conv: bool) -> IResult<()> {
+    if let (Value::I32(a), Value::I32(b)) = (x, y) {
+        regs[dst as usize] = Value::I32(rt::int_op(op, a as i64, b as i64)? as i32);
+        return Ok(());
+    }
+    generic(regs, dst, op, x, y, conv.then_some(TyK::Int))
+}
+
+/// `regs[dst] = x op y` on two `F32`s; other tags run the generic form.
+#[inline(always)]
+fn f32x2(regs: &mut [Value], dst: R, op: BinOp, x: Value, y: Value, conv: bool) -> IResult<()> {
+    if let (Value::F32(a), Value::F32(b)) = (x, y) {
+        regs[dst as usize] = Value::F32(rt::f32_op(op, a, b));
+        return Ok(());
+    }
+    generic(regs, dst, op, x, y, conv.then_some(TyK::Float))
 }
 
 /// [`rt::convert`] over the compact type kind (identical per-type rules).
@@ -589,3 +749,6 @@ fn dim3_from(regs: &[Value], at: u16) -> [u32; 3] {
         regs[at as usize + 2].as_i64() as u32,
     ]
 }
+
+#[cfg(test)]
+mod tests;

@@ -534,7 +534,8 @@ impl TreeWalker {
         let rt_ = rhs.ty.decayed();
         if lt.is_ptr() && rt_.is_ptr() && op == BinOp::Sub {
             let stride = self.ptr_stride(lhs)?.max(1);
-            return Ok(Value::I64((lv.as_ptr() as i64 - rv.as_ptr() as i64) / stride as i64));
+            let d = (lv.as_ptr() as i64).wrapping_sub(rv.as_ptr() as i64);
+            return Ok(Value::I64(d.wrapping_div(stride as i64)));
         }
         let stride = if lt.is_ptr() {
             self.ptr_stride(lhs)?
@@ -587,7 +588,7 @@ impl TreeWalker {
                 };
                 let stride = self.sizeof_rt(&elem)?;
                 let i = self.eval(index)?.as_i64();
-                Ok(((p as i64 + i * stride as i64) as u64, elem))
+                Ok((rt::ptr_offset(p, i, stride), elem))
             }
             ExprKind::Member { base, field } => {
                 let (a, ty) = self.lvalue(base)?;
@@ -600,7 +601,7 @@ impl TreeWalker {
                     "z" => 8,
                     _ => return Err(InterpError::Trap(format!("dim3 has no member {field}"))),
                 };
-                Ok((a + off, Ty::Int))
+                Ok((a.wrapping_add(off), Ty::Int))
             }
             ExprKind::Cast { expr, .. } => self.lvalue(expr),
             _ => Err(InterpError::Trap("expression is not an lvalue".into())),

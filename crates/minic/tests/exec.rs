@@ -508,3 +508,170 @@ fn frontend_errors_are_typed() {
         Err(e) => panic!("shadowed redefinition should still load: {e}"),
     }
 }
+
+// Address arithmetic wraps in 64 bits, as in the C the guest was written
+// in: `2^62 * sizeof(int)` is 0. Debug builds used to panic the host with
+// "attempt to multiply with overflow" instead.
+
+#[test]
+fn huge_index_wraps_instead_of_panicking() {
+    check_ret(
+        r#"
+int main() {
+    int a[4];
+    a[0] = 5;
+    long i = 1073741824;
+    i = i * 1073741824 * 4;
+    return a[i];
+}
+"#,
+        5,
+    );
+}
+
+#[test]
+fn huge_pointer_offset_wraps() {
+    check_ret(
+        r#"
+int main() {
+    int a[4];
+    int *p = a;
+    long i = 1073741824;
+    i = i * 1073741824 * 4;
+    p = p + i;
+    int *q = i + p;
+    p = p - i;
+    return (p == a) + (q == a) * 2;
+}
+"#,
+        3,
+    );
+}
+
+#[test]
+fn pointer_difference_wraps() {
+    // (2^62 - (-2^62)) overflows i64 to -2^63; / 4 = -2^61.
+    check_ret(
+        r#"
+int main() {
+    long h = 1073741824;
+    h = h * 1073741824 * 4;
+    int *p = (int *) h;
+    int *q = (int *) (-h);
+    return (int) ((p - q) % 1000);
+}
+"#,
+        -952,
+    );
+}
+
+// Shapes the VM's specialisation pass must leave generic, or whose typed
+// form must wrap exactly like `apply_binop`.
+
+#[test]
+fn char_increment_narrows() {
+    check_ret(
+        "int main() { char c = 127; c++; char d = -128; d--; return c * 1000 + d; }",
+        -128 * 1000 + 127,
+    );
+}
+
+#[test]
+fn int_increment_wraps_at_int_max() {
+    check_ret(
+        r#"
+int main() {
+    int i = 2147483647;
+    i++;
+    int j = 2147483647;
+    j = j + 1;
+    int k = -2147483647 - 1;
+    k--;
+    int m = 2147483647;
+    m += 1;
+    return (i == j) + (k == 2147483647) * 2 + (m == i) * 4 + (i < 0) * 8;
+}
+"#,
+        15,
+    );
+}
+
+#[test]
+fn mixed_tag_ternary_in_arithmetic() {
+    // The ternary's tag is decided at run time: I32(1) / 2 is integer
+    // division, F64(2.5) / 2 is not.
+    check_ret(
+        r#"
+int main() {
+    int c = 1;
+    int d = 0;
+    double x = (c ? 1 : 2.5) / 2;
+    double y = (d ? 1 : 2.5) / 2;
+    float f = (c ? 3 : 0.5f) * 2;
+    return (int) (x * 100) + (int) (y * 100) * 1000 + (int) f * 1000000;
+}
+"#,
+        125_000 + 6_000_000,
+    );
+}
+
+#[test]
+fn long_loop_counters() {
+    check_ret(
+        r#"
+int main() {
+    long s = 0;
+    for (long i = 0; i < 100; i++)
+        s += i;
+    long j = 2147483647;
+    j++;
+    return (int) (s + (j > 2147483647) * 100000);
+}
+"#,
+        4950 + 100_000,
+    );
+}
+
+#[test]
+fn float_compared_with_long() {
+    check_ret(
+        r#"
+int main() {
+    float f = 2.5f;
+    long l = 2;
+    int n = 0;
+    if (f > l) n += 1;
+    if (l < f) n += 2;
+    while (f < l + 3) {
+        f = f + 1.0f;
+        n += 4;
+    }
+    float z = 0.0f;
+    float q = z / z;
+    if (q < 1.0f) n += 100;
+    if (q != q) n += 1000;
+    if (!(q >= 1.0f)) n += 10000;
+    return n;
+}
+"#,
+        3 + 3 * 4 + 1000 + 10000,
+    );
+}
+
+#[test]
+fn division_by_zero_inside_a_specialised_loop() {
+    let src = r#"
+int main() {
+    int s = 0;
+    for (int i = 0; i < 10; i++) {
+        s = s + i * 3;
+        s = s + 100 / (5 - i);
+    }
+    return s;
+}
+"#;
+    check_err(src);
+    let m = Machine::from_source(src).unwrap();
+    let err = Interp::new(m, Arc::new(NoHooks)).unwrap().run_main().unwrap_err();
+    assert_eq!(err.to_string(), "trap: integer division by zero");
+}

@@ -65,6 +65,50 @@ fn gemm_hotspots_attribute_kernel_loop_nest() {
     }
 }
 
+/// Per-line hotspot counts of `LINES_SRC`'s `run(n)` under the VM.
+fn line_counts(n: i32) -> std::collections::BTreeMap<u32, u64> {
+    let m = minic::interp::Machine::from_source(LINES_SRC).unwrap();
+    m.set_hotspots(true);
+    let mut i = minic::interp::Interp::new(m.clone(), Arc::new(minic::interp::NoHooks)).unwrap();
+    i.call("run", &[vmcommon::Value::I32(n)]).unwrap();
+    m.line_profile().into_iter().map(|h| (h.line, h.instructions)).collect()
+}
+
+const LINES_SRC: &str = "int run(int n)
+{
+    int s = 0;
+    int t = 3;
+    for (int i = 0; i < n; i++)
+        s = s + i * t;
+    s = s * 2;
+    t = t + s;
+    return s + t; }
+";
+
+/// Every source line keeps its own count after the VM compacts and fuses
+/// ops: the loop header (5) and body (6) grow linearly with `n`, the lines
+/// before and after the loop (3, 4, 7–9) do not depend on it. An 80 %
+/// share (above) would not notice lines 7–9 going missing.
+#[test]
+fn hotspot_lines_are_exact() {
+    let (c10, c20) = (line_counts(10), line_counts(20));
+    for line in [3, 4, 7, 8, 9] {
+        let (a, b) = (c10.get(&line), c20.get(&line));
+        assert!(a.is_some_and(|&a| a > 0), "line {line} missing at n = 10: {c10:?}");
+        assert_eq!(a, b, "line {line} must not depend on n: {c10:?} vs {c20:?}");
+    }
+    for line in [5, 6] {
+        let (a, b) = (c10[&line], c20[&line]);
+        // c(n) = base + per_iter * n, with per_iter > 0 and base >= 0.
+        let per_iter = (b - a) / 10;
+        assert!(per_iter > 0 && b - a == 10 * per_iter, "line {line}: {a} -> {b}");
+        assert!(a >= 10 * per_iter, "line {line}: {a} -> {b}");
+    }
+    // The body runs only inside the loop.
+    assert_eq!(c20[&6], 2 * c10[&6]);
+    assert!(c10.keys().all(|l| (3..=9).contains(l)), "stray lines: {c10:?}");
+}
+
 /// The walker records no attribution (it dispatches no bytecode), so a
 /// hotspot table from a walker run renders the "no attribution" hint —
 /// which is why fig4 forces the VM for its attribution pass.
