@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gpusim::fault::{FaultPlan, FaultSite};
-use gpusim::{Device, ExecError, ExecMode, LaunchConfig, LaunchStats};
+use gpusim::{Device, ExecError, ExecMode, LaunchConfig, LaunchStats, Program};
 use vmcommon::addr::offset;
 use vmcommon::sync::Mutex;
 use vmcommon::MemArena;
@@ -301,7 +301,8 @@ pub struct CudaDev {
     device: Mutex<Option<Arc<Device>>>,
     initialized: AtomicBool,
     lib: Mutex<Option<Arc<CudaDeviceLib>>>,
-    modules: Mutex<HashMap<String, Arc<sptx::Module>>>,
+    /// Loaded modules, each lowered once for execution.
+    modules: Mutex<HashMap<String, Arc<Program>>>,
     maps: Mutex<HashMap<u64, MapEntry>>,
     /// Unmapped-but-kept device buffers (the governor's LRU transfer
     /// cache), keyed by host address. Evicted under allocation pressure.
@@ -327,6 +328,14 @@ pub struct CudaDev {
     /// pending maps, tiled launches, OOM fallbacks) — the scalar pressure
     /// signal behind [`CudaDev::mem_pressure`].
     pressure_events: std::sync::atomic::AtomicU64,
+}
+
+/// Lower a module for execution. Lowering asks the device library only
+/// which calls can wait ([`gpusim::DeviceLib::may_wait`]), which is a fact
+/// about the call's name: a library without a lock area answers it, so a
+/// module can be lowered before the device exists.
+fn lower(module: Arc<sptx::Module>) -> Arc<Program> {
+    Arc::new(Program::new(module, &CudaDeviceLib::new(0)))
 }
 
 impl CudaDev {
@@ -821,6 +830,12 @@ impl CudaDev {
     /// Loading phase: find and load the kernel module `name` (file stem) in
     /// the kernel directory.
     pub fn load_module(&self, name: &str) -> Result<Arc<sptx::Module>, CudadevError> {
+        self.load_program(name).map(|p| p.module().clone())
+    }
+
+    /// [`CudaDev::load_module`], lowered for execution: a module is lowered
+    /// once, when it is admitted, and every launch of it runs that program.
+    pub(crate) fn load_program(&self, name: &str) -> Result<Arc<Program>, CudadevError> {
         if let Some(m) = self.modules.lock().get(name) {
             // In-memory hit: the module survived from an earlier job on
             // this device — the signal the batch server's affinity
@@ -903,14 +918,15 @@ impl CudaDev {
             )));
         };
         sptx::verify_module(&module).map_err(|e| load_err(e.to_string()))?;
-        self.modules.lock().insert(name.to_string(), module.clone());
-        Ok(module)
+        let program = lower(module);
+        self.modules.lock().insert(name.to_string(), program.clone());
+        Ok(program)
     }
 
     /// Register an in-memory module (used by tests and the quickstart
     /// example; normal operation loads from disk).
     pub fn register_module(&self, module: sptx::Module) {
-        self.modules.lock().insert(module.name.clone(), Arc::new(module));
+        self.modules.lock().insert(module.name.clone(), lower(Arc::new(module)));
     }
 
     /// Launch phase (`cuLaunchKernel`): run `kernel` from module `module`
@@ -942,7 +958,7 @@ impl CudaDev {
                 ("block", format!("{}x{}x{}", block[0], block[1], block[2]).into()),
             ],
         );
-        let m = self.load_module(module)?;
+        let m = self.load_program(module)?;
         let launch_err =
             |error: ExecError| CudadevError::Launch { kernel: kernel.to_string(), error };
         let total_threads = grid[0] as u64
@@ -978,7 +994,7 @@ impl CudaDev {
             let cfg = LaunchConfig { grid, block, params };
             let mut run = || {
                 device.set_trace_base(self.launch_base());
-                gpusim::launch(&device, &m, kernel, &cfg, lib.as_ref(), self.cfg.exec_mode)
+                m.launch(&device, kernel, &cfg, lib.as_ref(), self.cfg.exec_mode, None)
             };
             let stats = match self.retrying("launch", &mut run) {
                 Ok(s) => s,
@@ -1005,7 +1021,7 @@ impl CudaDev {
         let cfg = LaunchConfig { grid, block, params };
         let mut run = || {
             device.set_trace_base(self.launch_base());
-            gpusim::launch(&device, &m, kernel, &cfg, lib.as_ref(), self.cfg.exec_mode)
+            m.launch(&device, kernel, &cfg, lib.as_ref(), self.cfg.exec_mode, None)
         };
         let stats = match self.retrying("launch", &mut run) {
             Ok(s) => s,

@@ -31,7 +31,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use gpusim::{Device, ExecError, LaunchConfig, TileView};
+use gpusim::{Device, ExecError, LaunchConfig, Program, TileView};
 use vmcommon::addr::offset;
 use vmcommon::alloc::AllocError;
 use vmcommon::sched::static_block;
@@ -363,7 +363,7 @@ impl CudaDev {
     ) -> Result<PressureOutcome, CudadevError> {
         let device = self.try_device()?;
         let lib = self.devlib()?;
-        let m = self.load_module(module)?;
+        let m = self.load_program(module)?;
 
         let decline = |reason: &str| {
             self.pressure(
@@ -622,7 +622,7 @@ impl CudaDev {
         &self,
         host_mem: &MemArena,
         device: &Arc<Device>,
-        m: &sptx::Module,
+        m: &Program,
         lib: &dyn gpusim::DeviceLib,
         kernel: &str,
         total: u64,
@@ -740,7 +740,7 @@ impl CudaDev {
     fn launch_tile(
         &self,
         device: &Arc<Device>,
-        m: &sptx::Module,
+        m: &Program,
         lib: &dyn gpusim::DeviceLib,
         kernel: &str,
         vals: &mut [u64],
@@ -762,7 +762,7 @@ impl CudaDev {
         let stats = self
             .retrying("launch", || {
                 device.set_trace_base(self.launch_base());
-                gpusim::launch_tiled(device, m, kernel, &cfg, lib, self.cfg.exec_mode, tile)
+                m.launch(device, kernel, &cfg, lib, self.cfg.exec_mode, Some(tile))
             })
             .map_err(|e| CudadevError::Launch {
                 kernel: kernel.to_string(),

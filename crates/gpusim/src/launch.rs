@@ -1,9 +1,14 @@
 //! Kernel launches: grid iteration, block execution, sampled simulation
 //! and the kernel time model.
 //!
+//! A launch runs a [`Program`]: the module lowered once (cudadev keeps one
+//! per loaded module). [`launch`] is the one-off form for a bare
+//! `sptx::Module`, which lowers it first.
+//!
 //! **Who runs a block's warps.** Blocks are independent and are handed to
-//! `Device::block_workers` worker threads. Within a block the launch
-//! decides once, from the kernel's code ([`crate::waits::can_wait`]):
+//! `Device::block_workers` worker threads, lowest block first. Within a
+//! block, the program's answer for the kernel ([`crate::waits::can_wait`])
+//! decides:
 //!
 //! * A kernel that *cannot wait on a sibling warp* — no `bar.sync`, no
 //!   `atom.cas`/`atom.exch`, no blocking library call anywhere in its call
@@ -19,15 +24,17 @@
 //!
 //! Issue cycles, the latency clock, `lane_insts` and transactions are kept
 //! per warp and meet only at barriers, so both ways produce the same
-//! simulated numbers.
+//! simulated numbers. When blocks fail, the launch reports the lowest
+//! failing block's error, whichever worker saw its failure first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use vmcommon::sync::Mutex;
 
 use crate::device::{Device, ExecError};
+use crate::program::Program;
 use crate::timing;
-use crate::waits;
 use crate::warp::{BlockCtx, BlockEnv, DeviceLib, Warp};
 
 /// Launch configuration (grid/block shapes + kernel parameters as raw bit
@@ -96,7 +103,9 @@ struct BlockAccum {
     executed: u64,
 }
 
-/// Launch a kernel on the device.
+/// Launch a kernel of a module that has not been lowered: lower a copy of
+/// it, then [`Program::launch`]. A caller that launches one module more
+/// than once keeps a [`Program`] instead.
 pub fn launch(
     device: &Device,
     module: &sptx::Module,
@@ -105,207 +114,199 @@ pub fn launch(
     lib: &dyn DeviceLib,
     mode: ExecMode,
 ) -> Result<LaunchStats, ExecError> {
-    launch_view(device, module, kernel, cfg, lib, mode, None)
+    Program::new(Arc::new(module.clone()), lib).launch(device, kernel, cfg, lib, mode, None)
 }
 
-/// Launch `cfg.grid` blocks as a window of a larger logical grid (see
-/// [`TileView`]).
-pub fn launch_tiled(
-    device: &Device,
-    module: &sptx::Module,
-    kernel: &str,
-    cfg: &LaunchConfig,
-    lib: &dyn DeviceLib,
-    mode: ExecMode,
-    tile: TileView,
-) -> Result<LaunchStats, ExecError> {
-    launch_view(device, module, kernel, cfg, lib, mode, Some(tile))
-}
-
-fn launch_view(
-    device: &Device,
-    module: &sptx::Module,
-    kernel: &str,
-    cfg: &LaunchConfig,
-    lib: &dyn DeviceLib,
-    mode: ExecMode,
-    tile: Option<TileView>,
-) -> Result<LaunchStats, ExecError> {
-    device.fault_check(crate::fault::FaultSite::Launch)?;
-    let kidx = module
-        .function_index(kernel)
-        .ok_or_else(|| ExecError::UnknownKernel(kernel.to_string()))?;
-    let kfun = &module.functions[kidx as usize];
-    if !kfun.is_kernel {
-        return Err(ExecError::BadLaunch(format!("`{kernel}` is not a kernel entry point")));
-    }
-    if !module.device_lib_linked {
-        return Err(ExecError::BadLaunch(format!(
-            "module `{}` was not linked against the device library",
-            module.name
-        )));
-    }
-    if cfg.params.len() != kfun.params.len() {
-        return Err(ExecError::BadLaunch(format!(
-            "kernel `{kernel}` takes {} parameters, launch provided {}",
-            kfun.params.len(),
-            cfg.params.len()
-        )));
-    }
-    let threads_per_block = cfg.block[0] as u64 * cfg.block[1] as u64 * cfg.block[2] as u64;
-    if threads_per_block == 0 || threads_per_block > device.props.max_threads_per_block as u64 {
-        return Err(ExecError::BadLaunch(format!(
-            "block of {threads_per_block} threads (max {})",
-            device.props.max_threads_per_block
-        )));
-    }
-    if kfun.shared_size > device.props.shared_mem_per_block {
-        return Err(ExecError::BadLaunch(format!(
-            "kernel needs {} bytes of shared memory (max {})",
-            kfun.shared_size, device.props.shared_mem_per_block
-        )));
-    }
-    let blocks_total = cfg.grid[0] as u64 * cfg.grid[1] as u64 * cfg.grid[2] as u64;
-    if blocks_total == 0 {
-        return Err(ExecError::BadLaunch("empty grid".into()));
-    }
-
-    // Choose the blocks to simulate.
-    let chosen: Vec<u64> = match mode {
-        ExecMode::Functional => (0..blocks_total).collect(),
-        ExecMode::Sampled { max_blocks } => {
-            let max = max_blocks.max(1) as u64;
-            if blocks_total <= max {
-                (0..blocks_total).collect()
-            } else {
-                // Evenly spaced sample, always including the first and last
-                // blocks (edge blocks often do boundary work).
-                let mut v: Vec<u64> = (0..max).map(|i| i * blocks_total / max).collect();
-                v.push(blocks_total - 1);
-                v.dedup();
-                v
-            }
+impl Program {
+    /// Launch `kernel`, over all of `cfg.grid` or, with a [`TileView`], as
+    /// a window of a larger logical grid.
+    pub fn launch(
+        &self,
+        device: &Device,
+        kernel: &str,
+        cfg: &LaunchConfig,
+        lib: &dyn DeviceLib,
+        mode: ExecMode,
+        tile: Option<TileView>,
+    ) -> Result<LaunchStats, ExecError> {
+        device.fault_check(crate::fault::FaultSite::Launch)?;
+        let (kidx, kfun) =
+            self.function(kernel).ok_or_else(|| ExecError::UnknownKernel(kernel.to_string()))?;
+        if !kfun.is_kernel {
+            return Err(ExecError::BadLaunch(format!("`{kernel}` is not a kernel entry point")));
         }
-    };
-
-    // A one-warp block has no sibling to wait for and runs on the calling
-    // thread with its barriers live, whatever the kernel.
-    let inline_warps =
-        threads_per_block > timing::WARP_SIZE as u64 && !waits::can_wait(module, kidx, lib);
-
-    let accum = Mutex::new(BlockAccum::default());
-    let error: Mutex<Option<ExecError>> = Mutex::new(None);
-    let next = AtomicUsize::new(0);
-    let workers = device.block_workers.min(chosen.len());
-
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= chosen.len() || error.lock().is_some() {
-            return;
+        let module = self.module();
+        if !module.device_lib_linked {
+            return Err(ExecError::BadLaunch(format!(
+                "module `{}` was not linked against the device library",
+                module.name
+            )));
         }
-        let lin = chosen[i];
-        match run_block(
-            device,
-            module,
-            kidx,
-            cfg,
-            lib,
-            lin,
-            threads_per_block as u32,
-            inline_warps,
-            tile,
-        ) {
-            Ok(b) => {
-                if let Some(t) = device.trace() {
-                    // One complete event per simulated block. All
-                    // start at the launch base — wave pipelining is
-                    // summarized by the launch span, not re-modeled
-                    // per block.
-                    t.obs.tracer.complete(
-                        t.pid,
-                        BLOCK_TRACK_BASE + lin % BLOCK_TRACKS,
-                        &format!("block {lin}"),
-                        "block",
-                        t.base_s,
-                        b.max_block_cycles as f64 / device.props.clock_hz,
-                        vec![
-                            ("cycles", b.max_block_cycles.into()),
-                            ("lane_insts", b.lane_insts.into()),
-                        ],
-                    );
-                }
-                let mut a = accum.lock();
-                a.issue += b.issue;
-                a.transactions += b.transactions;
-                a.lane_insts += b.lane_insts;
-                a.divergent += b.divergent;
-                a.max_block_cycles = a.max_block_cycles.max(b.max_block_cycles);
-                a.executed += 1;
-            }
-            Err(e) => {
-                let mut slot = error.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
+        if cfg.params.len() != kfun.params {
+            return Err(ExecError::BadLaunch(format!(
+                "kernel `{kernel}` takes {} parameters, launch provided {}",
+                kfun.params,
+                cfg.params.len()
+            )));
+        }
+        let threads_per_block = cfg.block[0] as u64 * cfg.block[1] as u64 * cfg.block[2] as u64;
+        if threads_per_block == 0 || threads_per_block > device.props.max_threads_per_block as u64 {
+            return Err(ExecError::BadLaunch(format!(
+                "block of {threads_per_block} threads (max {})",
+                device.props.max_threads_per_block
+            )));
+        }
+        if kfun.shared_size > device.props.shared_mem_per_block {
+            return Err(ExecError::BadLaunch(format!(
+                "kernel needs {} bytes of shared memory (max {})",
+                kfun.shared_size, device.props.shared_mem_per_block
+            )));
+        }
+        let blocks_total = cfg.grid[0] as u64 * cfg.grid[1] as u64 * cfg.grid[2] as u64;
+        if blocks_total == 0 {
+            return Err(ExecError::BadLaunch("empty grid".into()));
+        }
+
+        // Choose the blocks to simulate.
+        let chosen: Vec<u64> = match mode {
+            ExecMode::Functional => (0..blocks_total).collect(),
+            ExecMode::Sampled { max_blocks } => {
+                let max = max_blocks.max(1) as u64;
+                if blocks_total <= max {
+                    (0..blocks_total).collect()
+                } else {
+                    // Evenly spaced sample, always including the first and last
+                    // blocks (edge blocks often do boundary work).
+                    let mut v: Vec<u64> = (0..max).map(|i| i * blocks_total / max).collect();
+                    v.push(blocks_total - 1);
+                    v.dedup();
+                    v
                 }
             }
-        }
-    };
-    // A set of one runs on the calling thread.
-    if workers <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
+        };
+
+        // A one-warp block has no sibling to wait for and runs on the calling
+        // thread with its barriers live, whatever the kernel.
+        let inline_warps = threads_per_block > timing::WARP_SIZE as u64 && !kfun.can_wait;
+
+        let accum = Mutex::new(BlockAccum::default());
+        // The failing block with the lowest index, and its error. Blocks are
+        // handed out in increasing order and every block taken runs to the
+        // end, so every block below the one recorded has finished by the time
+        // the workers stop.
+        let error: Mutex<Option<(u64, ExecError)>> = Mutex::new(None);
+        let next = AtomicUsize::new(0);
+        let workers = device.block_workers.min(chosen.len());
+
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= chosen.len() || error.lock().is_some() {
+                return;
             }
-        });
+            let lin = chosen[i];
+            match run_block(
+                device,
+                self,
+                kidx,
+                cfg,
+                lib,
+                lin,
+                threads_per_block as u32,
+                inline_warps,
+                tile,
+            ) {
+                Ok(b) => {
+                    if let Some(t) = device.trace() {
+                        // One complete event per simulated block. All
+                        // start at the launch base — wave pipelining is
+                        // summarized by the launch span, not re-modeled
+                        // per block.
+                        t.obs.tracer.complete(
+                            t.pid,
+                            BLOCK_TRACK_BASE + lin % BLOCK_TRACKS,
+                            &format!("block {lin}"),
+                            "block",
+                            t.base_s,
+                            b.max_block_cycles as f64 / device.props.clock_hz,
+                            vec![
+                                ("cycles", b.max_block_cycles.into()),
+                                ("lane_insts", b.lane_insts.into()),
+                            ],
+                        );
+                    }
+                    let mut a = accum.lock();
+                    a.issue += b.issue;
+                    a.transactions += b.transactions;
+                    a.lane_insts += b.lane_insts;
+                    a.divergent += b.divergent;
+                    a.max_block_cycles = a.max_block_cycles.max(b.max_block_cycles);
+                    a.executed += 1;
+                }
+                Err(e) => {
+                    let mut slot = error.lock();
+                    if slot.as_ref().is_none_or(|(first, _)| lin < *first) {
+                        *slot = Some((lin, e));
+                    }
+                }
+            }
+        };
+        // A set of one runs on the calling thread.
+        if workers <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(worker);
+                }
+            });
+        }
+
+        if let Some((_, e)) = error.into_inner() {
+            return Err(e);
+        }
+        let a = accum.into_inner();
+        let executed = a.executed.max(1);
+        let scale = blocks_total as f64 / executed as f64;
+
+        let issue_total = (a.issue as f64 * scale) as u64;
+        let transactions_total = (a.transactions as f64 * scale) as u64;
+        let lane_insts_total = (a.lane_insts as f64 * scale) as u64;
+
+        // Kernel time model (see `timing` module docs): the max of the issue
+        // throughput bound, the DRAM bandwidth bound, and the wave-pipelined
+        // critical path.
+        let resident = timing::resident_blocks(threads_per_block as u32, kfun.shared_size) as u64;
+        let waves = blocks_total.div_ceil(resident);
+        let issue_bound = issue_total / timing::WARP_SCHEDULERS;
+        let mem_bound = (transactions_total as f64 * timing::CYCLES_PER_TRANSACTION) as u64;
+        let path_bound = a.max_block_cycles * waves;
+        let kernel_cycles = issue_bound.max(mem_bound).max(path_bound).max(1);
+        let time_s = timing::LAUNCH_OVERHEAD_S + kernel_cycles as f64 / device.props.clock_hz;
+
+        {
+            let mut st = device.stats.lock();
+            st.kernels_launched += 1;
+            st.blocks_total += blocks_total;
+            st.blocks_simulated += a.executed;
+            st.lane_insts += a.lane_insts;
+            st.mem_transactions += a.transactions;
+            st.busy_time_s += time_s;
+        }
+
+        Ok(LaunchStats {
+            blocks_total,
+            blocks_executed: a.executed,
+            issue_cycles: issue_total,
+            mem_transactions: transactions_total,
+            lane_insts: lane_insts_total,
+            max_block_cycles: a.max_block_cycles,
+            kernel_cycles,
+            time_s,
+            divergent_branches: a.divergent,
+            resident_blocks: resident,
+            waves,
+        })
     }
-
-    if let Some(e) = error.into_inner() {
-        return Err(e);
-    }
-    let a = accum.into_inner();
-    let executed = a.executed.max(1);
-    let scale = blocks_total as f64 / executed as f64;
-
-    let issue_total = (a.issue as f64 * scale) as u64;
-    let transactions_total = (a.transactions as f64 * scale) as u64;
-    let lane_insts_total = (a.lane_insts as f64 * scale) as u64;
-
-    // Kernel time model (see `timing` module docs): the max of the issue
-    // throughput bound, the DRAM bandwidth bound, and the wave-pipelined
-    // critical path.
-    let resident = timing::resident_blocks(threads_per_block as u32, kfun.shared_size) as u64;
-    let waves = blocks_total.div_ceil(resident);
-    let issue_bound = issue_total / timing::WARP_SCHEDULERS;
-    let mem_bound = (transactions_total as f64 * timing::CYCLES_PER_TRANSACTION) as u64;
-    let path_bound = a.max_block_cycles * waves;
-    let kernel_cycles = issue_bound.max(mem_bound).max(path_bound).max(1);
-    let time_s = timing::LAUNCH_OVERHEAD_S + kernel_cycles as f64 / device.props.clock_hz;
-
-    {
-        let mut st = device.stats.lock();
-        st.kernels_launched += 1;
-        st.blocks_total += blocks_total;
-        st.blocks_simulated += a.executed;
-        st.lane_insts += a.lane_insts;
-        st.mem_transactions += a.transactions;
-        st.busy_time_s += time_s;
-    }
-
-    Ok(LaunchStats {
-        blocks_total,
-        blocks_executed: a.executed,
-        issue_cycles: issue_total,
-        mem_transactions: transactions_total,
-        lane_insts: lane_insts_total,
-        max_block_cycles: a.max_block_cycles,
-        kernel_cycles,
-        time_s,
-        divergent_branches: a.divergent,
-        resident_blocks: resident,
-        waves,
-    })
 }
 
 /// Trace track (`tid`) layout within a device process: per-block events
@@ -339,7 +340,7 @@ type BlockRunResult = Result<(u64, u64, crate::warp::WarpStats), ExecError>;
 #[allow(clippy::too_many_arguments)]
 fn run_block(
     device: &Device,
-    module: &sptx::Module,
+    program: &Program,
     kidx: u32,
     cfg: &LaunchConfig,
     lib: &dyn DeviceLib,
@@ -348,7 +349,7 @@ fn run_block(
     inline_warps: bool,
     tile: Option<TileView>,
 ) -> Result<BlockResult, ExecError> {
-    let kfun = &module.functions[kidx as usize];
+    let kfun = &program.funcs[kidx as usize];
     let shared_static = kfun.shared_size;
     // Under a tiled launch the block takes its identity (and the grid
     // shape it reports) from the logical grid, not the physical window.
@@ -363,7 +364,7 @@ fn run_block(
     ];
     let env = BlockEnv {
         device,
-        module,
+        program,
         lib,
         ctx: BlockCtx::new(timing::SHARED_MEM_PER_BLOCK as usize),
         grid_dim: logical_grid,
@@ -418,4 +419,58 @@ fn run_block(
         }
     }
     aborted.map_or(Ok(out), Err)
+}
+
+#[cfg(test)]
+mod tests {
+    use sptx::builder::{op, FnBuilder};
+    use sptx::{BinOp, CvtTy, MemTy, ScalarTy, SpecialReg};
+    use vmcommon::MemError;
+
+    use super::*;
+    use crate::warp::NoLib;
+
+    const WILD: u64 = 0x0700_0000_0000_0000;
+
+    /// With four block workers, eight one-warp blocks each load from a wild
+    /// address of their own, and block 0 first spins: the error is block
+    /// 0's every time, although later blocks fail first.
+    #[test]
+    fn the_lowest_failing_block_is_reported() {
+        let mut b = FnBuilder::new("k", true);
+        let ctaid = b.mov(op::sp(SpecialReg::CtaidX));
+        let first = b.bin(ScalarTy::I32, BinOp::SetEq, op::r(ctaid), op::i(0));
+        b.begin_if();
+        let i = b.mov(op::i(0));
+        b.begin_loop();
+        let done = b.bin(ScalarTy::I32, BinOp::SetGe, op::r(i), op::i(20_000));
+        b.begin_if();
+        b.brk();
+        b.end_if(op::r(done));
+        let next = b.bin(ScalarTy::I32, BinOp::Add, op::r(i), op::i(1));
+        b.mov_to(i, op::r(next));
+        b.end_loop();
+        b.end_if(op::r(first));
+        let c64 = b.cvt(CvtTy::I64, CvtTy::I32, op::r(ctaid));
+        let off = b.bin(ScalarTy::I64, BinOp::Mul, op::r(c64), op::i(8));
+        let wild = b.bin(ScalarTy::I64, BinOp::Add, op::r(off), op::i(WILD as i64));
+        b.ld(MemTy::B64, op::r(wild), 0);
+        let module = sptx::Module {
+            name: "wild".into(),
+            arch: "sm_53".into(),
+            functions: vec![b.build()],
+            device_lib_linked: true,
+        };
+        let program = Program::new(Arc::new(module), &NoLib);
+        let mut d = Device::new(1 << 20);
+        d.block_workers = 4;
+        let cfg = LaunchConfig { grid: [8, 1, 1], block: [32, 1, 1], params: vec![] };
+        for _ in 0..50 {
+            let err = program.launch(&d, "k", &cfg, &NoLib, ExecMode::Functional, None);
+            match err {
+                Err(ExecError::Mem(MemError::BadSpace { addr: WILD })) => {}
+                other => panic!("expected block 0's fault, got {other:?}"),
+            }
+        }
+    }
 }

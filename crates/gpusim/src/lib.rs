@@ -7,9 +7,11 @@
 //! global-memory arena with relaxed-atomic word access, and a calibrated
 //! timing model ([`timing`]).
 //!
-//! The execution model: a warp steps its instructions warp-wide, 32 lanes
-//! per decode (see [`warp`]). Blocks are independent and are simulated by a
-//! small worker pool. Within a block, a kernel that can make one warp wait
+//! The execution model: a module is lowered once into a [`Program`] — per
+//! function a flat list of ops with operands, costs and branch targets
+//! resolved ([`program`]) — and a warp steps those ops warp-wide, 32 lanes
+//! per decode, over a mask stack (see [`warp`]). Blocks are independent and
+//! are simulated by a small worker pool. Within a block, a kernel that can make one warp wait
 //! for another — named barriers, the paper's master/worker scheme, a
 //! hand-written lock — gets one OS thread per warp so that parked warps and
 //! running ones make independent progress; every other kernel runs its
@@ -20,6 +22,7 @@ pub mod barrier;
 pub mod device;
 pub mod fault;
 pub mod launch;
+pub mod program;
 pub mod stream;
 pub mod timing;
 pub mod waits;
@@ -27,7 +30,8 @@ pub mod warp;
 
 pub use device::{DevTrace, Device, DeviceProps, DeviceStats, ExecError};
 pub use fault::{FaultKind, FaultPlan, FaultPlanError, FaultRule, FaultSite};
-pub use launch::{launch, launch_tiled, ExecMode, LaunchConfig, LaunchStats, TileView};
+pub use launch::{launch, ExecMode, LaunchConfig, LaunchStats, TileView};
+pub use program::Program;
 pub use stream::{EngineKind, EventId, OpSchedule, StreamEngine};
 pub use warp::{iter_lanes, BlockCtx, BlockEnv, DeviceLib, LaneVec, NoLib, Warp};
 

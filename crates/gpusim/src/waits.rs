@@ -1,9 +1,10 @@
 //! Can a kernel make one warp wait for a sibling warp of its block?
 //!
-//! The launch asks this once, before the first block runs: a kernel that
-//! cannot wait needs no concurrency between its warps, so each block's
-//! warps run one after another on the block worker's thread (see
-//! [`crate::launch`]). The answer is a property of the code alone.
+//! A [`crate::Program`] asks this once per kernel, when it lowers the
+//! module: a kernel that cannot wait needs no concurrency between its
+//! warps, so each block's warps run one after another on the block worker's
+//! thread (see [`crate::launch`]). The answer is a property of the code
+//! alone.
 
 use sptx::{AtomOp, Inst};
 

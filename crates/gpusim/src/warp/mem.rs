@@ -9,13 +9,14 @@
 //! leave the higher lane's value, and a float atomic accumulates in lane
 //! order — all of which a guest can observe.
 
-use sptx::MemTy;
+use sptx::{AtomOp, MemTy};
 use vmcommon::addr::{self, Space};
 use vmcommon::mem::MemResult;
 use vmcommon::MemArena;
 
 use super::{iter_lanes, LaneVec, Warp};
 use crate::device::ExecError;
+use crate::program::{Func, Src};
 use crate::timing;
 
 enum Resolved<'m> {
@@ -24,12 +25,12 @@ enum Resolved<'m> {
 }
 
 /// One lane's atomic read-modify-write: `(arena, offset, operand) -> old`.
-pub(super) type AtomFn = fn(&MemArena, u64, u64) -> MemResult<u64>;
+type AtomFn = fn(&MemArena, u64, u64) -> MemResult<u64>;
 
 /// The lane operation of an `atom` instruction, selected once per warp
 /// instruction.
-pub(super) fn atom_fn(op: sptx::AtomOp) -> AtomFn {
-    use sptx::AtomOp::*;
+fn atom_fn(op: AtomOp) -> AtomFn {
+    use AtomOp::*;
     match op {
         CasB32 => unreachable!("separate instruction"),
         AddI32 => |m, off, v| Ok(m.fetch_add_u32(off, v as u32)? as u64),
@@ -57,6 +58,98 @@ fn store_u32(m: &MemArena, off: u64, v: u64) -> MemResult<()> {
 }
 
 impl<'a> Warp<'a> {
+    // The memory ops of `run`, kept out of line so that their lane loops
+    // and temporaries stay out of the dispatch loop that every op runs in.
+
+    /// `ld`: the active lanes' values into row `dst`.
+    #[inline(never)]
+    pub(super) fn ld(
+        &mut self,
+        f: &Func,
+        ty: MemTy,
+        dst: u32,
+        addr: Src,
+        offset: i64,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        let addrs = self.lane_addrs(f, addr, offset);
+        let v = self.load_lanes(ty, &addrs, mask)?;
+        self.set_row(dst, &v, mask);
+        self.coalesce(&addrs, mask);
+        Ok(())
+    }
+
+    /// `st`: the active lanes' values of `src` to memory.
+    #[inline(never)]
+    pub(super) fn st(
+        &mut self,
+        f: &Func,
+        ty: MemTy,
+        src: Src,
+        addr: Src,
+        offset: i64,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        let addrs = self.lane_addrs(f, addr, offset);
+        let v = *self.read(f, src);
+        self.store_lanes(ty, &addrs, &v, mask)?;
+        self.coalesce(&addrs, mask);
+        Ok(())
+    }
+
+    /// `atom.cas.b32`, lowest lane first; the old words into row `dst`.
+    #[inline(never)]
+    pub(super) fn atom_cas(
+        &mut self,
+        f: &Func,
+        dst: u32,
+        addr: Src,
+        expected: Src,
+        new: Src,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        let (addrs, e, n) = (self.read(f, addr), self.read(f, expected), self.read(f, new));
+        let mut old = [0u64; 32];
+        for lane in iter_lanes(mask) {
+            let l = lane as usize;
+            let (m, off) = self.resolve_atomic(addrs[l])?;
+            old[l] = m.cas_u32(off, e[l] as u32, n[l] as u32)? as u64;
+        }
+        self.set_row(dst, &old, mask);
+        Ok(())
+    }
+
+    /// A fetch-and-op `atom`, lowest lane first; the old values into row
+    /// `dst`.
+    #[inline(never)]
+    pub(super) fn atom(
+        &mut self,
+        f: &Func,
+        op: AtomOp,
+        dst: u32,
+        addr: Src,
+        val: Src,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        let (addrs, v) = (self.read(f, addr), self.read(f, val));
+        let rmw = atom_fn(op);
+        let mut old = [0u64; 32];
+        for lane in iter_lanes(mask) {
+            let l = lane as usize;
+            let (m, off) = self.resolve_atomic(addrs[l])?;
+            old[l] = rmw(m, off, v[l])?;
+        }
+        self.set_row(dst, &old, mask);
+        Ok(())
+    }
+
+    /// `addr + offset` in every lane (wrapping: an inactive lane may hold
+    /// anything).
+    #[inline]
+    fn lane_addrs(&self, f: &Func, addr: Src, offset: i64) -> LaneVec {
+        self.read(f, addr).map(|a| (a as i64).wrapping_add(offset) as u64)
+    }
+
     /// Resolve a tagged guest address to the arena (or the local stack) it
     /// lives in.
     fn resolve(&self, a: u64) -> Result<Resolved<'a>, ExecError> {
@@ -70,7 +163,7 @@ impl<'a> Warp<'a> {
     }
 
     /// The arena word an atomic targets; local memory has no atomics.
-    pub(super) fn resolve_atomic(&self, a: u64) -> Result<(&'a MemArena, u64), ExecError> {
+    fn resolve_atomic(&self, a: u64) -> Result<(&'a MemArena, u64), ExecError> {
         match self.resolve(a)? {
             Resolved::Arena(m, off) => Ok((m, off)),
             Resolved::Local(_) => Err(ExecError::Trap("atomic on local memory".into())),
@@ -124,12 +217,7 @@ impl<'a> Warp<'a> {
 
     /// `ld`: load each active lane's address, lowest lane first; inactive
     /// lanes read 0.
-    pub(super) fn load_lanes(
-        &self,
-        ty: MemTy,
-        addrs: &LaneVec,
-        mask: u32,
-    ) -> Result<LaneVec, ExecError> {
+    fn load_lanes(&self, ty: MemTy, addrs: &LaneVec, mask: u32) -> Result<LaneVec, ExecError> {
         let mut out = [0u64; 32];
         macro_rules! each {
             ($size:expr, $arena:expr) => {
@@ -147,7 +235,7 @@ impl<'a> Warp<'a> {
     }
 
     /// `st`: store each active lane's value, lowest lane first.
-    pub(super) fn store_lanes(
+    fn store_lanes(
         &mut self,
         ty: MemTy,
         addrs: &LaneVec,

@@ -1,22 +1,28 @@
 //! The SIMT warp interpreter.
 //!
-//! Each simulated warp executes the structured SPTX IR in lockstep across
-//! its 32 lanes, carrying an explicit *active mask*. Divergence works
-//! exactly like the hardware's reconvergence stack, but over the structured
-//! tree: an `if` partitions the mask, a `loop` keeps iterating until every
-//! lane has left via `break`/`ret`, and control merges when the node
-//! finishes.
+//! Each simulated warp executes its function's lowered program (see
+//! [`crate::program`]: every SPTX function is decoded once, when the module
+//! is loaded, into a flat list of ops with operands, costs and branch
+//! targets resolved) in lockstep across its 32 lanes, carrying an explicit
+//! *active mask*. Divergence works like the hardware's reconvergence stack:
+//! an `If` pushes an entry that remembers the lanes still owed the else side
+//! and the lanes that finished a side, a `Loop` pushes one that collects the
+//! lanes that `break` and `continue`, and the matching `EndIf`/`LoopEnd`
+//! merges them back. When the mask drops to zero (every lane returned,
+//! broke or continued), the warp jumps to the innermost entry's terminator
+//! — the flat form of "skip the rest of this block".
 //!
-//! **What is warp-wide.** An instruction is decoded once per warp, not once
-//! per lane. Its operands resolve to whole [`LaneVec`]s (a register row,
-//! an immediate splat already narrowed to the instruction type, a special
-//! register from the per-warp table built in [`Warp::new`]), its
-//! `(type, op)` pair is matched once, and one branch-free loop computes all
-//! 32 lanes ([`alu`]); the result is blended into the destination row under
-//! the mask, so inactive lanes keep their bits. `mov`, `bin`, `un`, `cvt`,
-//! the `if` condition and the address/value side of `ld`/`st` all run this
-//! way. `issue`/`clock` are charged once per warp instruction and
-//! `lane_insts` grows by the mask's population count.
+//! **What is warp-wide.** One op is decoded once per warp, not once per
+//! lane, and was decoded into that form once per module. Its operands are
+//! whole [`LaneVec`]s read in place (a register row, a row of the function's
+//! constant table holding an immediate already narrowed to the instruction
+//! type, a special register from the per-warp table built in [`Warp::new`]),
+//! and one branch-free loop computes all 32 lanes straight into the
+//! destination row under the mask ([`alu`]), so inactive lanes keep their
+//! bits. `mov`, `bin`, `un`, `cvt`, the `if` condition and the address/value
+//! side of `ld`/`st` all run this way. `issue`/`clock` are charged once per
+//! warp instruction from the costs stored on the op, and `lane_insts` grows
+//! by the mask's population count.
 //!
 //! **What stays lane-ordered, and why.** Wherever the order of lanes is
 //! observable the interpreter walks the active lanes lowest first
@@ -27,14 +33,14 @@
 //! device-library calls.
 //!
 //! **Who runs a warp.** Warps of one block interact only through
-//! shared/global memory, atomics and the block's named barriers. The launch
-//! decides from the kernel's code whether one of them can *wait* for
-//! another ([`crate::waits::can_wait`]): through a `bar.sync`, through a
-//! blocking device-library call ([`DeviceLib::may_wait`] — the paper's
-//! master/worker machinery of §3.2, where worker warps park on barrier B1
-//! while the master warp executes sequential code), or through an
-//! `atom.cas`/`atom.exch`, which is how a lock or flag hand-off between
-//! warps is written (the loser spins until a sibling stores again).
+//! shared/global memory, atomics and the block's named barriers. The
+//! program records, per kernel, whether one of them can *wait* for another
+//! ([`crate::waits::can_wait`]): through a `bar.sync`, through a blocking
+//! device-library call ([`DeviceLib::may_wait`] — the paper's master/worker
+//! machinery of §3.2, where worker warps park on barrier B1 while the master
+//! warp executes sequential code), or through an `atom.cas`/`atom.exch`,
+//! which is how a lock or flag hand-off between warps is written (the loser
+//! spins until a sibling stores again).
 //!
 //! * A kernel that cannot wait runs warp 0, 1, 2, … to completion on the
 //!   block worker's thread. There is nothing to schedule: no warp ever
@@ -55,21 +61,21 @@
 //! not recognised as waiting: run inline it spins forever, the one shape
 //! that a thread per warp ran and this rule does not.
 
-mod alu;
+pub(crate) mod alu;
 mod mem;
 #[cfg(test)]
 mod tests;
 
-use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::sync::atomic::AtomicU64;
 
-use sptx::{Operand, ScalarTy};
 use vmcommon::addr::{self, Space};
 use vmcommon::fmt::FmtArg;
 use vmcommon::{MemArena, Value};
 
 use crate::barrier::{NamedBarrier, Released, BARRIER_HOST_TIMEOUT};
 use crate::device::{Device, ExecError};
+use crate::program::{Func, Op, Program, Src, WarpOp};
 use crate::timing;
 
 /// One value per lane.
@@ -89,7 +95,7 @@ pub trait DeviceLib: Send + Sync {
 
     /// Can a call to `name` make the calling warp wait until a sibling warp
     /// of its block acts — in practice, arrives at a named barrier? The
-    /// launch asks before it runs a kernel ([`crate::waits::can_wait`]); a
+    /// program asks when it lowers a kernel ([`crate::waits::can_wait`]); a
     /// library that answers `false` for a call that does reach
     /// [`Warp::bar_sync`] gets a trap, not a hang.
     fn may_wait(&self, _name: &str) -> bool {
@@ -151,7 +157,7 @@ impl BlockCtx {
 /// Everything shared by the warps of one block.
 pub struct BlockEnv<'a> {
     pub device: &'a Device,
-    pub module: &'a sptx::Module,
+    pub program: &'a Program,
     pub lib: &'a dyn DeviceLib,
     pub ctx: BlockCtx,
     pub grid_dim: [u32; 3],
@@ -184,16 +190,28 @@ struct Frame {
     reg_base: usize,
     /// Start of this frame's window in the warp-local memory stack.
     local_base: usize,
-    /// Per-lane local bytes.
-    local_size: u64,
+    /// Each lane's `.local` base address in this frame.
+    local_row: LaneVec,
     ret_vals: LaneVec,
 }
 
-/// Flow bookkeeping for structured execution.
-#[derive(Default)]
-struct FlowMasks {
-    brk: Vec<u32>,
-    cont: Vec<u32>,
+/// An `if` or `loop` a warp is executing: one entry of its mask stack.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Ctl {
+    /// `pending`: the lanes still owed the else side; `out`: the lanes that
+    /// finished a side; `term`: where a side left without lanes goes.
+    If { pending: u32, out: u32, term: u32 },
+    /// `brk`: the lanes that left by `break`; `cont`: the lanes that
+    /// `continue`d this iteration; `term`: the `LoopEnd`.
+    Loop { brk: u32, cont: u32, term: u32 },
+}
+
+impl Ctl {
+    fn term(&self) -> usize {
+        match *self {
+            Ctl::If { term, .. } | Ctl::Loop { term, .. } => term as usize,
+        }
+    }
 }
 
 /// A warp mid-execution.
@@ -213,6 +231,9 @@ pub struct Warp<'a> {
     /// Every special register's value in every lane, indexed by
     /// `SpecialReg as usize`.
     specials: [LaneVec; NUM_SPECIALS],
+    /// The `if`s and `loop`s being executed by every live frame, innermost
+    /// last.
+    ctl: Vec<Ctl>,
 }
 
 const LOCAL_STACK_LIMIT: usize = 4 << 20;
@@ -221,6 +242,46 @@ const NUM_SPECIALS: usize = sptx::SpecialReg::WarpId as usize + 1;
 
 /// Call-argument rows kept on the host stack; longer packs go to the heap.
 const INLINE_ARGS: usize = 8;
+
+/// The row starting at `at`.
+#[inline(always)]
+fn row(regs: &[u64], at: usize) -> &LaneVec {
+    regs[at..at + 32].try_into().expect("32-lane row")
+}
+
+/// The register stack split around the row an op writes, with everything
+/// else an operand can be read from.
+struct Reads<'s> {
+    /// The registers below and above the destination row.
+    lo: &'s [u64],
+    hi: &'s [u64],
+    /// Where the destination row starts, and the frame's first register.
+    at: usize,
+    base: usize,
+    consts: &'s [LaneVec],
+    specials: &'s [LaneVec; NUM_SPECIALS],
+    local: &'s LaneVec,
+}
+
+impl<'s> Reads<'s> {
+    /// Operand `s`'s row; `None` when it is the destination row itself.
+    #[inline(always)]
+    fn get(&self, s: Src) -> Option<&'s LaneVec> {
+        Some(match s {
+            Src::Reg(r) => {
+                let r = self.base + r as usize;
+                match r.cmp(&self.at) {
+                    Ordering::Less => row(self.lo, r),
+                    Ordering::Greater => row(self.hi, r - self.at - 32),
+                    Ordering::Equal => return None,
+                }
+            }
+            Src::Const(i) => &self.consts[i as usize],
+            Src::Special(s) => &self.specials[s as usize],
+            Src::LocalBase => self.local,
+        })
+    }
+}
 
 impl<'a> Warp<'a> {
     pub fn new(env: &'a BlockEnv<'a>, warp_id: u32) -> Warp<'a> {
@@ -259,6 +320,7 @@ impl<'a> Warp<'a> {
             regs: Vec::new(),
             local_stack: Vec::new(),
             specials,
+            ctl: Vec::new(),
         }
     }
 
@@ -285,72 +347,101 @@ impl<'a> Warp<'a> {
         self.frames.last().expect("active frame")
     }
 
-    /// Register `r` of the current frame, all lanes.
-    #[inline]
-    fn row(&self, r: sptx::Reg) -> &LaneVec {
-        let at = self.frame().reg_base + r.0 as usize * 32;
-        self.regs[at..at + 32].try_into().expect("32-lane row")
-    }
-
-    #[inline]
-    fn row_mut(&mut self, r: sptx::Reg) -> &mut LaneVec {
-        let at = self.frame().reg_base + r.0 as usize * 32;
-        (&mut self.regs[at..at + 32]).try_into().expect("32-lane row")
-    }
-
-    /// Write `v` to register `r` in the lanes of `mask`; the other lanes
-    /// keep their bits.
-    #[inline]
-    fn set_row(&mut self, r: sptx::Reg, v: &LaneVec, mask: u32) {
-        alu::blend(self.row_mut(r), v, mask);
-    }
-
-    /// Evaluate an operand in every lane (raw bit patterns): a register or
-    /// special register is read in place, anything else is built.
-    #[inline]
-    fn operand(&self, o: &Operand) -> Cow<'_, LaneVec> {
-        match o {
-            Operand::Reg(r) => Cow::Borrowed(self.row(*r)),
-            Operand::ImmI(v) => Cow::Owned([*v as u64; 32]),
-            Operand::ImmF(v) => Cow::Owned([v.to_bits(); 32]),
-            Operand::Special(s) => Cow::Borrowed(&self.specials[*s as usize]),
-            Operand::LocalBase => {
-                let f = self.frame();
-                Cow::Owned(std::array::from_fn(|lane| {
-                    addr::make(Space::Local, f.local_base as u64 + lane as u64 * f.local_size)
-                }))
-            }
-            Operand::SharedBase => Cow::Owned([addr::make(Space::Shared, 0); 32]),
+    /// Operand `s` of an op of `f`, all lanes (raw bit patterns), for an op
+    /// that writes no register while it reads.
+    #[inline(always)]
+    fn read<'s>(&'s self, f: &'s Func, s: Src) -> &'s LaneVec {
+        match s {
+            Src::Reg(r) => row(&self.regs, self.frame().reg_base + r as usize),
+            Src::Const(i) => &f.consts[i as usize],
+            Src::Special(s) => &self.specials[s as usize],
+            Src::LocalBase => &self.frame().local_row,
         }
-    }
-
-    /// Evaluate an operand of a `ty`-typed ALU instruction. Immediates
-    /// carry their natural encoding (`ImmF` is f64 bits, `ImmI` a
-    /// sign-extended integer); the one that needs normalising into the
-    /// instruction type is a float literal in an f32 operation.
-    #[inline]
-    fn operand_as(&self, o: &Operand, ty: ScalarTy) -> Cow<'_, LaneVec> {
-        match (o, ty) {
-            (Operand::ImmF(v), ScalarTy::F32) => Cow::Owned([(*v as f32).to_bits() as u64; 32]),
-            _ => self.operand(o),
-        }
-    }
-
-    /// Evaluate an operand for one lane (raw bit pattern).
-    #[inline]
-    pub fn op_val(&self, o: &Operand, lane: u32) -> u64 {
-        self.operand(o)[lane as usize]
     }
 
     /// Uniform operand value (first active lane).
-    fn op_uniform(&self, o: &Operand, mask: u32) -> u64 {
-        let lane = mask.trailing_zeros().min(31);
-        self.op_val(o, lane)
+    fn read_uniform(&self, f: &Func, s: Src, mask: u32) -> u64 {
+        self.read(f, s)[mask.trailing_zeros().min(31) as usize]
+    }
+
+    /// Register row `dst` of the running frame, writable, beside everything
+    /// an operand of `f` can be read from.
+    #[inline(always)]
+    fn split<'s>(&'s mut self, f: &'s Func, dst: u32) -> (Reads<'s>, &'s mut LaneVec) {
+        let frame = self.frames.last().expect("active frame");
+        let at = frame.reg_base + dst as usize;
+        let (lo, rest) = self.regs.split_at_mut(at);
+        let (out, hi) = rest.split_at_mut(32);
+        let reads = Reads {
+            lo,
+            hi,
+            at,
+            base: frame.reg_base,
+            consts: &f.consts,
+            specials: &self.specials,
+            local: &frame.local_row,
+        };
+        (reads, out.try_into().expect("32-lane row"))
+    }
+
+    /// Run `op` with register row `dst` as its output and `a` as its input
+    /// (a copy of the row when `a` is `dst` itself).
+    #[inline(always)]
+    fn alu1<R>(
+        &mut self,
+        f: &Func,
+        dst: u32,
+        a: Src,
+        op: impl FnOnce(&mut LaneVec, &LaneVec) -> R,
+    ) -> R {
+        let (reads, out) = self.split(f, dst);
+        match reads.get(a) {
+            Some(a) => op(out, a),
+            None => {
+                let copy = *out;
+                op(out, &copy)
+            }
+        }
+    }
+
+    /// [`Warp::alu1`] with two inputs.
+    #[inline(always)]
+    fn alu2<R>(
+        &mut self,
+        f: &Func,
+        dst: u32,
+        a: Src,
+        b: Src,
+        op: impl FnOnce(&mut LaneVec, &LaneVec, &LaneVec) -> R,
+    ) -> R {
+        let (reads, out) = self.split(f, dst);
+        match (reads.get(a), reads.get(b)) {
+            (Some(a), Some(b)) => op(out, a, b),
+            (a, b) => {
+                let copy = *out;
+                op(out, a.unwrap_or(&copy), b.unwrap_or(&copy))
+            }
+        }
+    }
+
+    /// Write `v` to register row `dst` in the lanes of `mask`; the other
+    /// lanes keep their bits.
+    fn set_row(&mut self, dst: u32, v: &LaneVec, mask: u32) {
+        let at = self.frame().reg_base + dst as usize;
+        let out = (&mut self.regs[at..at + 32]).try_into().expect("32-lane row");
+        alu::blend(out, v, mask);
     }
 
     pub fn add_cost(&mut self, issue: u64, lat: u64) {
         self.issue += issue;
         self.clock += lat;
+    }
+
+    /// Charge one instruction for the lanes of `mask`.
+    #[inline(always)]
+    fn charge(&mut self, op: &WarpOp, mask: u32) {
+        self.add_cost(op.issue as u64, op.lat as u64);
+        self.stats.lane_insts += mask.count_ones() as u64;
     }
 
     /// Arrive at named barrier `id` on behalf of this warp.
@@ -362,6 +453,14 @@ impl<'a> Warp<'a> {
             return Err(ExecError::Trap(format!(
                 "bar.sync count {expected_threads} is not a positive multiple of {}",
                 timing::WARP_SIZE
+            )));
+        }
+        // More threads than the block's warps hold can never arrive.
+        let nthreads = self.env.nthreads;
+        if expected_threads > nthreads.next_multiple_of(timing::WARP_SIZE) {
+            return Err(ExecError::Trap(format!(
+                "bar.sync {id} waits for {expected_threads} threads but the block has \
+                 {nthreads}"
             )));
         }
         if self.env.inline_warps {
@@ -408,17 +507,17 @@ impl<'a> Warp<'a> {
         args: &[LaneVec],
         mask: u32,
     ) -> Result<LaneVec, ExecError> {
-        let module = self.env.module;
-        let f = module
-            .functions
+        let program = self.env.program;
+        let f = program
+            .funcs
             .get(func as usize)
             .ok_or_else(|| ExecError::Trap(format!("function index {func} out of range")))?;
-        if args.len() != f.params.len() {
+        if args.len() != f.params {
             return Err(ExecError::Trap(format!(
                 "call to `{}` with {} args (expects {})",
                 f.name,
                 args.len(),
-                f.params.len()
+                f.params
             )));
         }
         if self.frames.len() >= 64 {
@@ -439,12 +538,14 @@ impl<'a> Warp<'a> {
         self.frames.push(Frame {
             reg_base,
             local_base,
-            local_size: f.local_size,
+            local_row: std::array::from_fn(|lane| {
+                addr::make(Space::Local, local_base as u64 + lane as u64 * f.local_size)
+            }),
             ret_vals: [0; 32],
         });
-        let body: &[sptx::Node] = &f.body;
-        let mut flow = FlowMasks::default();
-        let res = self.exec_nodes(body, mask, &mut flow);
+        let ctl = self.ctl.len();
+        let res = self.run(f, mask);
+        self.ctl.truncate(ctl);
         let frame = self.frames.pop().expect("frame");
         self.regs.truncate(frame.reg_base);
         self.local_stack.truncate(frame.local_base);
@@ -452,188 +553,169 @@ impl<'a> Warp<'a> {
         Ok(frame.ret_vals)
     }
 
-    /// Execute nodes; returns the mask of lanes still active afterwards.
-    fn exec_nodes(
-        &mut self,
-        nodes: &[sptx::Node],
-        mut mask: u32,
-        flow: &mut FlowMasks,
-    ) -> Result<u32, ExecError> {
-        for n in nodes {
+    /// Step through `f`'s ops on the running frame for the lanes in `mask`;
+    /// returns the lanes that reach its end. Each `If`/`Loop` pushes a
+    /// control entry that its `EndIf`/`LoopEnd` pops; whenever the mask is
+    /// empty the warp goes to the innermost entry's terminator, or leaves
+    /// `f` when it is inside none.
+    fn run(&mut self, f: &Func, mut mask: u32) -> Result<u32, ExecError> {
+        let ops = &f.ops[..];
+        let base = self.ctl.len();
+        let mut pc = 0;
+        loop {
             if mask == 0 {
-                break;
+                pc = self.ctl[base..].last().map_or(ops.len(), Ctl::term);
             }
-            match n {
-                sptx::Node::Inst(i) => {
-                    mask = self.exec_inst(i, mask)?;
+            let Some(op) = ops.get(pc) else { return Ok(mask) };
+            pc += 1;
+            match op.op {
+                Op::Mov { dst, src } => {
+                    self.charge(op, mask);
+                    self.alu1(f, dst, src, |out, v| alu::blend(out, v, mask));
                 }
-                sptx::Node::If { cond, then_b, else_b } => {
-                    let m_then = alu::nonzero_mask(&self.operand(cond)) & mask;
+                Op::Bin { ty, op: bop, dst, a, b } => {
+                    self.charge(op, mask);
+                    let warp = self.warp_id;
+                    self.alu2(f, dst, a, b, |out, a, b| alu::bin(ty, bop, out, a, b, mask))
+                        .map_err(|m| ExecError::Trap(format!("{m} in warp {warp}")))?;
+                }
+                Op::Un { ty, op: uop, dst, a } => {
+                    self.charge(op, mask);
+                    self.alu1(f, dst, a, |out, a| alu::un(ty, uop, out, a, mask));
+                }
+                Op::Cvt { to, from, dst, src } => {
+                    self.charge(op, mask);
+                    self.alu1(f, dst, src, |out, v| alu::cvt(to, from, out, v, mask));
+                }
+                Op::Ld { ty, dst, addr, offset } => {
+                    self.charge(op, mask);
+                    self.ld(f, ty, dst, addr, offset, mask)?;
+                }
+                Op::St { ty, src, addr, offset } => {
+                    self.charge(op, mask);
+                    self.st(f, ty, src, addr, offset, mask)?;
+                }
+                Op::AtomCas { dst, addr, expected, new } => {
+                    self.charge(op, mask);
+                    self.atom_cas(f, dst, addr, expected, new, mask)?;
+                }
+                Op::Atom { op: aop, dst, addr, val } => {
+                    self.charge(op, mask);
+                    self.atom(f, aop, dst, addr, val, mask)?;
+                }
+                Op::BarSync { id, count } => {
+                    self.charge(op, mask);
+                    let id = self.read_uniform(f, id, mask) as u32;
+                    let expected = match count {
+                        Some(c) => self.read_uniform(f, c, mask) as u32,
+                        None => self.env.nthreads.next_multiple_of(timing::WARP_SIZE),
+                    };
+                    self.bar_sync(id, expected)?;
+                }
+                Op::Call { func, dst, ref args } => {
+                    self.charge(op, mask);
+                    let rv =
+                        self.with_args(f, args, mask, |w, pack| w.exec_function(func, pack, mask))?;
+                    if let Some(d) = dst {
+                        self.set_row(d, &rv, mask);
+                    }
+                }
+                Op::Intrinsic(ref i) => {
+                    self.charge(op, mask);
+                    let rv = self.with_args(f, &i.args, mask, |w, pack| {
+                        w.dispatch_intrinsic(&i.name, mask, pack, &i.sargs)
+                    })?;
+                    if let Some(d) = i.dst {
+                        self.set_row(d, &rv.unwrap_or([0; 32]), mask);
+                    }
+                }
+                Op::Ret { val } => {
+                    self.charge(op, mask);
+                    let v = val.map_or([0; 32], |v| *self.read(f, v));
+                    let frame = self.frames.last_mut().expect("active frame");
+                    alu::blend(&mut frame.ret_vals, &v, mask);
+                    mask = 0;
+                }
+                Op::Trap { ref msg } => {
+                    self.charge(op, mask);
+                    return Err(ExecError::Trap(format!("kernel trap: {msg}")));
+                }
+                Op::If { cond, else_pc } => {
+                    let m_then = alu::nonzero_mask(self.read(f, cond)) & mask;
                     let m_else = mask & !m_then;
                     if m_then != 0 && m_else != 0 {
                         self.stats.divergent_branches += 1;
                         self.clock += timing::DIVERGENCE_LAT;
                     }
-                    self.add_cost(1, 2);
-                    let mut out = 0u32;
-                    if m_then != 0 {
-                        out |= self.exec_nodes(then_b, m_then, flow)?;
-                    }
-                    if m_else != 0 {
-                        out |= self.exec_nodes(else_b, m_else, flow)?;
-                    }
-                    mask = out;
+                    self.add_cost(op.issue as u64, op.lat as u64);
+                    self.ctl.push(Ctl::If { pending: m_else, out: 0, term: else_pc });
+                    mask = m_then;
                 }
-                sptx::Node::Loop { body } => {
-                    flow.brk.push(0);
-                    let mut cur = mask;
-                    loop {
-                        flow.cont.push(0);
-                        let out = self.exec_nodes(body, cur, flow)?;
-                        let continued = flow.cont.pop().unwrap();
-                        cur = out | continued;
-                        let broken = *flow.brk.last().unwrap();
-                        cur &= !broken;
-                        self.add_cost(1, 2);
-                        if cur == 0 {
-                            break;
-                        }
+                Op::Else { endif } => {
+                    let Some(Ctl::If { pending, out, term }) = self.ctl.last_mut() else {
+                        unreachable!("`else` outside its `if`")
+                    };
+                    *term = endif;
+                    if *pending != 0 {
+                        *out |= mask;
+                        mask = std::mem::take(pending);
+                    } else {
+                        pc = endif as usize;
                     }
-                    mask = flow.brk.pop().unwrap();
                 }
-                sptx::Node::Break => {
-                    *flow
-                        .brk
-                        .last_mut()
-                        .ok_or_else(|| ExecError::Trap("break outside loop".into()))? |= mask;
+                Op::EndIf => {
+                    let Some(Ctl::If { pending, out, .. }) = self.ctl.pop() else {
+                        unreachable!("`endif` outside its `if`")
+                    };
+                    mask |= out | pending;
+                }
+                Op::Loop { end } => self.ctl.push(Ctl::Loop { brk: 0, cont: 0, term: end }),
+                Op::LoopEnd { start } => {
+                    self.add_cost(op.issue as u64, op.lat as u64);
+                    let Some(Ctl::Loop { brk, cont, .. }) = self.ctl.last_mut() else {
+                        unreachable!("loop end outside its loop")
+                    };
+                    let cur = (mask | std::mem::take(cont)) & !*brk;
+                    if cur != 0 {
+                        mask = cur;
+                        pc = start as usize + 1;
+                    } else {
+                        mask = *brk;
+                        self.ctl.pop();
+                    }
+                }
+                Op::Break { up } => {
+                    *self.loop_masks(up).0 |= mask;
                     mask = 0;
                 }
-                sptx::Node::Continue => {
-                    *flow
-                        .cont
-                        .last_mut()
-                        .ok_or_else(|| ExecError::Trap("continue outside loop".into()))? |= mask;
+                Op::Continue { up } => {
+                    *self.loop_masks(up).1 |= mask;
                     mask = 0;
                 }
+                Op::Stray { msg } => return Err(ExecError::Trap(msg.into())),
             }
         }
-        Ok(mask)
     }
 
-    /// Execute one instruction for the lanes in `mask` (never empty).
-    fn exec_inst(&mut self, i: &sptx::Inst, mask: u32) -> Result<u32, ExecError> {
-        use sptx::Inst;
-        let (ic, lc) = timing::inst_cost(i);
-        self.add_cost(ic, lc);
-        self.stats.lane_insts += mask.count_ones() as u64;
-        match i {
-            Inst::Mov { dst, src } => {
-                let v = self.operand(src).into_owned();
-                self.set_row(*dst, &v, mask);
-            }
-            Inst::Bin { ty, op, dst, a, b } => {
-                let r =
-                    alu::bin(*ty, *op, &self.operand_as(a, *ty), &self.operand_as(b, *ty), mask)
-                        .map_err(|m| ExecError::Trap(format!("{m} in warp {}", self.warp_id)))?;
-                self.set_row(*dst, &r, mask);
-            }
-            Inst::Un { ty, op, dst, a } => {
-                let r = alu::un(*ty, *op, &self.operand_as(a, *ty), mask);
-                self.set_row(*dst, &r, mask);
-            }
-            Inst::Cvt { to, from, dst, src } => {
-                let r = match src {
-                    Operand::ImmF(f) if matches!(from, sptx::CvtTy::F32 | sptx::CvtTy::F64) => {
-                        [alu::cvt_imm_f(*to, *f); 32]
-                    }
-                    _ => alu::cvt(*to, *from, &self.operand(src)),
-                };
-                self.set_row(*dst, &r, mask);
-            }
-            Inst::Ld { ty, dst, addr: ao, offset } => {
-                let addrs = self.lane_addrs(ao, *offset);
-                let v = self.load_lanes(*ty, &addrs, mask)?;
-                self.set_row(*dst, &v, mask);
-                self.coalesce(&addrs, mask);
-            }
-            Inst::St { ty, src, addr: ao, offset } => {
-                let addrs = self.lane_addrs(ao, *offset);
-                let v = self.operand(src).into_owned();
-                self.store_lanes(*ty, &addrs, &v, mask)?;
-                self.coalesce(&addrs, mask);
-            }
-            Inst::AtomCas { dst, addr, expected, new } => {
-                let (addrs, e, n) = (self.operand(addr), self.operand(expected), self.operand(new));
-                let mut old = [0u64; 32];
-                for lane in iter_lanes(mask) {
-                    let l = lane as usize;
-                    let (m, off) = self.resolve_atomic(addrs[l])?;
-                    old[l] = m.cas_u32(off, e[l] as u32, n[l] as u32)? as u64;
-                }
-                self.set_row(*dst, &old, mask);
-            }
-            Inst::Atom { op, dst, addr, val } => {
-                let (addrs, v) = (self.operand(addr), self.operand(val));
-                let rmw = mem::atom_fn(*op);
-                let mut old = [0u64; 32];
-                for lane in iter_lanes(mask) {
-                    let l = lane as usize;
-                    let (m, off) = self.resolve_atomic(addrs[l])?;
-                    old[l] = rmw(m, off, v[l])?;
-                }
-                self.set_row(*dst, &old, mask);
-            }
-            Inst::BarSync { id, count } => {
-                let idv = self.op_uniform(id, mask) as u32;
-                let expected = match count {
-                    Some(c) => self.op_uniform(c, mask) as u32,
-                    None => self.env.nthreads.next_multiple_of(timing::WARP_SIZE),
-                };
-                self.bar_sync(idv, expected)?;
-            }
-            Inst::Call { func, dst, args } => {
-                let rv =
-                    self.with_args(args, mask, |w, pack| w.exec_function(*func, pack, mask))?;
-                if let Some(d) = dst {
-                    self.set_row(*d, &rv, mask);
-                }
-            }
-            Inst::Intrinsic { name, dst, args, sargs } => {
-                let rv = self.with_args(args, mask, |w, pack| {
-                    w.dispatch_intrinsic(name, mask, pack, sargs)
-                })?;
-                if let Some(d) = dst {
-                    self.set_row(*d, &rv.unwrap_or([0; 32]), mask);
-                }
-            }
-            Inst::Ret { val } => {
-                let v = val.map_or([0; 32], |v| self.operand(&v).into_owned());
-                let f = self.frames.last_mut().expect("active frame");
-                alu::blend(&mut f.ret_vals, &v, mask);
-                return Ok(0);
-            }
-            Inst::Trap { msg } => {
-                return Err(ExecError::Trap(format!("kernel trap: {msg}")));
-            }
+    /// The `break` and `continue` masks of the loop `up` `if`s out from the
+    /// innermost control entry.
+    fn loop_masks(&mut self, up: u32) -> (&mut u32, &mut u32) {
+        let i = self.ctl.len() - 1 - up as usize;
+        match &mut self.ctl[i] {
+            Ctl::Loop { brk, cont, .. } => (brk, cont),
+            Ctl::If { .. } => unreachable!("a break or continue is lowered with its loop's depth"),
         }
-        Ok(mask)
-    }
-
-    /// `addr + offset` in every lane (wrapping: an inactive lane may hold
-    /// anything).
-    #[inline]
-    fn lane_addrs(&self, addr: &Operand, offset: i64) -> LaneVec {
-        self.operand(addr).map(|a| (a as i64).wrapping_add(offset) as u64)
     }
 
     /// Evaluate call arguments into rows (active lanes hold the operand,
     /// inactive lanes 0) and run `callee` on them. Up to [`INLINE_ARGS`]
-    /// rows live in this frame — kept out of `exec_inst`'s, which every
-    /// instruction pays for — and longer packs on the heap.
+    /// rows live in this frame — kept out of `run`'s, which every op pays
+    /// for — and longer packs on the heap.
     #[inline(never)]
     fn with_args<R>(
         &mut self,
-        args: &[Operand],
+        f: &Func,
+        args: &[Src],
         mask: u32,
         callee: impl FnOnce(&mut Self, &[LaneVec]) -> R,
     ) -> R {
@@ -646,7 +728,7 @@ impl<'a> Warp<'a> {
             &mut spill[..]
         };
         for (row, a) in rows.iter_mut().zip(args) {
-            alu::blend(row, &self.operand(a), mask);
+            alu::blend(row, self.read(f, *a), mask);
         }
         callee(self, rows)
     }

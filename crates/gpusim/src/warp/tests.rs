@@ -1,14 +1,20 @@
 //! The warp-wide paths against a lane-at-a-time reference.
 //!
-//! `scalar` below is the interpreter's former per-lane arithmetic, kept as
-//! the oracle: every `(type, op)` × operand kind × mask must give, in each
-//! active lane, exactly what that code gave, and leave inactive lanes alone.
-//! The memory tests pin what a guest can observe of lane order.
+//! Each instruction under test is lowered as a one-op program and run on a
+//! warp's live frame. `scalar` below is the interpreter's former per-lane
+//! arithmetic, kept as the oracle: every `(type, op)` × operand kind × mask
+//! must give, in each active lane, exactly what that code gave, and leave
+//! inactive lanes alone. The memory tests pin what a guest can observe of
+//! lane order; `flow` holds the lowered control flow to the tree walk it
+//! replaced.
 
+mod flow;
 mod mem;
 mod scalar;
 
-use sptx::{BinOp, CvtTy, Inst, Node, Reg, SpecialReg, UnOp};
+use std::sync::Arc;
+
+use sptx::{BinOp, CvtTy, Inst, Node, Operand, Reg, ScalarTy, SpecialReg, UnOp};
 
 use super::*;
 use crate::NoLib;
@@ -59,13 +65,14 @@ const R2: Reg = Reg(2);
 const NUM_REGS: usize = 4;
 const LOCAL_SIZE: u64 = 16;
 
-/// Warp 1 of a 64-thread (8×4×2) block with one live frame of
-/// [`NUM_REGS`] registers and [`LOCAL_SIZE`] local bytes per lane.
-fn with_warp(module: sptx::Module, f: impl FnOnce(&mut Warp<'_>)) {
-    let device = Device::new(1 << 20);
-    let env = BlockEnv {
+/// A 64-thread (8×4×2) block, block (2, 1, 0) of a 3×2×1 grid, of a
+/// launch of `module`.
+fn with_env(module: sptx::Module, f: impl FnOnce(&BlockEnv<'_>)) {
+    let device = Device::new(64 << 10);
+    let program = Program::new(Arc::new(module), &NoLib);
+    f(&BlockEnv {
         device: &device,
-        module: &module,
+        program: &program,
         lib: &NoLib,
         ctx: BlockCtx::new(4096),
         grid_dim: [3, 2, 1],
@@ -75,17 +82,73 @@ fn with_warp(module: sptx::Module, f: impl FnOnce(&mut Warp<'_>)) {
         shared_static: 0,
         kernel: "k",
         inline_warps: false,
-    };
-    let mut warp = Warp::new(&env, 1);
+    });
+}
+
+/// Warp 1 of the block with one live frame of [`NUM_REGS`] registers and
+/// [`LOCAL_SIZE`] local bytes per lane.
+fn warp<'a>(env: &'a BlockEnv<'a>) -> Warp<'a> {
+    let mut warp = Warp::new(env, 1);
     warp.regs.resize(NUM_REGS * 32, 0);
     warp.local_stack.resize(LOCAL_SIZE as usize * 32, 0);
     warp.frames.push(Frame {
         reg_base: 0,
         local_base: 0,
-        local_size: LOCAL_SIZE,
+        local_row: std::array::from_fn(|lane| addr::make(Space::Local, lane as u64 * LOCAL_SIZE)),
         ret_vals: [0; 32],
     });
-    f(&mut warp);
+    warp
+}
+
+fn with_warp(module: sptx::Module, f: impl FnOnce(&mut Warp<'_>)) {
+    with_env(module, |env| f(&mut warp(env)));
+}
+
+/// `body` lowered as a function with the live frame's shape.
+fn lowered(body: Vec<Node>) -> Func {
+    Func::lower(&sptx::Function {
+        name: "t".into(),
+        is_kernel: false,
+        params: vec![],
+        num_regs: NUM_REGS as u32,
+        local_size: LOCAL_SIZE,
+        shared_size: 0,
+        body,
+    })
+}
+
+/// Run `inst`, lowered as a one-op program, on the live frame; returns the
+/// lanes still active after it.
+fn exec(w: &mut Warp<'_>, inst: &Inst, mask: u32) -> Result<u32, ExecError> {
+    w.run(&lowered(vec![Node::Inst(inst.clone())]), mask)
+}
+
+/// Register `r` of the live frame, all lanes.
+fn reg(w: &Warp<'_>, r: Reg) -> LaneVec {
+    *row(&w.regs, r.0 as usize * 32)
+}
+
+fn reg_mut<'w>(w: &'w mut Warp<'_>, r: Reg) -> &'w mut LaneVec {
+    let at = r.0 as usize * 32;
+    (&mut w.regs[at..at + 32]).try_into().unwrap()
+}
+
+/// An operand in every lane, as the tree walk read it: the raw bits of a
+/// register, a special register, an immediate (`ImmF` as f64) or a base
+/// address.
+fn operand(w: &Warp<'_>, o: &Operand) -> LaneVec {
+    match *o {
+        Operand::Reg(r) => reg(w, r),
+        Operand::ImmI(v) => [v as u64; 32],
+        Operand::ImmF(v) => [v.to_bits(); 32],
+        Operand::Special(s) => w.specials[s as usize],
+        Operand::LocalBase => w.frame().local_row,
+        Operand::SharedBase => [addr::make(Space::Shared, 0); 32],
+    }
+}
+
+fn op_val(w: &Warp<'_>, o: &Operand, lane: u32) -> u64 {
+    operand(w, o)[lane as usize]
 }
 
 /// Lane values that exercise the edges of `ty` (garbage upper bits
@@ -225,7 +288,7 @@ fn check_inst(
     float: Option<bool>,
     want: impl Fn(&Warp<'_>, u32) -> Result<u64, String>,
 ) {
-    let before = *w.row(dst);
+    let before = reg(w, dst);
     let mut expect = Ok(before);
     for lane in iter_lanes(mask) {
         match (want(w, lane), &mut expect) {
@@ -235,7 +298,7 @@ fn check_inst(
         }
     }
     let (issue, clock, insts) = (w.issue, w.clock, w.stats.lane_insts);
-    let got = w.exec_inst(inst, mask);
+    let got = exec(w, inst, mask);
     // Charged once per warp instruction, counted once per active lane.
     let (ic, lc) = timing::inst_cost(inst);
     assert_eq!((w.issue - issue, w.clock - clock), (ic, lc), "{inst:?}");
@@ -243,7 +306,7 @@ fn check_inst(
     match (got, expect) {
         (Ok(m), Ok(row)) => {
             assert_eq!(m, mask, "{inst:?}");
-            for (lane, (&g, &e)) in w.row(dst).iter().zip(&row).enumerate() {
+            for (lane, (&g, &e)) in reg(w, dst).iter().zip(&row).enumerate() {
                 let active = mask >> lane & 1 != 0;
                 assert!(
                     if active { same(float, g, e) } else { g == e },
@@ -280,8 +343,7 @@ fn special_registers_follow_the_block_shape() {
                 (SpecialReg::WarpId, 1),
             ];
             for (s, v) in want {
-                assert_eq!(w.op_val(&Operand::Special(s), lane), v as u64, "{s:?} lane {lane}");
-                assert_eq!(w.operand(&Operand::Special(s))[lane as usize], v as u64);
+                assert_eq!(op_val(w, &Operand::Special(s), lane), v as u64, "{s:?} lane {lane}");
             }
         }
     });
@@ -308,19 +370,23 @@ fn mov_of_every_operand_kind_under_every_mask() {
         ];
         for src in srcs {
             for mask in MASKS {
-                *w.row_mut(R0) = samples(ScalarTy::I64, 1);
-                *w.row_mut(R2) = sentinel();
+                *reg_mut(w, R0) = samples(ScalarTy::I64, 1);
+                *reg_mut(w, R2) = sentinel();
                 let inst = Inst::Mov { dst: R2, src };
-                check_inst(w, &inst, R2, mask, None, |w, lane| Ok(w.op_val(&src, lane)));
+                check_inst(w, &inst, R2, mask, None, |w, lane| Ok(op_val(w, &src, lane)));
             }
         }
         // The values themselves: immediates are raw bits, each lane's local
         // window is its own, shared memory starts at offset 0.
-        assert_eq!(w.op_val(&Operand::ImmI(-5), 7), (-5i64) as u64);
-        assert_eq!(w.op_val(&Operand::ImmF(0.1), 7), 0.1f64.to_bits());
-        assert_eq!(w.op_val(&Operand::SharedBase, 7), addr::make(Space::Shared, 0));
+        let mov = |w: &mut Warp<'_>, src| {
+            exec(w, &Inst::Mov { dst: R2, src }, u32::MAX).unwrap();
+            reg(w, R2)
+        };
+        assert_eq!(mov(w, Operand::ImmI(-5))[7], (-5i64) as u64);
+        assert_eq!(mov(w, Operand::ImmF(0.1))[7], 0.1f64.to_bits());
+        assert_eq!(mov(w, Operand::SharedBase)[7], addr::make(Space::Shared, 0));
         assert_eq!(
-            w.operand(&Operand::LocalBase)[3],
+            mov(w, Operand::LocalBase)[3],
             addr::make(Space::Local, 3 * LOCAL_SIZE),
             "lane 3's .local base"
         );
@@ -337,15 +403,15 @@ fn bin_matches_the_scalar_reference_under_every_mask() {
                         for mask in MASKS {
                             // `dst` apart from the sources, then aliasing `a`.
                             for dst in [R2, R0] {
-                                *w.row_mut(R0) = samples(ty, 0);
-                                *w.row_mut(R1) = samples(ty, 5);
-                                *w.row_mut(R2) = sentinel();
+                                *reg_mut(w, R0) = samples(ty, 0);
+                                *reg_mut(w, R1) = samples(ty, 5);
+                                *reg_mut(w, R2) = sentinel();
                                 let a = operand_of(ka, R0, imms);
                                 let b = operand_of(kb, R1, imms);
                                 let inst = Inst::Bin { ty, op, dst, a, b };
                                 let float = float_result(ty).filter(|_| !op.is_comparison());
                                 check_inst(w, &inst, dst, mask, float, |w, lane| {
-                                    let (av, bv) = (w.op_val(&a, lane), w.op_val(&b, lane));
+                                    let (av, bv) = (op_val(w, &a, lane), op_val(w, &b, lane));
                                     scalar::alu_bin(ty, op, av, bv, &a, &b)
                                 });
                             }
@@ -366,13 +432,13 @@ fn un_matches_the_scalar_reference_under_every_mask() {
                     for imms in IMMS {
                         for mask in MASKS {
                             for dst in [R2, R0] {
-                                *w.row_mut(R0) = samples(ty, 3);
-                                *w.row_mut(R2) = sentinel();
+                                *reg_mut(w, R0) = samples(ty, 3);
+                                *reg_mut(w, R2) = sentinel();
                                 let a = operand_of(kind, R0, imms);
                                 let inst = Inst::Un { ty, op, dst, a };
                                 let float = float_result(ty).filter(|_| op != UnOp::Not);
                                 check_inst(w, &inst, dst, mask, float, |w, lane| {
-                                    Ok(scalar::alu_un(ty, op, w.op_val(&a, lane), &a))
+                                    Ok(scalar::alu_un(ty, op, op_val(w, &a, lane), &a))
                                 });
                             }
                         }
@@ -403,12 +469,12 @@ fn cvt_matches_the_scalar_reference_under_every_mask() {
                     for imms in IMMS.into_iter().chain([(i64::MIN, 3e9)]) {
                         for mask in MASKS {
                             for dst in [R2, R0] {
-                                *w.row_mut(R0) = samples(src_ty, 2);
-                                *w.row_mut(R2) = sentinel();
+                                *reg_mut(w, R0) = samples(src_ty, 2);
+                                *reg_mut(w, R2) = sentinel();
                                 let src = operand_of(kind, R0, imms);
                                 let inst = Inst::Cvt { to, from, dst, src };
                                 check_inst(w, &inst, dst, mask, float, |w, lane| {
-                                    Ok(scalar::convert(to, from, w.op_val(&src, lane), &src))
+                                    Ok(scalar::convert(to, from, op_val(w, &src, lane), &src))
                                 });
                             }
                         }
@@ -424,8 +490,8 @@ fn cvt_matches_the_scalar_reference_under_every_mask() {
 fn hand_computed_corner_cases() {
     with_warp(sptx::Module::default(), |w| {
         let run = |w: &mut Warp<'_>, inst: Inst| {
-            w.exec_inst(&inst, u32::MAX).unwrap();
-            w.row(R2)[0]
+            exec(w, &inst, u32::MAX).unwrap();
+            reg(w, R2)[0]
         };
         let f32r = |v: f32| [v.to_bits() as u64; 32];
         let bin = |ty, op, a, b| Inst::Bin { ty, op, dst: R2, a, b };
@@ -434,34 +500,34 @@ fn hand_computed_corner_cases() {
         // A float literal in an f32 op is narrowed to f32 first: 2^24 + 1
         // becomes 2^24, and adding 1 rounds back to it (in f64 the sum
         // would be 2^24 + 2).
-        *w.row_mut(R0) = f32r(1.0);
+        *reg_mut(w, R0) = f32r(1.0);
         let got = run(w, bin(ScalarTy::F32, BinOp::Add, r0, Operand::ImmF(16_777_217.0)));
         assert_eq!(got, 16_777_216.0f32.to_bits() as u64);
 
         // min/max return the operand that is a number; rem of a NaN is NaN.
-        *w.row_mut(R0) = f32r(f32::NAN);
-        *w.row_mut(R1) = f32r(2.0);
+        *reg_mut(w, R0) = f32r(f32::NAN);
+        *reg_mut(w, R1) = f32r(2.0);
         assert_eq!(run(w, bin(ScalarTy::F32, BinOp::Min, r0, r1)), 2.0f32.to_bits() as u64);
         assert_eq!(run(w, bin(ScalarTy::F32, BinOp::Max, r1, r0)), 2.0f32.to_bits() as u64);
         assert!(f32::from_bits(run(w, bin(ScalarTy::F32, BinOp::Rem, r0, r1)) as u32).is_nan());
-        *w.row_mut(R0) = f32r(7.5);
+        *reg_mut(w, R0) = f32r(7.5);
         assert_eq!(run(w, bin(ScalarTy::F32, BinOp::Rem, r0, r1)), 1.5f32.to_bits() as u64);
 
         // Shift counts wrap at the lane width.
-        *w.row_mut(R0) = [1; 32];
+        *reg_mut(w, R0) = [1; 32];
         assert_eq!(run(w, bin(ScalarTy::I32, BinOp::Shl, r0, Operand::ImmI(33))), 2);
         assert_eq!(run(w, bin(ScalarTy::I64, BinOp::Shl, r0, Operand::ImmI(65))), 2);
-        *w.row_mut(R0) = [(-8i32) as u32 as u64; 32];
+        *reg_mut(w, R0) = [(-8i32) as u32 as u64; 32];
         let got = run(w, bin(ScalarTy::I32, BinOp::Shr, r0, Operand::ImmI(34)));
         assert_eq!(got, (-2i32) as u32 as u64, "arithmetic shift by 34 % 32");
 
         // i32 results are zero-extended; i32::MIN / -1 wraps.
-        *w.row_mut(R0) = [i32::MIN as u32 as u64; 32];
+        *reg_mut(w, R0) = [i32::MIN as u32 as u64; 32];
         let got = run(w, bin(ScalarTy::I32, BinOp::Div, r0, Operand::ImmI(-1)));
         assert_eq!(got, i32::MIN as u32 as u64);
 
         // A register f32 goes to i32 through i64 (wraps); a literal saturates.
-        *w.row_mut(R0) = f32r(3e9);
+        *reg_mut(w, R0) = f32r(3e9);
         let cvt = |src| Inst::Cvt { to: CvtTy::I32, from: CvtTy::F32, dst: R2, src };
         assert_eq!(run(w, cvt(r0)), 3_000_000_000u64, "3e9 as i64 as i32, zero-extended");
         assert_eq!(run(w, cvt(Operand::ImmF(3e9))), i32::MAX as u64);
@@ -473,16 +539,16 @@ fn integer_division_traps_only_for_an_executing_lane() {
     with_warp(sptx::Module::default(), |w| {
         for ty in [ScalarTy::I32, ScalarTy::I64] {
             for (op, what) in [(BinOp::Div, "division"), (BinOp::Rem, "remainder")] {
-                *w.row_mut(R0) = [100; 32];
-                *w.row_mut(R1) = std::array::from_fn(|lane| if lane == 3 { 0 } else { 7 });
-                *w.row_mut(R2) = sentinel();
+                *reg_mut(w, R0) = [100; 32];
+                *reg_mut(w, R1) = std::array::from_fn(|lane| if lane == 3 { 0 } else { 7 });
+                *reg_mut(w, R2) = sentinel();
                 let inst = Inst::Bin { ty, op, dst: R2, a: Operand::Reg(R0), b: Operand::Reg(R1) };
                 // Lane 3 is switched off: no trap, and it keeps its bits.
-                assert_eq!(w.exec_inst(&inst, !(1 << 3)).unwrap(), !(1 << 3));
-                assert_eq!(w.row(R2)[3], sentinel()[3]);
-                assert_eq!(w.row(R2)[4], if op == BinOp::Div { 14 } else { 2 });
+                assert_eq!(exec(w, &inst, !(1 << 3)).unwrap(), !(1 << 3));
+                assert_eq!(reg(w, R2)[3], sentinel()[3]);
+                assert_eq!(reg(w, R2)[4], if op == BinOp::Div { 14 } else { 2 });
                 // Lane 3 executes: the trap, with the message it always had.
-                let err = w.exec_inst(&inst, 0b1000).unwrap_err();
+                let err = exec(w, &inst, 0b1000).unwrap_err();
                 assert_eq!(err.to_string(), format!("device trap: {what} by zero in warp 1"));
             }
         }
@@ -494,7 +560,7 @@ fn integer_division_traps_only_for_an_executing_lane() {
             a: Operand::Reg(R0),
             b: Operand::Reg(R1),
         };
-        let err = w.exec_inst(&inst, 1).unwrap_err();
+        let err = exec(w, &inst, 1).unwrap_err();
         assert_eq!(err.to_string(), "device trap: bitwise Xor on f32 in warp 1");
     });
 }
@@ -507,22 +573,22 @@ fn if_condition_reads_the_low_32_bits_of_each_active_lane() {
             then_b: vec![Node::Inst(Inst::Mov { dst: R2, src: Operand::ImmI(1) })],
             else_b: vec![Node::Inst(Inst::Mov { dst: R2, src: Operand::ImmI(2) })],
         };
+        let f = lowered(vec![node]);
         // True where the low word is non-zero: lanes 1 and 3 of every four.
         let cond: LaneVec =
             std::array::from_fn(|lane| [0, 1, 0x7_0000_0000, 0xffff_ffff_0000_0001][lane % 4]);
         for mask in MASKS {
-            *w.row_mut(R0) = cond;
-            *w.row_mut(R2) = sentinel();
+            *reg_mut(w, R0) = cond;
+            *reg_mut(w, R2) = sentinel();
             let divergent = w.stats.divergent_branches;
-            let out = w.exec_nodes(std::slice::from_ref(&node), mask, &mut FlowMasks::default());
-            assert_eq!(out.unwrap(), mask, "both sides reconverge");
+            assert_eq!(w.run(&f, mask).unwrap(), mask, "both sides reconverge");
             for lane in 0..32usize {
                 let want = match (mask >> lane & 1 != 0, lane % 4) {
                     (false, _) => sentinel()[lane],
                     (true, 1 | 3) => 1,
                     (true, _) => 2,
                 };
-                assert_eq!(w.row(R2)[lane], want, "mask {mask:#x} lane {lane}");
+                assert_eq!(reg(w, R2)[lane], want, "mask {mask:#x} lane {lane}");
             }
             let both = mask & 0xaaaa_aaaa != 0 && mask & 0x5555_5555 != 0;
             assert_eq!(w.stats.divergent_branches - divergent, both as u64, "mask {mask:#x}");

@@ -3,11 +3,12 @@
 
 use std::collections::HashSet;
 
-use sptx::{AtomOp, BinOp, Inst, MemTy, Reg, SpecialReg};
+use sptx::{AtomOp, BinOp, Inst, MemTy, Operand, Reg, ScalarTy, SpecialReg};
 use vmcommon::MemError;
 
 use super::super::*;
-use super::{sentinel, with_warp, LOCAL_SIZE, MASKS, NUM_REGS, R0, R1, R2};
+use super::{exec, op_val, reg, reg_mut, sentinel, with_warp, LOCAL_SIZE, MASKS, NUM_REGS};
+use super::{R0, R1, R2};
 
 fn global_addrs(base: u64) -> LaneVec {
     std::array::from_fn(|lane| base + 4 * lane as u64)
@@ -28,8 +29,8 @@ fn a_faulting_access_reports_the_lowest_faulting_active_lane() {
             Inst::St { ty: MemTy::B32, src: Operand::ImmI(1), addr: Operand::Reg(R0), offset: 0 };
         for inst in [ld, st] {
             let mut fault = |mask: u32| {
-                *w.row_mut(R0) = addrs;
-                match w.exec_inst(&inst, mask) {
+                *reg_mut(w, R0) = addrs;
+                match exec(w, &inst, mask) {
                     Err(ExecError::Mem(e)) => Some(e),
                     Ok(_) => None,
                     Err(e) => panic!("{e}"),
@@ -49,7 +50,7 @@ fn a_faulting_access_reports_the_lowest_faulting_active_lane() {
             addr: Operand::LocalBase,
             val: Operand::ImmI(1),
         };
-        let err = w.exec_inst(&atom, 1).unwrap_err();
+        let err = exec(w, &atom, 1).unwrap_err();
         assert_eq!(err.to_string(), "device trap: atomic on local memory");
     });
 }
@@ -79,13 +80,13 @@ fn loads_fill_active_lanes_from_every_space() {
                 (MemTy::B8, Operand::LocalBase, 3, [0; 32], lanes(|l| (l * LOCAL_SIZE + 3) & 0xff)),
             ];
             for (ty, addr, offset, r0, want) in cases {
-                *w.row_mut(R0) = r0;
-                *w.row_mut(R2) = sentinel();
+                *reg_mut(w, R0) = r0;
+                *reg_mut(w, R2) = sentinel();
                 let inst = Inst::Ld { ty, dst: R2, addr, offset };
-                w.exec_inst(&inst, mask).unwrap();
+                exec(w, &inst, mask).unwrap();
                 let mut expect = sentinel();
                 alu::blend(&mut expect, &want, mask);
-                assert_eq!(*w.row(R2), expect, "{ty:?} mask {mask:#x}");
+                assert_eq!(reg(w, R2), expect, "{ty:?} mask {mask:#x}");
             }
         }
     });
@@ -102,7 +103,7 @@ fn of_two_lanes_storing_to_one_address_the_higher_lane_wins() {
             offset: 0,
         };
         for mask in MASKS {
-            w.exec_inst(&inst, mask).unwrap();
+            exec(w, &inst, mask).unwrap();
             let got = w.env.device.global.load_u32(addr::offset(base)).unwrap();
             assert_eq!(got, 31 - mask.leading_zeros(), "mask {mask:#x}");
         }
@@ -125,16 +126,16 @@ fn float_atomic_add_accumulates_in_ascending_lane_order() {
         };
         for mask in MASKS {
             w.env.device.global.store_u32(word, 0.5f32.to_bits()).unwrap();
-            *w.row_mut(R1) = vals.map(|v| v.to_bits() as u64);
-            *w.row_mut(R2) = sentinel();
-            w.exec_inst(&inst, mask).unwrap();
+            *reg_mut(w, R1) = vals.map(|v| v.to_bits() as u64);
+            *reg_mut(w, R2) = sentinel();
+            exec(w, &inst, mask).unwrap();
             let mut acc = 0.5f32;
             for (lane, v) in vals.iter().enumerate() {
                 if mask >> lane & 1 != 0 {
-                    assert_eq!(w.row(R2)[lane], acc.to_bits() as u64, "old value, lane {lane}");
+                    assert_eq!(reg(w, R2)[lane], acc.to_bits() as u64, "old value, lane {lane}");
                     acc += v;
                 } else {
-                    assert_eq!(w.row(R2)[lane], sentinel()[lane]);
+                    assert_eq!(reg(w, R2)[lane], sentinel()[lane]);
                 }
             }
             assert_eq!(
@@ -233,17 +234,17 @@ fn calls_pass_short_and_long_argument_packs() {
                 })
                 .collect();
             for mask in MASKS {
-                *w.row_mut(R0) = std::array::from_fn(|lane| 1000 * lane as u64);
-                *w.row_mut(R2) = sentinel();
+                *reg_mut(w, R0) = std::array::from_fn(|lane| 1000 * lane as u64);
+                *reg_mut(w, R2) = sentinel();
                 let inst = Inst::Call { func, dst: Some(R2), args: args.clone() };
                 let mut expect = sentinel();
                 for lane in iter_lanes(mask) {
                     expect[lane as usize] =
-                        args.iter().map(|a| w.op_val(a, lane)).fold(0u64, u64::wrapping_add);
+                        args.iter().map(|a| op_val(w, a, lane)).fold(0u64, u64::wrapping_add);
                 }
                 let before = (w.issue, w.clock, w.stats.lane_insts);
-                assert_eq!(w.exec_inst(&inst, mask).unwrap(), mask);
-                assert_eq!(*w.row(R2), expect, "{inst:?} mask {mask:#x}");
+                assert_eq!(exec(w, &inst, mask).unwrap(), mask);
+                assert_eq!(reg(w, R2), expect, "{inst:?} mask {mask:#x}");
                 assert!(w.issue > before.0 && w.clock > before.1 && w.stats.lane_insts > before.2);
                 // The callee's registers and locals are popped again.
                 assert_eq!((w.frames.len(), w.regs.len()), (1, NUM_REGS * 32));

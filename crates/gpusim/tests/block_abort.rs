@@ -2,7 +2,7 @@
 //! return at once, and the launch reports the failing warp's own error.
 //! (A genuine deadlock still times out: `barrier_timeout.rs`.) A kernel
 //! without barriers runs its warps in order on one thread and stops at the
-//! first that fails.
+//! first that fails. A barrier count the block cannot reach traps at once.
 
 use std::time::{Duration, Instant};
 
@@ -98,5 +98,32 @@ fn a_barrier_free_kernel_stops_at_its_first_failing_warp() {
             raw.chunks(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())).collect();
         // Warp 2 stored before it trapped; warp 3 never started.
         assert_eq!(tags, [1, 2, 3, 0]);
+    }
+}
+
+#[test]
+fn a_barrier_count_above_the_block_size_traps_at_once() {
+    for (threads, count) in [(32u32, 64i64), (64, 96)] {
+        let mut b = FnBuilder::new("k", true);
+        b.emit(Inst::BarSync { id: op::i(0), count: Some(op::i(count)) });
+        let m = sptx::Module {
+            name: "overcount".into(),
+            arch: "sm_53".into(),
+            functions: vec![b.build()],
+            device_lib_linked: true,
+        };
+        let d = Device::new(1 << 20);
+        let cfg = LaunchConfig { grid: [1, 1, 1], block: [threads, 1, 1], params: vec![] };
+        let start = Instant::now();
+        let err = launch(&d, &m, "k", &cfg, &NoLib, ExecMode::Functional)
+            .expect_err("no block of {threads} threads can bring {count} to a barrier");
+        let waited = start.elapsed();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "device trap: bar.sync 0 waits for {count} threads but the block has {threads}"
+            )
+        );
+        assert!(waited < Duration::from_secs(1), "{threads} threads: took {waited:?}");
     }
 }

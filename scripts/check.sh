@@ -64,6 +64,22 @@ if grep -rn 'thread::scope' crates/gpusim/src --include='*.rs' \
     exit 1
 fi
 
+echo "== warp programs (the tree walk is a test oracle; costs are attached when lowering) =="
+# gpusim lowers each function once (crates/gpusim/src/program.rs) and warps
+# step the flat ops; the structured walk survives only as the control-flow
+# oracle under warp/tests/, and no step re-derives an instruction's cost.
+if grep -rnE 'exec_nodes|FlowMasks|fn exec_inst' crates/gpusim/src --include='*.rs' \
+    | grep -v '^crates/gpusim/src/warp/tests/'; then
+    echo "FAIL: the structured tree walk belongs to the tests in crates/gpusim/src/warp/tests/"
+    exit 1
+fi
+if grep -rn 'inst_cost(' crates src tests --include='*.rs' \
+    | grep -v -e '^crates/gpusim/src/program.rs:' -e '^crates/gpusim/src/timing.rs:' \
+        -e '^crates/gpusim/src/warp/tests'; then
+    echo "FAIL: timing::inst_cost is called by the lowering (and tests) only"
+    exit 1
+fi
+
 echo "== transfer reuse is an exact compare (no content hash in crates/cudadev/src) =="
 if grep -rnE 'fnv64|synced_hash' crates/cudadev/src --include='*.rs'; then
     echo "FAIL: transfer reuse compares the device and host ranges, it does not hash them"
