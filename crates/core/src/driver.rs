@@ -10,8 +10,9 @@
 //! ```
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use minic::Program;
+use minic::{Image, Program};
 use nvccsim::BinMode;
 
 use crate::transform::{KernelFile, Pipeline, Translation};
@@ -58,9 +59,9 @@ impl From<std::io::Error> for OmpiccError {
 
 /// A fully compiled application.
 pub struct CompiledApp {
-    /// The lowered, re-analyzed host program.
-    pub host: Program,
-    pub host_info: minic::ProgramInfo,
+    /// The lowered, re-analyzed host program, laid out once: every runner
+    /// of this app instantiates it and shares its bytecode.
+    pub image: Arc<Image>,
     /// Pretty-printed lowered host source (diagnostics / golden tests).
     pub host_text: String,
     pub kernels: Vec<KernelFile>,
@@ -131,7 +132,8 @@ impl Ompicc {
             nvcc.compile_kernel_file(&cu)?;
         }
 
-        Ok(CompiledApp { host, host_info, host_text, kernels, kernel_dir: kdir, mode: self.mode })
+        let image = host_image(host, host_info)?;
+        Ok(CompiledApp { image, host_text, kernels, kernel_dir: kdir, mode: self.mode })
     }
 }
 
@@ -146,8 +148,8 @@ pub struct CudaCc {
 
 /// A compiled CUDA application.
 pub struct CompiledCudaApp {
-    pub host: Program,
-    pub host_info: minic::ProgramInfo,
+    /// The host part, laid out once (see [`CompiledApp::image`]).
+    pub image: Arc<Image>,
     /// The kernel module name (all kernels in one module).
     pub module_name: String,
     pub kernel_dir: PathBuf,
@@ -198,6 +200,14 @@ impl CudaCc {
         let mut host = Program { items: host_items };
         let host_info = minic::analyze(&mut host)
             .map_err(|e| OmpiccError::Frontend(format!("cuda host program: {e}")))?;
-        Ok(CompiledCudaApp { host, host_info, module_name: name.to_string(), kernel_dir: kdir })
+        let image = host_image(host, host_info)?;
+        Ok(CompiledCudaApp { image, module_name: name.to_string(), kernel_dir: kdir })
     }
+}
+
+/// Lay out a host program for its runners.
+fn host_image(host: Program, info: minic::ProgramInfo) -> Result<Arc<Image>, OmpiccError> {
+    Image::new(host, info)
+        .map(Arc::new)
+        .map_err(|e| OmpiccError::Frontend(format!("host program layout: {e}")))
 }

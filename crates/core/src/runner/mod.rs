@@ -13,6 +13,7 @@ use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
 use devmod::{DeviceModule, DeviceRegistry};
 use gpusim::{ExecMode, FaultPlan, FaultPlanError};
 use minic::interp::{Hooks, IResult, Interp, InterpError, Machine};
+use minic::Image;
 use std::sync::Arc;
 use vmcommon::Value;
 
@@ -194,8 +195,7 @@ impl Runner {
     /// over all of it, and then the same per-job view the batch server
     /// uses over its long-lived fleet.
     fn with_own_fleet(
-        host: &minic::ast::Program,
-        host_info: &minic::sema::ProgramInfo,
+        image: &Arc<Image>,
         kernel_dir: &std::path::Path,
         cuda_module: Option<String>,
         mut rc: ResolvedConfig,
@@ -210,7 +210,7 @@ impl Runner {
         let host_pid = fleet.len() as u64;
         let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
         let registry = Arc::new(DeviceRegistry::new(devices, host_pid, rc.host_threads));
-        let mut runner = Self::job_view(host, host_info, registry, cuda_module, &rc)?;
+        let mut runner = Self::job_view(image, registry, cuda_module, &rc)?;
         runner.machine.set_hotspots(rc.hotspots);
         runner.trace_path = rc.trace_path;
         runner.profile_on_drop = rc.profile;
@@ -220,23 +220,17 @@ impl Runner {
     }
 
     /// One job's view over a registry somebody else may own: a fresh
-    /// machine and hook set, nothing exported on drop. Every application —
-    /// OpenMP or pure CUDA — runs against a registry-dispatched hook set;
-    /// the only variation is whether kernel launches resolve through a
-    /// fixed CUDA module.
+    /// instance of the app's image and a hook set, nothing exported on
+    /// drop. Every application — OpenMP or pure CUDA — runs against a
+    /// registry-dispatched hook set; the only variation is whether kernel
+    /// launches resolve through a fixed CUDA module.
     fn job_view(
-        host: &minic::ast::Program,
-        host_info: &minic::sema::ProgramInfo,
+        image: &Arc<Image>,
         registry: Arc<DeviceRegistry>,
         cuda_module: Option<String>,
         rc: &ResolvedConfig,
     ) -> IResult<Runner> {
-        let machine = Machine::new_with_limits(
-            host.clone(),
-            host_info.clone(),
-            rc.host_mem,
-            rc.guest_limits(),
-        )?;
+        let machine = Machine::instantiate(image.clone(), rc.host_mem, rc.guest_limits())?;
         let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
         let hooks = Arc::new(OmpiHooks::new(registry, cuda_module, obs));
         let hooks_dyn: Arc<dyn Hooks> = hooks.clone();
@@ -262,7 +256,7 @@ impl Runner {
     /// raw device memory itself and would just crash).
     pub fn new(app: &CompiledApp, cfg: &RunnerConfig) -> IResult<Runner> {
         let rc = ResolvedConfig::resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        Self::with_own_fleet(&app.host, &app.host_info, &app.kernel_dir, None, rc)
+        Self::with_own_fleet(&app.image, &app.kernel_dir, None, rc)
     }
 
     /// Instantiate a compiled OpenMP application against a caller-owned
@@ -275,14 +269,14 @@ impl Runner {
         registry: Arc<DeviceRegistry>,
         cfg: &ResolvedConfig,
     ) -> IResult<Runner> {
-        Self::job_view(&app.host, &app.host_info, registry, None, cfg)
+        Self::job_view(&app.image, registry, None, cfg)
     }
 
     /// Instantiate a compiled pure-CUDA application on a fleet of its own.
     pub fn new_cuda(app: &CompiledCudaApp, cfg: &RunnerConfig) -> IResult<Runner> {
         let rc = ResolvedConfig::resolve_cuda(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
         let module = Some(app.module_name.clone());
-        Self::with_own_fleet(&app.host, &app.host_info, &app.kernel_dir, module, rc)
+        Self::with_own_fleet(&app.image, &app.kernel_dir, module, rc)
     }
 
     /// Call a guest function. A guest that exceeds a configured resource

@@ -1,6 +1,8 @@
 //! Full-pipeline tests: OpenMP C source → ompicc (translate, kernel files,
 //! nvcc) → interpreted host program → simulated Maxwell GPU → results.
 
+use std::sync::Arc;
+
 use ompi_core::{Ompicc, Runner, RunnerConfig};
 use vmcommon::Value;
 
@@ -18,6 +20,24 @@ fn run_app(tag: &str, src: &str) -> (Runner, Value) {
         .run_main()
         .unwrap_or_else(|e| panic!("run failed: {e}\nlowered host program:\n{}", app.host_text));
     (runner, v)
+}
+
+/// Runners of one compiled app are instances of one image: the program is
+/// laid out and compiled once, and each runner starts on its own zeroed
+/// arena.
+#[test]
+fn runners_of_one_app_share_the_image_and_nothing_else() {
+    let src = "int hits; int main() { hits = hits + 1; return hits; }";
+    let app = Ompicc::new(workdir("image")).compile(src).unwrap();
+    let cfg = RunnerConfig { host_mem: 8 << 20, ..RunnerConfig::default() };
+    let a = Runner::new(&app, &cfg).unwrap();
+    let b = Runner::new(&app, &cfg).unwrap();
+    assert_eq!(a.run_main().unwrap(), Value::I32(1));
+    assert_eq!(a.run_main().unwrap(), Value::I32(2), "one runner keeps its globals");
+    assert_eq!(b.run_main().unwrap(), Value::I32(1), "another runner starts from zero");
+    assert!(Arc::ptr_eq(a.machine.image(), &app.image));
+    assert!(Arc::ptr_eq(b.machine.image(), &app.image));
+    assert!(std::ptr::eq(a.machine.image().compiled(), b.machine.image().compiled()));
 }
 
 /// The paper's Fig. 1: SAXPY with a stand-alone `parallel for` inside a

@@ -33,11 +33,14 @@ use vmcommon::Value;
 
 use crate::ast::*;
 use crate::bytecode::{Chunk, CompiledProgram, Op, TyK, R};
-use crate::interp::{visit_child_exprs, visit_child_stmts, visit_stmt_exprs, Machine};
+use crate::image::Image;
+use crate::interp::{visit_child_exprs, visit_child_stmts, visit_stmt_exprs};
 use crate::types::{ArrayLen, Ty};
 
-/// Compile the machine's program. Infallible; see module docs.
-pub fn compile(m: &Machine) -> CompiledProgram {
+/// Compile the image's program against its static layout. Infallible; see
+/// module docs. [`Image::compiled`] is the one caller: a program compiles
+/// once, however many machines run it.
+pub fn compile(m: &Image) -> CompiledProgram {
     let mut cx = Cx {
         m,
         consts: Vec::new(),
@@ -58,7 +61,7 @@ pub fn compile(m: &Machine) -> CompiledProgram {
         })
         .collect();
     cx.rets = defs.iter().map(|fd| tyk(&fd.sig.ret)).collect();
-    // Later definitions shadow earlier ones in `Machine::fn_defs`
+    // Later definitions shadow earlier ones in `Image::fn_defs`
     // (last insert wins); keep the same resolution.
     for (i, fd) in defs.iter().enumerate() {
         cx.fn_chunk.insert(fd.sig.name.clone(), i as u32);
@@ -83,7 +86,7 @@ pub fn compile(m: &Machine) -> CompiledProgram {
 
 /// Program-wide compile state (pools).
 struct Cx<'m> {
-    m: &'m Machine,
+    m: &'m Image,
     consts: Vec<Value>,
     strs: Vec<String>,
     str_map: HashMap<String, u32>,

@@ -13,7 +13,7 @@ use crate::rt;
 /// The specialised code of `func` in `src`.
 fn code_of(src: &str, func: &str) -> Vec<Op> {
     let m = Machine::from_source(src).unwrap();
-    let prog = m.compiled();
+    let prog = m.image().compiled();
     prog.chunks[prog.fn_chunk[func] as usize].code.clone()
 }
 

@@ -1,5 +1,6 @@
-//! Host-side execution of mini-C programs: the [`Machine`] (linked
-//! program image + guest memory) and the [`Interp`] execution façade.
+//! Host-side execution of mini-C programs: the [`Machine`] (one instance
+//! of a shared program [`Image`]: guest memory and run state) and the
+//! [`Interp`] execution façade.
 //!
 //! This stands in for "compile the translated C with gcc and run it on the
 //! A57 cores": the OMPi translator rewrites OpenMP constructs into plain C
@@ -10,7 +11,7 @@
 //! Two engines implement the same semantics:
 //!
 //! * [`crate::vm::Vm`] — the production engine: programs are compiled once
-//!   per machine to register bytecode ([`crate::compile`] →
+//!   per image to register bytecode ([`crate::compile`] →
 //!   [`crate::bytecode`]) and dispatched from a flat instruction array.
 //! * [`crate::walker::TreeWalker`] — the original tree-walking
 //!   interpreter, retained as the differential-test oracle.
@@ -25,21 +26,25 @@
 //! like real C. Execution is thread-safe: host `parallel` regions run one
 //! `Interp` per OS thread over the shared arena.
 //!
+//! A runner builds one [`Image`] per program and a fresh [`Machine`] per
+//! job ([`Machine::instantiate`]): the arena of a multi-MiB machine is a
+//! lazily zeroed mapping, so an instance costs what the guest touches, and
+//! the bytecode is compiled once per process rather than once per job.
+//!
 //! Untranslated OpenMP programs can also be executed directly: directives
 //! are then ignored (a legal single-thread OpenMP execution), which provides
 //! the sequential reference behaviour used by differential tests.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use vmcommon::addr::{self, Space};
 use vmcommon::alloc::AllocError;
 use vmcommon::sync::Mutex;
 use vmcommon::{BlockAllocator, MemArena, MemError, Value};
 
 use crate::ast::*;
-use crate::bytecode::CompiledProgram;
+use crate::image::Image;
 use crate::limits::{GuestLimitError, GuestLimits};
 use crate::sema::ProgramInfo;
 
@@ -97,6 +102,12 @@ pub enum InterpError {
     /// ceiling, stack depth, job deadline). Recoverable by construction:
     /// the guest misbehaved, the host and device did not.
     Limit(GuestLimitError),
+    /// The arena cannot hold the program's globals and string literals:
+    /// they need `needed` bytes, the arena has `arena`.
+    ArenaTooSmall {
+        needed: u64,
+        arena: u64,
+    },
 }
 
 impl std::fmt::Display for InterpError {
@@ -107,6 +118,11 @@ impl std::fmt::Display for InterpError {
             InterpError::Frontend(e) => write!(f, "{e}"),
             InterpError::Trap(m) => write!(f, "trap: {m}"),
             InterpError::Limit(e) => write!(f, "guest limit: {e}"),
+            InterpError::ArenaTooSmall { needed, arena } => write!(
+                f,
+                "guest arena too small: globals and string literals need {needed} bytes, \
+                 the arena has {arena}"
+            ),
         }
     }
 }
@@ -230,18 +246,14 @@ pub struct LineHit {
     pub dispatch: [u64; 6],
 }
 
-/// A linked, executable program image plus its guest memory.
+/// One instance of a program [`Image`]: its guest memory and everything a
+/// run changes.
 pub struct Machine {
-    pub prog: Program,
-    pub info: ProgramInfo,
+    /// The program, its static layout and its bytecode, shared with every
+    /// other instance of it.
+    pub(crate) image: Arc<Image>,
     pub mem: MemArena,
     pub heap: Mutex<BlockAllocator>,
-    /// Global-variable addresses, indexed like `ProgramInfo::globals`.
-    pub(crate) global_addrs: Vec<u64>,
-    /// Interned string literals.
-    rodata: HashMap<String, u64>,
-    /// Function name → item index (definitions only).
-    fn_defs: HashMap<String, usize>,
     /// Output sink for printf (also always captured).
     output: Mutex<Option<Box<OutputSink>>>,
     /// Captured output.
@@ -249,8 +261,6 @@ pub struct Machine {
     pub(crate) globals_ready: AtomicBool,
     /// Engine for new [`Interp`]s: 0 = VM, 1 = walker.
     engine: AtomicU8,
-    /// Lazily compiled bytecode image (built on first VM execution).
-    compiled: OnceLock<CompiledProgram>,
     /// VM observability: instructions dispatched, then per-category counts.
     vm_counters: [AtomicU64; 7],
     /// Attribute VM dispatch to source lines (costs one branch per op
@@ -274,68 +284,40 @@ impl Machine {
         Self::new_with_limits(prog, info, mem_bytes, GuestLimits::default())
     }
 
-    /// Build a machine with the given guest limits. Global variables and
-    /// string literals are laid out immediately; initializers run on the
-    /// first [`Interp`] creation. Nothing here reads the environment: the
-    /// runner's config snapshot supplies `limits` (and the hotspot switch,
-    /// through [`Machine::set_hotspots`]).
+    /// Build a machine with the given guest limits: [`Image::new`], then
+    /// [`Machine::instantiate`]. A program run more than once should build
+    /// its image once and instantiate it per run.
     pub fn new_with_limits(
         prog: Program,
         info: ProgramInfo,
         mem_bytes: usize,
         limits: GuestLimits,
     ) -> IResult<Arc<Machine>> {
+        Self::instantiate(Arc::new(Image::new(prog, info)?), mem_bytes, limits)
+    }
+
+    /// A fresh instance of `image` with `mem_bytes` of zeroed guest memory:
+    /// the arena is mapped, the string literals written and the heap
+    /// allocator built over the rest. Initializers run on the first
+    /// [`Interp`] creation. An arena smaller than the image's static data
+    /// is [`InterpError::ArenaTooSmall`]. Nothing here reads the
+    /// environment: the runner's config snapshot supplies `limits` (and the
+    /// hotspot switch, through [`Machine::set_hotspots`]).
+    pub fn instantiate(
+        image: Arc<Image>,
+        mem_bytes: usize,
+        limits: GuestLimits,
+    ) -> IResult<Arc<Machine>> {
         let mem = MemArena::new(mem_bytes);
-        // Reserve the first 256 bytes so offset 0 stays an unmapped "null".
-        let mut cursor: u64 = 256;
-
-        // Globals.
-        let mut global_addrs = Vec::with_capacity(info.globals.len());
-        for g in &info.globals {
-            let size = g.ty.size().ok_or_else(|| {
-                InterpError::Trap(format!("global `{}` has unsized type {}", g.name, g.ty))
-            })?;
-            cursor = cursor.next_multiple_of(g.ty.align().max(8));
-            global_addrs.push(addr::make(Space::Host, cursor));
-            cursor += size;
-        }
-
-        // String literals.
-        let mut rodata = HashMap::new();
-        let mut strings = Vec::new();
-        collect_strings(&prog, &mut strings);
-        for s in strings {
-            if rodata.contains_key(&s) {
-                continue;
-            }
-            cursor = cursor.next_multiple_of(8);
-            mem.write_bytes(cursor, s.as_bytes())?;
-            mem.store_u8(cursor + s.len() as u64, 0)?;
-            rodata.insert(s.clone(), addr::make(Space::Host, cursor));
-            cursor += s.len() as u64 + 1;
-        }
-
-        let heap = BlockAllocator::new(cursor, mem.size() as u64 - cursor);
-        let mut fn_defs = HashMap::new();
-        for (i, item) in prog.items.iter().enumerate() {
-            if let Item::Func(f) = item {
-                fn_defs.insert(f.sig.name.clone(), i);
-            }
-        }
-
+        let heap = image.install(&mem)?;
         Ok(Arc::new(Machine {
-            prog,
-            info,
+            image,
             mem,
             heap: Mutex::new(heap),
-            global_addrs,
-            rodata,
-            fn_defs,
             output: Mutex::new(None),
             captured: Mutex::new(String::new()),
             globals_ready: AtomicBool::new(false),
             engine: AtomicU8::new(Engine::Vm as u8),
-            compiled: OnceLock::new(),
             vm_counters: Default::default(),
             hotspots: AtomicBool::new(false),
             line_hits: Mutex::new(HashMap::new()),
@@ -354,23 +336,9 @@ impl Machine {
         Machine::new(prog, info, mem_bytes)
     }
 
-    /// Guest address of a global by name.
-    pub fn global_addr(&self, name: &str) -> Option<u64> {
-        let i = self.info.globals.iter().position(|g| g.name == name)?;
-        Some(self.global_addrs[i])
-    }
-
-    /// Guest address of an interned string literal.
-    pub(crate) fn rodata_addr(&self, s: &str) -> Option<u64> {
-        self.rodata.get(s).copied()
-    }
-
-    /// The function definition item, by name.
-    pub fn func(&self, name: &str) -> Option<&FuncDef> {
-        self.fn_defs.get(name).and_then(|&i| match &self.prog.items[i] {
-            Item::Func(f) => Some(f),
-            _ => None,
-        })
+    /// The image this machine is an instance of.
+    pub fn image(&self) -> &Arc<Image> {
+        &self.image
     }
 
     /// Engine used by new [`Interp`]s on this machine.
@@ -386,11 +354,6 @@ impl Machine {
     /// [`Interp`]s created after the call.
     pub fn set_engine(&self, engine: Engine) {
         self.engine.store(engine as u8, Ordering::Relaxed);
-    }
-
-    /// The bytecode image, compiled on first use.
-    pub(crate) fn compiled(&self) -> &CompiledProgram {
-        self.compiled.get_or_init(|| crate::compile::compile(self))
     }
 
     /// Add a VM execution's dispatch counts (flushed once per top-level
@@ -430,7 +393,7 @@ impl Machine {
     /// Fold one chunk's per-pc hit counts into the per-line accumulator
     /// (flushed once per top-level guest call by the VM).
     pub(crate) fn add_line_hits(&self, chunk: u32, pc_hits: &[u64]) {
-        let prog = self.compiled();
+        let prog = self.image.compiled();
         let ch = &prog.chunks[chunk as usize];
         let table = &prog.line_tables[ch.line_table as usize];
         let mut hits = self.line_hits.lock();
@@ -448,7 +411,7 @@ impl Machine {
     /// (function, source line), sorted by function name then line.
     /// Empty unless hotspot attribution was enabled during execution.
     pub fn line_profile(&self) -> Vec<LineHit> {
-        let prog = self.compiled();
+        let prog = self.image.compiled();
         let hits = self.line_hits.lock();
         let mut rows: Vec<LineHit> = hits
             .iter()
@@ -484,26 +447,6 @@ impl Machine {
     /// Take everything printed so far.
     pub fn take_output(&self) -> String {
         std::mem::take(&mut *self.captured.lock())
-    }
-}
-
-fn collect_strings(prog: &Program, out: &mut Vec<String>) {
-    fn in_expr(e: &Expr, out: &mut Vec<String>) {
-        if let ExprKind::StrLit(s) = &e.kind {
-            out.push(s.clone());
-        }
-        visit_child_exprs(e, &mut |c| in_expr(c, out));
-    }
-    fn in_stmt(s: &Stmt, out: &mut Vec<String>) {
-        visit_stmt_exprs(s, &mut |e| in_expr(e, out));
-        visit_child_stmts(s, &mut |c| in_stmt(c, out));
-    }
-    for item in &prog.items {
-        if let Item::Func(f) = item {
-            for s in &f.body.stmts {
-                in_stmt(s, out);
-            }
-        }
     }
 }
 
@@ -576,7 +519,7 @@ pub fn visit_stmt_exprs(s: &Stmt, f: &mut dyn FnMut(&Expr)) {
     }
 }
 
-fn visit_init(i: &Init, f: &mut dyn FnMut(&Expr)) {
+pub(crate) fn visit_init(i: &Init, f: &mut dyn FnMut(&Expr)) {
     match i {
         Init::Expr(e) => f(e),
         Init::List(list) => list.iter().for_each(|it| visit_init(it, f)),

@@ -21,6 +21,7 @@ pub mod ast;
 pub mod bytecode;
 pub mod compile;
 pub mod fuzzgen;
+mod image;
 pub mod interp;
 pub mod lexer;
 pub mod limits;
@@ -35,6 +36,7 @@ pub mod vm;
 pub mod walker;
 
 pub use ast::{Expr, ExprKind, FuncDef, Item, Program, Stmt};
+pub use image::Image;
 pub use parser::{parse, ParseError};
 pub use sema::{analyze, ProgramInfo, SemaError};
 pub use types::Ty;

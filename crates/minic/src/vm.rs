@@ -1,7 +1,8 @@
 //! The register bytecode VM — the production host executor.
 //!
-//! Executes [`crate::bytecode::CompiledProgram`] images produced by
-//! [`crate::compile`]. Semantics are bit-identical to the tree-walking
+//! Executes [`crate::bytecode::CompiledProgram`]s produced by
+//! [`crate::compile`]: one per [`crate::Image`], shared by every machine
+//! instantiated from it. Semantics are bit-identical to the tree-walking
 //! oracle ([`crate::walker`]): every arithmetic step goes through the
 //! shared [`crate::rt`] helpers, typed memory access replicates the
 //! walker's `load_typed`/`store_typed` byte-for-byte, and trap conditions
@@ -62,8 +63,9 @@ pub struct Vm {
 }
 
 impl Vm {
-    /// Create a VM with a fresh guest stack. Compiles the program and runs
-    /// global initializers on first creation per machine.
+    /// Create a VM with a fresh guest stack. Runs global initializers on
+    /// first creation per machine (compiling the image's program if no
+    /// machine has yet).
     pub fn new(machine: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Vm> {
         let stack_block = machine.heap.lock().alloc(STACK_SIZE)?;
         let hot = machine.hotspots_enabled();
@@ -87,8 +89,8 @@ impl Vm {
         if self.machine.globals_ready.swap(true, std::sync::atomic::Ordering::SeqCst) {
             return Ok(());
         }
-        let machine = self.machine.clone();
-        let prog = machine.compiled();
+        let image = self.machine.image.clone();
+        let prog = image.compiled();
         if let Some(idx) = prog.init_chunk {
             let r = self.call_chunk(prog, idx, &[]);
             self.flush_counters();
@@ -104,8 +106,8 @@ impl Vm {
 
     /// Call a guest function by name.
     pub fn call(&mut self, name: &str, args: &[Value]) -> IResult<Value> {
-        let machine = self.machine.clone();
-        let prog = machine.compiled();
+        let image = self.machine.image.clone();
+        let prog = image.compiled();
         let idx = match prog.fn_chunk.get(name) {
             Some(&i) => i,
             None => return Err(InterpError::Trap(format!("undefined function `{name}`"))),

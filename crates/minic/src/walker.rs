@@ -44,8 +44,9 @@ pub struct TreeWalker {
     unbilled: u64,
 }
 
-// SAFETY: `frame` points into `machine.prog`, which is kept alive by the
-// `Arc<Machine>` held alongside it and is never mutated after construction.
+// SAFETY: `frame` points into `machine.image.prog`, which is kept alive by
+// the `Arc<Machine>` (and its `Arc<Image>`) held alongside it and is never
+// mutated after construction.
 unsafe impl Send for TreeWalker {}
 
 impl TreeWalker {
@@ -72,8 +73,8 @@ impl TreeWalker {
             return Ok(());
         }
         // Evaluate global initializers in a synthetic frame.
-        let globals: Vec<(usize, Ty, Init)> = self
-            .machine
+        let image = self.machine.image.clone();
+        let globals: Vec<(usize, Ty, Init)> = image
             .info
             .globals
             .iter()
@@ -81,7 +82,7 @@ impl TreeWalker {
             .filter_map(|(i, g)| g.init.clone().map(|init| (i, g.ty.clone(), init)))
             .collect();
         for (i, ty, init) in globals {
-            let base = self.machine.global_addrs[i];
+            let base = image.global_addrs[i];
             self.store_init(base, &ty, &init)?;
         }
         Ok(())
@@ -113,6 +114,7 @@ impl TreeWalker {
     pub fn call(&mut self, name: &str, args: &[Value]) -> IResult<Value> {
         let fd = self
             .machine
+            .image
             .func(name)
             .ok_or_else(|| InterpError::Trap(format!("undefined function `{name}`")))?;
         // SAFETY: see `TreeWalker::frame` field comment — borrows from the
@@ -337,6 +339,7 @@ impl TreeWalker {
             ExprKind::FloatLit(v, false) => Ok(Value::F64(*v)),
             ExprKind::StrLit(s) => Ok(Value::Ptr(
                 self.machine
+                    .image
                     .rodata_addr(s)
                     .ok_or_else(|| InterpError::Trap("unregistered string literal".into()))?,
             )),
@@ -351,8 +354,8 @@ impl TreeWalker {
                     }
                 }
                 Resolved::Global(i) => {
-                    let a = self.machine.global_addrs[*i as usize];
-                    let ty = self.machine.info.globals[*i as usize].ty.clone();
+                    let a = self.machine.image.global_addrs[*i as usize];
+                    let ty = self.machine.image.info.globals[*i as usize].ty.clone();
                     if ty.is_array() {
                         Ok(Value::Ptr(a))
                     } else {
@@ -556,8 +559,8 @@ impl TreeWalker {
                     Ok((self.slot_addr(*slot), self.frame_info().slots[*slot as usize].ty.clone()))
                 }
                 Resolved::Global(i) => Ok((
-                    self.machine.global_addrs[*i as usize],
-                    self.machine.info.globals[*i as usize].ty.clone(),
+                    self.machine.image.global_addrs[*i as usize],
+                    self.machine.image.info.globals[*i as usize].ty.clone(),
                 )),
                 _ => Err(InterpError::Trap(format!("`{name}` is not an lvalue"))),
             },
@@ -679,7 +682,7 @@ impl TreeWalker {
 
     fn eval_call(&mut self, callee: &str, args: &[Expr]) -> IResult<Value> {
         // Guest-defined function?
-        if self.machine.func(callee).is_some() {
+        if self.machine.image.func(callee).is_some() {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
                 vals.push(self.eval(a)?);

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use minic::interp::{Engine, HookCtx, Hooks, IResult, Interp, Machine, NoHooks};
+use minic::interp::{Engine, HookCtx, Hooks, IResult, Interp, InterpError, Machine, NoHooks};
 use vmcommon::Value;
 
 const ENGINES: [Engine; 2] = [Engine::Vm, Engine::Walker];
@@ -420,7 +420,7 @@ fn concurrent_interps_share_memory() {
         )
         .unwrap();
         m.set_engine(e);
-        let g = m.global_addr("counter").unwrap();
+        let g = m.image().global_addr("counter").unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let m = m.clone();
@@ -433,6 +433,25 @@ fn concurrent_interps_share_memory() {
         // At least one bump landed; memory is shared and valid.
         let v = m.mem.load_u32(vmcommon::addr::offset(g)).unwrap();
         assert!((1..=4).contains(&v));
+    }
+}
+
+#[test]
+fn string_literal_in_a_global_initializer() {
+    check_ret(r#"char *msg = "hello"; int main() { return msg[1]; }"#, 'e' as i32);
+}
+
+#[test]
+fn globals_larger_than_the_arena_are_a_typed_error() {
+    // 4 MiB of globals in a 1 MiB arena: debug builds used to panic on
+    // the heap-size subtraction, release builds wrapped it and put the heap
+    // past the arena end.
+    let src = "float big[1048576]; int main() { return 0; }";
+    match Machine::from_source_with_mem(src, 1 << 20).err().expect("must fail") {
+        InterpError::ArenaTooSmall { needed, arena } => {
+            assert_eq!((needed, arena), (256 + (4 << 20), 1 << 20));
+        }
+        other => panic!("expected ArenaTooSmall, got {other}"),
     }
 }
 

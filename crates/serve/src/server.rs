@@ -10,7 +10,9 @@
 //! and returns typed rejections), and claim results ([`Server::wait`]).
 //! Worker threads pull placements from the scheduler and execute each job
 //! through [`Runner::with_shared_registry`] against a single-device view
-//! of the fleet.
+//! of the fleet. A job is a fresh instance of its program's shared
+//! `minic::Image`: its own zeroed arena, the bytecode compiled once per
+//! program.
 //!
 //! Metrics live under the server's own pid (`fleet size + 1`; the fleet
 //! uses `0..n` and per-job host shims use `n`): `serve.jobs_submitted`,
@@ -45,8 +47,9 @@ struct Inner {
     obs: Arc<obs::Obs>,
     sched: Scheduler,
     /// Registered programs: index is the `ProgramId`, value is
-    /// `(owning tenant, compiled app)`.
-    programs: Mutex<Vec<(String, Arc<CompiledApp>)>>,
+    /// `(owning tenant, compiled app)`. The app is `None` while its
+    /// compile runs, and stays `None` if the compile failed.
+    programs: Mutex<Vec<(String, Option<Arc<CompiledApp>>)>>,
     /// Accepted-but-not-finished jobs, keyed by job id.
     pending: Mutex<HashMap<u64, PendingJob>>,
     /// Finished jobs awaiting their one `wait` claim.
@@ -138,15 +141,20 @@ impl Server {
     /// collide on outlined-kernel names.
     pub fn register_program(&self, tenant: &str, source: &str) -> Result<ProgramId, ServeError> {
         self.inner.sched.ensure_tenant(tenant, None);
-        let mut programs = self.inner.programs.lock();
-        let id = programs.len() as u64;
+        // Reserve the id under the lock, compile outside it: every tenant's
+        // `submit` takes this lock too.
+        let id = {
+            let mut programs = self.inner.programs.lock();
+            programs.push((tenant.to_string(), None));
+            programs.len() - 1
+        };
         let app = Ompicc::new(&self.work_dir)
             .with_mode(self.mode)
             .with_module_prefix(format!("p{id}_"))
             .compile(source)
             .map_err(|e| ServeError::Compile(e.to_string()))?;
-        programs.push((tenant.to_string(), Arc::new(app)));
-        Ok(ProgramId(id))
+        self.inner.programs.lock()[id].1 = Some(Arc::new(app));
+        Ok(ProgramId(id as u64))
     }
 
     /// Submit a job. Admission control runs here, inline: a rejection is
@@ -154,9 +162,9 @@ impl Server {
     pub fn submit(&self, tenant: &str, spec: JobSpec) -> Result<JobId, ServeError> {
         let app = {
             let programs = self.inner.programs.lock();
-            let (owner, app) = programs
-                .get(spec.program.0 as usize)
-                .ok_or(ServeError::UnknownProgram(spec.program))?;
+            let Some((owner, Some(app))) = programs.get(spec.program.0 as usize) else {
+                return Err(ServeError::UnknownProgram(spec.program));
+            };
             if owner != tenant {
                 return Err(ServeError::WrongTenant {
                     program: spec.program,

@@ -5,7 +5,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic execution engine; 900 lines) =="
+echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic execution engine, guest arena; 900 lines) =="
 # The transform monolith was split into a pass pipeline; keep it split.
 # The obs crate starts split (trace/metrics/profile/json, plus the PR-8
 # flight recorder and hotspots modules, covered by the same find); keep
@@ -19,8 +19,10 @@ echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic exe
 # control flow, lane arithmetic, memory + coalescing); keep it split.
 # cudadev's host submodules (governor, recovery, stream, transfer) joined
 # when the transfer path moved out of the governor; host.rs itself is still
-# exempt.
+# exempt. minic's program image (image.rs) and vmcommon's guest arena
+# (mem.rs) joined when a job became an instance of a shared image.
 minic_engine="
+crates/minic/src/image.rs
 crates/minic/src/interp.rs
 crates/minic/src/walker.rs
 crates/minic/src/bytecode.rs
@@ -31,6 +33,7 @@ crates/minic/src/vm.rs
 crates/minic/src/rt.rs
 crates/minic/src/limits.rs
 crates/minic/src/fuzzgen.rs
+crates/vmcommon/src/mem.rs
 "
 oversized=0
 for f in $(find crates/core/src crates/obs/src crates/serve/src crates/gpusim/src \
@@ -83,6 +86,25 @@ fi
 echo "== transfer reuse is an exact compare (no content hash in crates/cudadev/src) =="
 if grep -rnE 'fnv64|synced_hash' crates/cudadev/src --include='*.rs'; then
     echo "FAIL: transfer reuse compares the device and host ranges, it does not hash them"
+    exit 1
+fi
+
+echo "== guest arenas and program images (one allocator, one compile site, no AST clones) =="
+# MemArena chooses heap or anonymous mapping by size in one place; a host
+# program compiles once, in its shared minic::Image; a runner instantiates
+# the image and never copies the program.
+if grep -rnE 'alloc_zeroed|fn mmap|fn munmap' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/vmcommon/src/mem.rs:'; then
+    echo "FAIL: guest memory is allocated by MemArena::new (crates/vmcommon/src/mem.rs) only"
+    exit 1
+fi
+if grep -rn 'compile::compile(' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/minic/src/image.rs:'; then
+    echo "FAIL: minic::compile::compile is called by Image::compiled only"
+    exit 1
+fi
+if grep -rnE 'host(_info)?\.clone\(\)' crates/core/src/runner; then
+    echo "FAIL: runners instantiate the shared image; they do not clone the host program"
     exit 1
 fi
 

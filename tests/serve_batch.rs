@@ -270,6 +270,94 @@ fn cross_tenant_program_use_is_refused() {
     }
 }
 
+fn job_spec(program: ompi_nano::serve::ProgramId, k: i32) -> JobSpec {
+    let mut s = JobSpec::new(program);
+    s.entry = "job".into();
+    s.args = vec![Value::I32(k)];
+    s
+}
+
+/// Every served job is a fresh instance of its program's image: a global
+/// bumped by one job reads zero in the next, on a guest arena the size of
+/// the benchmark's (6 MiB, a mapped one).
+#[test]
+fn every_served_job_starts_on_a_zeroed_arena() {
+    let mut cfg = serve_config("fresh", 1, 1);
+    cfg.runner.host_mem = 6 << 20;
+    let server = Server::new(&cfg).unwrap();
+    let src = "int hits; int job(int k) { hits = hits + 1; return hits + k; } \
+               int main() { return job(0); }";
+    let p = server.register_program("a", src).unwrap();
+    server.start();
+    for k in 0..50 {
+        let id = server.submit("a", job_spec(p, k)).unwrap();
+        assert_eq!(server.wait(id).value, Ok(Value::I32(1 + k)), "job {k}");
+    }
+}
+
+/// A program whose globals do not fit `host_mem` fails its jobs with the
+/// typed error, and the server goes on serving the other programs.
+#[test]
+fn a_program_too_big_for_host_mem_fails_its_jobs_only() {
+    let mut cfg = serve_config("toobig", 1, 1);
+    cfg.runner.host_mem = 6 << 20;
+    let server = Server::new(&cfg).unwrap();
+    let big = server
+        .register_program(
+            "a",
+            "float big[2097152]; int job(int k) { return k; } int main() { return 0; }",
+        )
+        .unwrap();
+    let ok = server.register_program("a", &tenant_source(1)).unwrap();
+    server.start();
+    for round in 0..2 {
+        let id = server.submit("a", job_spec(big, round)).unwrap();
+        let err = server.wait(id).value.unwrap_err();
+        assert!(err.contains("guest arena too small"), "round {round}: {err}");
+        let id = server.submit("a", job_spec(ok, round)).unwrap();
+        assert_eq!(server.wait(id).value, Ok(Value::I32(round)), "round {round}");
+    }
+}
+
+/// Four tenants register at once: compiles run outside the programs lock,
+/// and every id still runs its own program.
+#[test]
+fn concurrent_registrations_each_run_their_own_program() {
+    let server = Server::new(&serve_config("register", 1, 1)).unwrap();
+    let source = |c: i32| {
+        format!(
+            r#"
+int job(int k) {{
+    int x[32];
+    #pragma omp target teams distribute parallel for map(from: x[0:32])
+    for (int i = 0; i < 32; i++) x[i] = i * 100 + {c};
+    return x[k];
+}}
+int main() {{ return job(0); }}
+"#
+        )
+    };
+    let go = std::sync::Barrier::new(4);
+    let ids: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..4)
+            .map(|c| {
+                let (server, go) = (&server, &go);
+                let src = source(c);
+                s.spawn(move || {
+                    go.wait();
+                    (c, server.register_program(&format!("t{c}"), &src).unwrap())
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    server.start();
+    for (c, p) in ids {
+        let id = server.submit(&format!("t{c}"), job_spec(p, 3)).unwrap();
+        assert_eq!(server.wait(id).value, Ok(Value::I32(300 + c)), "tenant t{c}");
+    }
+}
+
 /// A device latching broken mid-soak: the tenant's warm device dies
 /// between batches, the scheduler reroutes to the surviving device, and
 /// every output is still bit-identical to the standalone reference.
