@@ -19,7 +19,7 @@
 
 use std::sync::atomic::Ordering;
 
-use gpusim::{iter_lanes, DeviceLib, ExecError, LaneVec, Warp};
+use gpusim::{iter_lanes, DeviceLib, ExecError, LaneVec, LibStep, Warp};
 use vmcommon::sched::static_block;
 
 /// Block `ext` slot assignments (slot 0 is gpusim's shared-memory stack
@@ -41,6 +41,9 @@ pub mod slots {
     pub const SECTIONS: usize = 7;
     /// `single` winner flag.
     pub const SINGLE: usize = 8;
+    /// Master/worker: the master warp's clock when it opened the running
+    /// region (the start of its trace event).
+    pub const MW_START: usize = 9;
 }
 
 /// Named barrier ids used by the master/worker protocol (§3.2).
@@ -184,41 +187,10 @@ fn first(mask: u32, args: &LaneVec) -> u64 {
     args[mask.trailing_zeros().min(31) as usize]
 }
 
-/// The calls that park the calling warp on a named barrier until sibling
-/// warps arrive: exactly the `match` arms below that call
-/// [`bar_sync_traced`]. A kernel that reaches none of them (nor a `bar.sync`
-/// or lock of its own) is run by gpusim without a thread per warp, and a
-/// barrier reached from an arm missing here traps. `cudadev_critical_enter`
-/// is not one: a warp takes the lock and releases it before it ends, so in a
-/// kernel without barriers no sibling ever holds it while this warp runs.
-const BLOCKING: [&str; 4] =
-    ["cudadev_register_parallel", "cudadev_workerfunc", "cudadev_exit_target", "cudadev_barrier"];
-
-/// `bar_sync` with a trace event: records the simulated cycles this warp
-/// spent parked at the barrier as a complete event on the warp's track
-/// (tid = 1 + warp_id; tid 0 is the driver stream).
-fn bar_sync_traced(
-    warp: &mut Warp<'_>,
-    id: u32,
-    expected: u32,
-    label: &'static str,
-) -> Result<(), ExecError> {
-    let trace = warp.env.device.trace();
-    let before = warp.clock;
-    let r = warp.bar_sync(id, expected);
-    if let Some(t) = trace {
-        let hz = warp.env.device.props.clock_hz;
-        t.obs.tracer.complete(
-            t.pid,
-            1 + warp.warp_id as u64,
-            label,
-            "barrier",
-            t.base_s + before as f64 / hz,
-            warp.clock.saturating_sub(before) as f64 / hz,
-            vec![("warp", (warp.warp_id as u64).into())],
-        );
-    }
-    r
+/// Arrive at named barrier `id` for `count` threads, traced as `label`,
+/// and go on at phase `next` once it completes.
+fn bar(id: u32, count: u32, label: &'static str, next: u32) -> Result<LibStep, ExecError> {
+    Ok(LibStep::Barrier { id, count, label, next })
 }
 
 /// Emit an instant event on the calling warp's track at its current
@@ -242,15 +214,11 @@ fn warp_instant(
     }
 }
 
-fn uniform_ret(v: u64) -> Option<LaneVec> {
-    Some([v; 32])
+fn uniform_ret(v: u64) -> LibStep {
+    LibStep::Ret([v; 32])
 }
 
 impl DeviceLib for CudaDeviceLib {
-    fn may_wait(&self, name: &str) -> bool {
-        BLOCKING.contains(&name)
-    }
-
     fn call(
         &self,
         name: &str,
@@ -258,7 +226,8 @@ impl DeviceLib for CudaDeviceLib {
         mask: u32,
         args: &[LaneVec],
         _sargs: &[String],
-    ) -> Result<Option<LaneVec>, ExecError> {
+        phase: u32,
+    ) -> Result<LibStep, ExecError> {
         match name {
             // ------------------------------------------------ identity-ish
             "cudadev_in_masterwarp" => {
@@ -266,16 +235,16 @@ impl DeviceLib for CudaDeviceLib {
                 for lane in iter_lanes(mask) {
                     out[lane as usize] = ((args[0][lane as usize] as i64) < W as i64) as u64;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
             "cudadev_is_masterthr" => {
                 let mut out = [0u64; 32];
                 for lane in iter_lanes(mask) {
                     out[lane as usize] = (args[0][lane as usize] as i64 == 0) as u64;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
-            "cudadev_getaddr" => Ok(Some(args[0])),
+            "cudadev_getaddr" => Ok(LibStep::Ret(args[0])),
 
             // --------------------------------------------------- omp_* API
             "omp_get_thread_num" => {
@@ -283,7 +252,7 @@ impl DeviceLib for CudaDeviceLib {
                 for lane in iter_lanes(mask) {
                     out[lane as usize] = self.region_tid(warp, lane).max(0) as u64;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
             "omp_get_num_threads" => Ok(uniform_ret(self.region_nthr(warp) as u64)),
             "omp_get_team_num" => {
@@ -342,46 +311,55 @@ impl DeviceLib for CudaDeviceLib {
             }
 
             // ------------------------------------------------ master/worker
-            "cudadev_register_parallel" => {
+            // A call that waits on B1/B2 returns the barrier to the warp and
+            // is re-entered at its next phase once the barrier completes.
+            "cudadev_register_parallel" => match phase {
                 // (fn_index, vars_ptr, nthr) — master thread only.
-                let fnidx = first(mask, &args[0]);
-                let vars = first(mask, &args[1]);
-                let nthr = (first(mask, &args[2]) as u32).clamp(1, MW_WORKERS);
-                let region_start = warp.clock;
-                let ext = &warp.env.ctx.ext;
-                ext[slots::MW_FN].store(fnidx, Ordering::Release);
-                ext[slots::MW_VARS].store(vars, Ordering::Release);
-                ext[slots::MW_NTHR].store(nthr as u64, Ordering::Release);
-                ext[slots::MW_MODE].store(1, Ordering::Release);
-                // Wake the workers (region start)…
-                bar_sync_traced(warp, B1, MW_BLOCK_THREADS, "B1 wake")?;
-                // …and wait for region completion.
-                bar_sync_traced(warp, B1, MW_BLOCK_THREADS, "B1 wait")?;
-                warp.env.ctx.ext[slots::MW_MODE].store(0, Ordering::Release);
-                if let Some(t) = warp.env.device.trace() {
-                    let hz = warp.env.device.props.clock_hz;
-                    t.obs.tracer.complete(
-                        t.pid,
-                        1 + warp.warp_id as u64,
-                        "parallel region",
-                        "parallel",
-                        t.base_s + region_start as f64 / hz,
-                        warp.clock.saturating_sub(region_start) as f64 / hz,
-                        vec![("nthreads", (nthr as u64).into()), ("fn", fnidx.into())],
-                    );
+                0 => {
+                    let nthr = (first(mask, &args[2]) as u32).clamp(1, MW_WORKERS);
+                    let ext = &warp.env.ctx.ext;
+                    ext[slots::MW_FN].store(first(mask, &args[0]), Ordering::Release);
+                    ext[slots::MW_VARS].store(first(mask, &args[1]), Ordering::Release);
+                    ext[slots::MW_NTHR].store(nthr as u64, Ordering::Release);
+                    ext[slots::MW_START].store(warp.clock, Ordering::Release);
+                    ext[slots::MW_MODE].store(1, Ordering::Release);
+                    // Wake the workers (region start)…
+                    bar(B1, MW_BLOCK_THREADS, "B1 wake", 1)
                 }
-                Ok(uniform_ret(0))
-            }
-            "cudadev_workerfunc" => {
-                // Worker warps: serve parallel regions until exit. Runs with
-                // the warp's full live mask.
-                loop {
-                    bar_sync_traced(warp, B1, MW_BLOCK_THREADS, "B1 park")?;
+                // …and wait for region completion.
+                1 => bar(B1, MW_BLOCK_THREADS, "B1 wait", 2),
+                _ => {
+                    let ext = &warp.env.ctx.ext;
+                    ext[slots::MW_MODE].store(0, Ordering::Release);
+                    if let Some(t) = warp.env.device.trace() {
+                        let hz = warp.env.device.props.clock_hz;
+                        let region_start = ext[slots::MW_START].load(Ordering::Acquire);
+                        let nthr = ext[slots::MW_NTHR].load(Ordering::Acquire);
+                        let fnidx = ext[slots::MW_FN].load(Ordering::Acquire);
+                        t.obs.tracer.complete(
+                            t.pid,
+                            1 + warp.warp_id as u64,
+                            "parallel region",
+                            "parallel",
+                            t.base_s + region_start as f64 / hz,
+                            warp.clock.saturating_sub(region_start) as f64 / hz,
+                            vec![("nthreads", nthr.into()), ("fn", fnidx.into())],
+                        );
+                    }
+                    Ok(uniform_ret(0))
+                }
+            },
+            "cudadev_workerfunc" => match phase {
+                // Worker warps: serve parallel regions until exit, with the
+                // warp's full live mask. Park until the master opens a
+                // region or exits.
+                0 => bar(B1, MW_BLOCK_THREADS, "B1 park", 1),
+                1 => {
                     let ext = &warp.env.ctx.ext;
                     if ext[slots::MW_EXIT].load(Ordering::Acquire) != 0 {
                         return Ok(uniform_ret(0));
                     }
-                    let fnidx = ext[slots::MW_FN].load(Ordering::Acquire) as u32;
+                    let func = ext[slots::MW_FN].load(Ordering::Acquire) as u32;
                     let vars = ext[slots::MW_VARS].load(Ordering::Acquire);
                     let nthr = ext[slots::MW_NTHR].load(Ordering::Acquire) as u32;
                     // Lanes participating in this region.
@@ -393,21 +371,27 @@ impl DeviceLib for CudaDeviceLib {
                         }
                     }
                     if pmask != 0 {
-                        warp.call_device_fn(fnidx, &[[vars; 32]], pmask)?;
-                        // Participants synchronize on B2 (rounded count).
-                        bar_sync_traced(warp, B2, round_barrier_count(nthr), "B2 wait")?;
+                        Ok(LibStep::Run { func, arg: vars, mask: pmask, next: 2 })
+                    } else {
+                        bar(B1, MW_BLOCK_THREADS, "B1 rejoin", 0)
                     }
-                    // Region end: every warp rejoins the master on B1.
-                    bar_sync_traced(warp, B1, MW_BLOCK_THREADS, "B1 rejoin")?;
                 }
-            }
-            "cudadev_exit_target" => {
-                let ext = &warp.env.ctx.ext;
-                ext[slots::MW_EXIT].store(1, Ordering::Release);
-                // Release the workers so they observe the exit flag.
-                bar_sync_traced(warp, B1, MW_BLOCK_THREADS, "B1 exit")?;
-                Ok(uniform_ret(0))
-            }
+                // Participants synchronize on B2 (rounded count)…
+                2 => {
+                    let nthr = warp.env.ctx.ext[slots::MW_NTHR].load(Ordering::Acquire) as u32;
+                    bar(B2, round_barrier_count(nthr), "B2 wait", 3)
+                }
+                // …and at region end every warp rejoins the master on B1.
+                _ => bar(B1, MW_BLOCK_THREADS, "B1 rejoin", 0),
+            },
+            "cudadev_exit_target" => match phase {
+                0 => {
+                    warp.env.ctx.ext[slots::MW_EXIT].store(1, Ordering::Release);
+                    // Release the workers so they observe the exit flag.
+                    bar(B1, MW_BLOCK_THREADS, "B1 exit", 1)
+                }
+                _ => Ok(uniform_ret(0)),
+            },
 
             // ------------------------------------------- chunk distribution
             "cudadev_get_distribute_chunk" => {
@@ -467,7 +451,7 @@ impl DeviceLib for CudaDeviceLib {
                         out[lane as usize] = 1;
                     }
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
             "cudadev_get_guided_chunk" => {
                 let minc = first(mask, &args[2]).max(1);
@@ -505,26 +489,25 @@ impl DeviceLib for CudaDeviceLib {
                         out[lane as usize] = 1;
                     }
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
 
             // ------------------------------------------------ synchronization
-            "cudadev_barrier" => {
-                if self.mw_active(warp) {
-                    let nthr = self.region_nthr(warp);
-                    bar_sync_traced(warp, B2, round_barrier_count(nthr), "B2 wait")?;
-                } else {
-                    let all = warp.env.nthreads.next_multiple_of(W);
-                    bar_sync_traced(warp, 0, all, "barrier")?;
+            "cudadev_barrier" => match phase {
+                0 if self.mw_active(warp) => {
+                    bar(B2, round_barrier_count(self.region_nthr(warp)), "B2 wait", 1)
                 }
-                Ok(uniform_ret(0))
-            }
+                0 => bar(0, warp.env.nthreads.next_multiple_of(W), "barrier", 1),
+                _ => Ok(uniform_ret(0)),
+            },
             "cudadev_critical_enter" => {
                 // Busy-spin CAS on a global lock word (§4.2.2). Whole-warp:
                 // lanes of the same warp enter one at a time would deadlock
                 // in lockstep; acquire once per warp (the region body runs
                 // with the warp's active mask, which is how the paper's
-                // lockstep warps behave).
+                // lockstep warps behave). A warp of this block never yields
+                // inside a critical section, so the holder this spins on is
+                // a warp of another block, on another block worker.
                 let id = first(mask, &args[0]) % NUM_LOCKS;
                 let addr = self.lock_area + id * 4;
                 let off = vmcommon::addr::offset(addr);
@@ -570,7 +553,7 @@ impl DeviceLib for CudaDeviceLib {
                 if i < nsec {
                     out[leader as usize] = i;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
             "cudadev_single_reset" => {
                 warp.env.ctx.ext[slots::SINGLE].store(0, Ordering::Release);
@@ -582,7 +565,7 @@ impl DeviceLib for CudaDeviceLib {
                 for lane in iter_lanes(mask) {
                     out[lane as usize] = (self.region_tid(warp, lane) == 0) as u64;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
 
             // -------------------------------------------------- reductions
@@ -652,7 +635,7 @@ impl DeviceLib for CudaDeviceLib {
                     let b = f32::from_bits(args[1][lane as usize] as u32);
                     out[lane as usize] = a.powf(b).to_bits() as u64;
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
             "pow" => {
                 let mut out = [0u64; 32];
@@ -661,7 +644,7 @@ impl DeviceLib for CudaDeviceLib {
                     let b = f64::from_bits(args[1][lane as usize]);
                     out[lane as usize] = a.powf(b).to_bits();
                 }
-                Ok(Some(out))
+                Ok(LibStep::Ret(out))
             }
 
             other => Err(ExecError::UnknownIntrinsic(other.to_string())),
@@ -681,17 +664,6 @@ mod tests {
         assert_eq!(round_barrier_count(1), 32);
         assert_eq!(round_barrier_count(33), 64);
         assert_eq!(round_barrier_count(0), 32);
-    }
-
-    #[test]
-    fn only_the_listed_exports_block() {
-        let lib = CudaDeviceLib::new(0);
-        let e = exports();
-        for name in BLOCKING {
-            assert!(lib.may_wait(name));
-            assert!(e.iter().any(|s| s == name), "{name} is not exported");
-        }
-        assert_eq!(e.iter().filter(|s| lib.may_wait(s)).count(), BLOCKING.len());
     }
 
     #[test]

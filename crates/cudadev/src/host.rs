@@ -330,14 +330,6 @@ pub struct CudaDev {
     pressure_events: std::sync::atomic::AtomicU64,
 }
 
-/// Lower a module for execution. Lowering asks the device library only
-/// which calls can wait ([`gpusim::DeviceLib::may_wait`]), which is a fact
-/// about the call's name: a library without a lock area answers it, so a
-/// module can be lowered before the device exists.
-fn lower(module: Arc<sptx::Module>) -> Arc<Program> {
-    Arc::new(Program::new(module, &CudaDeviceLib::new(0)))
-}
-
 impl CudaDev {
     pub fn new(cfg: CudaDevConfig) -> CudaDev {
         CudaDev {
@@ -918,7 +910,7 @@ impl CudaDev {
             )));
         };
         sptx::verify_module(&module).map_err(|e| load_err(e.to_string()))?;
-        let program = lower(module);
+        let program = Arc::new(Program::new(module));
         self.modules.lock().insert(name.to_string(), program.clone());
         Ok(program)
     }
@@ -926,7 +918,7 @@ impl CudaDev {
     /// Register an in-memory module (used by tests and the quickstart
     /// example; normal operation loads from disk).
     pub fn register_module(&self, module: sptx::Module) {
-        self.modules.lock().insert(module.name.clone(), lower(Arc::new(module)));
+        self.modules.lock().insert(module.name.clone(), Arc::new(Program::new(Arc::new(module))));
     }
 
     /// Launch phase (`cuLaunchKernel`): run `kernel` from module `module`

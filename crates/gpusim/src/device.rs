@@ -7,7 +7,6 @@ use vmcommon::{BlockAllocator, MemArena};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::barrier::BarrierTimeout;
 use crate::fault::{FaultPlan, FaultSite};
 use crate::timing;
 
@@ -56,11 +55,13 @@ pub enum ExecError {
     Mem(vmcommon::MemError),
     Alloc(vmcommon::alloc::AllocError),
     Trap(String),
-    BarrierDeadlock(BarrierTimeout),
-    /// This warp was released from a barrier because a sibling warp of its
-    /// block failed. Secondary by construction: the launch reports the
-    /// sibling's error, never this one.
-    BlockAborted,
+    /// Every unfinished warp of a block is parked on a named barrier, so
+    /// none can ever arrive to complete one.
+    BarrierDeadlock {
+        barrier: u32,
+        expected_threads: u32,
+        arrived_threads: u32,
+    },
     UnknownKernel(String),
     UnknownIntrinsic(String),
     BadLaunch(String),
@@ -94,12 +95,10 @@ impl std::fmt::Display for ExecError {
             ExecError::Mem(e) => write!(f, "device memory fault: {e}"),
             ExecError::Alloc(e) => write!(f, "device allocation failure: {e}"),
             ExecError::Trap(m) => write!(f, "device trap: {m}"),
-            ExecError::BarrierDeadlock(b) => write!(
+            ExecError::BarrierDeadlock { barrier, expected_threads, arrived_threads } => write!(
                 f,
-                "barrier {} deadlock: {} of {} threads arrived",
-                b.barrier, b.arrived_threads, b.expected_threads
+                "barrier {barrier} deadlock: {arrived_threads} of {expected_threads} threads arrived"
             ),
-            ExecError::BlockAborted => write!(f, "block aborted after a sibling warp failed"),
             ExecError::UnknownKernel(n) => write!(f, "unknown kernel `{n}`"),
             ExecError::UnknownIntrinsic(n) => write!(
                 f,
@@ -124,12 +123,6 @@ impl From<vmcommon::MemError> for ExecError {
 impl From<vmcommon::alloc::AllocError> for ExecError {
     fn from(e: vmcommon::alloc::AllocError) -> Self {
         ExecError::Alloc(e)
-    }
-}
-
-impl From<BarrierTimeout> for ExecError {
-    fn from(e: BarrierTimeout) -> Self {
-        ExecError::BarrierDeadlock(e)
     }
 }
 

@@ -6,36 +6,42 @@
 //! `sptx::Module`, which lowers it first.
 //!
 //! **Who runs a block's warps.** Blocks are independent and are handed to
-//! `Device::block_workers` worker threads, lowest block first. Within a
-//! block, the program's answer for the kernel ([`crate::waits::can_wait`])
-//! decides:
+//! `Device::block_workers` worker threads, lowest block first. All warps of
+//! a block run on its worker's thread under one deterministic scheduler:
+//! warp 0 runs until it yields ([`Yield`]), then the next unfinished,
+//! unparked warp in warp-id order after it, round and round.
 //!
-//! * A kernel that *cannot wait on a sibling warp* — no `bar.sync`, no
-//!   `atom.cas`/`atom.exch`, no blocking library call anywhere in its call
-//!   graph; every combined `target teams distribute parallel for` with a
-//!   static schedule is of this kind — runs warp 0, 1, 2, … to completion
-//!   on the block worker's own thread, in warp-id order, and stops at the
-//!   first warp that fails. No thread is spawned, and everything the
-//!   block's warps do to memory happens in one fixed order.
-//! * A kernel that *can* wait (the master/worker scheme of paper §3.2,
-//!   `__syncthreads()`, a hand-written lock) gets one OS thread per warp,
-//!   because a warp parked on a barrier makes progress only if its
-//!   siblings run meanwhile.
+//! * A warp that arrives at a named barrier it does not complete is parked
+//!   there; the arrival that completes it releases every warp that arrived,
+//!   at the latest arrival's clock plus the barrier latency
+//!   ([`Barriers`]), and goes on running.
+//! * A warp whose loop spins on an atomic that made no progress yields to
+//!   the next warp and stays runnable.
+//! * The first warp that fails ends the block, and its error is the
+//!   block's.
+//! * When no warp can run but one is parked, the block is deadlocked: the
+//!   launch fails at once with [`ExecError::BarrierDeadlock`].
+//!
+//! A kernel that never yields — every combined `target teams distribute
+//! parallel for` with a static schedule is of this kind — thus runs warp 0,
+//! 1, 2, … to completion, and in every kernel the order in which a block's
+//! warps touch memory, float atomics included, is the same on every run.
 //!
 //! Issue cycles, the latency clock, `lane_insts` and transactions are kept
-//! per warp and meet only at barriers, so both ways produce the same
-//! simulated numbers. When blocks fail, the launch reports the lowest
-//! failing block's error, whichever worker saw its failure first.
+//! per warp and meet only at barriers. When blocks fail, the launch reports
+//! the lowest failing block's error, whichever worker saw its failure
+//! first.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vmcommon::sync::Mutex;
 
+use crate::barrier::Barriers;
 use crate::device::{Device, ExecError};
 use crate::program::Program;
 use crate::timing;
-use crate::warp::{BlockCtx, BlockEnv, DeviceLib, Warp};
+use crate::warp::{iter_lanes, BlockCtx, BlockEnv, DeviceLib, Warp, Yield};
 
 /// Launch configuration (grid/block shapes + kernel parameters as raw bit
 /// patterns, exactly like `cuLaunchKernel`'s param buffer).
@@ -114,7 +120,7 @@ pub fn launch(
     lib: &dyn DeviceLib,
     mode: ExecMode,
 ) -> Result<LaunchStats, ExecError> {
-    Program::new(Arc::new(module.clone()), lib).launch(device, kernel, cfg, lib, mode, None)
+    Program::new(Arc::new(module.clone())).launch(device, kernel, cfg, lib, mode, None)
 }
 
 impl Program {
@@ -185,10 +191,6 @@ impl Program {
             }
         };
 
-        // A one-warp block has no sibling to wait for and runs on the calling
-        // thread with its barriers live, whatever the kernel.
-        let inline_warps = threads_per_block > timing::WARP_SIZE as u64 && !kfun.can_wait;
-
         let accum = Mutex::new(BlockAccum::default());
         // The failing block with the lowest index, and its error. Blocks are
         // handed out in increasing order and every block taken runs to the
@@ -204,17 +206,7 @@ impl Program {
                 return;
             }
             let lin = chosen[i];
-            match run_block(
-                device,
-                self,
-                kidx,
-                cfg,
-                lib,
-                lin,
-                threads_per_block as u32,
-                inline_warps,
-                tile,
-            ) {
+            match run_block(device, self, kidx, cfg, lib, lin, threads_per_block as u32, tile) {
                 Ok(b) => {
                     if let Some(t) = device.trace() {
                         // One complete event per simulated block. All
@@ -325,17 +317,14 @@ struct BlockResult {
 }
 
 impl BlockResult {
-    fn add_warp(&mut self, (issue, clock, stats): (u64, u64, crate::warp::WarpStats)) {
-        self.issue += issue;
-        self.transactions += stats.mem_transactions;
-        self.lane_insts += stats.lane_insts;
-        self.divergent += stats.divergent_branches;
-        self.max_block_cycles = self.max_block_cycles.max(clock);
+    fn add_warp(&mut self, w: &Warp<'_>) {
+        self.issue += w.issue;
+        self.transactions += w.stats.mem_transactions;
+        self.lane_insts += w.stats.lane_insts;
+        self.divergent += w.stats.divergent_branches;
+        self.max_block_cycles = self.max_block_cycles.max(w.clock);
     }
 }
-
-/// Outcome of running one block: `(cycles, dram_words, warp stats)`.
-type BlockRunResult = Result<(u64, u64, crate::warp::WarpStats), ExecError>;
 
 #[allow(clippy::too_many_arguments)]
 fn run_block(
@@ -346,11 +335,9 @@ fn run_block(
     lib: &dyn DeviceLib,
     lin_block: u64,
     nthreads: u32,
-    inline_warps: bool,
     tile: Option<TileView>,
 ) -> Result<BlockResult, ExecError> {
-    let kfun = &program.funcs[kidx as usize];
-    let shared_static = kfun.shared_size;
+    let shared_static = program.funcs[kidx as usize].shared_size;
     // Under a tiled launch the block takes its identity (and the grid
     // shape it reports) from the logical grid, not the physical window.
     let logical_grid = tile.map_or(cfg.grid, |t| t.logical_grid);
@@ -372,53 +359,89 @@ fn run_block(
         ctaid,
         nthreads,
         shared_static,
-        kernel: &kfun.name,
-        inline_warps,
     };
     // The device library's dynamic shared-memory stack starts above the
     // kernel's static allocation (slot convention shared with cudadev).
     env.ctx.ext[crate::SHMEM_SP_SLOT].store(shared_static, Ordering::Relaxed);
 
-    // A warp that fails aborts the block, so siblings parked on a barrier
-    // return at once rather than after the deadlock timeout.
-    let run_warp = |w: u32| -> BlockRunResult {
-        let mut warp = Warp::new(&env, w);
-        let mask = warp.initial_mask();
-        let r = warp.run_kernel(kidx, &cfg.params, mask);
-        if r.is_err() {
-            env.ctx.abort();
-        }
-        r.map(|_| (warp.issue, warp.clock, warp.stats))
-    };
     let nwarps = nthreads.div_ceil(timing::WARP_SIZE);
-    let mut out = BlockResult::default();
-    if inline_warps || nwarps == 1 {
-        // On this thread, in warp-id order, up to the first warp that fails.
-        for w in 0..nwarps {
-            out.add_warp(run_warp(w)?);
+    let all = u32::MAX >> (32 - nwarps);
+    let mut block = Block {
+        waiting: Default::default(),
+        barriers: Barriers::default(),
+        parked: 0,
+        finished: 0,
+        out: BlockResult::default(),
+    };
+    let mut w = 0u32;
+    loop {
+        // A warp starts on this stack when it is first scheduled and is boxed
+        // only when it yields, so a kernel that never yields keeps one warp
+        // at a time and boxes none.
+        match block.waiting[w as usize].take() {
+            Some(mut warp) => {
+                if !block.turn(w, &mut warp)? {
+                    block.waiting[w as usize] = Some(warp);
+                }
+            }
+            None => {
+                let mut warp = Warp::new(&env, w);
+                warp.start(kidx, &cfg.params)?;
+                if !block.turn(w, &mut warp)? {
+                    block.waiting[w as usize] = Some(Box::new(warp));
+                }
+            }
         }
-        return Ok(out);
+        let runnable = all & !(block.finished | block.parked);
+        if runnable == 0 {
+            return if block.parked == 0 { Ok(block.out) } else { Err(block.barriers.deadlock()) };
+        }
+        // Round robin: the next runnable warp after `w`, wrapping.
+        let after = runnable & u32::MAX.checked_shl(w + 1).unwrap_or(0);
+        w = if after != 0 { after } else { runnable }.trailing_zeros();
     }
-    // Results in warp-id order.
-    let results: Vec<BlockRunResult> = std::thread::scope(|scope| {
-        let warps: Vec<_> = (0..nwarps).map(|w| scope.spawn(move || run_warp(w))).collect();
-        warps
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
+}
 
-    // The block's error is its lowest failing warp's own error; a warp that
-    // only left a barrier because of the abort never masks it.
-    let mut aborted = None;
-    for r in results {
-        match r {
-            Ok(w) => out.add_warp(w),
-            Err(e @ ExecError::BlockAborted) => aborted = Some(e),
-            Err(e) => return Err(e),
+/// The warps of one block between their turns.
+struct Block<'e> {
+    /// Warps that yielded, by id.
+    waiting: [Option<Box<Warp<'e>>>; 32],
+    barriers: Barriers,
+    /// Warps parked on a barrier, and warps that ran to their end, one bit
+    /// per warp id.
+    parked: u32,
+    finished: u32,
+    out: BlockResult,
+}
+
+impl<'e> Block<'e> {
+    /// Give warp `w` its turn: run it until it ends (`true`, its counts
+    /// added to the block's) or yields (`false`). The arrival that completes
+    /// a barrier releases the warps parked there and goes on running.
+    fn turn(&mut self, w: u32, warp: &mut Warp<'e>) -> Result<bool, ExecError> {
+        loop {
+            match warp.run()? {
+                Yield::Done => {
+                    self.out.add_warp(warp);
+                    self.finished |= 1 << w;
+                    return Ok(true);
+                }
+                Yield::Spin => return Ok(false),
+                Yield::Barrier { id, count } => {
+                    let Some((released, cycles)) = self.barriers.arrive(id, count, w, warp.clock)
+                    else {
+                        self.parked |= 1 << w;
+                        return Ok(false);
+                    };
+                    for v in iter_lanes(released & !(1 << w)) {
+                        self.waiting[v as usize].as_mut().expect("a parked warp").release(cycles);
+                    }
+                    warp.release(cycles);
+                    self.parked &= !released;
+                }
+            }
         }
     }
-    aborted.map_or(Ok(out), Err)
 }
 
 #[cfg(test)]
@@ -461,7 +484,7 @@ mod tests {
             functions: vec![b.build()],
             device_lib_linked: true,
         };
-        let program = Program::new(Arc::new(module), &NoLib);
+        let program = Program::new(Arc::new(module));
         let mut d = Device::new(1 << 20);
         d.block_workers = 4;
         let cfg = LaunchConfig { grid: [8, 1, 1], block: [32, 1, 1], params: vec![] };

@@ -11,12 +11,10 @@
 //! function a flat list of ops with operands, costs and branch targets
 //! resolved ([`program`]) — and a warp steps those ops warp-wide, 32 lanes
 //! per decode, over a mask stack (see [`warp`]). Blocks are independent and
-//! are simulated by a small worker pool. Within a block, a kernel that can make one warp wait
-//! for another — named barriers, the paper's master/worker scheme, a
-//! hand-written lock — gets one OS thread per warp so that parked warps and
-//! running ones make independent progress; every other kernel runs its
-//! warps one after another on the block worker's thread (see [`launch`],
-//! [`waits`]).
+//! are simulated by a small worker pool. Within a block, every warp runs on
+//! the block worker's thread under one scheduler: a warp runs until it
+//! parks on a named barrier, spins on a lock, or ends, and then the next
+//! warp in warp-id order runs (see [`launch`]).
 
 pub mod barrier;
 pub mod device;
@@ -25,7 +23,6 @@ pub mod launch;
 pub mod program;
 pub mod stream;
 pub mod timing;
-pub mod waits;
 pub mod warp;
 
 pub use device::{DevTrace, Device, DeviceProps, DeviceStats, ExecError};
@@ -33,7 +30,7 @@ pub use fault::{FaultKind, FaultPlan, FaultPlanError, FaultRule, FaultSite};
 pub use launch::{launch, ExecMode, LaunchConfig, LaunchStats, TileView};
 pub use program::Program;
 pub use stream::{EngineKind, EventId, OpSchedule, StreamEngine};
-pub use warp::{iter_lanes, BlockCtx, BlockEnv, DeviceLib, LaneVec, NoLib, Warp};
+pub use warp::{iter_lanes, BlockCtx, BlockEnv, DeviceLib, LaneVec, LibStep, NoLib, Warp};
 
 /// Block `ext` slot holding the dynamic shared-memory stack pointer
 /// (convention shared between the launcher and the cudadev device library).

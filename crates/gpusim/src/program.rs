@@ -24,9 +24,6 @@
 //!   how many `if`s lie between them and their loop. A `break` or
 //!   `continue` outside any loop lowers to an op that traps when it runs —
 //!   and only then, as the tree walk did.
-//!
-//! The program also answers, per kernel, whether a warp can wait on a
-//! sibling ([`waits::can_wait`]), so a launch never walks the call graph.
 
 use std::sync::Arc;
 
@@ -34,8 +31,7 @@ use sptx::{AtomOp, BinOp, CvtTy, Inst, MemTy, Node, Operand, ScalarTy, UnOp};
 use vmcommon::addr::{self, Space};
 
 use crate::timing;
-use crate::waits;
-use crate::warp::{alu, DeviceLib, LaneVec};
+use crate::warp::{alu, LaneVec};
 
 /// Where an operand's 32 lanes come from.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -179,10 +175,6 @@ pub(crate) struct Func {
     pub local_size: u64,
     /// Bytes of static `.shared` memory.
     pub shared_size: u64,
-    /// A kernel whose warps can wait on a sibling warp ([`waits::can_wait`]
-    /// with the library the program was lowered against); false for device
-    /// functions.
-    pub can_wait: bool,
     pub ops: Vec<WarpOp>,
     pub consts: Vec<LaneVec>,
 }
@@ -194,18 +186,9 @@ pub struct Program {
 }
 
 impl Program {
-    /// Lower every function of `module`. `lib` answers which library calls
-    /// can make a warp wait ([`DeviceLib::may_wait`]).
-    pub fn new(module: Arc<sptx::Module>, lib: &dyn DeviceLib) -> Program {
-        let funcs = module
-            .functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Func {
-                can_wait: f.is_kernel && waits::can_wait(&module, i as u32, lib),
-                ..Func::lower(f)
-            })
-            .collect();
+    /// Lower every function of `module`.
+    pub fn new(module: Arc<sptx::Module>) -> Program {
+        let funcs = module.functions.iter().map(Func::lower).collect();
         Program { module, funcs }
     }
 
@@ -235,7 +218,6 @@ impl Func {
             num_regs: f.num_regs,
             local_size: f.local_size,
             shared_size: f.shared_size,
-            can_wait: false,
             ops: l.ops,
             consts: l.consts.iter().map(|&bits| [bits; 32]).collect(),
         }

@@ -97,7 +97,9 @@ impl<'a> Warp<'a> {
         Ok(())
     }
 
-    /// `atom.cas.b32`, lowest lane first; the old words into row `dst`.
+    /// `atom.cas.b32`, lowest lane first; the old words into row `dst`. A
+    /// lane whose old word is not the expected one made no progress (see
+    /// [`Yield::Spin`](super::Yield::Spin)).
     #[inline(never)]
     pub(super) fn atom_cas(
         &mut self,
@@ -109,18 +111,22 @@ impl<'a> Warp<'a> {
         mask: u32,
     ) -> Result<(), ExecError> {
         let (addrs, e, n) = (self.read(f, addr), self.read(f, expected), self.read(f, new));
-        let mut old = [0u64; 32];
+        let (mut old, mut stalled) = ([0u64; 32], false);
         for lane in iter_lanes(mask) {
             let l = lane as usize;
             let (m, off) = self.resolve_atomic(addrs[l])?;
-            old[l] = m.cas_u32(off, e[l] as u32, n[l] as u32)? as u64;
+            let was = m.cas_u32(off, e[l] as u32, n[l] as u32)?;
+            stalled |= was != e[l] as u32;
+            old[l] = was as u64;
         }
+        self.stalls = self.stalls.wrapping_add(stalled as u32);
         self.set_row(dst, &old, mask);
         Ok(())
     }
 
     /// A fetch-and-op `atom`, lowest lane first; the old values into row
-    /// `dst`.
+    /// `dst`. An `atom.exch` that returns the word it wrote made no
+    /// progress.
     #[inline(never)]
     pub(super) fn atom(
         &mut self,
@@ -133,12 +139,14 @@ impl<'a> Warp<'a> {
     ) -> Result<(), ExecError> {
         let (addrs, v) = (self.read(f, addr), self.read(f, val));
         let rmw = atom_fn(op);
-        let mut old = [0u64; 32];
+        let (mut old, mut stalled) = ([0u64; 32], false);
         for lane in iter_lanes(mask) {
             let l = lane as usize;
             let (m, off) = self.resolve_atomic(addrs[l])?;
             old[l] = rmw(m, off, v[l])?;
+            stalled |= op == AtomOp::ExchB32 && old[l] == v[l] as u32 as u64;
         }
+        self.stalls = self.stalls.wrapping_add(stalled as u32);
         self.set_row(dst, &old, mask);
         Ok(())
     }

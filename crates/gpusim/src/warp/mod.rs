@@ -32,36 +32,19 @@
 //! `div`/`rem` (only an executing lane may trap on a zero divisor), and
 //! device-library calls.
 //!
-//! **Who runs a warp.** Warps of one block interact only through
-//! shared/global memory, atomics and the block's named barriers. The
-//! program records, per kernel, whether one of them can *wait* for another
-//! ([`crate::waits::can_wait`]): through a `bar.sync`, through a blocking
-//! device-library call ([`DeviceLib::may_wait`] — the paper's master/worker
-//! machinery of §3.2, where worker warps park on barrier B1 while the master
-//! warp executes sequential code), or through an `atom.cas`/`atom.exch`,
-//! which is how a lock or flag hand-off between warps is written (the loser
-//! spins until a sibling stores again).
-//!
-//! * A kernel that cannot wait runs warp 0, 1, 2, … to completion on the
-//!   block worker's thread. There is nothing to schedule: no warp ever
-//!   needs a sibling to have run, and the order in which the block's warps
-//!   touch memory — float atomics included — is the same on every run.
-//!   Should such a warp reach [`Warp::bar_sync`] after all (a library whose
-//!   `may_wait` left a call out), it traps at once; it never parks.
-//! * A kernel that can wait gets one OS thread per warp, so the warps of
-//!   its block run concurrently, and a warp that fails aborts the block
-//!   ([`BlockCtx::abort`]) so parked siblings leave at once instead of
-//!   waiting out the deadlock timeout. Here the interleaving of warps — and
-//!   with it the order of float atomics to one address — is the host
-//!   scheduler's.
-//!
-//! What neither gives: with more than one block worker, atomics from
-//! *different blocks* to one address land in host order. And a kernel that
-//! spins on a plain `ld` until a higher-numbered sibling warp stores is
-//! not recognised as waiting: run inline it spins forever, the one shape
-//! that a thread per warp ran and this rule does not.
+//! **Who runs a warp.** The block worker's scheduler ([`crate::launch`]),
+//! one [`Warp::run`] at a time. A warp runs until it yields: at a barrier
+//! arrival, whether a `bar.sync` or one a device-library call asked for
+//! ([`LibStep::Barrier`], the master/worker B1/B2 protocol of §3.2); at a
+//! loop back-edge after an iteration in which an `atom.cas` found another
+//! word than the expected one, or an `atom.exch` returned the word it
+//! wrote, in some active lane (a lock or flag hand-off: the sibling that
+//! will store gets to run); or at its end. All it needs to go on lives in
+//! the warp ([`frames`]). A spin on a plain `ld` never yields, so it never
+//! ends if the warp it waits for has not run yet.
 
 pub(crate) mod alu;
+mod frames;
 mod mem;
 #[cfg(test)]
 mod tests;
@@ -69,11 +52,8 @@ mod tests;
 use std::cmp::Ordering;
 use std::sync::atomic::AtomicU64;
 
-use vmcommon::addr::{self, Space};
-use vmcommon::fmt::FmtArg;
-use vmcommon::{MemArena, Value};
+use vmcommon::MemArena;
 
-use crate::barrier::{NamedBarrier, Released, BARRIER_HOST_TIMEOUT};
 use crate::device::{Device, ExecError};
 use crate::program::{Func, Op, Program, Src, WarpOp};
 use crate::timing;
@@ -81,9 +61,32 @@ use crate::timing;
 /// One value per lane.
 pub type LaneVec = [u64; 32];
 
+/// What a device-library call asks of the warp that made it.
+// `Ret` carries its row by value, as every call returns one; a box would
+// allocate per call.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone, Copy, Debug)]
+pub enum LibStep {
+    /// The call is complete: its value in every lane (written to the call's
+    /// destination row under the call's mask).
+    Ret(LaneVec),
+    /// Arrive at named barrier `id`, which waits for `count` threads, and
+    /// re-enter the call at phase `next` once it completes. The wait is
+    /// traced as `label` on the warp's track.
+    Barrier { id: u32, count: u32, label: &'static str, next: u32 },
+    /// Run device function `func` with the uniform argument `arg` on the
+    /// lanes of `mask`, and re-enter the call at phase `next` once it
+    /// returns.
+    Run { func: u32, arg: u64, mask: u32, next: u32 },
+}
+
 /// The device runtime library: resolves `intr` calls the core simulator
 /// does not handle itself. Implemented by cudadev's device part.
 pub trait DeviceLib: Send + Sync {
+    /// A call is entered at phase 0. One that answers [`LibStep::Barrier`]
+    /// or [`LibStep::Run`] is entered again, with the same `mask`, `args`
+    /// and `sargs`, at the phase it named — so a call that waits keeps no
+    /// host stack while it does.
     fn call(
         &self,
         name: &str,
@@ -91,16 +94,8 @@ pub trait DeviceLib: Send + Sync {
         mask: u32,
         args: &[LaneVec],
         sargs: &[String],
-    ) -> Result<Option<LaneVec>, ExecError>;
-
-    /// Can a call to `name` make the calling warp wait until a sibling warp
-    /// of its block acts — in practice, arrives at a named barrier? The
-    /// program asks when it lowers a kernel ([`crate::waits::can_wait`]); a
-    /// library that answers `false` for a call that does reach
-    /// [`Warp::bar_sync`] gets a trap, not a hang.
-    fn may_wait(&self, _name: &str) -> bool {
-        false
-    }
+        phase: u32,
+    ) -> Result<LibStep, ExecError>;
 }
 
 /// A library that resolves nothing (pure-CUDA kernels).
@@ -114,7 +109,8 @@ impl DeviceLib for NoLib {
         _mask: u32,
         _args: &[LaneVec],
         _sargs: &[String],
-    ) -> Result<Option<LaneVec>, ExecError> {
+        _phase: u32,
+    ) -> Result<LibStep, ExecError> {
         Err(ExecError::UnknownIntrinsic(name.to_string()))
     }
 }
@@ -128,29 +124,13 @@ pub const EXT_SLOTS: usize = 16;
 pub struct BlockCtx {
     /// The block's shared memory (48 KiB on the Nano).
     pub shared: MemArena,
-    /// The 16 PTX named barriers.
-    pub barriers: Vec<NamedBarrier>,
     /// Device-library scratch (e.g. parallel-region registration record).
     pub ext: [AtomicU64; EXT_SLOTS],
 }
 
 impl BlockCtx {
     pub fn new(shared_bytes: usize) -> BlockCtx {
-        BlockCtx {
-            shared: MemArena::new(shared_bytes),
-            barriers: (0..16).map(NamedBarrier::new).collect(),
-            ext: Default::default(),
-        }
-    }
-
-    /// Tear the block down after a warp failed: every warp parked on one of
-    /// its barriers, and every later arrival, returns at once with
-    /// [`ExecError::BlockAborted`]. The failing warp calls this; its own
-    /// error is the one the launch reports.
-    pub fn abort(&self) {
-        for b in &self.barriers {
-            b.abort();
-        }
+        BlockCtx { shared: MemArena::new(shared_bytes), ext: Default::default() }
     }
 }
 
@@ -168,12 +148,6 @@ pub struct BlockEnv<'a> {
     /// Static shared-memory bytes claimed by the kernel (the dynamic
     /// shared-memory stack of the device library starts above this).
     pub shared_static: u64,
-    /// Name of the kernel being run (diagnostics).
-    pub kernel: &'a str,
-    /// The launch found that this kernel cannot wait on a sibling warp, so
-    /// the block's warps run one after another on one thread: a barrier one
-    /// of them parks on could never be released.
-    pub inline_warps: bool,
 }
 
 /// Per-warp execution statistics.
@@ -185,6 +159,16 @@ pub struct WarpStats {
 }
 
 struct Frame {
+    /// The running function, by index in the program.
+    func: u32,
+    /// Where the frame goes on: its next op and the lanes active there.
+    pc: u32,
+    mask: u32,
+    /// This frame's first entry in the warp's mask stack.
+    ctl_base: u32,
+    /// The device-library call at `pc - 1` is in progress: the phase to
+    /// re-enter it at.
+    resume: Option<u32>,
     /// Start of this frame's registers in the warp's register stack
     /// (reg-major: register `r`, lane `l` is `regs[reg_base + r * 32 + l]`).
     reg_base: usize,
@@ -195,6 +179,28 @@ struct Frame {
     ret_vals: LaneVec,
 }
 
+/// Why [`Warp::run`] handed the block's thread back.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Yield {
+    /// The kernel returned.
+    Done,
+    /// The warp arrived at named barrier `id`, which waits for `count`
+    /// threads.
+    Barrier { id: u32, count: u32 },
+    /// A loop goes round again after an iteration whose atomic made no
+    /// progress.
+    Spin,
+}
+
+/// Why [`Warp::step`] left its function.
+enum Stop {
+    /// The function ended.
+    End,
+    /// A call pushed a frame.
+    Switched,
+    Yield(Yield),
+}
+
 /// An `if` or `loop` a warp is executing: one entry of its mask stack.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Ctl {
@@ -202,8 +208,9 @@ enum Ctl {
     /// finished a side; `term`: where a side left without lanes goes.
     If { pending: u32, out: u32, term: u32 },
     /// `brk`: the lanes that left by `break`; `cont`: the lanes that
-    /// `continue`d this iteration; `term`: the `LoopEnd`.
-    Loop { brk: u32, cont: u32, term: u32 },
+    /// `continue`d this iteration; `term`: the `LoopEnd`; `stalls`: the
+    /// warp's [`Warp::stalls`] when this iteration began.
+    Loop { brk: u32, cont: u32, term: u32, stalls: u32 },
 }
 
 impl Ctl {
@@ -234,6 +241,13 @@ pub struct Warp<'a> {
     /// The `if`s and `loop`s being executed by every live frame, innermost
     /// last.
     ctl: Vec<Ctl>,
+    /// Atomics that made no progress in some active lane so far (wrapping):
+    /// an `atom.cas` that found another word than the expected one, an
+    /// `atom.exch` that returned the word it wrote.
+    stalls: u32,
+    /// How a device-library barrier wait is traced, while the warp is in
+    /// one.
+    wait_label: Option<&'static str>,
 }
 
 const LOCAL_STACK_LIMIT: usize = 4 << 20;
@@ -321,19 +335,8 @@ impl<'a> Warp<'a> {
             local_stack: Vec::new(),
             specials,
             ctl: Vec::new(),
-        }
-    }
-
-    /// Lanes of this warp that exist in the block.
-    pub fn initial_mask(&self) -> u32 {
-        let first = self.warp_id * 32;
-        let live = self.env.nthreads.saturating_sub(first).min(32);
-        if live == 0 {
-            0
-        } else if live == 32 {
-            u32::MAX
-        } else {
-            (1u32 << live) - 1
+            stalls: 0,
+            wait_label: None,
         }
     }
 
@@ -345,6 +348,10 @@ impl<'a> Warp<'a> {
 
     fn frame(&self) -> &Frame {
         self.frames.last().expect("active frame")
+    }
+
+    fn frame_mut(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("active frame")
     }
 
     /// Operand `s` of an op of `f`, all lanes (raw bit patterns), for an op
@@ -444,129 +451,29 @@ impl<'a> Warp<'a> {
         self.stats.lane_insts += mask.count_ones() as u64;
     }
 
-    /// Arrive at named barrier `id` on behalf of this warp.
-    pub fn bar_sync(&mut self, id: u32, expected_threads: u32) -> Result<(), ExecError> {
-        if id as usize >= self.env.ctx.barriers.len() {
-            return Err(ExecError::Trap(format!("barrier id {id} out of range")));
-        }
-        if expected_threads == 0 || !expected_threads.is_multiple_of(timing::WARP_SIZE) {
-            return Err(ExecError::Trap(format!(
-                "bar.sync count {expected_threads} is not a positive multiple of {}",
-                timing::WARP_SIZE
-            )));
-        }
-        // More threads than the block's warps hold can never arrive.
-        let nthreads = self.env.nthreads;
-        if expected_threads > nthreads.next_multiple_of(timing::WARP_SIZE) {
-            return Err(ExecError::Trap(format!(
-                "bar.sync {id} waits for {expected_threads} threads but the block has \
-                 {nthreads}"
-            )));
-        }
-        if self.env.inline_warps {
-            return Err(ExecError::Trap(format!(
-                "kernel `{}` reached bar.sync {id} in warp {} but was classified as never \
-                 waiting on a sibling warp (DeviceLib::may_wait must name every blocking call)",
-                self.env.kernel, self.warp_id
-            )));
-        }
-        self.issue += timing::BARRIER_ISSUE;
-        match self.env.ctx.barriers[id as usize].sync(
-            expected_threads,
-            &mut self.clock,
-            BARRIER_HOST_TIMEOUT,
-        )? {
-            Released::Complete => Ok(()),
-            Released::Aborted => Err(ExecError::BlockAborted),
-        }
-    }
-
-    // ------------------------------------------------------------ control
-
-    /// Execute a kernel entry: `params` are uniform across lanes.
-    pub fn run_kernel(&mut self, func: u32, params: &[u64], mask: u32) -> Result<(), ExecError> {
-        let args: Vec<LaneVec> = params.iter().map(|&p| [p; 32]).collect();
-        self.exec_function(func, &args, mask)?;
-        Ok(())
-    }
-
-    /// Execute a device function on this warp for the lanes in `mask`.
-    /// Returns per-lane return values.
-    pub fn call_device_fn(
+    /// Step through `f`'s ops on the running frame from `pc` for the lanes
+    /// in `mask` until the function ends, a call pushes a frame or the warp
+    /// yields; returns why, with the `pc` and mask to go on from saved in
+    /// the frame. Each `If`/`Loop` pushes a control entry that its
+    /// `EndIf`/`LoopEnd` pops; whenever the mask is empty the warp goes to
+    /// the innermost entry above `base` (the frame's first) and to the end
+    /// of `f` when there is none.
+    fn step(
         &mut self,
-        func: u32,
-        args: &[LaneVec],
-        mask: u32,
-    ) -> Result<LaneVec, ExecError> {
-        self.exec_function(func, args, mask)
-    }
-
-    fn exec_function(
-        &mut self,
-        func: u32,
-        args: &[LaneVec],
-        mask: u32,
-    ) -> Result<LaneVec, ExecError> {
-        let program = self.env.program;
-        let f = program
-            .funcs
-            .get(func as usize)
-            .ok_or_else(|| ExecError::Trap(format!("function index {func} out of range")))?;
-        if args.len() != f.params {
-            return Err(ExecError::Trap(format!(
-                "call to `{}` with {} args (expects {})",
-                f.name,
-                args.len(),
-                f.params
-            )));
-        }
-        if self.frames.len() >= 64 {
-            return Err(ExecError::Trap("device call stack overflow".into()));
-        }
-        let local_base = self.local_stack.len();
-        let local_total = f.local_size as usize * 32;
-        if local_base + local_total > LOCAL_STACK_LIMIT {
-            return Err(ExecError::Trap("local memory exhausted".into()));
-        }
-        self.local_stack.resize(local_base + local_total, 0);
-        // The frame's registers start zeroed, arguments in the first rows.
-        let reg_base = self.regs.len();
-        self.regs.resize(reg_base + f.num_regs as usize * 32, 0);
-        for (i, a) in args.iter().enumerate() {
-            self.regs[reg_base + i * 32..reg_base + (i + 1) * 32].copy_from_slice(a);
-        }
-        self.frames.push(Frame {
-            reg_base,
-            local_base,
-            local_row: std::array::from_fn(|lane| {
-                addr::make(Space::Local, local_base as u64 + lane as u64 * f.local_size)
-            }),
-            ret_vals: [0; 32],
-        });
-        let ctl = self.ctl.len();
-        let res = self.run(f, mask);
-        self.ctl.truncate(ctl);
-        let frame = self.frames.pop().expect("frame");
-        self.regs.truncate(frame.reg_base);
-        self.local_stack.truncate(frame.local_base);
-        res?;
-        Ok(frame.ret_vals)
-    }
-
-    /// Step through `f`'s ops on the running frame for the lanes in `mask`;
-    /// returns the lanes that reach its end. Each `If`/`Loop` pushes a
-    /// control entry that its `EndIf`/`LoopEnd` pops; whenever the mask is
-    /// empty the warp goes to the innermost entry's terminator, or leaves
-    /// `f` when it is inside none.
-    fn run(&mut self, f: &Func, mut mask: u32) -> Result<u32, ExecError> {
+        f: &Func,
+        mut pc: usize,
+        mut mask: u32,
+        base: usize,
+    ) -> Result<Stop, ExecError> {
         let ops = &f.ops[..];
-        let base = self.ctl.len();
-        let mut pc = 0;
         loop {
             if mask == 0 {
                 pc = self.ctl[base..].last().map_or(ops.len(), Ctl::term);
             }
-            let Some(op) = ops.get(pc) else { return Ok(mask) };
+            let Some(op) = ops.get(pc) else {
+                self.save(pc, mask);
+                return Ok(Stop::End);
+            };
             pc += 1;
             match op.op {
                 Op::Mov { dst, src } => {
@@ -610,23 +517,21 @@ impl<'a> Warp<'a> {
                         Some(c) => self.read_uniform(f, c, mask) as u32,
                         None => self.env.nthreads.next_multiple_of(timing::WARP_SIZE),
                     };
-                    self.bar_sync(id, expected)?;
+                    let y = self.bar_sync(id, expected, None)?;
+                    self.save(pc, mask);
+                    return Ok(Stop::Yield(y));
                 }
-                Op::Call { func, dst, ref args } => {
+                Op::Call { func, ref args, .. } => {
                     self.charge(op, mask);
-                    let rv =
-                        self.with_args(f, args, mask, |w, pack| w.exec_function(func, pack, mask))?;
-                    if let Some(d) = dst {
-                        self.set_row(d, &rv, mask);
-                    }
+                    self.save(pc, mask);
+                    self.with_args(f, args, mask, |w, pack| w.push_frame(func, pack, mask))?;
+                    return Ok(Stop::Switched);
                 }
-                Op::Intrinsic(ref i) => {
+                Op::Intrinsic(_) => {
                     self.charge(op, mask);
-                    let rv = self.with_args(f, &i.args, mask, |w, pack| {
-                        w.dispatch_intrinsic(&i.name, mask, pack, &i.sargs)
-                    })?;
-                    if let Some(d) = i.dst {
-                        self.set_row(d, &rv.unwrap_or([0; 32]), mask);
+                    self.save(pc, mask);
+                    if let Some(stop) = self.lib_step(f, pc - 1, mask, 0)? {
+                        return Ok(stop);
                     }
                 }
                 Op::Ret { val } => {
@@ -669,16 +574,26 @@ impl<'a> Warp<'a> {
                     };
                     mask |= out | pending;
                 }
-                Op::Loop { end } => self.ctl.push(Ctl::Loop { brk: 0, cont: 0, term: end }),
+                Op::Loop { end } => {
+                    let stalls = self.stalls;
+                    self.ctl.push(Ctl::Loop { brk: 0, cont: 0, term: end, stalls });
+                }
                 Op::LoopEnd { start } => {
                     self.add_cost(op.issue as u64, op.lat as u64);
-                    let Some(Ctl::Loop { brk, cont, .. }) = self.ctl.last_mut() else {
+                    let Some(Ctl::Loop { brk, cont, stalls, .. }) = self.ctl.last_mut() else {
                         unreachable!("loop end outside its loop")
                     };
                     let cur = (mask | std::mem::take(cont)) & !*brk;
                     if cur != 0 {
                         mask = cur;
                         pc = start as usize + 1;
+                        // An iteration whose atomic made no progress spins:
+                        // let the sibling it waits for run.
+                        if *stalls != self.stalls {
+                            *stalls = self.stalls;
+                            self.save(pc, mask);
+                            return Ok(Stop::Yield(Yield::Spin));
+                        }
                     } else {
                         mask = *brk;
                         self.ctl.pop();
@@ -706,72 +621,6 @@ impl<'a> Warp<'a> {
             Ctl::If { .. } => unreachable!("a break or continue is lowered with its loop's depth"),
         }
     }
-
-    /// Evaluate call arguments into rows (active lanes hold the operand,
-    /// inactive lanes 0) and run `callee` on them. Up to [`INLINE_ARGS`]
-    /// rows live in this frame — kept out of `run`'s, which every op pays
-    /// for — and longer packs on the heap.
-    #[inline(never)]
-    fn with_args<R>(
-        &mut self,
-        f: &Func,
-        args: &[Src],
-        mask: u32,
-        callee: impl FnOnce(&mut Self, &[LaneVec]) -> R,
-    ) -> R {
-        let mut inline = [[0u64; 32]; INLINE_ARGS];
-        let mut spill = Vec::new();
-        let rows = if args.len() <= INLINE_ARGS {
-            &mut inline[..args.len()]
-        } else {
-            spill.resize(args.len(), [0; 32]);
-            &mut spill[..]
-        };
-        for (row, a) in rows.iter_mut().zip(args) {
-            alu::blend(row, self.read(f, *a), mask);
-        }
-        callee(self, rows)
-    }
-
-    fn dispatch_intrinsic(
-        &mut self,
-        name: &str,
-        mask: u32,
-        args: &[LaneVec],
-        sargs: &[String],
-    ) -> Result<Option<LaneVec>, ExecError> {
-        match name {
-            "printf" => {
-                let fmt = sargs
-                    .first()
-                    .cloned()
-                    .ok_or_else(|| ExecError::Trap("device printf without format".into()))?;
-                let kinds = crate::printf_arg_kinds(&fmt);
-                let mut out = String::new();
-                for lane in iter_lanes(mask) {
-                    let mut fargs = Vec::new();
-                    for (ai, is_str) in kinds.iter().enumerate() {
-                        let bits = args.get(ai).map(|a| a[lane as usize]).unwrap_or(0);
-                        if *is_str {
-                            fargs.push(FmtArg::Str(self.read_cstr(bits)?));
-                        } else {
-                            // Device printf promotes f32 to f64 at the call
-                            // site (handled by the compiler); raw bits here
-                            // are i64 or f64.
-                            fargs.push(FmtArg::Val(decode_printf_arg(bits, &fmt, ai)));
-                        }
-                    }
-                    out.push_str(&vmcommon::fmt::format(&fmt, &fargs));
-                }
-                self.env.device.printf_output.lock().push_str(&out);
-                Ok(Some([out.len() as u64; 32]))
-            }
-            _ => {
-                let lib = self.env.lib;
-                lib.call(name, self, mask, args, sargs)
-            }
-        }
-    }
 }
 
 /// Iterate the set lanes of a mask, lowest first.
@@ -784,38 +633,4 @@ pub fn iter_lanes(mask: u32) -> impl Iterator<Item = u32> {
             lane
         })
     })
-}
-
-/// Decode a printf argument from raw bits based on the conversion kind.
-fn decode_printf_arg(bits: u64, fmt: &str, index: usize) -> Value {
-    // Find the index-th conversion to decide integer vs float.
-    let mut seen = 0usize;
-    let mut chars = fmt.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c != '%' {
-            continue;
-        }
-        if chars.peek() == Some(&'%') {
-            chars.next();
-            continue;
-        }
-        let mut conv = None;
-        for c in chars.by_ref() {
-            if c.is_ascii_alphabetic() && !matches!(c, 'l' | 'z' | 'h') {
-                conv = Some(c);
-                break;
-            }
-        }
-        if let Some(conv) = conv {
-            if seen == index {
-                return match conv {
-                    'f' | 'F' | 'e' | 'E' | 'g' | 'G' => Value::F64(f64::from_bits(bits)),
-                    'p' | 'x' | 'X' | 'u' => Value::I64(bits as i64),
-                    _ => Value::I64(bits as i64),
-                };
-            }
-            seen += 1;
-        }
-    }
-    Value::I64(bits as i64)
 }

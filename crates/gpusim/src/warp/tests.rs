@@ -15,6 +15,7 @@ mod scalar;
 use std::sync::Arc;
 
 use sptx::{BinOp, CvtTy, Inst, Node, Operand, Reg, ScalarTy, SpecialReg, UnOp};
+use vmcommon::addr::{self, Space};
 
 use super::*;
 use crate::NoLib;
@@ -69,7 +70,7 @@ const LOCAL_SIZE: u64 = 16;
 /// launch of `module`.
 fn with_env(module: sptx::Module, f: impl FnOnce(&BlockEnv<'_>)) {
     let device = Device::new(64 << 10);
-    let program = Program::new(Arc::new(module), &NoLib);
+    let program = Program::new(Arc::new(module));
     f(&BlockEnv {
         device: &device,
         program: &program,
@@ -80,8 +81,6 @@ fn with_env(module: sptx::Module, f: impl FnOnce(&BlockEnv<'_>)) {
         ctaid: [2, 1, 0],
         nthreads: 64,
         shared_static: 0,
-        kernel: "k",
-        inline_warps: false,
     });
 }
 
@@ -92,6 +91,11 @@ fn warp<'a>(env: &'a BlockEnv<'a>) -> Warp<'a> {
     warp.regs.resize(NUM_REGS * 32, 0);
     warp.local_stack.resize(LOCAL_SIZE as usize * 32, 0);
     warp.frames.push(Frame {
+        func: 0,
+        pc: 0,
+        mask: 0,
+        ctl_base: 0,
+        resume: None,
         reg_base: 0,
         local_base: 0,
         local_row: std::array::from_fn(|lane| addr::make(Space::Local, lane as u64 * LOCAL_SIZE)),
@@ -104,9 +108,9 @@ fn with_warp(module: sptx::Module, f: impl FnOnce(&mut Warp<'_>)) {
     with_env(module, |env| f(&mut warp(env)));
 }
 
-/// `body` lowered as a function with the live frame's shape.
-fn lowered(body: Vec<Node>) -> Func {
-    Func::lower(&sptx::Function {
+/// A function of `body` with the live frame's shape.
+fn frame_fn(body: Vec<Node>) -> sptx::Function {
+    sptx::Function {
         name: "t".into(),
         is_kernel: false,
         params: vec![],
@@ -114,13 +118,27 @@ fn lowered(body: Vec<Node>) -> Func {
         local_size: LOCAL_SIZE,
         shared_size: 0,
         body,
-    })
+    }
+}
+
+/// `body` lowered as a function with the live frame's shape.
+fn lowered(body: Vec<Node>) -> Func {
+    Func::lower(&frame_fn(body))
+}
+
+/// Step `f`, which makes no call and never yields, from its first op to its
+/// end on the live frame; returns the lanes that reach the end.
+fn run_body(w: &mut Warp<'_>, f: &Func, mask: u32) -> Result<u32, ExecError> {
+    match w.step(f, 0, mask, w.ctl.len())? {
+        Stop::End => Ok(w.frame().mask),
+        _ => panic!("the body left its frame"),
+    }
 }
 
 /// Run `inst`, lowered as a one-op program, on the live frame; returns the
 /// lanes still active after it.
 fn exec(w: &mut Warp<'_>, inst: &Inst, mask: u32) -> Result<u32, ExecError> {
-    w.run(&lowered(vec![Node::Inst(inst.clone())]), mask)
+    run_body(w, &lowered(vec![Node::Inst(inst.clone())]), mask)
 }
 
 /// Register `r` of the live frame, all lanes.
@@ -581,7 +599,7 @@ fn if_condition_reads_the_low_32_bits_of_each_active_lane() {
             *reg_mut(w, R0) = cond;
             *reg_mut(w, R2) = sentinel();
             let divergent = w.stats.divergent_branches;
-            assert_eq!(w.run(&f, mask).unwrap(), mask, "both sides reconverge");
+            assert_eq!(run_body(w, &f, mask).unwrap(), mask, "both sides reconverge");
             for lane in 0..32usize {
                 let want = match (mask >> lane & 1 != 0, lane % 4) {
                     (false, _) => sentinel()[lane],

@@ -12,9 +12,10 @@
 //! result must agree.
 
 use sptx::{BinOp, CvtTy, Inst, MemTy, Node, Operand, Reg, ScalarTy, SpecialReg};
+use vmcommon::addr;
 
 use super::super::*;
-use super::{lowered, operand, reg_mut, warp, with_env};
+use super::{lowered, operand, reg_mut, run_body, warp, with_env};
 
 /// The structured tree with each instruction lowered once.
 enum Tree {
@@ -60,7 +61,7 @@ fn exec_nodes(
         }
         match n {
             Tree::Inst(f) => {
-                mask = w.run(f, mask)?;
+                mask = run_body(w, f, mask)?;
             }
             Tree::If { cond, then_b, else_b } => {
                 let m_then = alu::nonzero_mask(&operand(w, cond)) & mask;
@@ -359,7 +360,7 @@ fn lowered_control_flow_matches_the_tree_walk() {
                 let want =
                     observe(env, buf, |w| exec_nodes(w, &oracle, mask, &mut FlowMasks::default()));
                 let got = observe(env, buf, |w| {
-                    let r = w.run(&flat, mask);
+                    let r = run_body(w, &flat, mask);
                     if r.is_ok() {
                         assert!(w.ctl.is_empty(), "seed {seed}: control stack left {:?}", w.ctl);
                     }
@@ -384,9 +385,9 @@ fn a_stray_break_traps_only_when_it_runs() {
     let reached = lowered(vec![stray(Operand::Special(SpecialReg::LaneId))]);
     with_env(sptx::Module::default(), |env| {
         let buf = env.device.mem_alloc(BUF_BYTES).unwrap();
-        let r = observe(env, buf, |w| w.run(&unreached, u32::MAX));
+        let r = observe(env, buf, |w| run_body(w, &unreached, u32::MAX));
         assert_eq!(r.result, Err("device trap: kernel trap: end".into()), "never reached");
-        let r = observe(env, buf, |w| w.run(&reached, 0b11));
+        let r = observe(env, buf, |w| run_body(w, &reached, 0b11));
         assert_eq!(r.result, Err("device trap: break outside loop".into()));
         assert_eq!(r.divergent_branches, 1);
     });

@@ -3,11 +3,13 @@
 
 use std::collections::HashSet;
 
-use sptx::{AtomOp, BinOp, Inst, MemTy, Operand, Reg, ScalarTy, SpecialReg};
+use sptx::{AtomOp, BinOp, Inst, MemTy, Node, Operand, Reg, ScalarTy, SpecialReg};
+use vmcommon::addr::{self, Space};
 use vmcommon::MemError;
 
 use super::super::*;
-use super::{exec, op_val, reg, reg_mut, sentinel, with_warp, LOCAL_SIZE, MASKS, NUM_REGS};
+use super::{exec, frame_fn, op_val, reg, reg_mut, sentinel, with_env, with_warp};
+use super::{LOCAL_SIZE, MASKS, NUM_REGS};
 use super::{R0, R1, R2};
 
 fn global_addrs(base: u64) -> LaneVec {
@@ -217,44 +219,47 @@ fn sum_fn(nparams: usize) -> sptx::Function {
 
 #[test]
 fn calls_pass_short_and_long_argument_packs() {
-    let module = sptx::Module {
-        name: "calls".into(),
-        arch: "sm_53".into(),
-        functions: vec![sum_fn(2), sum_fn(INLINE_ARGS + 3)],
-        device_lib_linked: true,
-    };
-    with_warp(module, |w| {
-        for (func, nargs) in [(0u32, 2usize), (1, INLINE_ARGS + 3)] {
-            // Arguments cycle through register, immediate and special.
-            let args: Vec<Operand> = (0..nargs)
-                .map(|i| match i % 3 {
-                    0 => Operand::Reg(R0),
-                    1 => Operand::ImmI(10 + i as i64),
-                    _ => Operand::Special(SpecialReg::LaneId),
-                })
-                .collect();
+    for (func, nargs) in [(1u32, 2usize), (2, INLINE_ARGS + 3)] {
+        // Arguments cycle through register, immediate and special.
+        let args: Vec<Operand> = (0..nargs)
+            .map(|i| match i % 3 {
+                0 => Operand::Reg(R0),
+                1 => Operand::ImmI(10 + i as i64),
+                _ => Operand::Special(SpecialReg::LaneId),
+            })
+            .collect();
+        let inst = Inst::Call { func, dst: Some(R2), args: args.clone() };
+        let module = sptx::Module {
+            name: "calls".into(),
+            arch: "sm_53".into(),
+            functions: vec![frame_fn(vec![Node::Inst(inst)]), sum_fn(2), sum_fn(INLINE_ARGS + 3)],
+            device_lib_linked: true,
+        };
+        with_env(module, |env| {
             for mask in MASKS {
-                *reg_mut(w, R0) = std::array::from_fn(|lane| 1000 * lane as u64);
-                *reg_mut(w, R2) = sentinel();
-                let inst = Inst::Call { func, dst: Some(R2), args: args.clone() };
+                let mut w = Warp::new(env, 1);
+                w.push_frame(0, &[], mask).unwrap();
+                *reg_mut(&mut w, R0) = std::array::from_fn(|lane| 1000 * lane as u64);
+                *reg_mut(&mut w, R2) = sentinel();
                 let mut expect = sentinel();
                 for lane in iter_lanes(mask) {
                     expect[lane as usize] =
-                        args.iter().map(|a| op_val(w, a, lane)).fold(0u64, u64::wrapping_add);
+                        args.iter().map(|a| op_val(&w, a, lane)).fold(0u64, u64::wrapping_add);
                 }
-                let before = (w.issue, w.clock, w.stats.lane_insts);
-                assert_eq!(exec(w, &inst, mask).unwrap(), mask);
-                assert_eq!(reg(w, R2), expect, "{inst:?} mask {mask:#x}");
-                assert!(w.issue > before.0 && w.clock > before.1 && w.stats.lane_insts > before.2);
+                assert_eq!(w.run().unwrap(), Yield::Done);
+                assert_eq!(w.frame().mask, mask);
+                assert_eq!(reg(&w, R2), expect, "call of {func} mask {mask:#x}");
+                assert!(w.issue > 0 && w.clock > 0 && w.stats.lane_insts > 0);
                 // The callee's registers and locals are popped again.
                 assert_eq!((w.frames.len(), w.regs.len()), (1, NUM_REGS * 32));
+                assert_eq!(w.local_stack.len(), LOCAL_SIZE as usize * 32);
             }
-        }
-    });
+        });
+    }
 }
 
 #[test]
-fn runaway_recursion_traps_and_unwinds_the_register_stack() {
+fn runaway_recursion_traps_at_the_call_depth_limit() {
     // f() { return f(); }
     let mut b = sptx::builder::FnBuilder::new("f", false);
     let r = b.call(0, vec![], true);
@@ -265,10 +270,11 @@ fn runaway_recursion_traps_and_unwinds_the_register_stack() {
         functions: vec![b.build()],
         device_lib_linked: true,
     };
-    with_warp(module, |w| {
-        let err = w.call_device_fn(0, &[], u32::MAX).unwrap_err();
+    with_env(module, |env| {
+        let mut w = Warp::new(env, 1);
+        w.push_frame(0, &[], u32::MAX).unwrap();
+        let err = w.run().unwrap_err();
         assert_eq!(err.to_string(), "device trap: device call stack overflow");
-        assert_eq!((w.frames.len(), w.regs.len()), (1, NUM_REGS * 32));
-        assert_eq!(w.local_stack.len(), LOCAL_SIZE as usize * 32);
+        assert_eq!(w.frames.len(), 64);
     });
 }

@@ -1,8 +1,8 @@
-//! A warp that fails aborts its block: siblings parked on a named barrier
-//! return at once, and the launch reports the failing warp's own error.
-//! (A genuine deadlock still times out: `barrier_timeout.rs`.) A kernel
-//! without barriers runs its warps in order on one thread and stops at the
-//! first that fails. A barrier count the block cannot reach traps at once.
+//! A warp that fails ends its block: siblings parked on a named barrier are
+//! never resumed, and the launch reports the failing warp's own error at
+//! once. (A genuine deadlock is reported at once too: `barrier_deadlock.rs`.)
+//! A kernel without barriers runs its warps in order and stops at the first
+//! that fails. A barrier count the block cannot reach traps at once.
 
 use std::time::{Duration, Instant};
 
@@ -51,9 +51,8 @@ fn trap_in_warp_0_releases_warps_parked_on_a_barrier() {
 
 #[test]
 fn the_lowest_failing_warp_is_reported_not_a_released_sibling() {
-    // Warps 0 and 1 are parked (and leave with the secondary
-    // `BlockAborted`), warps 2 and 3 both trap: the error is warp 2's,
-    // whichever of the two trapped first.
+    // Warps 0 and 1 are parked, warps 2 and 3 would both trap: warp 2 runs
+    // first, and its error ends the block.
     for _ in 0..20 {
         let (r, waited) = launch_128(&kernel(&[2, 3]));
         let err = r.expect_err("warps 2 and 3 divide by zero");

@@ -1,16 +1,16 @@
-//! A kernel that cannot wait on a sibling warp runs its warps one after
-//! another on the launching thread (`gpusim::waits::can_wait`), and a wrong
-//! classification is a typed trap, not a parked thread.
+//! Every kernel runs its warps on the launching thread, and a kernel that
+//! never yields runs them one after another in warp-id order, each on its
+//! block's live lanes.
 
 use std::sync::Mutex;
 use std::thread::ThreadId;
-use std::time::{Duration, Instant};
 
-use gpusim::{launch, Device, DeviceLib, ExecError, ExecMode, LaneVec, LaunchConfig, Warp};
+use gpusim::{
+    launch, Device, DeviceLib, ExecError, ExecMode, LaneVec, LaunchConfig, LibStep, Warp,
+};
 use sptx::builder::FnBuilder;
 
-/// `record` notes who called it; `sneaky_sync` arrives at barrier 5 for the
-/// whole block although `may_wait` (left at its default) says it cannot.
+/// `record` notes who called it.
 #[derive(Default)]
 struct Recorder {
     calls: Mutex<Vec<(u32, u32, ThreadId)>>,
@@ -24,14 +24,14 @@ impl DeviceLib for Recorder {
         mask: u32,
         _args: &[LaneVec],
         _sargs: &[String],
-    ) -> Result<Option<LaneVec>, ExecError> {
+        _phase: u32,
+    ) -> Result<LibStep, ExecError> {
         match name {
             "record" => {
                 let call = (warp.warp_id, mask, std::thread::current().id());
                 self.calls.lock().unwrap().push(call);
-                Ok(None)
+                Ok(LibStep::Ret([0; 32]))
             }
-            "sneaky_sync" => warp.bar_sync(5, 128).map(|()| None),
             other => Err(ExecError::UnknownIntrinsic(other.to_string())),
         }
     }
@@ -68,18 +68,4 @@ fn a_partial_last_warp_runs_its_live_lanes_only() {
     launch_calling("record", 100, &lib).unwrap();
     let masks: Vec<_> = lib.calls.into_inner().unwrap().iter().map(|c| (c.0, c.1)).collect();
     assert_eq!(masks, [(0, u32::MAX), (1, u32::MAX), (2, u32::MAX), (3, 0xF)]);
-}
-
-#[test]
-fn a_barrier_the_classifier_was_not_told_about_traps_at_once() {
-    let start = Instant::now();
-    let err = launch_calling("sneaky_sync", 128, &Recorder::default())
-        .expect_err("warp 0 would park on a barrier no sibling can reach");
-    let waited = start.elapsed();
-    assert_eq!(
-        err.to_string(),
-        "device trap: kernel `k` reached bar.sync 5 in warp 0 but was classified as never \
-         waiting on a sibling warp (DeviceLib::may_wait must name every blocking call)"
-    );
-    assert!(waited < Duration::from_secs(1), "took {waited:?}");
 }

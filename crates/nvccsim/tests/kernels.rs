@@ -335,3 +335,32 @@ __global__ void diag(int n, float a[n][n], float *out) {
         assert_eq!(got, (i * n + i) as f32, "diag {i}");
     }
 }
+
+/// A lock hand-off between warps of one block: warp 0 spins on `atomicCAS`
+/// until warp 3 stores the flag. The spinning loop yields at its back-edge
+/// whenever its CAS finds the flag unchanged, so warps 1–3 get to run on
+/// the block's one thread and the wait ends.
+#[test]
+fn a_cas_spin_waits_for_a_later_warp() {
+    let src = r#"
+__global__ void handoff(int *flag, int *out) {
+    if (threadIdx.x == 0) {
+        while (atomicCAS(flag, 1, 2) != 1);
+        out[0] = 42;
+    }
+    if (threadIdx.x == 96)
+        atomicExch(flag, 1);
+}
+"#;
+    let d = Device::new(1 << 20);
+    let flag = d.mem_alloc(4).unwrap();
+    let out = d.mem_alloc(4).unwrap();
+    d.memset_d8(flag, 0, 4).unwrap();
+    d.memset_d8(out, 0, 4).unwrap();
+    run_kernel(src, "handoff", [1, 1, 1], [128, 1, 1], vec![flag, out], &d);
+    let mut raw = [0u8; 8];
+    d.memcpy_d2h(&mut raw[..4], out).unwrap();
+    d.memcpy_d2h(&mut raw[4..], flag).unwrap();
+    assert_eq!(i32::from_le_bytes(raw[..4].try_into().unwrap()), 42);
+    assert_eq!(i32::from_le_bytes(raw[4..].try_into().unwrap()), 2, "warp 0 took the flag");
+}

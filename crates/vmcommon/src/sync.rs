@@ -50,16 +50,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// Result of a timed condition-variable wait.
-#[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
 /// Condition variable whose wait methods take the guard by `&mut`.
 #[derive(Default)]
 pub struct Condvar(std::sync::Condvar);
@@ -74,15 +64,12 @@ impl Condvar {
         guard.0 = Some(self.0.wait(g).unwrap_or_else(PoisonError::into_inner));
     }
 
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
+    /// Wait for a notification or until `timeout` has passed, whichever
+    /// comes first (or a spurious wake-up).
+    pub fn wait_for<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) {
         let g = guard.0.take().expect("guard taken during condvar wait");
-        let (g, res) = self.0.wait_timeout(g, timeout).unwrap_or_else(PoisonError::into_inner);
+        let (g, _) = self.0.wait_timeout(g, timeout).unwrap_or_else(PoisonError::into_inner);
         guard.0 = Some(g);
-        WaitTimeoutResult(res.timed_out())
     }
 
     pub fn notify_one(&self) {
@@ -141,10 +128,12 @@ mod tests {
 
     #[test]
     fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
+        // Nobody notifies: the wait returns on its own, with the guard back.
+        let m = Mutex::new(1);
         let cv = Condvar::new();
         let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(1));
-        assert!(r.timed_out());
+        cv.wait_for(&mut g, Duration::from_millis(1));
+        *g += 1;
+        assert_eq!(*g, 2);
     }
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Compare a fresh BENCH_fig4.json against the committed baseline.
 
-Usage: bench_compare.py BASELINE CURRENT [--max-ratio R]
+Usage: bench_compare.py BASELINE CURRENT
 
-Four gates, per (app, variant, n) series point present in both files:
+Three gates, per (app, variant, n) series point present in both files:
 
 * **checksum** — must match bit-exactly. The guest programs are
   deterministic IEEE-754, so checksums are machine-independent; any
@@ -21,13 +21,11 @@ Four gates, per (app, variant, n) series point present in both files:
   runtime change that moves it is a change to the reproduced result and
   needs a deliberate baseline refresh. This is the cross-commit twin of
   the repo benchmark's in-run pinned-facts check.
-* **wall clock** — `wall_s` may not exceed `max-ratio` (default 2.0)
-  times the baseline. Only `host-seq` rows are gated: they measure raw
-  engine throughput, while device rows are dominated by the simulator
-  and carry more scheduling noise. Absolute times differ across
-  machines; the 2x headroom absorbs that, and sustained regressions
-  (e.g. the VM silently falling back to the tree-walker) blow well
-  past it.
+
+No wall-clock gate: a `wall_s` from a fig4 smoke run on an unknown
+machine says little, and the repo benchmark (`BENCHMARK.json`, 20 %
+`cpu_s` bound per workload, `host_vm` included) is where host speed is
+held.
 
 Exit status 0 = pass, 1 = regression, 2 = usage/shape error.
 """
@@ -43,12 +41,9 @@ def key(row):
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    max_ratio = 2.0
-    if "--max-ratio" in argv:
-        max_ratio = float(argv[argv.index("--max-ratio") + 1])
     with open(argv[1]) as f:
         base = {key(r): r for r in json.load(f)["series"]}
     with open(argv[2]) as f:
@@ -86,15 +81,6 @@ def main(argv):
                         "(the simulated clock is deterministic — a timing-model or "
                         "kernel change needs a baseline refresh)"
                     )
-        if row["variant"] == "host-seq" and b["wall_s"] > 0:
-            ratio = row["wall_s"] / b["wall_s"]
-            mark = " REGRESSION" if ratio > max_ratio else ""
-            print(
-                f"{tag}: wall {row['wall_s']:.3f}s vs baseline "
-                f"{b['wall_s']:.3f}s ({ratio:.2f}x){mark}"
-            )
-            if ratio > max_ratio:
-                failures.append(f"{tag}: {ratio:.2f}x > {max_ratio}x wall-clock budget")
     if compared == 0:
         print("no comparable series points between baseline and current", file=sys.stderr)
         return 2
@@ -103,7 +89,7 @@ def main(argv):
         for f_ in failures:
             print(f"  {f_}", file=sys.stderr)
         return 1
-    print(f"\nOK: {compared} series points within budget")
+    print(f"OK: {compared} series points match the baseline")
     return 0
 
 

@@ -15,8 +15,9 @@ echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic exe
 # PR-9 guest resource governor and the fuzz generator); keep each layer
 # under the cap rather than letting the VM regrow into a monolith. (The parser
 # predates the ratchet and is exempt until it gets the same treatment.)
-# gpusim's warp interpreter was split on its seam (warp/{mod,alu,mem}.rs:
-# control flow, lane arithmetic, memory + coalescing); keep it split.
+# gpusim's warp interpreter was split on its seams (warp/{mod,alu,mem,frames}.rs:
+# control flow, lane arithmetic, memory + coalescing, calls + waits); keep
+# it split.
 # cudadev's host submodules (governor, recovery, stream, transfer) joined
 # when the transfer path moved out of the governor; host.rs itself is still
 # exempt. minic's program image (image.rs) and vmcommon's guest arena
@@ -57,13 +58,23 @@ if grep -rn 'set_var' crates/bench; then
     exit 1
 fi
 
-echo "== warp threads (std::thread::scope only in crates/gpusim/src/launch.rs) =="
-# A kernel that cannot wait on a sibling warp runs its warps on the block
-# worker's thread; launch.rs is the one place gpusim spawns (block workers,
-# and warps of kernels that can wait).
+echo "== warp threads (one cooperative scheduler; std::thread::scope only in crates/gpusim/src/launch.rs) =="
+# Block workers only: every block's warps run on its worker's thread, so
+# launch.rs is the one place gpusim spawns, and nothing spawns per warp.
 if grep -rn 'thread::scope' crates/gpusim/src --include='*.rs' \
     | grep -v '^crates/gpusim/src/launch.rs:'; then
     echo "FAIL: gpusim spawns threads only in launch.rs"
+    exit 1
+fi
+if grep -rn 'thread::spawn' crates/gpusim/src --include='*.rs'; then
+    echo "FAIL: gpusim spawns no thread but its block workers"
+    exit 1
+fi
+# The thread-per-warp path and its machinery stay deleted: the condvar
+# barrier and its host timeout, the block abort, the wait classifier.
+if grep -rnE 'NamedBarrier|BARRIER_HOST_TIMEOUT|BlockAborted|can_wait|may_wait|inline_warps|Condvar' \
+    crates/gpusim/src crates/cudadev/src --include='*.rs'; then
+    echo "FAIL: warps yield to the block's scheduler; they do not park host threads"
     exit 1
 fi
 
