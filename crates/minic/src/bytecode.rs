@@ -28,6 +28,13 @@
 //!   `IncI`, at the end of [`Op`]). `Bin` and `FmaAssign` stay as the form
 //!   for unproven tags. Each typed op is one dispatch and counts as one
 //!   instruction.
+//! * **Loops optimised once per image.** After specialisation, the loop
+//!   pass (`compile/loops.rs`) deletes repeated typed integer arithmetic,
+//!   hoists loop-invariant arithmetic in front of its loop and rotates
+//!   loop tests onto the back edge.
+//! * **Billed per straight run.** A chunk's code splits into runs, each
+//!   ending at its first control op ([`Op::ends_run`]); the VM bills fuel
+//!   and counts one entry per run, not per op ([`Chunk::run_len`]).
 
 use crate::ast::BinOp;
 use vmcommon::Value;
@@ -413,6 +420,10 @@ pub enum Op {
     },
 }
 
+// `JcmpIK` squeezes its constant to 16 bits to keep every op at 12 bytes; a
+// wider op would grow every chunk by a third.
+const _: () = assert!(std::mem::size_of::<Op>() == 12);
+
 /// How an incoming argument binds to the callee frame.
 #[derive(Clone, Debug)]
 pub enum ParamSpec {
@@ -440,6 +451,35 @@ pub struct Chunk {
     /// Index into [`CompiledProgram::line_tables`] — the pc→source-line
     /// map for this chunk.
     pub line_table: u32,
+    /// Per pc: the ops from `pc` through the next op that
+    /// [ends a run](Op::ends_run), inclusive ([`run_lens`]).
+    pub run_len: Vec<u32>,
+    /// First of this chunk's `1 + code.len()` slots in the VM's flat
+    /// counter buffer ([`CompiledProgram::counter_len`]): an "entered" flag,
+    /// then one run-entry count per pc.
+    pub base: u32,
+}
+
+/// [`Chunk::run_len`] for `code`.
+pub fn run_lens(code: &[Op]) -> Vec<u32> {
+    let mut out = vec![0; code.len()];
+    let mut len = 0;
+    for (pc, op) in code.iter().enumerate().rev() {
+        len = if op.ends_run() { 1 } else { len + 1 };
+        out[pc] = len;
+    }
+    out
+}
+
+/// What the loop pass did to a program's code.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LoopStats {
+    /// Recomputations deleted by value numbering.
+    pub removed: u32,
+    /// Loop-invariant ops moved in front of their loop.
+    pub hoisted: u32,
+    /// Back-edge jumps replaced by the loop's test.
+    pub rotated: u32,
 }
 
 /// The whole program in bytecode form, plus its pools.
@@ -458,6 +498,16 @@ pub struct CompiledProgram {
     /// bit-exact-deduplicated like the constant pool (two chunks compiled
     /// from identical line shapes share one table).
     pub line_tables: Vec<Vec<(u32, u32)>>,
+    /// What the loop pass did, over all chunks.
+    pub loop_stats: LoopStats,
+}
+
+impl CompiledProgram {
+    /// Slots of the VM's flat counter buffer the chunks use (see
+    /// [`Chunk::base`]).
+    pub fn counter_len(&self) -> usize {
+        self.chunks.last().map_or(0, |c| c.base as usize + 1 + c.code.len())
+    }
 }
 
 /// Source line for a pc given a chunk's RLE line table (binary search on
@@ -484,6 +534,25 @@ pub enum OpCat {
 pub const OP_CATS: [&str; 6] = ["mem", "idx", "alu", "ctrl", "call", "misc"];
 
 impl Op {
+    /// Does a straight run of ops end here? True for every op after which
+    /// control may continue elsewhere than at the next op: jumps, calls,
+    /// returns and traps.
+    #[inline]
+    pub fn ends_run(&self) -> bool {
+        use Op::*;
+        matches!(
+            self,
+            Jmp { .. }
+                | Jz { .. }
+                | Jnz { .. }
+                | Jcmp { .. }
+                | JcmpIK { .. }
+                | Call { .. }
+                | Ret { .. }
+                | Trap { .. }
+        )
+    }
+
     /// Category for the dispatch counters.
     #[inline]
     pub fn cat(&self) -> OpCat {

@@ -3,10 +3,11 @@
 
 use vmcommon::Value;
 
+use super::loops::optimize;
 use super::specialize::{specialize, ChunkFacts};
 use super::{mutates, pure_nt, residency, store_kind, tyk, Cx, FnCx, Loop, Place, SizeV};
 use crate::ast::*;
-use crate::bytecode::{Chunk, Op, ParamSpec, TyK, R};
+use crate::bytecode::{run_lens, Chunk, Op, ParamSpec, TyK, R};
 use crate::rt;
 use crate::sema::FrameInfo;
 use crate::types::Ty;
@@ -77,8 +78,10 @@ pub(super) fn compile_fn(cx: &mut Cx<'_>, fd: &FuncDef) -> Chunk {
         frame_size: fd.frame.size,
         params,
         zero_init,
+        run_len: run_lens(&code),
         code,
         line_table,
+        base: 0,
     }
 }
 
@@ -123,19 +126,23 @@ pub(super) fn compile_global_init(cx: &mut Cx<'_>) -> Option<Chunk> {
         frame_size: 0,
         params: Vec::new(),
         zero_init: Vec::new(),
+        run_len: run_lens(&code),
         code,
         line_table,
+        base: 0,
     })
 }
 
 impl FnCx<'_, '_> {
     /// Specialise the emitted code (`slots`: the register slots' declared
-    /// types) and intern its line table.
+    /// types), optimise its loops (which may add registers to `max_reg`)
+    /// and intern its line table.
     fn finish(&mut self, slots: &[(R, TyK)]) -> (Vec<Op>, u32) {
         let facts =
             ChunkFacts { consts: &self.cx.consts, slots, nregs: self.max_reg, rets: &self.cx.rets };
         let (code, lines) =
             specialize(std::mem::take(&mut self.code), std::mem::take(&mut self.lines), &facts);
+        let (code, lines) = optimize(code, lines, &mut self.max_reg, &mut self.cx.loop_stats);
         (code, self.cx.line_table(lines))
     }
 

@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use vmcommon::Value;
 
 use crate::ast::*;
-use crate::bytecode::{Chunk, CompiledProgram, Op, TyK, R};
+use crate::bytecode::{Chunk, CompiledProgram, LoopStats, Op, TyK, R};
 use crate::image::Image;
 use crate::interp::{visit_child_exprs, visit_child_stmts, visit_stmt_exprs};
 use crate::types::{ArrayLen, Ty};
@@ -50,6 +50,7 @@ pub fn compile(m: &Image) -> CompiledProgram {
         line_tables: Vec::new(),
         line_map: HashMap::new(),
         rets: Vec::new(),
+        loop_stats: LoopStats::default(),
     };
     let defs: Vec<&FuncDef> = m
         .prog
@@ -74,6 +75,11 @@ pub fn compile(m: &Image) -> CompiledProgram {
         chunks.push(c);
         (chunks.len() - 1) as u32
     });
+    let mut base = 0;
+    for c in &mut chunks {
+        c.base = base;
+        base += 1 + c.code.len() as u32;
+    }
     CompiledProgram {
         chunks,
         fn_chunk: cx.fn_chunk,
@@ -81,6 +87,7 @@ pub fn compile(m: &Image) -> CompiledProgram {
         consts: cx.consts,
         strs: cx.strs,
         line_tables: cx.line_tables,
+        loop_stats: cx.loop_stats,
     }
 }
 
@@ -95,6 +102,7 @@ struct Cx<'m> {
     line_map: HashMap<Vec<(u32, u32)>, u32>,
     /// Declared return type per chunk index (what its `Ret` converts to).
     rets: Vec<Option<TyK>>,
+    loop_stats: LoopStats,
 }
 
 impl Cx<'_> {
@@ -704,6 +712,7 @@ fn store_kind(ty: &Ty) -> Option<TyK> {
 }
 
 mod expr;
+mod loops;
 mod specialize;
 
 use expr::{compile_fn, compile_global_init};

@@ -1,7 +1,8 @@
 //! Specialisation pass: prove each register's `Value` tag at each op and
 //! rewrite the hot shapes into typed and fused ops (see
 //! [`crate::bytecode`]'s typed ops). Runs once per chunk, after emission
-//! and before the line table is interned.
+//! and before the loop pass (`compile/loops.rs`) and the interning of the
+//! line table.
 //!
 //! **Proof rule.**
 //!
@@ -22,8 +23,9 @@
 //! An op whose operand tags are not proven keeps its generic form, and
 //! every typed VM arm re-checks the tags it was promised, so a wrong proof
 //! costs speed, never a different answer. The pass is linear in the code
-//! size (times the register bitset width); `Runner::job_view` compiles a
-//! fresh machine per served job, so this cost is paid per job.
+//! size (times the register bitset width) and runs once per
+//! [`crate::Image`] ([`crate::Image::compiled`]), however many machines and
+//! served jobs run the program.
 
 use vmcommon::Value;
 
@@ -107,7 +109,7 @@ fn builtin_tag(which: u16) -> Tag {
 }
 
 /// The registers an op writes, as a contiguous run `(first, count)`.
-fn def_of(op: &Op) -> Option<(R, u16)> {
+pub(super) fn def_of(op: &Op) -> Option<(R, u16)> {
     use Op::*;
     Some(match *op {
         Const { dst, .. }
@@ -169,7 +171,7 @@ fn def_of(op: &Op) -> Option<(R, u16)> {
 }
 
 /// Call `f` on every register an op reads.
-fn uses_of(op: &Op, mut f: impl FnMut(R)) {
+pub(super) fn uses_of(op: &Op, mut f: impl FnMut(R)) {
     use Op::*;
     let mut run = |first: R, n: u16| (first..first + n).for_each(&mut f);
     match *op {
@@ -250,7 +252,7 @@ fn uses_of(op: &Op, mut f: impl FnMut(R)) {
 }
 
 /// Jump target of a control op.
-fn target_mut(op: &mut Op) -> Option<&mut u32> {
+pub(super) fn target_mut(op: &mut Op) -> Option<&mut u32> {
     match op {
         Op::Jmp { to } | Op::Jz { to, .. } | Op::Jnz { to, .. } => Some(to),
         Op::Jcmp { to, .. } | Op::JcmpIK { to, .. } => Some(to),

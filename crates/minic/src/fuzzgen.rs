@@ -20,7 +20,12 @@
 //!   comparisons across `int`/`long`/`float`/`double`, and ternaries whose
 //!   arms have different types (their tag is only known at run time);
 //! * trap-prone operations (`/`, `%`, deep recursion) at low probability:
-//!   both engines must produce byte-identical trap messages.
+//!   both engines must produce byte-identical trap messages;
+//! * the shapes the loop pass optimises, and their near-misses: nests of
+//!   counted `int` loops under an invariant bound (`n - 1`) whose bodies
+//!   index `arr` row-major with repeated subexpressions
+//!   (`arr[(i * w + j) & 15]`), `break` and `continue`, `&&` and `?:`, and
+//!   sometimes reassign the would-be-invariant row width inside the loop.
 //!
 //! The generated source never depends on anything but the seed, and the
 //! generator itself never panics.
@@ -36,6 +41,8 @@ struct Gen {
     rng: XorShift64,
     /// In-scope `int`-ish scalar names (ints, longs and chars mix fine).
     ints: Vec<String>,
+    /// In-scope loop-nest counters: read like `ints`, never assigned.
+    counters: Vec<String>,
     /// In-scope `float` names.
     floats: Vec<String>,
     /// In-scope `double` names.
@@ -64,6 +71,7 @@ impl Gen {
             // unrelated streams.
             rng: XorShift64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1)),
             ints: Vec::new(),
+            counters: Vec::new(),
             floats: Vec::new(),
             doubles: Vec::new(),
             helpers: Vec::new(),
@@ -211,7 +219,7 @@ impl Gen {
             let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
             return format!("{pad}while (1) {{ {v} = {v} + 1; }}\n");
         }
-        match self.rng.below(if d < 2 { 10 } else { 6 }) {
+        match self.rng.below(if d < 2 { 11 } else { 6 }) {
             // Scalar assignment.
             0 => {
                 let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
@@ -323,6 +331,7 @@ impl Gen {
                     "{pad}{{ int {t} = {k}; while ({t} > 0) {{ {t} = {t} - 1;\n{inner}{pad}}} }}\n"
                 )
             }
+            9 if self.has_arr && self.counters.is_empty() => self.nest(d),
             // if / else.
             _ => {
                 let c = self.int_expr(2);
@@ -335,6 +344,66 @@ impl Gen {
                 }
             }
         }
+    }
+
+    /// A nest of two counted `int` loops: the inner bound is `n - 1` for
+    /// a fresh `n`, the body indexes `arr` row-major with repeated
+    /// subexpressions, may `break`/`continue`, and sometimes reassigns the
+    /// row width `w` that would otherwise be invariant.
+    fn nest(&mut self, d: u32) -> String {
+        let pad = "  ".repeat(d as usize + 1);
+        let (i, j) = (self.fresh("i"), self.fresh("j"));
+        let (n, w) = (self.fresh("n"), self.fresh("w"));
+        let outer = 1 + self.rng.below(5);
+        let init_n = self.int_expr(1);
+        let init_w = self.int_expr(1);
+        let mut out = format!(
+            "{pad}{{ int {n} = (({init_n}) & 7) + 1; int {w} = (({init_w}) & 7) + 1;\n\
+             {pad}for (int {i} = 0; {i} < {outer}; {i}++) {{\n\
+             {pad}  for (int {j} = 0; {j} < {n} - 1; {j}++) {{\n"
+        );
+        self.counters.extend([i.clone(), j.clone()]);
+        let at = |k: &str| format!("arr[({i} * {w} + {j}{k}) & {}]", ARR_LEN - 1);
+        let inner = format!("{pad}    ");
+        for _ in 0..2 + self.rng.below(4) {
+            let line = match self.rng.below(8) {
+                0 | 1 => {
+                    let e = self.int_expr(1);
+                    format!("{} = {} + ({e});", at(""), at(""))
+                }
+                2 => {
+                    let v = self.pick(&self.ints.clone());
+                    format!("{v} = {v} + {} * {};", at(" + 1"), at(""))
+                }
+                3 => {
+                    let (a, b) = (self.int_expr(1), self.int_expr(1));
+                    let v = self.pick(&self.ints.clone());
+                    format!("if (({a}) && ({b})) {v} = {};", at(""))
+                }
+                4 => {
+                    let (c, e) = (self.int_expr(1), self.int_expr(1));
+                    let v = self.pick(&self.ints.clone());
+                    format!("{v} = ({c}) ? {} : ({e});", at(" - 1"))
+                }
+                5 => match self.rng.below(3) {
+                    0 => format!("if (({j} & 3) == {}) continue;", self.rng.below(4)),
+                    1 => format!("if ({} > {}) break;", at(""), self.rng.range_i64(-50, 50)),
+                    _ => format!("{w} = ({w} * 3) & 7;"),
+                },
+                _ => self.stmt(d + 2).trim().to_string(),
+            };
+            out.push_str(&format!(
+                "{inner}{line}
+"
+            ));
+        }
+        self.counters.truncate(self.counters.len() - 2);
+        out.push_str(&format!(
+            "{pad}  }}
+{pad}}} }}
+"
+        ));
+        out
     }
 
     fn block(&mut self, d: u32) -> String {
@@ -352,7 +421,9 @@ impl Gen {
             return match self.rng.below(3) {
                 0 => format!("{}", self.rng.range_i64(-100, 100)),
                 1 if !self.ints.is_empty() => {
-                    self.ints[self.rng.below(self.ints.len() as u64) as usize].clone()
+                    let n = self.ints.len() + self.counters.len();
+                    let k = self.rng.below(n as u64) as usize;
+                    self.ints.get(k).unwrap_or_else(|| &self.counters[k - self.ints.len()]).clone()
                 }
                 _ => {
                     let v = self.rng.range_i64(-100, 100);

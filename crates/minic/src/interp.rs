@@ -263,8 +263,8 @@ pub struct Machine {
     engine: AtomicU8,
     /// VM observability: instructions dispatched, then per-category counts.
     vm_counters: [AtomicU64; 7],
-    /// Attribute VM dispatch to source lines (costs one branch per op
-    /// when off, a counter bump when on).
+    /// Attribute VM dispatch to source lines (costs nothing while the VM
+    /// runs: the flush derives per-pc hits from the run-entry counts).
     hotspots: AtomicBool,
     /// Accumulated per-(chunk, line) dispatch counts, folded in by
     /// [`crate::vm::Vm`] once per top-level call.

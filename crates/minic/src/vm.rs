@@ -22,10 +22,18 @@
 //! operands carry the tags the specialisation pass proved, calling the
 //! same `rt` domain helpers as `apply_binop`; any other tag runs the
 //! generic sequence the op replaced, so a wrong proof costs speed, never
-//! a different answer. Each dispatched op counts once, in its own
-//! category; the counts accumulate locally and flush to the machine's
-//! atomic counters when the top-level call returns (see `obs`'s `vm.*`
-//! metrics).
+//! a different answer.
+//!
+//! Billing and counting go per straight run, not per op: entering a run
+//! (frame entry, call return, either arm of a branch) adds its length
+//! ([`crate::bytecode::Chunk::run_len`]) to the unbilled fuel, checks the
+//! fuel/deadline checkpoint once enough has accumulated, and bumps one
+//! entry counter in a flat per-`Vm` buffer. When the top-level call
+//! returns, the entry counts flush to the machine's atomic counters as
+//! the instruction count, its six dispatch categories and (with hotspots
+//! on) per-pc hits (see `obs`'s `vm.*` metrics). Every dispatched op
+//! counts once, in its own category, for every call that returns; a trap
+//! bills the rest of its run too.
 
 use std::sync::Arc;
 
@@ -46,17 +54,15 @@ pub struct Vm {
     sp: u64,
     depth: u32,
     /// Instructions since the last fuel/deadline checkpoint; billed to the
-    /// machine's fuel pool every [`FUEL_CHECK_INTERVAL`] ops and drained
-    /// (without trapping) at flush.
+    /// machine's fuel pool once at least [`FUEL_CHECK_INTERVAL`] ops have
+    /// accumulated and drained (without trapping) at flush.
     unbilled: u64,
-    /// Dispatch counts by [`crate::bytecode::OpCat`] since the last flush
-    /// (their sum is the instruction count).
-    dispatch: [u64; 6],
-    /// Attribute dispatch to source lines (snapshot of the machine flag;
-    /// one predictable branch per op when off).
+    /// Run entries since the last flush, laid out by
+    /// [`crate::bytecode::Chunk::base`]: per chunk an "entered" flag, then
+    /// one count per pc (non-zero only where a run starts).
+    entries: Vec<u64>,
+    /// Attribute dispatch to source lines (snapshot of the machine flag).
     hot: bool,
-    /// Per-chunk, per-pc hit counts (allocated lazily per chunk entered).
-    pc_hits: Vec<Vec<u64>>,
     /// The register stack: a guest frame is the window
     /// `[reg_base, reg_base + nregs)`, pushed on call, truncated on return.
     regs: Vec<Value>,
@@ -76,9 +82,8 @@ impl Vm {
             sp: stack_block,
             depth: 0,
             unbilled: 0,
-            dispatch: [0; 6],
+            entries: Vec::new(),
             hot,
-            pc_hits: Vec::new(),
             regs: Vec::new(),
         };
         vm.init_globals_once()?;
@@ -93,7 +98,7 @@ impl Vm {
         let prog = image.compiled();
         if let Some(idx) = prog.init_chunk {
             let r = self.call_chunk(prog, idx, &[]);
-            self.flush_counters();
+            self.flush_counters(prog);
             r?;
         }
         Ok(())
@@ -113,28 +118,44 @@ impl Vm {
             None => return Err(InterpError::Trap(format!("undefined function `{name}`"))),
         };
         let r = self.call_chunk(prog, idx, args);
-        self.flush_counters();
+        self.flush_counters(prog);
         r
     }
 
-    fn flush_counters(&mut self) {
+    fn flush_counters(&mut self, prog: &CompiledProgram) {
         // Bill the partial fuel interval without trapping: a drained pool
         // then traps at the first checkpoint of the next call.
         self.machine.limits.drain_fuel(self.unbilled);
         self.unbilled = 0;
-        // Every dispatched op counts once, in its category.
-        let instructions = self.dispatch.iter().sum::<u64>();
-        if instructions != 0 {
-            self.machine.add_vm_counters(instructions, &self.dispatch);
-            self.dispatch = [0; 6];
-        }
-        if self.hot {
-            for (chunk, hits) in self.pc_hits.iter_mut().enumerate() {
-                if hits.iter().any(|&n| n != 0) {
-                    self.machine.add_line_hits(chunk as u32, hits);
-                    hits.iter_mut().for_each(|n| *n = 0);
+        // An op runs once per entry of every run that covers it, and
+        // counts once, in its category.
+        let mut dispatch = [0u64; 6];
+        let mut hits = Vec::new();
+        for (ci, chunk) in prog.chunks.iter().enumerate() {
+            let Some(slots) = self.entries.get_mut(chunk.base as usize..) else { break };
+            let (entered, counts) = slots.split_first_mut().expect("a chunk has a flag slot");
+            if std::mem::take(entered) == 0 {
+                continue;
+            }
+            hits.clear();
+            let mut live = 0;
+            for (op, n) in chunk.code.iter().zip(counts.iter_mut()) {
+                live += std::mem::take(n);
+                dispatch[op.cat() as usize] += live;
+                if self.hot {
+                    hits.push(live);
+                }
+                if op.ends_run() {
+                    live = 0;
                 }
             }
+            if self.hot {
+                self.machine.add_line_hits(ci as u32, &hits);
+            }
+        }
+        let instructions = dispatch.iter().sum::<u64>();
+        if instructions != 0 {
+            self.machine.add_vm_counters(instructions, &dispatch);
         }
     }
 
@@ -147,7 +168,12 @@ impl Vm {
         let len0 = regs.len();
         // The host's arguments sit below the first window, like a caller's.
         regs.extend_from_slice(args);
-        let r = self.run(prog, idx, &mut regs, len0);
+        let mut entries = std::mem::take(&mut self.entries);
+        if entries.len() < prog.counter_len() {
+            entries.resize(prog.counter_len(), 0);
+        }
+        let r = self.run(prog, idx, &mut regs, len0, &mut entries);
+        self.entries = entries;
         regs.truncate(len0);
         self.regs = regs;
         if r.is_err() {
@@ -155,6 +181,15 @@ impl Vm {
             self.depth = depth0;
         }
         r
+    }
+
+    /// Bill the unbilled fuel and check the deadline.
+    #[cold]
+    #[inline(never)]
+    fn checkpoint(&mut self) -> IResult<()> {
+        self.machine.limits.checkpoint(self.unbilled)?;
+        self.unbilled = 0;
+        Ok(())
     }
 
     /// Enter a guest frame: checks, guest-stack reservation, register
@@ -214,45 +249,43 @@ impl Vm {
         Ok(Frame { chunk: idx, pc: 0, base, saved_sp, ret_dst, reg_base })
     }
 
-    /// The dispatch loop, over an explicit guest call stack.
+    /// The dispatch loop, over an explicit guest call stack. `entries` is
+    /// the run-entry buffer (see [`Vm::entries`]), sized for `prog`.
     fn run(
         &mut self,
         prog: &CompiledProgram,
         idx: u32,
         stack: &mut Vec<Value>,
         args: usize,
+        entries: &mut [u64],
     ) -> IResult<Value> {
         let mut frames: Vec<Frame> = Vec::new();
         let mut cur = self.new_frame(prog, idx, stack, (args, stack.len() - args), 0)?;
         let machine = self.machine.clone();
         let mem = &machine.mem;
         'frame: loop {
-            let ci = cur.chunk as usize;
-            let chunk = &prog.chunks[ci];
+            let chunk = &prog.chunks[cur.chunk as usize];
             let code = &chunk.code;
-            if self.hot {
-                if self.pc_hits.len() < prog.chunks.len() {
-                    self.pc_hits.resize(prog.chunks.len(), Vec::new());
-                }
-                if self.pc_hits[ci].len() < code.len() {
-                    self.pc_hits[ci] = vec![0; code.len()];
-                }
+            // The chunk's "entered" flag, then its per-pc entry counts.
+            let base = chunk.base as usize;
+            entries[base] = 1;
+            // Enter the run starting at `$pc`: count it, bill its length.
+            macro_rules! enter {
+                ($pc:expr) => {{
+                    let at: usize = $pc;
+                    entries[base + 1 + at] += 1;
+                    self.unbilled += chunk.run_len[at] as u64;
+                    if self.unbilled >= FUEL_CHECK_INTERVAL {
+                        self.checkpoint()?;
+                    }
+                    at
+                }};
             }
             let frame_off = addr::offset(cur.base);
-            let mut pc = cur.pc;
+            let mut pc = enter!(cur.pc);
             let regs = &mut stack[cur.reg_base..cur.reg_base + chunk.nregs as usize];
             loop {
-                let op = &code[pc];
-                self.dispatch[op.cat() as usize] += 1;
-                self.unbilled += 1;
-                if self.unbilled >= FUEL_CHECK_INTERVAL {
-                    machine.limits.checkpoint(self.unbilled)?;
-                    self.unbilled = 0;
-                }
-                if self.hot {
-                    self.pc_hits[ci][pc] += 1;
-                }
-                match op {
+                match &code[pc] {
                     Op::Const { dst, idx } => {
                         regs[*dst as usize] = prog.consts[*idx as usize];
                     }
@@ -393,20 +426,18 @@ impl Vm {
                         regs[*dst as usize] = Value::I32(regs[*src as usize].is_truthy() as i32);
                     }
                     Op::Jmp { to } => {
-                        pc = *to as usize;
+                        pc = enter!(*to as usize);
                         continue;
                     }
                     Op::Jz { cond, to } => {
-                        if !regs[*cond as usize].is_truthy() {
-                            pc = *to as usize;
-                            continue;
-                        }
+                        let taken = !regs[*cond as usize].is_truthy();
+                        pc = enter!(if taken { *to as usize } else { pc + 1 });
+                        continue;
                     }
                     Op::Jnz { cond, to } => {
-                        if regs[*cond as usize].is_truthy() {
-                            pc = *to as usize;
-                            continue;
-                        }
+                        let taken = regs[*cond as usize].is_truthy();
+                        pc = enter!(if taken { *to as usize } else { pc + 1 });
+                        continue;
                     }
                     Op::Ret { src } => {
                         let v = regs[*src as usize];
@@ -549,20 +580,16 @@ impl Vm {
                             }
                             _ => generic_cmp(*op, x, y)?,
                         };
-                        if holds == *when {
-                            pc = *to as usize;
-                            continue;
-                        }
+                        pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
+                        continue;
                     }
                     Op::JcmpIK { op, a, k, to, when } => {
                         let holds = match regs[*a as usize] {
                             Value::I32(x) => rt::cmp_holds(*op, Some(x.cmp(&(*k as i32)))),
                             x => generic_cmp(*op, x, Value::I32(*k as i32))?,
                         };
-                        if holds == *when {
-                            pc = *to as usize;
-                            continue;
-                        }
+                        pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
+                        continue;
                     }
                     Op::IncI { r, k } => match regs[*r as usize] {
                         Value::I32(x) => {

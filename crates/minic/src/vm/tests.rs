@@ -10,7 +10,7 @@ use vmcommon::Value;
 
 use super::Vm;
 use crate::ast::BinOp;
-use crate::bytecode::{Chunk, CompiledProgram, Op, ParamSpec, TyK, R};
+use crate::bytecode::{run_lens, Chunk, CompiledProgram, Op, ParamSpec, TyK, R};
 use crate::interp::{Machine, NoHooks};
 
 fn corners() -> Vec<Value> {
@@ -69,6 +69,8 @@ impl Bench {
             zero_init: Vec::new(),
             code: code.to_vec(),
             line_table: 0,
+            run_len: run_lens(code),
+            base: 0,
         };
         let prog = CompiledProgram {
             chunks: vec![chunk],

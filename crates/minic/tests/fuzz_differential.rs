@@ -74,30 +74,29 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
+/// Both engines' outcomes, or `None` if the pipeline panicked. The runs
+/// happen on a worker thread with a big stack: the walker recurses on the
+/// host stack, and generated programs legitimately reach the guest depth
+/// limit. A panic surfaces as a join error instead of killing the harness.
+fn run_both(seed: u64, src: &str) -> Option<(Outcome, Outcome)> {
+    let src = src.to_string();
+    std::thread::Builder::new()
+        .name(format!("fuzz-{seed}"))
+        .stack_size(64 << 20)
+        .spawn(move || (run_engine(&src, Engine::Vm), run_engine(&src, Engine::Walker)))
+        .expect("spawn fuzz worker")
+        .join()
+        .ok()
+}
+
 #[test]
 fn engines_agree_over_seed_sweep() {
     let base = env_u64("OMPI_FUZZ_SEED_BASE", 0);
     let seeds = env_u64("OMPI_FUZZ_SEEDS", 300);
     for seed in base..base + seeds {
         let src = minic::fuzzgen::generate(seed);
-        // A worker thread with a big stack: the walker recurses on the
-        // host stack, and generated programs legitimately reach the guest
-        // depth limit. A panic anywhere in the pipeline surfaces as a
-        // join error instead of killing the harness.
-        let src2 = src.clone();
-        let joined = std::thread::Builder::new()
-            .name(format!("fuzz-{seed}"))
-            .stack_size(64 << 20)
-            .spawn(move || {
-                let vm = run_engine(&src2, Engine::Vm);
-                let walker = run_engine(&src2, Engine::Walker);
-                (vm, walker)
-            })
-            .expect("spawn fuzz worker")
-            .join();
-        let (vm, walker) = match joined {
-            Ok(r) => r,
-            Err(_) => fail(seed, &src, "pipeline panicked"),
+        let Some((vm, walker)) = run_both(seed, &src) else {
+            fail(seed, &src, "pipeline panicked")
         };
         // Fuel granularity differs per engine: if either trapped on fuel,
         // "both terminated" is the whole assertion.
@@ -108,6 +107,26 @@ fn engines_agree_over_seed_sweep() {
             fail(seed, &src, &format!("engines diverge:\n  vm:     {vm:?}\n  walker: {walker:?}"));
         }
     }
+}
+
+/// The oracle covers the loop pass: in a tenth or more of the default
+/// sweep's programs, the pass deleted or moved ops and neither engine ran
+/// out of fuel, so the sweep compared the two.
+#[test]
+fn the_loop_pass_fires_in_compared_programs() {
+    let mut fired = 0;
+    for seed in 0..300 {
+        let src = minic::fuzzgen::generate(seed);
+        let Ok(m) = Machine::from_source(&src) else { continue };
+        let s = m.image().compiled().loop_stats;
+        if s.removed + s.hoisted == 0 {
+            continue;
+        }
+        if let Some((vm, walker)) = run_both(seed, &src) {
+            fired += !(fuel_trapped(&vm) || fuel_trapped(&walker)) as u32;
+        }
+    }
+    assert!(fired >= 30, "the loop pass fired in {fired} of 300 compared programs");
 }
 
 /// Fuel-limited runs of a guaranteed-hostile program terminate in both
