@@ -57,18 +57,26 @@ impl From<std::io::Error> for OmpiccError {
     }
 }
 
-/// A fully compiled application.
+/// A fully compiled application: an OMPi-translated program ([`Ompicc`])
+/// or a pure-CUDA baseline ([`CudaCc`]), a host program plus kernel
+/// binaries either way.
 pub struct CompiledApp {
     /// The lowered, re-analyzed host program, laid out once: every runner
     /// of this app instantiates it and shares its bytecode.
     pub image: Arc<Image>,
     /// Pretty-printed lowered host source (diagnostics / golden tests).
     pub host_text: String,
+    /// The outlined OpenMP kernel files (empty for a CUDA baseline).
     pub kernels: Vec<KernelFile>,
     /// Where the kernel binaries were written.
     pub kernel_dir: PathBuf,
     /// Binary mode used.
     pub mode: BinMode,
+    /// The one kernel module of a pure-CUDA baseline, through which its
+    /// `<<<...>>>` launches resolve; `None` for an OpenMP application.
+    /// It also picks the env rule: the runner's device variables do not
+    /// apply to a baseline (see [`crate::ResolvedConfig::resolve_cuda`]).
+    pub cuda_module: Option<String>,
 }
 
 /// The ompicc driver.
@@ -113,12 +121,8 @@ impl Ompicc {
 
         // Transformation.
         let pipeline = Pipeline::new().with_module_prefix(self.module_prefix.clone());
-        let (Translation { mut host, kernels }, _) = pipeline.run(&prog)?;
-
-        // Re-analyze the lowered host program.
-        let host_info = minic::analyze(&mut host)
-            .map_err(|e| OmpiccError::Frontend(format!("lowered host program: {e}")))?;
-        let host_text = minic::pretty::program(&host);
+        let (Translation { host, kernels }, _) = pipeline.run(&prog)?;
+        let (image, host_text) = host_image(host, "lowered host program")?;
 
         // Kernel files → .cu on disk → nvcc.
         let src_dir = self.work_dir.join("src");
@@ -132,8 +136,8 @@ impl Ompicc {
             nvcc.compile_kernel_file(&cu)?;
         }
 
-        let image = host_image(host, host_info)?;
-        Ok(CompiledApp { image, host_text, kernels, kernel_dir: kdir, mode: self.mode })
+        let mode = self.mode;
+        Ok(CompiledApp { image, host_text, kernels, kernel_dir: kdir, mode, cuda_module: None })
     }
 }
 
@@ -146,15 +150,6 @@ pub struct CudaCc {
     pub work_dir: PathBuf,
 }
 
-/// A compiled CUDA application.
-pub struct CompiledCudaApp {
-    /// The host part, laid out once (see [`CompiledApp::image`]).
-    pub image: Arc<Image>,
-    /// The kernel module name (all kernels in one module).
-    pub module_name: String,
-    pub kernel_dir: PathBuf,
-}
-
 impl CudaCc {
     pub fn new(work_dir: impl Into<PathBuf>) -> CudaCc {
         CudaCc { mode: BinMode::Cubin, work_dir: work_dir.into() }
@@ -162,8 +157,9 @@ impl CudaCc {
 
     /// Split the source into device and host parts, compile the device
     /// part, keep the host part for interpretation (this is what the real
-    /// nvcc driver does with a `.cu` file).
-    pub fn compile(&self, src: &str, name: &str) -> Result<CompiledCudaApp, OmpiccError> {
+    /// nvcc driver does with a `.cu` file). All kernels land in one module,
+    /// `name`.
+    pub fn compile(&self, src: &str, name: &str) -> Result<CompiledApp, OmpiccError> {
         let mut prog = minic::parse(src).map_err(|e| OmpiccError::Frontend(e.to_string()))?;
         minic::analyze(&mut prog).map_err(|e| OmpiccError::Frontend(e.to_string()))?;
 
@@ -197,17 +193,25 @@ impl CudaCc {
         let nvcc = nvccsim::Nvcc::new(self.mode, &kdir, cudadev::exports());
         nvcc.compile_kernel_source(name, &cu_text)?;
 
-        let mut host = Program { items: host_items };
-        let host_info = minic::analyze(&mut host)
-            .map_err(|e| OmpiccError::Frontend(format!("cuda host program: {e}")))?;
-        let image = host_image(host, host_info)?;
-        Ok(CompiledCudaApp { image, module_name: name.to_string(), kernel_dir: kdir })
+        let (image, host_text) = host_image(Program { items: host_items }, "cuda host program")?;
+        Ok(CompiledApp {
+            image,
+            host_text,
+            kernels: Vec::new(),
+            kernel_dir: kdir,
+            mode: self.mode,
+            cuda_module: Some(name.to_string()),
+        })
     }
 }
 
-/// Lay out a host program for its runners.
-fn host_image(host: Program, info: minic::ProgramInfo) -> Result<Arc<Image>, OmpiccError> {
-    Image::new(host, info)
-        .map(Arc::new)
-        .map_err(|e| OmpiccError::Frontend(format!("host program layout: {e}")))
+/// Analyze a host program (`what` names it in errors), pretty-print it and
+/// lay it out once for its runners.
+fn host_image(mut host: Program, what: &str) -> Result<(Arc<Image>, String), OmpiccError> {
+    let info =
+        minic::analyze(&mut host).map_err(|e| OmpiccError::Frontend(format!("{what}: {e}")))?;
+    let text = minic::pretty::program(&host);
+    let image = Image::new(host, info)
+        .map_err(|e| OmpiccError::Frontend(format!("host program layout: {e}")))?;
+    Ok((Arc::new(image), text))
 }

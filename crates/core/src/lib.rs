@@ -17,7 +17,7 @@ pub mod runner;
 pub mod transform;
 
 pub use analyze::TransError;
-pub use driver::{CompiledApp, CompiledCudaApp, CudaCc, Ompicc, OmpiccError};
+pub use driver::{CompiledApp, CudaCc, Ompicc, OmpiccError};
 pub use runner::{
     build_fleet, ConfigError, OmpiHooks, ResolvedConfig, Runner, RunnerConfig, DEFAULT_DEVICE_MEM,
     DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS,

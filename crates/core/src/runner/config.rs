@@ -22,18 +22,14 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cudadev::RetryPolicy;
-use gpusim::{ExecMode, FaultPlan};
+use cudadev::CudaDevConfig;
+pub use cudadev::{DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS};
 use minic::limits::GuestLimits;
 
 use super::RunnerConfig;
 
 /// Default per-device DRAM size when neither config nor env say otherwise.
 pub const DEFAULT_DEVICE_MEM: usize = 512 << 20;
-/// Default hang-watchdog deadline (`OMPI_LAUNCH_TIMEOUT_MS`).
-pub const DEFAULT_LAUNCH_TIMEOUT: Duration = Duration::from_millis(250);
-/// Default reset budget before a device latches broken (`OMPI_MAX_RESETS`).
-pub const DEFAULT_MAX_RESETS: u32 = 3;
 
 /// A malformed `OMPI_*` value that was about to apply. Typed so callers
 /// (and the batch server's admission path) can report it without string
@@ -72,25 +68,21 @@ impl std::error::Error for ConfigError {}
 
 /// A fully-concrete runner configuration: every knob has its final value
 /// and no environment read remains. One snapshot serves any number of
-/// jobs; [`super::build_fleet`] and [`super::Runner::with_shared_registry`]
-/// take it directly.
+/// jobs; [`super::build_fleet`] and [`super::Runner::on`] take it directly.
 #[derive(Clone, Debug)]
 pub struct ResolvedConfig {
     pub host_mem: usize,
-    pub device_mem: usize,
-    pub exec_mode: ExecMode,
-    pub jit_cache_dir: PathBuf,
-    pub launch_sampling: bool,
+    /// The device knobs every fleet device shares: `global_mem`,
+    /// `exec_mode`, `jit_cache_dir`, `launch_sampling`, `async_streams`,
+    /// `retry`, `launch_timeout` and `max_resets`. [`super::build_fleet`]
+    /// fills in the per-device rest (`device_id`, `kernel_dir`,
+    /// `fault_plan`, `obs`).
+    pub device: CudaDevConfig,
     pub num_devices: usize,
-    pub async_streams: bool,
-    pub fault_plan: Option<Arc<FaultPlan>>,
+    /// Fault-plan text with optional `devN:` prefixes: the explicit
+    /// `RunnerConfig::fault_spec`, else `OMPI_FAULT_PLAN`. Parsed, and so
+    /// validated, once per device by [`super::build_fleet`].
     pub fault_spec: Option<String>,
-    /// `OMPI_FAULT_PLAN` text, validated and scoped per device by
-    /// [`super::build_fleet`] (after `fault_spec` and `fault_plan`).
-    pub fault_env: Option<String>,
-    pub retry: RetryPolicy,
-    pub launch_timeout: Duration,
-    pub max_resets: u32,
     pub fuel: Option<u64>,
     pub guest_mem: Option<u64>,
     pub guest_stack: Option<u32>,
@@ -98,22 +90,30 @@ pub struct ResolvedConfig {
     /// `OMP_NUM_THREADS` (a positive integer; anything else is ignored),
     /// else the Nano's four cores: the host runtime's `nthreads-var`.
     pub host_threads: usize,
-    /// The explicit sink. With `None` the runner builds its own from
-    /// `trace_path` / `flight_dump` and exports on drop; an explicit sink
-    /// means the caller owns export, so `trace_path`, `profile` and
-    /// `hotspots` are then left off whatever the environment says.
+    /// The explicit sink. With `None` the runner builds its own and
+    /// exports it on drop as `export` says; an explicit sink means the
+    /// caller owns export, so `export` is then `None` whatever the
+    /// environment says.
     pub obs: Option<Arc<obs::Obs>>,
-    /// `OMPI_TRACE`: write the Chrome trace here on runner drop.
-    pub trace_path: Option<PathBuf>,
-    /// `OMPI_PROFILE`: print the per-device profile table on runner drop.
-    pub profile: bool,
-    /// `OMPI_HOTSPOTS`: collect guest-source attribution in the machine
-    /// and print the hotspot table on runner drop. Like `profile`, one
-    /// strict [`obs::parse_bool`]; an unrecognized spelling is "off".
-    pub hotspots: bool,
+    /// What a runner that builds its own sink exports on drop.
+    pub export: Option<Export>,
     /// `OMPI_FLIGHT_DUMP`: the flight recorder's post-mortem path. Callers
     /// that build the sink themselves (`fig4`) pass it to [`obs::Obs::new`].
     pub flight_dump: Option<PathBuf>,
+}
+
+/// Own-sink export, done when the runner drops; the last-chance flight
+/// post-mortem always fires too.
+#[derive(Clone, Debug)]
+pub struct Export {
+    /// `OMPI_TRACE`: write the Chrome trace here.
+    pub trace_path: Option<PathBuf>,
+    /// `OMPI_PROFILE`: print the per-device profile table.
+    pub profile: bool,
+    /// `OMPI_HOTSPOTS`: collect guest-source attribution in the machine
+    /// and print the hotspot table. Like `profile`, one strict
+    /// [`obs::parse_bool`]; an unrecognized spelling is "off".
+    pub hotspots: bool,
 }
 
 impl ResolvedConfig {
@@ -122,26 +122,26 @@ impl ResolvedConfig {
     /// `OMPI_JOB_TIMEOUT_MS` and the `OMPI_GUEST_*` limits may apply
     /// (each only where the config left the field unset).
     pub fn resolve(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
-        let own_sink = cfg.obs.is_none();
-        let flag =
-            |var| own_sink && env_text(var).and_then(|v| obs::parse_bool(&v)).unwrap_or(false);
+        let flag = |var| env_text(var).and_then(|v| obs::parse_bool(&v)).unwrap_or(false);
         Ok(ResolvedConfig {
             host_mem: cfg.host_mem,
-            device_mem: or_env(cfg.device_mem, || env_size_usize("OMPI_DEV_MEM"))?
-                .unwrap_or(DEFAULT_DEVICE_MEM),
-            exec_mode: cfg.exec_mode,
-            jit_cache_dir: cfg.jit_cache_dir.clone(),
-            launch_sampling: cfg.launch_sampling,
+            device: CudaDevConfig {
+                global_mem: or_env(cfg.device_mem, || env_size_usize("OMPI_DEV_MEM"))?
+                    .unwrap_or(DEFAULT_DEVICE_MEM),
+                exec_mode: cfg.exec_mode,
+                jit_cache_dir: cfg.jit_cache_dir.clone(),
+                launch_sampling: cfg.launch_sampling,
+                async_streams: or_env(cfg.async_streams, || env_bool("OMPI_ASYNC"))?
+                    .unwrap_or(false),
+                retry: cfg.retry,
+                launch_timeout: or_env(cfg.launch_timeout, || env_ms("OMPI_LAUNCH_TIMEOUT_MS"))?
+                    .unwrap_or(DEFAULT_LAUNCH_TIMEOUT),
+                max_resets: or_env(cfg.max_resets, || env_int("OMPI_MAX_RESETS"))?
+                    .unwrap_or(DEFAULT_MAX_RESETS),
+                ..CudaDevConfig::default()
+            },
             num_devices: cfg.num_devices,
-            async_streams: or_env(cfg.async_streams, || env_bool("OMPI_ASYNC"))?.unwrap_or(false),
-            fault_plan: cfg.fault_plan.clone(),
-            fault_spec: cfg.fault_spec.clone(),
-            fault_env: env_text("OMPI_FAULT_PLAN"),
-            retry: cfg.retry,
-            launch_timeout: or_env(cfg.launch_timeout, || env_ms("OMPI_LAUNCH_TIMEOUT_MS"))?
-                .unwrap_or(DEFAULT_LAUNCH_TIMEOUT),
-            max_resets: or_env(cfg.max_resets, || env_int("OMPI_MAX_RESETS"))?
-                .unwrap_or(DEFAULT_MAX_RESETS),
+            fault_spec: cfg.fault_spec.clone().or_else(|| env_text("OMPI_FAULT_PLAN")),
             fuel: or_env(cfg.fuel, || env_int("OMPI_GUEST_FUEL"))?,
             guest_mem: or_env(cfg.guest_mem, || env_size("OMPI_GUEST_MEM"))?,
             guest_stack: or_env(cfg.guest_stack, || env_int("OMPI_GUEST_STACK"))?,
@@ -151,9 +151,11 @@ impl ResolvedConfig {
                 .filter(|&n| n >= 1)
                 .unwrap_or(hostomp::DEFAULT_NUM_THREADS),
             obs: cfg.obs.clone(),
-            trace_path: env_text("OMPI_TRACE").filter(|_| own_sink).map(PathBuf::from),
-            profile: flag("OMPI_PROFILE"),
-            hotspots: flag("OMPI_HOTSPOTS"),
+            export: cfg.obs.is_none().then(|| Export {
+                trace_path: env_text("OMPI_TRACE").map(PathBuf::from),
+                profile: flag("OMPI_PROFILE"),
+                hotspots: flag("OMPI_HOTSPOTS"),
+            }),
             flight_dump: env_text("OMPI_FLIGHT_DUMP").map(PathBuf::from),
         })
     }
@@ -163,6 +165,7 @@ impl ResolvedConfig {
     /// that manages raw device memory itself) — unset ones are pinned to
     /// their defaults, so their variables are not even read — while
     /// everything else is snapshotted as in [`ResolvedConfig::resolve`].
+    /// [`super::Runner::new`] picks it for an app with a `cuda_module`.
     pub fn resolve_cuda(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
         Self::resolve(&RunnerConfig {
             device_mem: cfg.device_mem.or(Some(DEFAULT_DEVICE_MEM)),
@@ -250,10 +253,10 @@ mod tests {
     #[test]
     fn defaults_fill_unset_fields() {
         let rc = ResolvedConfig::resolve_cuda(&RunnerConfig::default()).unwrap();
-        assert_eq!(rc.device_mem, DEFAULT_DEVICE_MEM);
-        assert!(!rc.async_streams);
-        assert_eq!(rc.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
-        assert_eq!(rc.max_resets, DEFAULT_MAX_RESETS);
+        assert_eq!(rc.device.global_mem, DEFAULT_DEVICE_MEM);
+        assert!(!rc.device.async_streams);
+        assert_eq!(rc.device.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
+        assert_eq!(rc.device.max_resets, DEFAULT_MAX_RESETS);
     }
 
     #[test]
@@ -266,10 +269,10 @@ mod tests {
             ..Default::default()
         };
         let rc = ResolvedConfig::resolve_cuda(&cfg).unwrap();
-        assert_eq!(rc.device_mem, 1 << 20);
-        assert!(rc.async_streams);
-        assert_eq!(rc.launch_timeout, Duration::from_millis(7));
-        assert_eq!(rc.max_resets, 9);
+        assert_eq!(rc.device.global_mem, 1 << 20);
+        assert!(rc.device.async_streams);
+        assert_eq!(rc.device.launch_timeout, Duration::from_millis(7));
+        assert_eq!(rc.device.max_resets, 9);
     }
 
     #[test]

@@ -12,18 +12,18 @@
 use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
 use devmod::{DeviceModule, DeviceRegistry};
 use gpusim::{ExecMode, FaultPlan, FaultPlanError};
-use minic::interp::{Hooks, IResult, Interp, InterpError, Machine};
-use minic::Image;
+use minic::interp::{IResult, Interp, InterpError, Machine};
 use std::sync::Arc;
 use vmcommon::Value;
 
-use crate::driver::{CompiledApp, CompiledCudaApp};
+use crate::driver::CompiledApp;
 
 mod config;
 mod hooks;
 
 pub use config::{
-    ConfigError, ResolvedConfig, DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS,
+    ConfigError, Export, ResolvedConfig, DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT,
+    DEFAULT_MAX_RESETS,
 };
 pub use hooks::OmpiHooks;
 
@@ -55,14 +55,10 @@ pub struct RunnerConfig {
     /// simulated clock (results stay bit-identical — execution is eager).
     /// `None` defers to `OMPI_ASYNC` (strict boolean), then `false`.
     pub async_streams: Option<bool>,
-    /// Deterministic fault-injection plan for device 0 (tests). `None`
-    /// falls back to the `OMPI_FAULT_PLAN` environment variable
-    /// (snapshotted at construction), whose `devN:`-prefixed rules scope
-    /// to device `N`. For programmatic multi-device plans use
-    /// [`RunnerConfig::fault_spec`] instead.
-    pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Fault-plan source text with optional `devN:` prefixes, parsed once
-    /// per device. Takes precedence over [`RunnerConfig::fault_plan`].
+    /// Fault-plan source text with optional `devN:` prefixes (unprefixed
+    /// rules target device 0), parsed once per device. `None` falls back
+    /// to the `OMPI_FAULT_PLAN` environment variable, snapshotted at
+    /// construction.
     pub fault_spec: Option<String>,
     /// Retry policy for transient driver faults.
     pub retry: RetryPolicy,
@@ -109,7 +105,6 @@ impl Default for RunnerConfig {
             launch_sampling: false,
             num_devices: 1,
             async_streams: None,
-            fault_plan: None,
             fault_spec: None,
             retry: RetryPolicy::default(),
             launch_timeout: None,
@@ -125,13 +120,12 @@ impl Default for RunnerConfig {
 
 /// Build the device fleet for a kernel directory — the one place
 /// `CudaDev`s are constructed: `rc.num_devices` simulated GPUs, each with
-/// its own clock, broken-latch and fault plan. Every device's plan is
-/// resolved (and so validated) here, by one rule: `fault_spec` text, else
-/// the explicit `fault_plan` on device 0, else the snapshotted
-/// `OMPI_FAULT_PLAN` text. Lazy device initialization reports any init
-/// error as "device unavailable" (host fallback), which would silently
-/// turn a malformed plan into a fault-free run; failing construction is
-/// the loud alternative.
+/// its own clock, broken-latch and fault plan, all sharing `rc.device`'s
+/// knobs. Every device's plan is parsed (and so validated) here from
+/// `rc.fault_spec`, and kept only if it has rules for that device. Lazy
+/// device initialization reports any init error as "device unavailable"
+/// (host fallback), which would silently turn a malformed plan into a
+/// fault-free run; failing construction is the loud alternative.
 pub fn build_fleet(
     rc: &ResolvedConfig,
     kernel_dir: &std::path::Path,
@@ -139,31 +133,18 @@ pub fn build_fleet(
 ) -> Result<Vec<Arc<CudaDev>>, FaultPlanError> {
     (0..rc.num_devices as u32)
         .map(|device_id| {
-            let fault_plan = match (&rc.fault_spec, &rc.fault_plan, &rc.fault_env) {
-                (Some(spec), _, _) => Some(FaultPlan::parse_for_device(spec, device_id)?.into()),
-                // An explicit pre-parsed plan has no device scoping; it
-                // belongs to device 0 (the only device before the registry
-                // existed).
-                (None, Some(plan), _) if device_id == 0 => Some(plan.clone()),
-                (None, _, Some(text)) => Some(FaultPlan::parse_for_device(text, device_id)?)
+            let fault_plan = match &rc.fault_spec {
+                Some(text) => Some(FaultPlan::parse_for_device(text, device_id)?)
                     .filter(|p| !p.rules().is_empty())
                     .map(Arc::new),
-                _ => None,
+                None => None,
             };
             Ok(Arc::new(CudaDev::new(CudaDevConfig {
                 device_id,
-                global_mem: rc.device_mem,
                 kernel_dir: kernel_dir.to_path_buf(),
-                jit_cache_dir: rc.jit_cache_dir.clone(),
-                exec_mode: rc.exec_mode,
-                launch_sampling: rc.launch_sampling,
-                async_streams: rc.async_streams,
                 fault_plan,
-                retry: rc.retry,
-                launch_timeout: rc.launch_timeout,
-                max_resets: rc.max_resets,
                 obs: obs.clone(),
-                ..CudaDevConfig::default()
+                ..rc.device.clone()
             })))
         })
         .collect()
@@ -173,110 +154,66 @@ pub fn build_fleet(
 pub struct Runner {
     pub machine: Arc<Machine>,
     pub hooks: Arc<OmpiHooks>,
-    hooks_dyn: Arc<dyn Hooks>,
-    /// Write the trace here on drop (`OMPI_TRACE` mode).
-    trace_path: Option<std::path::PathBuf>,
-    /// Print the profile table on drop (`OMPI_PROFILE` mode).
-    profile_on_drop: bool,
-    /// Print the hotspot table on drop (`OMPI_HOTSPOTS` mode).
-    hotspots_on_drop: bool,
-    /// The runner built this sink itself (no explicit one): it may fire
-    /// the last-chance flight post-mortem at drop. An explicit shared sink
-    /// must not — a short-lived runner would consume the one dump out
+    /// Set when the runner built its own sink: export it on drop, and
+    /// fire the last-chance flight post-mortem. An explicit shared sink
+    /// must not be — a short-lived runner would consume the one dump out
     /// from under longer-lived ones (first-trigger-wins).
-    flight_on_drop: bool,
+    export: Option<Export>,
     /// Wall-clock deadline armed on the machine at every guest call.
     job_timeout: Option<std::time::Duration>,
 }
 
 impl Runner {
-    /// A runner that owns its fleet: the sink (explicit, or built from the
-    /// snapshot and then exported on drop), [`build_fleet`], a registry
-    /// over all of it, and then the same per-job view the batch server
-    /// uses over its long-lived fleet.
-    fn with_own_fleet(
-        image: &Arc<Image>,
-        kernel_dir: &std::path::Path,
-        cuda_module: Option<String>,
-        mut rc: ResolvedConfig,
-    ) -> IResult<Runner> {
-        let owns_obs = rc.obs.is_none();
-        let obs = rc
-            .obs
-            .get_or_insert_with(|| obs::Obs::new(rc.trace_path.is_some(), rc.flight_dump.clone()))
-            .clone();
-        let fleet = build_fleet(&rc, kernel_dir, &obs)
-            .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?;
-        let host_pid = fleet.len() as u64;
-        let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
-        let registry = Arc::new(DeviceRegistry::new(devices, host_pid, rc.host_threads));
-        let mut runner = Self::job_view(image, registry, cuda_module, &rc)?;
-        runner.machine.set_hotspots(rc.hotspots);
-        runner.trace_path = rc.trace_path;
-        runner.profile_on_drop = rc.profile;
-        runner.hotspots_on_drop = rc.hotspots;
-        runner.flight_on_drop = owns_obs;
-        Ok(runner)
-    }
-
-    /// One job's view over a registry somebody else may own: a fresh
-    /// instance of the app's image and a hook set, nothing exported on
-    /// drop. Every application — OpenMP or pure CUDA — runs against a
-    /// registry-dispatched hook set; the only variation is whether kernel
-    /// launches resolve through a fixed CUDA module.
-    fn job_view(
-        image: &Arc<Image>,
-        registry: Arc<DeviceRegistry>,
-        cuda_module: Option<String>,
-        rc: &ResolvedConfig,
-    ) -> IResult<Runner> {
-        let machine = Machine::instantiate(image.clone(), rc.host_mem, rc.guest_limits())?;
-        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
-        let hooks = Arc::new(OmpiHooks::new(registry, cuda_module, obs));
-        let hooks_dyn: Arc<dyn Hooks> = hooks.clone();
-        Ok(Runner {
-            machine,
-            hooks,
-            hooks_dyn,
-            trace_path: None,
-            profile_on_drop: false,
-            hotspots_on_drop: false,
-            flight_on_drop: false,
-            job_timeout: rc.job_timeout,
-        })
-    }
-
-    /// Instantiate a compiled OpenMP application on a fleet of its own.
+    /// Instantiate a compiled application — OpenMP or pure CUDA — on a
+    /// fleet of its own: the sink (explicit, or built from the snapshot
+    /// and then exported on drop), [`build_fleet`], a registry over all of
+    /// it, and then the same per-job view ([`Runner::on`]) the batch
+    /// server uses over its long-lived fleet.
     ///
     /// The environment is snapshotted here, once; env vars apply only to
     /// fields the config leaves unset (see [`ResolvedConfig::resolve`]):
     /// with no explicit [`RunnerConfig::device_mem`], `OMPI_DEV_MEM=64M`-style
     /// values cap the per-device arena, exercising the memory governor's
-    /// degradation ladder (OpenMP path only — the CUDA baseline manages
-    /// raw device memory itself and would just crash).
+    /// degradation ladder. The four device variables do not apply to an
+    /// app with a [`CompiledApp::cuda_module`] — the CUDA baseline manages
+    /// raw device memory itself and would just crash
+    /// ([`ResolvedConfig::resolve_cuda`]).
     pub fn new(app: &CompiledApp, cfg: &RunnerConfig) -> IResult<Runner> {
-        let rc = ResolvedConfig::resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        Self::with_own_fleet(&app.image, &app.kernel_dir, None, rc)
+        let resolve = match app.cuda_module {
+            Some(_) => ResolvedConfig::resolve_cuda,
+            None => ResolvedConfig::resolve,
+        };
+        let mut rc = resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
+        let trace = rc.export.as_ref().is_some_and(|e| e.trace_path.is_some());
+        let obs =
+            rc.obs.get_or_insert_with(|| obs::Obs::new(trace, rc.flight_dump.clone())).clone();
+        let fleet = build_fleet(&rc, &app.kernel_dir, &obs)
+            .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?;
+        let host_pid = fleet.len() as u64;
+        let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
+        let registry = Arc::new(DeviceRegistry::new(devices, host_pid, rc.host_threads));
+        let mut runner = Self::on(app, registry, &rc)?;
+        runner.machine.set_hotspots(rc.export.as_ref().is_some_and(|e| e.hotspots));
+        runner.export = rc.export;
+        Ok(runner)
     }
 
-    /// Instantiate a compiled OpenMP application against a caller-owned
-    /// registry and a pre-resolved config snapshot (whose `obs` is the
-    /// caller's sink). This is the batch server's path: the scheduler owns
-    /// the device fleet and hands each job the device(s) it placed it on;
-    /// nothing here reads the environment.
-    pub fn with_shared_registry(
+    /// One job's view over a registry somebody else may own, from a
+    /// pre-resolved snapshot (whose `obs` is the caller's sink): a fresh
+    /// instance of the app's image and a hook set, nothing exported on
+    /// drop. This is the batch server's path: the scheduler owns the
+    /// device fleet and hands each job the device(s) it placed it on;
+    /// nothing here reads the environment. Kernel launches of a CUDA
+    /// baseline resolve through its `cuda_module`.
+    pub fn on(
         app: &CompiledApp,
         registry: Arc<DeviceRegistry>,
-        cfg: &ResolvedConfig,
+        rc: &ResolvedConfig,
     ) -> IResult<Runner> {
-        Self::job_view(&app.image, registry, None, cfg)
-    }
-
-    /// Instantiate a compiled pure-CUDA application on a fleet of its own.
-    pub fn new_cuda(app: &CompiledCudaApp, cfg: &RunnerConfig) -> IResult<Runner> {
-        let rc = ResolvedConfig::resolve_cuda(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let module = Some(app.module_name.clone());
-        Self::with_own_fleet(&app.image, &app.kernel_dir, module, rc)
+        let machine = Machine::instantiate(app.image.clone(), rc.host_mem, rc.guest_limits())?;
+        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
+        let hooks = Arc::new(OmpiHooks::new(registry, app.cuda_module.clone(), obs));
+        Ok(Runner { machine, hooks, export: None, job_timeout: rc.job_timeout })
     }
 
     /// Call a guest function. A guest that exceeds a configured resource
@@ -285,8 +222,10 @@ impl Runner {
     /// state salvaged for the next job (see `on_guest_limit`).
     pub fn call(&self, name: &str, args: &[Value]) -> IResult<Value> {
         self.machine.limits().arm_deadline(self.job_timeout);
-        let mut i = Interp::new(self.machine.clone(), self.hooks_dyn.clone())?;
-        let r = i.call(name, args);
+        // `Interp::new` runs the global initializers on a machine's first
+        // call: their failure takes the same clean-up path as the call's.
+        let r = Interp::new(self.machine.clone(), self.hooks.clone())
+            .and_then(|mut i| i.call(name, args));
         self.machine.limits().arm_deadline(None);
         self.record_vm_counters();
         if let Err(InterpError::Limit(l)) = &r {
@@ -457,26 +396,25 @@ impl Runner {
 impl Drop for Runner {
     /// Own-sink export: `OMPI_TRACE` writes the trace JSON,
     /// `OMPI_PROFILE` prints the profile table to stderr, `OMPI_HOTSPOTS`
-    /// the guest-source hotspot table. Explicit `RunnerConfig::obs` sinks
-    /// and per-job views skip all three (the caller owns export).
+    /// the guest-source hotspot table, then the flight post-mortem fires.
+    /// Explicit `RunnerConfig::obs` sinks and per-job views skip all of it
+    /// (the caller owns export).
     fn drop(&mut self) {
-        if let Some(path) = self.trace_path.take() {
-            if let Err(e) = self.write_trace(&path) {
+        let Some(export) = self.export.take() else { return };
+        if let Some(path) = &export.trace_path {
+            if let Err(e) = self.write_trace(path) {
                 eprintln!("ompi: failed to write trace to {}: {e}", path.display());
             }
         }
-        if self.profile_on_drop {
+        if export.profile {
             eprintln!("{}", self.profile_table());
         }
-        if self.hotspots_on_drop {
+        if export.hotspots {
             eprintln!("{}", self.hotspot_table());
         }
         // Last-chance flight dump (`OMPI_FLIGHT_DUMP` with no fault this
         // run): a no-op without a dump path, and first-trigger-wins if a
-        // latch or watchdog already dumped. Own sink only — with an
-        // explicit shared sink the caller owns the end-of-run trigger.
-        if self.flight_on_drop {
-            self.hooks.obs.flight.post_mortem("runner drop");
-        }
+        // latch or watchdog already dumped.
+        self.hooks.obs.flight.post_mortem("runner drop");
     }
 }

@@ -220,6 +220,11 @@ impl RetryPolicy {
     }
 }
 
+/// Default hang-watchdog deadline (`OMPI_LAUNCH_TIMEOUT_MS`).
+pub const DEFAULT_LAUNCH_TIMEOUT: Duration = Duration::from_millis(250);
+/// Default reset budget before a device latches broken (`OMPI_MAX_RESETS`).
+pub const DEFAULT_MAX_RESETS: u32 = 3;
+
 /// Configuration of a CudaDev instance.
 #[derive(Clone, Debug)]
 pub struct CudaDevConfig {
@@ -288,8 +293,8 @@ impl Default for CudaDevConfig {
             staging_bytes: 16 << 20,
             async_streams: false,
             obs: obs::Obs::disabled(),
-            launch_timeout: Duration::from_millis(250),
-            max_resets: 3,
+            launch_timeout: DEFAULT_LAUNCH_TIMEOUT,
+            max_resets: DEFAULT_MAX_RESETS,
         }
     }
 }

@@ -18,5 +18,5 @@ pub use devlib::{
 pub use error::CudadevError;
 pub use host::{
     BreakerState, CudaDev, CudaDevConfig, DevClock, MapKind, MemPressure, PressureOutcome,
-    RetryPolicy, TileParam,
+    RetryPolicy, TileParam, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS,
 };

@@ -489,7 +489,7 @@ pub struct CompiledProgram {
     /// Function name → chunk index.
     pub fn_chunk: std::collections::HashMap<String, u32>,
     /// Synthetic chunk running global initializers (guarded by the
-    /// machine's `globals_ready` flag, like the walker).
+    /// machine's once-only initializer state, like the walker).
     pub init_chunk: Option<u32>,
     pub consts: Vec<Value>,
     pub strs: Vec<String>,

@@ -36,6 +36,7 @@
 //! the sequential reference behaviour used by differential tests.
 
 use std::collections::HashMap;
+use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -108,6 +109,9 @@ pub enum InterpError {
         needed: u64,
         arena: u64,
     },
+    /// An earlier call's global initializers failed, so the globals are
+    /// only partly written: the machine refuses to run anything more.
+    InitFailed,
 }
 
 impl std::fmt::Display for InterpError {
@@ -123,6 +127,9 @@ impl std::fmt::Display for InterpError {
                 "guest arena too small: globals and string literals need {needed} bytes, \
                  the arena has {arena}"
             ),
+            InterpError::InitFailed => {
+                write!(f, "global initializers failed on an earlier call; the machine cannot run")
+            }
         }
     }
 }
@@ -258,7 +265,9 @@ pub struct Machine {
     output: Mutex<Option<Box<OutputSink>>>,
     /// Captured output.
     pub captured: Mutex<String>,
-    pub(crate) globals_ready: AtomicBool,
+    /// Global initializers: [`GLOBALS_PENDING`], [`GLOBALS_STARTED`] or
+    /// [`GLOBALS_FAILED`].
+    globals: AtomicU8,
     /// Engine for new [`Interp`]s: 0 = VM, 1 = walker.
     engine: AtomicU8,
     /// VM observability: instructions dispatched, then per-category counts.
@@ -277,23 +286,18 @@ pub struct Machine {
 /// Per-interp stack size (bytes).
 pub(crate) const STACK_SIZE: u64 = 4 << 20;
 
+/// States of [`Machine::globals`].
+const GLOBALS_PENDING: u8 = 0;
+const GLOBALS_STARTED: u8 = 1;
+const GLOBALS_FAILED: u8 = 2;
+
 impl Machine {
     /// Build an ungoverned machine (default [`GuestLimits`]) for an
     /// analyzed program with `mem_bytes` of guest memory.
+    /// A program run more than once should build its [`Image`] once and
+    /// [`Machine::instantiate`] it per run.
     pub fn new(prog: Program, info: ProgramInfo, mem_bytes: usize) -> IResult<Arc<Machine>> {
-        Self::new_with_limits(prog, info, mem_bytes, GuestLimits::default())
-    }
-
-    /// Build a machine with the given guest limits: [`Image::new`], then
-    /// [`Machine::instantiate`]. A program run more than once should build
-    /// its image once and instantiate it per run.
-    pub fn new_with_limits(
-        prog: Program,
-        info: ProgramInfo,
-        mem_bytes: usize,
-        limits: GuestLimits,
-    ) -> IResult<Arc<Machine>> {
-        Self::instantiate(Arc::new(Image::new(prog, info)?), mem_bytes, limits)
+        Self::instantiate(Arc::new(Image::new(prog, info)?), mem_bytes, GuestLimits::default())
     }
 
     /// A fresh instance of `image` with `mem_bytes` of zeroed guest memory:
@@ -316,7 +320,7 @@ impl Machine {
             heap: Mutex::new(heap),
             output: Mutex::new(None),
             captured: Mutex::new(String::new()),
-            globals_ready: AtomicBool::new(false),
+            globals: AtomicU8::new(GLOBALS_PENDING),
             engine: AtomicU8::new(Engine::Vm as u8),
             vm_counters: Default::default(),
             hotspots: AtomicBool::new(false),
@@ -426,8 +430,20 @@ impl Machine {
         rows
     }
 
+    /// Run `init`, an engine's global initializers, on the machine's first
+    /// call only. If it fails, the globals stay partly written: that call
+    /// returns `init`'s error and every later one [`InterpError::InitFailed`].
+    pub(crate) fn init_globals_once(&self, init: impl FnOnce() -> IResult<()>) -> IResult<()> {
+        let state = &self.globals;
+        match state.compare_exchange(GLOBALS_PENDING, GLOBALS_STARTED, SeqCst, SeqCst) {
+            Ok(_) => init().inspect_err(|_| state.store(GLOBALS_FAILED, SeqCst)),
+            Err(GLOBALS_FAILED) => Err(InterpError::InitFailed),
+            Err(_) => Ok(()),
+        }
+    }
+
     /// The guest resource governor (fuel, memory ceiling, stack depth,
-    /// deadline), as passed to [`Machine::new_with_limits`].
+    /// deadline), as passed to [`Machine::instantiate`].
     pub fn limits(&self) -> &GuestLimits {
         &self.limits
     }

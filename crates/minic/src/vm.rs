@@ -91,17 +91,14 @@ impl Vm {
     }
 
     fn init_globals_once(&mut self) -> IResult<()> {
-        if self.machine.globals_ready.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            return Ok(());
-        }
         let image = self.machine.image.clone();
         let prog = image.compiled();
-        if let Some(idx) = prog.init_chunk {
+        let Some(idx) = prog.init_chunk else { return Ok(()) };
+        self.machine.clone().init_globals_once(|| {
             let r = self.call_chunk(prog, idx, &[]);
             self.flush_counters(prog);
-            r?;
-        }
-        Ok(())
+            r.map(drop)
+        })
     }
 
     /// Run `main` (or any entry) with no arguments.

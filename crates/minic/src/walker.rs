@@ -69,23 +69,16 @@ impl TreeWalker {
     }
 
     fn init_globals_once(&mut self) -> IResult<()> {
-        if self.machine.globals_ready.swap(true, std::sync::atomic::Ordering::SeqCst) {
-            return Ok(());
-        }
         // Evaluate global initializers in a synthetic frame.
         let image = self.machine.image.clone();
-        let globals: Vec<(usize, Ty, Init)> = image
-            .info
-            .globals
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| g.init.clone().map(|init| (i, g.ty.clone(), init)))
-            .collect();
-        for (i, ty, init) in globals {
-            let base = image.global_addrs[i];
-            self.store_init(base, &ty, &init)?;
-        }
-        Ok(())
+        self.machine.clone().init_globals_once(|| {
+            for (g, &base) in image.info.globals.iter().zip(&image.global_addrs) {
+                if let Some(init) = &g.init {
+                    self.store_init(base, &g.ty, init)?;
+                }
+            }
+            Ok(())
+        })
     }
 
     fn store_init(&mut self, base: u64, ty: &Ty, init: &Init) -> IResult<()> {

@@ -511,6 +511,34 @@ fn guest_mem_limit_message_is_engine_identical() {
     );
 }
 
+/// A global initializer that fails (here: runs out of fuel) leaves the
+/// globals partly written. The failing call reports the fuel error; every
+/// later call on that machine must be the typed `InitFailed`, never a run
+/// on the zeroed global.
+#[test]
+fn failed_global_initializer_poisons_the_machine() {
+    let src = "int spin() { while (1); return 1; } int g = spin(); int main() { return g; }";
+    for e in ENGINES {
+        let m = Machine::from_source(src).unwrap();
+        m.set_engine(e);
+        m.limits().set_fuel(Some(50_000));
+        let first = Interp::new(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i.run_main());
+        assert_eq!(
+            first.unwrap_err().to_string(),
+            "guest limit: guest fuel exhausted (budget 50000 instructions)",
+            "first call under {e:?}"
+        );
+        m.limits().set_fuel(None);
+        for call in 2..4 {
+            let later = Interp::new(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i.run_main());
+            assert!(
+                matches!(later, Err(InterpError::InitFailed)),
+                "call {call} under {e:?} must be InitFailed, got {later:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn frontend_errors_are_typed() {
     // Satellite fix: parse/sema failures surface stage + position instead

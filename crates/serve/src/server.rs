@@ -9,10 +9,9 @@
 //! submit jobs ([`Server::submit`], which runs admission control inline
 //! and returns typed rejections), and claim results ([`Server::wait`]).
 //! Worker threads pull placements from the scheduler and execute each job
-//! through [`Runner::with_shared_registry`] against a single-device view
-//! of the fleet. A job is a fresh instance of its program's shared
-//! `minic::Image`: its own zeroed arena, the bytecode compiled once per
-//! program.
+//! through [`Runner::on`] against a single-device view of the fleet. A
+//! job is a fresh instance of its program's shared `minic::Image`: its own
+//! zeroed arena, the bytecode compiled once per program.
 //!
 //! Metrics live under the server's own pid (`fleet size + 1`; the fleet
 //! uses `0..n` and per-job host shims use `n`): `serve.jobs_submitted`,
@@ -283,7 +282,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         m.incr(inner.serve_pid, affinity, 1);
 
         let registry = inner.sched.job_registry(p.device, inner.rc.host_threads);
-        let (value, output) = match Runner::with_shared_registry(&job.app, registry, &inner.rc) {
+        let (value, output) = match Runner::on(&job.app, registry, &inner.rc) {
             Ok(runner) => {
                 let value = runner.call(&job.entry, &job.args).map_err(|e| e.to_string());
                 let mut out = runner.take_output();

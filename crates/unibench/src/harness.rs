@@ -102,17 +102,11 @@ pub fn build_variant_cfg(
     work_dir: &std::path::Path,
     cfg: &ompi_core::RunnerConfig,
 ) -> Built {
-    let runner = match variant {
-        Variant::OmpiCudadev => {
-            let compiled = compile_omp(app, work_dir);
-            Runner::new(&compiled, cfg).expect("runner")
-        }
-        Variant::Cuda => {
-            let compiled = compile_cuda(app, work_dir);
-            Runner::new_cuda(&compiled, cfg).expect("runner")
-        }
+    let compiled = match variant {
+        Variant::OmpiCudadev => compile_omp(app, work_dir),
+        Variant::Cuda => compile_cuda(app, work_dir),
     };
-    Built { runner, variant }
+    Built { runner: Runner::new(&compiled, cfg).expect("runner"), variant }
 }
 
 /// Run once at size `n` and report the virtual device time, read through

@@ -77,7 +77,7 @@ pub fn compile_omp(app: &App, work_dir: &std::path::Path) -> ompi_core::Compiled
         .unwrap_or_else(|e| panic!("ompicc failed for {}: {e}", app.name))
 }
 
-pub fn compile_cuda(app: &App, work_dir: &std::path::Path) -> ompi_core::CompiledCudaApp {
+pub fn compile_cuda(app: &App, work_dir: &std::path::Path) -> ompi_core::CompiledApp {
     CudaCc::new(work_dir.join(format!("{}-cuda", app.name)))
         .compile(app.cuda_src, &format!("{}_cuda", app.name))
         .unwrap_or_else(|e| panic!("cudacc failed for {}: {e}", app.name))

@@ -120,6 +120,16 @@ if grep -rnE 'host(_info)?\.clone\(\)' crates/core/src/runner; then
     exit 1
 fi
 
+echo "== one way to build a runner (Runner::new, Runner::on; one app type; one fault-plan source) =="
+# Both app kinds are a CompiledApp (a CUDA baseline has a cuda_module), a
+# runner is built by Runner::new or viewed over a registry by Runner::on,
+# and a fault plan comes from fault_spec text or OMPI_FAULT_PLAN only.
+if grep -rnwE 'new_cuda|with_shared_registry|CompiledCudaApp|fault_env' \
+    crates src tests examples --include='*.rs'; then
+    echo "FAIL: the collapsed runner constructors, app type and fault-plan source stay deleted"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

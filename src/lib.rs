@@ -42,6 +42,10 @@
 //! runner.run_main().unwrap();
 //! println!("simulated device time: {:.6}s", runner.dev_clock().total_s());
 //! ```
+//!
+//! A pure-CUDA baseline (`CudaCc::compile`) is the same [`CompiledApp`],
+//! run by the same [`Runner::new`]; a server's per-job view over a shared
+//! [`DeviceRegistry`] is [`Runner::on`].
 
 pub use cudadev;
 pub use devmod;

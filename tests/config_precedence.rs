@@ -15,8 +15,10 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
+use ompi_nano::minic::interp::InterpError;
 use ompi_nano::ompi_core::{DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS};
 use ompi_nano::serve::{JobSpec, ServeConfig, Server};
+use ompi_nano::unibench::{app_by_name, compile_cuda, compile_omp, max_rel_err, run_once};
 use ompi_nano::{
     ConfigError, DeviceModule, DeviceRegistry, Ompicc, ResolvedConfig, Runner, RunnerConfig, Value,
 };
@@ -61,10 +63,10 @@ const ALL_VARS: &[(&str, Option<&str>)] = &[
 fn defaults_apply_with_clean_env() {
     with_env(ALL_VARS, || {
         let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
-        assert_eq!(rc.device_mem, DEFAULT_DEVICE_MEM);
-        assert!(!rc.async_streams);
-        assert_eq!(rc.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
-        assert_eq!(rc.max_resets, DEFAULT_MAX_RESETS);
+        assert_eq!(rc.device.global_mem, DEFAULT_DEVICE_MEM);
+        assert!(!rc.device.async_streams);
+        assert_eq!(rc.device.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
+        assert_eq!(rc.device.max_resets, DEFAULT_MAX_RESETS);
         assert_eq!(rc.job_timeout, None);
         assert_eq!(rc.fuel, None);
         assert_eq!(rc.guest_mem, None);
@@ -87,10 +89,10 @@ fn well_formed_env_fills_unset_fields() {
         ],
         || {
             let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
-            assert_eq!(rc.device_mem, 64 << 20);
-            assert!(rc.async_streams);
-            assert_eq!(rc.launch_timeout, Duration::from_millis(123));
-            assert_eq!(rc.max_resets, 7);
+            assert_eq!(rc.device.global_mem, 64 << 20);
+            assert!(rc.device.async_streams);
+            assert_eq!(rc.device.launch_timeout, Duration::from_millis(123));
+            assert_eq!(rc.device.max_resets, 7);
             assert_eq!(rc.job_timeout, Some(Duration::from_millis(4500)));
             assert_eq!(rc.fuel, Some(1000));
             assert_eq!(rc.guest_mem, Some(1 << 20));
@@ -127,10 +129,17 @@ fn explicit_config_beats_env_for_every_knob() {
                 ..Default::default()
             };
             let rc = ResolvedConfig::resolve(&cfg).unwrap();
-            assert_eq!(rc.device_mem, 32 << 20, "explicit device_mem must beat OMPI_DEV_MEM");
-            assert!(!rc.async_streams, "explicit async_streams=false must beat OMPI_ASYNC=on");
-            assert_eq!(rc.launch_timeout, Duration::from_millis(999));
-            assert_eq!(rc.max_resets, 2);
+            assert_eq!(
+                rc.device.global_mem,
+                32 << 20,
+                "explicit device_mem must beat OMPI_DEV_MEM"
+            );
+            assert!(
+                !rc.device.async_streams,
+                "explicit async_streams=false must beat OMPI_ASYNC=on"
+            );
+            assert_eq!(rc.device.launch_timeout, Duration::from_millis(999));
+            assert_eq!(rc.device.max_resets, 2);
             assert_eq!(rc.job_timeout, Some(Duration::from_millis(8000)));
             assert_eq!(rc.fuel, Some(5));
             assert_eq!(rc.guest_mem, Some(2 << 20));
@@ -185,8 +194,8 @@ fn malformed_env_is_ignored_under_explicit_config() {
                 ..Default::default()
             };
             let rc = ResolvedConfig::resolve(&cfg).unwrap();
-            assert_eq!(rc.device_mem, 8 << 20);
-            assert!(rc.async_streams);
+            assert_eq!(rc.device.global_mem, 8 << 20);
+            assert!(rc.device.async_streams);
         },
     );
 }
@@ -199,13 +208,13 @@ fn async_env_uses_strict_boolean_spellings() {
     for v in ["1", "true", "on", "yes", "TRUE", " On "] {
         with_env(&[("OMPI_ASYNC", Some(v))], || {
             let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
-            assert!(rc.async_streams, "OMPI_ASYNC={v} must mean true");
+            assert!(rc.device.async_streams, "OMPI_ASYNC={v} must mean true");
         });
     }
     for v in ["0", "false", "off", "no", "FALSE", " Off "] {
         with_env(&[("OMPI_ASYNC", Some(v))], || {
             let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
-            assert!(!rc.async_streams, "OMPI_ASYNC={v} must mean false");
+            assert!(!rc.device.async_streams, "OMPI_ASYNC={v} must mean false");
         });
     }
     with_env(&[("OMPI_ASYNC", Some("2"))], || {
@@ -244,10 +253,10 @@ fn cuda_path_ignores_runner_env_but_honours_guest_env() {
         ],
         || {
             let rc = ResolvedConfig::resolve_cuda(&RunnerConfig::default()).unwrap();
-            assert_eq!(rc.device_mem, DEFAULT_DEVICE_MEM);
-            assert!(!rc.async_streams);
-            assert_eq!(rc.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
-            assert_eq!(rc.max_resets, DEFAULT_MAX_RESETS);
+            assert_eq!(rc.device.global_mem, DEFAULT_DEVICE_MEM);
+            assert!(!rc.device.async_streams);
+            assert_eq!(rc.device.launch_timeout, DEFAULT_LAUNCH_TIMEOUT);
+            assert_eq!(rc.device.max_resets, DEFAULT_MAX_RESETS);
             assert_eq!(rc.job_timeout, Some(Duration::from_millis(2500)));
             assert_eq!(rc.fuel, Some(777));
         },
@@ -286,6 +295,36 @@ fn runner_new_reports_malformed_env() {
     });
 }
 
+/// The app-kind rule at runner level: one `Runner::new` serves both app
+/// kinds, and the app's `cuda_module` decides whether the four device
+/// variables apply. A malformed `OMPI_DEV_MEM` is the typed error for the
+/// OpenMP app and unread for its CUDA baseline.
+#[test]
+fn runner_new_applies_device_env_by_app_kind() {
+    with_env(&[("OMPI_DEV_MEM", Some("banana"))], || {
+        let dir = std::env::temp_dir().join(format!("ompinano-appkind-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let app = app_by_name("bicg").unwrap();
+        let cuda = compile_cuda(&app, &dir);
+        let omp = compile_omp(&app, &dir);
+        assert!(cuda.cuda_module.is_some() && omp.cuda_module.is_none());
+
+        let runner = Runner::new(&cuda, &RunnerConfig::default())
+            .expect("OMPI_DEV_MEM must not apply to a CUDA baseline");
+        let out = run_once(&app, &runner, 16).unwrap();
+        assert!(max_rel_err(&out, &(app.reference)(16)) <= app.tolerance);
+        assert!(runner.dev_clock().launches > 0, "the baseline must run on the device");
+
+        let want = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap_err();
+        assert!(matches!(want, ConfigError::Size { var: "OMPI_DEV_MEM", .. }), "got {want:?}");
+        match Runner::new(&omp, &RunnerConfig::default()) {
+            Err(InterpError::Trap(m)) => assert_eq!(m, want.to_string()),
+            Err(e) => panic!("expected the ConfigError as a trap, got {e}"),
+            Ok(_) => panic!("a malformed OMPI_DEV_MEM must fail Runner::new for an OpenMP app"),
+        }
+    });
+}
+
 /// `OMPI_HOTSPOTS` used to be parsed twice: the machine collected per-pc
 /// hits for any non-empty value but `"0"` (so `off` meant *on*), while the
 /// drop-time table used the strict vocabulary — collection that nothing
@@ -301,7 +340,7 @@ fn hotspots_env_is_parsed_once_and_strictly() {
     {
         with_env(&[("OMPI_HOTSPOTS", Some(value))], || {
             let rc = ResolvedConfig::resolve(&RunnerConfig::default()).unwrap();
-            assert_eq!(rc.hotspots, on, "OMPI_HOTSPOTS={value:?}");
+            assert_eq!(rc.export.unwrap().hotspots, on, "OMPI_HOTSPOTS={value:?}");
             let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
             assert_eq!(runner.machine.hotspots_enabled(), on, "machine, OMPI_HOTSPOTS={value:?}");
             runner.run_main().unwrap();
@@ -310,7 +349,7 @@ fn hotspots_env_is_parsed_once_and_strictly() {
             // An explicit sink owns export: nothing would print the
             // table, so nothing is collected either.
             let cfg = RunnerConfig { obs: Some(obs::Obs::disabled()), ..Default::default() };
-            assert!(!ResolvedConfig::resolve(&cfg).unwrap().hotspots);
+            assert!(!ResolvedConfig::resolve(&cfg).unwrap().export.is_some_and(|e| e.hotspots));
             assert!(!Runner::new(&app, &cfg).unwrap().machine.hotspots_enabled());
         });
     }
@@ -394,7 +433,7 @@ fn setenv_after_construction_changes_nothing() {
 
         // The per-job view the workers build, under the same hostile env.
         let registry = std::sync::Arc::new(DeviceRegistry::new(Vec::new(), 2, 4));
-        let view = Runner::with_shared_registry(&app, registry, server.resolved()).unwrap();
+        let view = Runner::on(&app, registry, server.resolved()).unwrap();
         assert!(!view.machine.hotspots_enabled());
         assert_eq!(view.machine.limits().fuel_budget(), None);
     });

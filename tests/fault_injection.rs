@@ -3,10 +3,8 @@
 //! device broken and degrade to host execution with identical results,
 //! and JIT-cache corruption is invalidated and recompiled.
 
-use std::sync::Arc;
-
 use ompi_nano::unibench::{app_by_name, compile_omp, run_once, runner_config};
-use ompi_nano::{BinMode, BreakerState, ExecMode, FaultPlan, Ompicc, Runner, RunnerConfig, Value};
+use ompi_nano::{BinMode, BreakerState, ExecMode, Ompicc, Runner, RunnerConfig, Value};
 
 /// The paper's Fig. 1 SAXPY; `main` returns the number of wrong elements,
 /// so `I32(0)` proves the computed `y` is bit-identical to the host-side
@@ -42,13 +40,9 @@ fn work(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn plan(text: &str) -> Option<Arc<FaultPlan>> {
-    Some(Arc::new(FaultPlan::parse(text).expect("valid fault plan")))
-}
-
 fn saxpy_runner(tag: &str, fault: &str) -> Runner {
     let app = Ompicc::new(work(tag)).compile(SAXPY).unwrap();
-    let cfg = RunnerConfig { fault_plan: plan(fault), ..Default::default() };
+    let cfg = RunnerConfig { fault_spec: Some(fault.into()), ..Default::default() };
     Runner::new(&app, &cfg).unwrap()
 }
 
@@ -145,7 +139,7 @@ int main() {
 "#;
     let app = Ompicc::new(work("partial-commit")).compile(TWO_OUT).unwrap();
     // d2h call #1 (first unmap) commits, call #2 is lost terminally.
-    let cfg = RunnerConfig { fault_plan: plan("d2h@2x*"), ..Default::default() };
+    let cfg = RunnerConfig { fault_spec: Some("d2h@2x*".into()), ..Default::default() };
     let runner = Runner::new(&app, &cfg).unwrap();
     let err = runner.run_main().unwrap_err();
     assert!(
@@ -183,7 +177,7 @@ int main() {
 }
 "#;
     let app = Ompicc::new(work("copy-back-chunk")).compile(TWO_CHUNKS).unwrap();
-    let cfg = RunnerConfig { fault_plan: plan("d2h@2x*"), ..Default::default() };
+    let cfg = RunnerConfig { fault_spec: Some("d2h@2x*".into()), ..Default::default() };
     let runner = Runner::new(&app, &cfg).unwrap();
     assert_eq!(runner.run_main().unwrap(), Value::I32(0));
     assert!(runner.device_broken(), "the terminal copy-back fault latches the device");
@@ -208,7 +202,7 @@ fn host_fallback_bit_identical_for_unibench_app() {
     assert!(!dev_runner.device_broken());
     assert!(dev_runner.dev_clock().launches > 0, "healthy run must use the device");
 
-    let cfg_bad = RunnerConfig { fault_plan: plan("launch@1x*"), ..cfg_ok };
+    let cfg_bad = RunnerConfig { fault_spec: Some("launch@1x*".into()), ..cfg_ok };
     let host_runner = Runner::new(&compiled, &cfg_bad).unwrap();
     let host_out = run_once(&app, &host_runner, n).unwrap();
     assert!(host_runner.device_broken(), "terminal fault must latch the device");
@@ -233,7 +227,7 @@ fn hang_at_launch_recovers_via_reset_and_replay() {
     let app = Ompicc::new(work("hang-launch")).compile(SAXPY).unwrap();
     let obs = obs::Obs::enabled();
     let cfg = RunnerConfig {
-        fault_plan: plan("hang@launch"),
+        fault_spec: Some("hang@launch".into()),
         obs: Some(obs.clone()),
         ..Default::default()
     };
@@ -265,7 +259,7 @@ fn persistent_hang_exhausts_reset_budget_and_latches() {
     let app = Ompicc::new(work("hang-persistent")).compile(SAXPY).unwrap();
     let obs = obs::Obs::enabled();
     let cfg = RunnerConfig {
-        fault_plan: plan("hang@launch@1x*"),
+        fault_spec: Some("hang@launch@1x*".into()),
         obs: Some(obs.clone()),
         ..Default::default()
     };
@@ -292,7 +286,7 @@ fn repeated_hang_within_budget_recovers_on_second_reset() {
     let obs = obs::Obs::enabled();
     let app = Ompicc::new(work("hang-twice")).compile(SAXPY).unwrap();
     let cfg = RunnerConfig {
-        fault_plan: plan("hang@launch@1x2"),
+        fault_spec: Some("hang@launch@1x2".into()),
         obs: Some(obs.clone()),
         ..Default::default()
     };
@@ -364,7 +358,7 @@ int main() {
     // with region 1's stream work still queued on the virtual timeline.
     let cfg = RunnerConfig {
         async_streams: Some(true),
-        fault_plan: plan("launch@2x*"),
+        fault_spec: Some("launch@2x*".into()),
         ..Default::default()
     };
     let runner = Runner::new(&app, &cfg).unwrap();
@@ -390,7 +384,7 @@ fn jit_cache_corruption_is_invalidated_and_recompiled() {
     assert_eq!(warm.dev_clock().jit_compiles, 1);
 
     // Second process: the fault plan corrupts the cached entry before use.
-    let cfg2 = RunnerConfig { fault_plan: plan("jitcache@1x1"), ..cfg };
+    let cfg2 = RunnerConfig { fault_spec: Some("jitcache@1x1".into()), ..cfg };
     let runner = Runner::new(&app, &cfg2).unwrap();
     assert_eq!(runner.run_main().unwrap(), Value::I32(0));
     let clk = runner.dev_clock();

@@ -10,10 +10,12 @@
 //!
 //! The `OMPI_GUEST_*` environment variables configure the same limits for
 //! uninstrumented binaries; tests here serialize on a lock because env
-//! vars are process-global and `Machine::new` reads them at construction.
+//! vars are process-global and `Runner::new` snapshots them (through
+//! `ResolvedConfig::resolve`) at construction.
 
 use std::sync::Mutex;
 
+use ompi_nano::minic::interp::InterpError;
 use ompi_nano::{Ompicc, Runner, RunnerConfig};
 
 /// Serializes tests in this binary: the env-var test mutates process
@@ -40,6 +42,45 @@ int main() {
     return 0;
 }
 "#;
+
+/// A global initializer that never ends. The initializers run when the
+/// runner's first call creates its interpreter.
+const HOSTILE_INIT: &str = r#"
+int spin() { while (1); return 1; }
+int g = spin();
+int main() { return g; }
+"#;
+
+/// A limit hit inside the global initializers takes the same clean-up path
+/// as one hit in the called function: the counter, the VM counters and the
+/// disarmed deadline. Every later call on the half-initialized machine is
+/// the typed `InitFailed`, never a run on the zeroed global.
+#[test]
+fn limit_in_global_initializer_is_cleaned_up_and_poisons_the_runner() {
+    let _g = ENV_LOCK.lock().unwrap();
+    let app = Ompicc::new(work("init")).compile(HOSTILE_INIT).unwrap();
+    let obs = obs::Obs::enabled();
+    let cfg = RunnerConfig {
+        fuel: Some(50_000),
+        job_timeout: Some(std::time::Duration::from_millis(200)),
+        obs: Some(obs.clone()),
+        ..Default::default()
+    };
+    let runner = Runner::new(&app, &cfg).unwrap();
+    let err = runner.run_main().expect_err("the initializer must hit the budget");
+    assert_eq!(err.to_string(), "guest limit: guest fuel exhausted (budget 50000 instructions)");
+    let host_pid = runner.registry().num_devices() as u64;
+    assert_eq!(obs.metrics.counter(host_pid, "guest_limit.fuel"), 1);
+    assert!(obs.metrics.counter(host_pid, "vm.instructions") > 0, "VM counters must be drained");
+    std::thread::sleep(std::time::Duration::from_millis(250));
+    assert!(runner.machine.limits().check_deadline().is_ok(), "the deadline must be disarmed");
+
+    for _ in 0..2 {
+        let later = runner.run_main();
+        assert!(matches!(later, Err(InterpError::InitFailed)), "got {later:?}");
+    }
+    assert_eq!(obs.metrics.counter(host_pid, "guest_limit.fuel"), 1);
+}
 
 #[test]
 fn hostile_loop_returns_typed_fuel_error_from_runner() {
