@@ -239,7 +239,7 @@ fn main() {
                 }
                 let built = build_variant_cfg(&app, variant, &work, &cfg);
                 // Runner::call drains the machine's VM counters into obs
-                // metrics at the host-shim pid; the delta is this run's.
+                // metrics at the initial-device pid; the delta is this run's.
                 let pid = built.runner.registry().num_devices() as u64;
                 let insns0 = obs.metrics.counter(pid, "vm.instructions");
                 let t0 = std::time::Instant::now();
@@ -418,7 +418,7 @@ fn hotspot_table(app: &unibench::App) -> String {
 /// Export the combined trace of every run. Runners named their own device
 /// processes as they initialized (first-wins), so only unnamed processes
 /// still need labels — fig4 runners are single-device, making pid 0 the
-/// offload device and pid 1 the host shim.
+/// offload device and pid 1 the initial device.
 fn write_trace(obs: &Arc<obs::Obs>, path: &std::path::Path) -> std::io::Result<()> {
     obs.tracer.set_process_name(0, "dev0");
     obs.tracer.set_process_name(1, "host (initial device)");

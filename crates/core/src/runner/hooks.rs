@@ -8,8 +8,8 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cudadev::{CudadevError, MapKind, PressureOutcome, TileParam};
-use devmod::{DeviceModule, DeviceRegistry};
+use cudadev::{CudaDev, CudadevError, MapKind, PressureOutcome, TileParam};
+use devmod::DeviceRegistry;
 use hostomp::{HostRt, WsState};
 use minic::interp::{HookCtx, Hooks, IResult, Interp, InterpError};
 use vmcommon::sync::Mutex;
@@ -24,8 +24,11 @@ thread_local! {
 
 /// The runtime hook implementation.
 pub struct OmpiHooks {
+    /// The host OpenMP runtime the `ort_*` hooks (parallel regions,
+    /// worksharing, critical sections) and fallback bodies execute on.
     pub rt: Arc<HostRt>,
-    /// All offload devices plus the host shim and the default-device ICV.
+    /// All offload devices, the initial device's clock and the
+    /// default-device ICV.
     pub registry: Arc<DeviceRegistry>,
     /// `omp_set_num_threads` ICV (0 = unset).
     nthreads_icv: AtomicUsize,
@@ -60,9 +63,10 @@ impl OmpiHooks {
         registry: Arc<DeviceRegistry>,
         cuda_module: Option<String>,
         obs: Arc<obs::Obs>,
+        host_threads: usize,
     ) -> OmpiHooks {
         OmpiHooks {
-            rt: registry.host().rt().clone(),
+            rt: Arc::new(HostRt::new(host_threads)),
             registry,
             nthreads_icv: AtomicUsize::new(0),
             cuda_module,
@@ -75,16 +79,16 @@ impl OmpiHooks {
         }
     }
 
-    /// Trace pid of the host shim (one Chrome-trace "process" per device;
-    /// the initial device comes after the offload devices — unless the
-    /// registry pinned it elsewhere, as the batch server's per-job
+    /// Trace pid of the initial device (one Chrome-trace "process" per
+    /// device; the initial device comes after the offload devices — unless
+    /// the registry pinned it elsewhere, as the batch server's per-job
     /// single-device fleet views do).
     pub(super) fn host_pid(&self) -> u64 {
         self.registry.host_pid()
     }
 
     /// Simulated time on device `idx` right now (`idx == num_devices()`
-    /// reads the host shim's clock).
+    /// reads the initial device's clock).
     fn sim_now(&self, idx: usize) -> f64 {
         self.registry.clock_of(idx).unwrap_or_default().total_s()
     }
@@ -92,7 +96,7 @@ impl OmpiHooks {
     /// Graceful-degradation filter for `__dev_*` hooks: terminal device
     /// failures are absorbed (the region falls back to host execution),
     /// anything else is a genuine trap.
-    fn degrade(&self, dev: &dyn DeviceModule, e: CudadevError) -> IResult<()> {
+    fn degrade(&self, dev: &CudaDev, e: CudadevError) -> IResult<()> {
         if e.is_device_lost() || dev.is_broken() {
             Ok(())
         } else {
@@ -125,7 +129,7 @@ impl OmpiHooks {
     /// host pointers are looked up in the device's map table.
     fn prepare_params(
         &self,
-        dev: &dyn DeviceModule,
+        dev: &CudaDev,
         kernel: &sptx::Function,
         args: &[Value],
     ) -> IResult<Vec<u64>> {
@@ -280,7 +284,7 @@ impl Hooks for OmpiHooks {
                     0,
                     "host fallback",
                     "fallback",
-                    self.sim_now(host_pid as usize),
+                    self.registry.host_clock().total_s(),
                     vec![("from_device", (from as u64).into()), ("reason", reason.into())],
                 );
                 Ok(Some(Value::I32(0)))
@@ -290,12 +294,14 @@ impl Hooks for OmpiHooks {
                 // buffers still mapped (enclosing `target data`) are now
                 // stale and must be refreshed before the next launch that
                 // reads them.
-                resolve(0).mark_all_host_dirty();
-                let host_pid = self.host_pid();
-                if let Some(t0) = self.fb_start.lock().take() {
-                    self.registry.host().record_fallback(t0.elapsed().as_secs_f64());
+                if let Some(dev) = resolve(0) {
+                    dev.mark_all_host_dirty();
                 }
-                self.obs.tracer.end_track(host_pid, 0, self.sim_now(host_pid as usize));
+                if let Some(t0) = self.fb_start.lock().take() {
+                    self.registry.record_fallback(t0.elapsed().as_secs_f64());
+                }
+                let t = self.registry.host_clock().total_s();
+                self.obs.tracer.end_track(self.host_pid(), 0, t);
                 Ok(Some(Value::I32(0)))
             }
 
@@ -304,23 +310,22 @@ impl Hooks for OmpiHooks {
                 // Guard emitted before every offload region: is the device
                 // worth trying? A broken (or terminally fault-injected)
                 // device answers 0 and the region runs on the host instead —
-                // as does the host shim behind the initial-device number.
-                let dev = resolve(0);
-                let ok = !dev.is_broken() && dev.is_available();
+                // as does the initial device.
+                let ok = resolve(0).is_some_and(|d| !d.is_broken() && d.is_available());
                 Ok(Some(Value::I32(ok as i32)))
             }
             "__dev_map" => {
-                let dev = resolve(0);
-                if dev.is_broken() {
-                    // Dead device: the region will run on the host, where
-                    // host memory is already authoritative — mapping is a
-                    // no-op.
-                    return Ok(Some(Value::I32(0)));
-                }
+                let dev = match resolve(0) {
+                    Some(dev) if !dev.is_broken() => dev,
+                    // The initial device, or a dead one: the region runs on
+                    // the host, where host memory is already authoritative
+                    // — mapping is a no-op.
+                    _ => return Ok(Some(Value::I32(0))),
+                };
                 let kind = Self::map_kind(a(3).as_i64());
                 match dev.map(mem, a(1).as_ptr(), a(2).as_i64().max(0) as u64, kind) {
                     Ok(_) => Ok(Some(Value::I32(0))),
-                    Err(e) => self.degrade(&*dev, e).map(|_| Some(Value::I32(0))),
+                    Err(e) => self.degrade(dev, e).map(|_| Some(Value::I32(0))),
                 }
             }
             "__dev_unmap" => {
@@ -328,22 +333,26 @@ impl Hooks for OmpiHooks {
                 // afterwards (copy-back committed, or none was needed), 0
                 // when a needed copy-back was lost — the region must then
                 // re-execute on the host.
-                let dev = resolve(0);
                 let kind = Self::map_kind(a(2).as_i64());
                 let copies_back = matches!(kind, MapKind::From | MapKind::ToFrom);
-                if dev.is_broken() {
+                let unmapped = match resolve(0) {
                     // Skip copy-back entirely; host memory is pre-kernel
                     // state, authoritative for the fallback execution.
-                    return Ok(Some(Value::I32(!copies_back as i32)));
-                }
-                match dev.unmap(mem, a(1).as_ptr(), kind) {
+                    Some(dev) if dev.is_broken() => {
+                        return Ok(Some(Value::I32(!copies_back as i32)))
+                    }
+                    Some(dev) => dev.unmap(mem, a(1).as_ptr(), kind).map_err(|e| (dev, e)),
+                    // The initial device: host memory holds the results.
+                    None => Ok(()),
+                };
+                match unmapped {
                     Ok(()) => {
                         if copies_back {
                             self.region_commits.fetch_add(1, Ordering::Relaxed);
                         }
                         Ok(Some(Value::I32(1)))
                     }
-                    Err(e) if copies_back => {
+                    Err((dev, e)) if copies_back => {
                         if self.region_commits.load(Ordering::Relaxed) > 0 {
                             // Another buffer already committed its device
                             // results: host state is mixed, re-executing
@@ -352,20 +361,21 @@ impl Hooks for OmpiHooks {
                                 "device lost during copy-back after a partial commit: {e}"
                             )));
                         }
-                        self.degrade(&*dev, e).map(|_| Some(Value::I32(0)))
+                        self.degrade(dev, e).map(|_| Some(Value::I32(0)))
                     }
-                    Err(e) => self.degrade(&*dev, e).map(|_| Some(Value::I32(1))),
+                    Err((dev, e)) => self.degrade(dev, e).map(|_| Some(Value::I32(1))),
                 }
             }
             "__dev_update" => {
-                let dev = resolve(0);
-                if dev.is_broken() {
-                    return Ok(Some(Value::I32(0)));
-                }
+                let dev = match resolve(0) {
+                    Some(dev) if !dev.is_broken() => dev,
+                    // The initial device, or a dead one: nothing to refresh.
+                    _ => return Ok(Some(Value::I32(0))),
+                };
                 match dev.update(mem, a(1).as_ptr(), a(2).as_i64().max(0) as u64, a(3).is_truthy())
                 {
                     Ok(()) => Ok(Some(Value::I32(0))),
-                    Err(e) => self.degrade(&*dev, e).map(|_| Some(Value::I32(0))),
+                    Err(e) => self.degrade(dev, e).map(|_| Some(Value::I32(0))),
                 }
             }
             "__dev_offload" => {
@@ -377,10 +387,18 @@ impl Hooks for OmpiHooks {
                 // device failure, or an OOM fallback (the governor
                 // declined a region it cannot tile).
                 self.region_commits.store(0, Ordering::Relaxed);
-                let dev = resolve(0);
-                if dev.is_broken() {
-                    return Ok(Some(Value::I32(0)));
-                }
+                let dev = match resolve(0) {
+                    Some(dev) if dev.is_broken() => return Ok(Some(Value::I32(0))),
+                    Some(dev) => dev,
+                    // `__dev_ok` answered 0 for the initial device, so a
+                    // translated region never asks it to launch.
+                    None => {
+                        let module = read_str(1)?;
+                        let reason = "initial device has no kernel modules".to_string();
+                        let e = CudadevError::ModuleLoad { module, reason };
+                        return Err(InterpError::Trap(e.to_string()));
+                    }
+                };
                 let module = read_str(1)?;
                 let kernel = read_str(2)?;
                 let mw = a(3).is_truthy();
@@ -405,7 +423,7 @@ impl Hooks for OmpiHooks {
                     pairs.iter().skip(1).step_by(2).map(|v| v.as_i64().max(0) as u64).collect();
                 let m = match dev.load_module(&module) {
                     Ok(m) => m,
-                    Err(e) => return self.degrade(&*dev, e).map(|_| Some(Value::I32(0))),
+                    Err(e) => return self.degrade(dev, e).map(|_| Some(Value::I32(0))),
                 };
                 let kf = m.function(&kernel).ok_or_else(|| {
                     InterpError::Trap(format!("kernel `{kernel}` not in `{module}`"))
@@ -425,7 +443,7 @@ impl Hooks for OmpiHooks {
                         _ => None,
                     })
                     .collect();
-                if dev.has_pending_maps(&haddrs) {
+                if dev.has_pending(&haddrs) {
                     // Memory pressure: some mapped buffers have no device
                     // copy. Hand the region to the governor, which tiles
                     // the iteration space when the translator proved it
@@ -460,18 +478,18 @@ impl Hooks for OmpiHooks {
                             self.fb_oom.store(true, Ordering::Relaxed);
                             Ok(Some(Value::I32(0)))
                         }
-                        Err(e) => self.degrade(&*dev, e).map(|_| Some(Value::I32(0))),
+                        Err(e) => self.degrade(dev, e).map(|_| Some(Value::I32(0))),
                     };
                 }
                 // Re-upload any device buffers a host fallback left stale
                 // (host-dirty under an enclosing `target data`).
                 if let Err(e) = dev.refresh_args(mem, &haddrs) {
-                    return self.degrade(&*dev, e).map(|_| Some(Value::I32(0)));
+                    return self.degrade(dev, e).map(|_| Some(Value::I32(0)));
                 }
-                let params = self.prepare_params(&*dev, kf, &lvals)?;
+                let params = self.prepare_params(dev, kf, &lvals)?;
                 match dev.launch(mem, &module, &kernel, grid, block, params) {
                     Ok(_) => Ok(Some(Value::I32(1))),
-                    Err(e) => self.degrade(&*dev, e).map(|_| Some(Value::I32(0))),
+                    Err(e) => self.degrade(dev, e).map(|_| Some(Value::I32(0))),
                 }
             }
 

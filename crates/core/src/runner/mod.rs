@@ -5,12 +5,12 @@
 //!
 //! Every `__dev_*` hook takes a leading device-id argument (the value the
 //! translator bound from the construct's `device()` clause); the
-//! [`DeviceRegistry`] resolves it to a [`DeviceModule`], so one runner can
-//! drive several simulated GPUs with independent clocks, fault plans, and
-//! broken-device latches.
+//! [`DeviceRegistry`] resolves it to a [`CudaDev`] (or to the initial
+//! device), so one runner can drive several simulated GPUs with independent
+//! clocks, fault plans, and broken-device latches.
 
 use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
-use devmod::{DeviceModule, DeviceRegistry};
+use devmod::DeviceRegistry;
 use gpusim::{ExecMode, FaultPlan, FaultPlanError};
 use minic::interp::{IResult, Interp, InterpError, Machine};
 use std::sync::Arc;
@@ -190,8 +190,7 @@ impl Runner {
         let fleet = build_fleet(&rc, &app.kernel_dir, &obs)
             .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?;
         let host_pid = fleet.len() as u64;
-        let devices = fleet.into_iter().map(|d| d as Arc<dyn DeviceModule>).collect();
-        let registry = Arc::new(DeviceRegistry::new(devices, host_pid, rc.host_threads));
+        let registry = Arc::new(DeviceRegistry::new(fleet, host_pid));
         let mut runner = Self::on(app, registry, &rc)?;
         runner.machine.set_hotspots(rc.export.as_ref().is_some_and(|e| e.hotspots));
         runner.export = rc.export;
@@ -212,7 +211,8 @@ impl Runner {
     ) -> IResult<Runner> {
         let machine = Machine::instantiate(app.image.clone(), rc.host_mem, rc.guest_limits())?;
         let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
-        let hooks = Arc::new(OmpiHooks::new(registry, app.cuda_module.clone(), obs));
+        let hooks =
+            Arc::new(OmpiHooks::new(registry, app.cuda_module.clone(), obs, rc.host_threads));
         Ok(Runner { machine, hooks, export: None, job_timeout: rc.job_timeout })
     }
 
@@ -258,14 +258,14 @@ impl Runner {
             0,
             "limit",
             "limit",
-            registry.clock_of(pid as usize).unwrap_or_default().total_s(),
+            registry.host_clock().total_s(),
             vec![("kind", l.kind().into()), ("error", l.to_string().into())],
         );
         obs.flight.post_mortem(&format!("guest limit: {l}"));
     }
 
     /// Drain the machine's VM dispatch counters into the obs metrics
-    /// (`vm.instructions`, `vm.dispatch.*` on the host shim's pid).
+    /// (`vm.instructions`, `vm.dispatch.*` on the initial device's pid).
     fn record_vm_counters(&self) {
         let c = self.machine.drain_vm_counters();
         if c.is_zero() {
@@ -302,8 +302,8 @@ impl Runner {
         self.hooks.registry.aggregate_clock()
     }
 
-    /// One offload device's virtual clock (`idx == num_devices()` reads
-    /// the host shim's clock).
+    /// One device's virtual clock: offload devices `0..num_devices()`, and
+    /// `idx == num_devices()` the initial device's (host-fallback time).
     pub fn dev_clock_of(&self, idx: usize) -> Option<DevClock> {
         self.hooks.registry.clock_of(idx)
     }
@@ -342,7 +342,7 @@ impl Runner {
 
     /// The per-device profile table (simulated time by phase), rendered.
     /// The latency columns come from each device's `region_latency_us`
-    /// histogram (pid = row index; the host shim's row comes last and
+    /// histogram (pid = row index; the initial device's row comes last and
     /// stays zero — fallbacks are charged to the originating device's
     /// region span).
     pub fn profile_table(&self) -> String {

@@ -93,7 +93,7 @@ pub struct DevClock {
     /// Simulated backoff delay between transient-fault retries.
     pub retry_backoff_s: f64,
     /// Host time re-executing regions after this device failed terminally
-    /// (only the host shim's clock accumulates this; see DESIGN.md §7).
+    /// (only the initial device's clock accumulates this; see DESIGN.md §7).
     pub fallback_s: f64,
     /// Simulated time saved by the async command streams: the share of
     /// copy/kernel busy time hidden behind other engines' work (copy and
@@ -1109,6 +1109,49 @@ impl CudaDev {
     pub fn reset_clock(&self) {
         self.streams.reset();
         self.clock.lock().reset();
+    }
+
+    /// Snapshot of the accumulated virtual device time. Deliberately *not*
+    /// a synchronization point: only flushed time is visible, so tracing
+    /// and `omp_get_wtime` reads between `nowait` regions do not drain the
+    /// command streams. Reports that need the queued work accounted read
+    /// [`CudaDev::clock_snapshot`] instead.
+    pub fn clock(&self) -> DevClock {
+        *self.clock.lock()
+    }
+
+    /// Account a memcpy performed outside the mapped data environment (the
+    /// CUDA-dialect `cudaMemcpy` baseline path).
+    pub fn record_memcpy(&self, seconds: f64, h2d_bytes: u64, d2h_bytes: u64) {
+        let mut clk = self.clock.lock();
+        // Attribute the transfer time to the direction that moved bytes
+        // (the baseline path always calls with exactly one side non-zero).
+        if d2h_bytes > 0 && h2d_bytes == 0 {
+            clk.d2h_s += seconds;
+        } else {
+            clk.h2d_s += seconds;
+        }
+        clk.h2d_bytes += h2d_bytes;
+        clk.d2h_bytes += d2h_bytes;
+    }
+
+    /// Is this device worth offloading to right now? Initializes it on the
+    /// first call; a device whose init fails (or that has latched broken)
+    /// answers `false` and the region runs on the host instead.
+    pub fn is_available(&self) -> bool {
+        self.try_device().is_ok()
+    }
+
+    /// The raw simulator device, if it comes up (the CUDA baseline path
+    /// needs direct `cuMemAlloc`/`cuMemcpy` access).
+    pub fn raw_device(&self) -> Option<Arc<Device>> {
+        self.try_device().ok()
+    }
+
+    /// Captured device-side printf output, bringing the device up if it is
+    /// not yet (empty if it cannot come up).
+    pub fn take_printf_output(&self) -> String {
+        self.try_device().map(|d| d.take_printf_output()).unwrap_or_default()
     }
 
     pub fn kernel_dir(&self) -> &PathBuf {

@@ -1,207 +1,15 @@
-//! `devmod` — the device-module runtime layer of the OMPi reproduction.
+//! `devmod` — the device layer of the OMPi reproduction.
 //!
-//! OMPi organizes device support as *modules* plugged into the host
-//! runtime: cudadev is one such module, and the runtime itself only talks
-//! to devices through the module interface (§4 of the paper). This crate
-//! extracts that boundary:
-//!
-//! * [`DeviceModule`] — the module interface: lazy init, the mapped data
-//!   environment (map/unmap/update), the three-phase kernel launch
-//!   (module load → parameter translation → launch), the virtual device
-//!   clock, and the broken-device latch used for host fallback.
-//! * [`CudaDev`](cudadev::CudaDev) implements it (the GPU module);
-//!   [`HostDevice`] is a shim over the `hostomp` runtime representing the
-//!   OpenMP *initial device* — offload requests routed to it run the
-//!   region's host-lowered body on the host thread team instead.
-//! * [`DeviceRegistry`] — an indexed set of device modules with the
-//!   `default-device-var` ICV: `device(n)` clauses and the `omp_*` device
-//!   API route through it, giving N simulated devices with independent
-//!   clocks, fault plans and broken-latch state.
+//! In OMPi, cudadev is *the* device module (§4.2 of the paper), and the
+//! host is OpenMP's *initial device*: an offload request routed there runs
+//! the region's host-lowered fallback body on the host thread team. This
+//! crate holds the [`DeviceRegistry`]: an indexed set of
+//! [`CudaDev`](cudadev::CudaDev)s plus the `default-device-var` ICV, the
+//! initial device's trace pid and its fallback clock. `device(n)` clauses
+//! and the `omp_*` device API route through it, giving N simulated devices
+//! with independent clocks, fault plans and broken-latch state; a device
+//! number past the last GPU resolves to `None`, the initial device.
 
-use std::sync::Arc;
-
-use cudadev::{
-    BreakerState, CudadevError, DevClock, MapKind, MemPressure, PressureOutcome, TileParam,
-};
-use gpusim::LaunchStats;
-use vmcommon::MemArena;
-
-mod cuda;
-mod hostdev;
 mod registry;
 
-pub use hostdev::HostDevice;
 pub use registry::DeviceRegistry;
-
-/// What kind of hardware a device module drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// A (simulated) CUDA GPU driven by the cudadev module.
-    CudaGpu,
-    /// The initial device: the host itself, driven by the hostomp runtime.
-    Host,
-}
-
-/// The OMPi device-module interface.
-///
-/// One instance is one device. All operations are `&self`: modules are
-/// internally synchronized so a registry can hand out shared references
-/// from concurrent host threads.
-pub trait DeviceModule: Send + Sync {
-    fn kind(&self) -> DeviceKind;
-
-    /// Is this device worth offloading to right now? Performs lazy
-    /// initialization on first call; a device whose init fails (or that
-    /// has latched broken) answers `false` and the region runs on the
-    /// host instead.
-    fn is_available(&self) -> bool;
-
-    /// Has a terminal failure latched this device broken?
-    fn is_broken(&self) -> bool;
-
-    /// Health state of the device's recovery circuit breaker. Modules
-    /// without a recovery manager report the latch directly: broken maps
-    /// to `Latched`, everything else to `Closed`.
-    fn breaker_state(&self) -> BreakerState {
-        if self.is_broken() {
-            BreakerState::Latched
-        } else {
-            BreakerState::Closed
-        }
-    }
-
-    /// Latch the device broken; all further operations fail fast.
-    fn mark_broken(&self);
-
-    /// Enter a mapping for `[host_addr, host_addr + len)`; returns the
-    /// device address.
-    fn map(
-        &self,
-        host_mem: &MemArena,
-        host_addr: u64,
-        len: u64,
-        kind: MapKind,
-    ) -> Result<u64, CudadevError>;
-
-    /// Exit a mapping; copies back and frees when the refcount drops to 0.
-    fn unmap(&self, host_mem: &MemArena, host_addr: u64, kind: MapKind)
-        -> Result<(), CudadevError>;
-
-    /// `target update to(...)` / `from(...)`: refresh one side.
-    fn update(
-        &self,
-        host_mem: &MemArena,
-        host_addr: u64,
-        len: u64,
-        to_device: bool,
-    ) -> Result<(), CudadevError>;
-
-    /// Parameter preparation: the device address for a mapped host address.
-    /// `None` for unmapped addresses *and* for pending mappings (entered
-    /// under memory pressure without a device buffer).
-    fn dev_addr(&self, host_addr: u64) -> Option<u64>;
-
-    /// Does any of these host addresses have a *pending* mapping — entered
-    /// into the data environment under memory pressure, with the host copy
-    /// still authoritative? Such regions must go through
-    /// [`DeviceModule::offload_pressured`].
-    fn has_pending_maps(&self, _host_addrs: &[u64]) -> bool {
-        false
-    }
-
-    /// Mark every live device buffer stale because a host fallback just
-    /// rewrote the host copies under an enclosing `target data`.
-    fn mark_all_host_dirty(&self) {}
-
-    /// Drop every live mapping without copy-back, freeing the device
-    /// buffers; returns how many mappings were released. Used when a guest
-    /// job is aborted by a resource limit: its buffers will never be read
-    /// again, but the device is healthy and must stay usable.
-    fn release_mappings(&self) -> usize {
-        0
-    }
-
-    /// Re-upload stale (host-dirty) device buffers among `host_addrs`
-    /// before a launch reads them.
-    fn refresh_args(&self, _host_mem: &MemArena, _host_addrs: &[u64]) -> Result<(), CudadevError> {
-        Ok(())
-    }
-
-    /// Run an offload whose data environment has pending mappings by
-    /// tiling the iteration space (memory-pressure rung 3), or decline so
-    /// the runtime falls back to the host (rung 4). The default declines:
-    /// only devices with a real memory governor can tile.
-    #[allow(clippy::too_many_arguments)]
-    fn offload_pressured(
-        &self,
-        _host_mem: &MemArena,
-        _module: &str,
-        _kernel: &str,
-        _tileable: bool,
-        _total: u64,
-        _grid: [u32; 3],
-        _block: [u32; 3],
-        _params: &[TileParam],
-    ) -> Result<PressureOutcome, CudadevError> {
-        Ok(PressureOutcome::Declined)
-    }
-
-    /// Memory-pressure snapshot for admission control: how full is this
-    /// device's arena, and how often has its governor had to degrade?
-    /// `None` for modules without a memory governor (the host shim) — an
-    /// admission controller treats those as "no signal", not "no
-    /// pressure".
-    fn mem_pressure(&self) -> Option<MemPressure> {
-        None
-    }
-
-    /// Loading phase: find and load the kernel module `name`.
-    fn load_module(&self, name: &str) -> Result<Arc<sptx::Module>, CudadevError>;
-
-    /// Launch phase (`cuLaunchKernel`). `host_mem` backs the mapped data
-    /// environment; a module with a recovery manager replays device
-    /// buffers from it when the launch dies terminally.
-    #[allow(clippy::too_many_arguments)]
-    fn launch(
-        &self,
-        host_mem: &MemArena,
-        module: &str,
-        kernel: &str,
-        grid: [u32; 3],
-        block: [u32; 3],
-        params: Vec<u64>,
-    ) -> Result<LaunchStats, CudadevError>;
-
-    /// A target region on this device begins (async command streams give
-    /// the region its own stream; other modules need not care).
-    fn stream_region_begin(&self) {}
-
-    /// The current target region carries `nowait`: its queued async work
-    /// may outlive region end.
-    fn stream_mark_nowait(&self) {}
-
-    /// A target region on this device ends (a synchronization point unless
-    /// the region was marked `nowait`).
-    fn stream_region_end(&self) {}
-
-    /// Drain all queued async work (`taskwait`).
-    fn stream_sync(&self) {}
-
-    /// Snapshot of the accumulated virtual device time.
-    fn clock(&self) -> DevClock;
-
-    /// Reset the virtual clock (before a measured run).
-    fn reset_clock(&self);
-
-    /// Account a memcpy performed outside the mapped data environment
-    /// (the CUDA-dialect `cudaMemcpy` baseline path).
-    fn record_memcpy(&self, seconds: f64, h2d_bytes: u64, d2h_bytes: u64);
-
-    /// The raw simulator device, when this module drives one (the CUDA
-    /// baseline path needs direct `cuMemAlloc`/`cuMemcpy` access).
-    fn raw_device(&self) -> Option<Arc<gpusim::Device>>;
-
-    /// Captured device-side printf output (empty if the device never came
-    /// up or does not capture).
-    fn take_printf_output(&self) -> String;
-}

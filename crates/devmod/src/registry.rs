@@ -1,52 +1,47 @@
-//! The device registry: an indexed set of [`DeviceModule`]s plus the
+//! The device registry: an indexed set of [`CudaDev`]s plus the
 //! `default-device-var` ICV.
 //!
 //! Device numbering follows the OpenMP device API: offload-capable devices
-//! are `0 .. num_devices()`, and the *initial device* (the host shim) is
+//! are `0 .. num_devices()`, and the *initial device* (the host) is
 //! number `num_devices()`. `device(n)` clause values and `omp_set_default_device`
 //! arguments route through [`DeviceRegistry::resolve`]: negative ids mean
 //! "the default device", and any id past the last offload device selects
-//! the host — offload requests there run the region's fallback body.
+//! the initial device (`None`) — offload requests there run the region's
+//! fallback body.
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-use cudadev::DevClock;
-
-use crate::{DeviceModule, HostDevice};
+use cudadev::{CudaDev, DevClock};
+use vmcommon::sync::Mutex;
 
 pub struct DeviceRegistry {
-    devices: Vec<Arc<dyn DeviceModule>>,
-    host: Arc<HostDevice>,
+    devices: Vec<Arc<CudaDev>>,
     /// The `default-device-var` ICV (`omp_get/set_default_device`).
     default_dev: AtomicI64,
-    /// Trace/metrics pid for the host shim (see [`DeviceRegistry::new`]).
+    /// Trace/metrics pid of the initial device (see [`DeviceRegistry::new`]).
     host_pid: u64,
+    /// The initial device's clock: only host-fallback time accumulates here.
+    host_clock: Mutex<DevClock>,
 }
 
 impl DeviceRegistry {
-    /// A registry over `devices` with a fresh host shim (teams of
-    /// `host_threads` by default) as the initial device; the default
-    /// device starts at 0 (or the host if there are no offload devices).
-    /// The host shim records metrics and traces under `host_pid`: a
-    /// registry that owns its whole fleet passes `devices.len()` (the
-    /// initial-device number), the batch server's single-device job views
-    /// pass the fleet size so no job's host shim lands on a real fleet
-    /// device's pid.
-    pub fn new(
-        devices: Vec<Arc<dyn DeviceModule>>,
-        host_pid: u64,
-        host_threads: usize,
-    ) -> DeviceRegistry {
+    /// A registry over `devices`; the default device starts at 0 (or the
+    /// initial device if there are no offload devices). The initial device
+    /// records metrics and traces under `host_pid`: a registry that owns
+    /// its whole fleet passes `devices.len()` (the initial-device number),
+    /// the batch server's single-device job views pass the fleet size so no
+    /// job's host activity lands on a real fleet device's pid.
+    pub fn new(devices: Vec<Arc<CudaDev>>, host_pid: u64) -> DeviceRegistry {
         DeviceRegistry {
             devices,
-            host: Arc::new(HostDevice::new(host_threads)),
             default_dev: AtomicI64::new(0),
             host_pid,
+            host_clock: Mutex::new(DevClock::default()),
         }
     }
 
-    /// The pid host-shim metrics and traces are recorded under.
+    /// The pid the initial device's metrics and traces are recorded under.
     pub fn host_pid(&self) -> u64 {
         self.host_pid
     }
@@ -60,11 +55,6 @@ impl DeviceRegistry {
     /// The initial device's number (`omp_get_initial_device`).
     pub fn initial_device_id(&self) -> i64 {
         self.devices.len() as i64
-    }
-
-    /// The host shim behind the initial device number.
-    pub fn host(&self) -> &Arc<HostDevice> {
-        &self.host
     }
 
     pub fn default_device(&self) -> i64 {
@@ -83,25 +73,37 @@ impl DeviceRegistry {
         (id as usize).min(self.devices.len())
     }
 
-    /// The module a `device()` clause value routes to.
-    pub fn resolve(&self, id: i64) -> Arc<dyn DeviceModule> {
-        let idx = self.resolve_id(id);
-        match self.devices.get(idx) {
-            Some(d) => d.clone(),
-            None => self.host.clone(),
-        }
+    /// The device a `device()` clause value routes to; `None` is the
+    /// initial device.
+    pub fn resolve(&self, id: i64) -> Option<&Arc<CudaDev>> {
+        self.devices.get(self.resolve_id(id))
     }
 
-    /// Offload device `idx`, if it exists (the host is not indexable here).
-    pub fn device(&self, idx: usize) -> Option<&Arc<dyn DeviceModule>> {
+    /// Offload device `idx`; `None` past the last one.
+    pub fn device(&self, idx: usize) -> Option<&Arc<CudaDev>> {
         self.devices.get(idx)
     }
 
-    /// Per-device clock snapshot (`idx == num_devices()` reads the host
-    /// shim's clock).
+    /// The initial device's clock (host-fallback time and count).
+    pub fn host_clock(&self) -> DevClock {
+        *self.host_clock.lock()
+    }
+
+    /// Account one host-fallback execution of a target region. Fallback
+    /// bodies run on real host threads, so the wall-clock duration is
+    /// recorded as the initial device's simulated fallback time
+    /// (documented substitution — the host has no cycle model).
+    pub fn record_fallback(&self, seconds: f64) {
+        let mut clk = self.host_clock.lock();
+        clk.fallback_s += seconds;
+        clk.fallbacks += 1;
+    }
+
+    /// Per-device clock snapshot (`idx == num_devices()` reads the
+    /// initial device's clock).
     pub fn clock_of(&self, idx: usize) -> Option<DevClock> {
         if idx == self.devices.len() {
-            return Some(self.host.clock());
+            return Some(self.host_clock());
         }
         self.devices.get(idx).map(|d| d.clock())
     }
@@ -111,8 +113,7 @@ impl DeviceRegistry {
     pub fn aggregate_clock(&self) -> DevClock {
         let mut total = DevClock::default();
         for d in &self.devices {
-            d.stream_sync();
-            total.merge(&d.clock());
+            total.merge(&d.clock_snapshot());
         }
         total
     }
@@ -122,29 +123,25 @@ impl DeviceRegistry {
         for d in &self.devices {
             d.stream_sync();
         }
-        self.host.stream_sync();
     }
 
     pub fn reset_clocks(&self) {
         for d in &self.devices {
             d.reset_clock();
         }
-        self.host.reset_clock();
+        self.host_clock.lock().reset();
     }
 
-    /// One profile row per offload device (`dev0`..) plus the host shim,
-    /// in device-number order — the rows of `obs::render_profile`.
+    /// One profile row per offload device (`dev0`..) plus the initial
+    /// device, in device-number order — the rows of `obs::render_profile`.
     pub fn profile_rows(&self) -> Vec<obs::ProfileRow> {
         let mut rows: Vec<obs::ProfileRow> = self
             .devices
             .iter()
             .enumerate()
-            .map(|(i, d)| {
-                d.stream_sync();
-                d.clock().profile_row(&format!("dev{i}"))
-            })
+            .map(|(i, d)| d.clock_snapshot().profile_row(&format!("dev{i}")))
             .collect();
-        rows.push(self.host.clock().profile_row("host"));
+        rows.push(self.host_clock().profile_row("host"));
         rows
     }
 
@@ -161,90 +158,22 @@ impl DeviceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DeviceKind;
-    use cudadev::{CudadevError, MapKind};
-    use gpusim::LaunchStats;
-    use std::sync::atomic::AtomicBool;
-    use vmcommon::MemArena;
+    use cudadev::CudaDevConfig;
 
-    /// A registry test double: available unless broken, resettable clock.
-    struct FakeDev {
-        broken: AtomicBool,
-        clock: vmcommon::sync::Mutex<DevClock>,
+    /// A lazy device (nothing is simulated until it is first used) whose
+    /// clock starts at `clock`.
+    fn seeded(clock: DevClock) -> Arc<CudaDev> {
+        let d = CudaDev::new(CudaDevConfig::default());
+        *d.clock.lock() = clock;
+        Arc::new(d)
     }
 
-    impl FakeDev {
-        fn new(kernel_s: f64) -> Arc<FakeDev> {
-            FakeDev::seeded(DevClock { kernel_s, launches: 1, ..DevClock::default() })
-        }
-
-        fn seeded(clock: DevClock) -> Arc<FakeDev> {
-            Arc::new(FakeDev {
-                broken: AtomicBool::new(false),
-                clock: vmcommon::sync::Mutex::new(clock),
-            })
-        }
-    }
-
-    impl DeviceModule for FakeDev {
-        fn kind(&self) -> DeviceKind {
-            DeviceKind::CudaGpu
-        }
-        fn is_available(&self) -> bool {
-            !self.is_broken()
-        }
-        fn is_broken(&self) -> bool {
-            self.broken.load(Ordering::Relaxed)
-        }
-        fn mark_broken(&self) {
-            self.broken.store(true, Ordering::Relaxed);
-        }
-        fn map(&self, _m: &MemArena, a: u64, _l: u64, _k: MapKind) -> Result<u64, CudadevError> {
-            Ok(a)
-        }
-        fn unmap(&self, _m: &MemArena, _a: u64, _k: MapKind) -> Result<(), CudadevError> {
-            Ok(())
-        }
-        fn update(&self, _m: &MemArena, _a: u64, _l: u64, _to: bool) -> Result<(), CudadevError> {
-            Ok(())
-        }
-        fn dev_addr(&self, a: u64) -> Option<u64> {
-            Some(a)
-        }
-        fn load_module(&self, name: &str) -> Result<Arc<sptx::Module>, CudadevError> {
-            Err(CudadevError::ModuleLoad { module: name.into(), reason: "fake".into() })
-        }
-        fn launch(
-            &self,
-            _mem: &MemArena,
-            _m: &str,
-            k: &str,
-            _g: [u32; 3],
-            _b: [u32; 3],
-            _p: Vec<u64>,
-        ) -> Result<LaunchStats, CudadevError> {
-            Err(CudadevError::Launch {
-                kernel: k.into(),
-                error: gpusim::ExecError::Trap("fake".into()),
-            })
-        }
-        fn clock(&self) -> DevClock {
-            *self.clock.lock()
-        }
-        fn reset_clock(&self) {
-            self.clock.lock().reset();
-        }
-        fn record_memcpy(&self, _s: f64, _h: u64, _d: u64) {}
-        fn raw_device(&self) -> Option<Arc<gpusim::Device>> {
-            None
-        }
-        fn take_printf_output(&self) -> String {
-            String::new()
-        }
+    fn dev(kernel_s: f64) -> Arc<CudaDev> {
+        seeded(DevClock { kernel_s, launches: 1, ..DevClock::default() })
     }
 
     fn two_dev_registry() -> DeviceRegistry {
-        DeviceRegistry::new(vec![FakeDev::new(1.0), FakeDev::new(2.0)], 2, 4)
+        DeviceRegistry::new(vec![dev(1.0), dev(2.0)], 2)
     }
 
     #[test]
@@ -262,8 +191,8 @@ mod tests {
         assert_eq!(reg.initial_device_id(), 2);
         assert_eq!(reg.resolve_id(2), 2);
         assert_eq!(reg.resolve_id(99), 2);
-        assert_eq!(reg.resolve(99).kind(), DeviceKind::Host);
-        assert!(!reg.resolve(99).is_available());
+        assert!(reg.resolve(99).is_none());
+        assert!(!reg.resolve(99).is_some_and(|d| d.is_available()));
         // Default device redirected past the end also lands on the host.
         reg.set_default_device(7);
         assert_eq!(reg.resolve_id(-1), 2);
@@ -274,8 +203,8 @@ mod tests {
         let reg = two_dev_registry();
         assert_eq!(reg.host_pid(), 2);
         // A single-device view of a larger fleet: device numbering is
-        // still 0-based locally, but the host shim's pid is pinned.
-        let reg = DeviceRegistry::new(vec![FakeDev::new(1.0)], 8, 4);
+        // still 0-based locally, but the initial device's pid is pinned.
+        let reg = DeviceRegistry::new(vec![dev(1.0)], 8);
         assert_eq!(reg.host_pid(), 8);
         assert_eq!(reg.initial_device_id(), 1);
     }
@@ -283,9 +212,9 @@ mod tests {
     #[test]
     fn breaking_one_device_leaves_the_other_available() {
         let reg = two_dev_registry();
-        reg.resolve(0).mark_broken();
-        assert!(!reg.resolve(0).is_available());
-        assert!(reg.resolve(1).is_available());
+        reg.resolve(0).unwrap().mark_broken();
+        assert!(!reg.resolve(0).unwrap().is_available());
+        assert!(reg.resolve(1).unwrap().is_available());
     }
 
     #[test]
@@ -324,7 +253,7 @@ mod tests {
             retries: 4,
             fallbacks: 2,
         };
-        let reg = DeviceRegistry::new(vec![FakeDev::seeded(busy), FakeDev::seeded(busy)], 2, 4);
+        let reg = DeviceRegistry::new(vec![seeded(busy), seeded(busy)], 2);
 
         let before = reg.aggregate_clock();
         assert_eq!(before.retries, 8);

@@ -1,7 +1,7 @@
 //! Per-device counters and histograms.
 //!
 //! Keys are `(pid, name)` where `pid` matches the trace process numbering
-//! (device number; host shim = `num_devices`). Histograms use log2 buckets
+//! (device number; initial device = `num_devices`). Histograms use log2 buckets
 //! — bucket `i` counts values with bit-length `i` — which is plenty for the
 //! quantities tracked here (bytes per transfer, cycles per launch), and
 //! supports deterministic percentile summaries ([`Hist::percentile`]): a

@@ -5,7 +5,7 @@
 //! On export they become the microsecond `ts`/`dur` fields of the Chrome
 //! trace-event format, so a trace loads directly in Perfetto or
 //! `chrome://tracing`. Each device is modeled as one trace *process*
-//! (`pid` = device number, the host shim comes last), and tracks within a
+//! (`pid` = device number, the initial device comes last), and tracks within a
 //! device (`tid`) separate the driver stream (tid 0) from per-warp
 //! in-kernel streams.
 
@@ -86,7 +86,7 @@ pub struct TraceEvent {
     pub ph: Phase,
     pub name: String,
     pub cat: &'static str,
-    /// Trace process: the device number (host shim = `num_devices`).
+    /// Trace process: the device number (initial device = `num_devices`).
     pub pid: u64,
     /// Track within the device: 0 = driver stream, warps use their own.
     pub tid: u64,

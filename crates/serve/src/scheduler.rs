@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cudadev::CudaDev;
-use devmod::{DeviceModule, DeviceRegistry};
+use devmod::DeviceRegistry;
 use vmcommon::sync::{Condvar, Mutex};
 
 use crate::{Priority, ServeError, TenantConfig};
@@ -41,7 +41,7 @@ pub enum Affinity {
     Miss,
     /// Preferred device is broken; rerouted to a healthy one.
     Reroute,
-    /// Whole fleet broken; the job runs on the host shim.
+    /// Whole fleet broken; the job runs on the initial device.
     Host,
 }
 
@@ -302,16 +302,12 @@ impl Scheduler {
     }
 
     /// The single-device registry a worker executes one job against. The
-    /// job's device is local number 0; its host shim records metrics
+    /// job's device is local number 0; its initial device records metrics
     /// under pid `fleet.len()` so per-job host activity never collides
     /// with another fleet device's pid.
-    pub fn job_registry(&self, device: Option<usize>, host_threads: usize) -> Arc<DeviceRegistry> {
-        let host_pid = self.fleet.len() as u64;
-        let devs: Vec<Arc<dyn DeviceModule>> = match device {
-            Some(d) => vec![self.fleet[d].clone() as Arc<dyn DeviceModule>],
-            None => Vec::new(),
-        };
-        Arc::new(DeviceRegistry::new(devs, host_pid, host_threads))
+    pub fn job_registry(&self, device: Option<usize>) -> Arc<DeviceRegistry> {
+        let devs = device.map(|d| self.fleet[d].clone()).into_iter().collect();
+        Arc::new(DeviceRegistry::new(devs, self.fleet.len() as u64))
     }
 }
 
@@ -448,7 +444,7 @@ mod tests {
         let p = s.next().unwrap();
         assert_eq!(p.affinity, Affinity::Host);
         assert_eq!(p.device, None);
-        let reg = s.job_registry(p.device, 4);
+        let reg = s.job_registry(p.device);
         assert_eq!(reg.num_devices(), 0);
         assert_eq!(reg.host_pid(), 2);
         s.complete("a", p.device);

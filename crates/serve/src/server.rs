@@ -14,7 +14,7 @@
 //! zeroed arena, the bytecode compiled once per program.
 //!
 //! Metrics live under the server's own pid (`fleet size + 1`; the fleet
-//! uses `0..n` and per-job host shims use `n`): `serve.jobs_submitted`,
+//! uses `0..n` and each job's initial device `n`): `serve.jobs_submitted`,
 //! `serve.jobs_completed[.tenant]`, `serve.jobs_failed`,
 //! `serve.rejected.overload[.reason]`, `serve.affinity.*`, and the
 //! `job_latency_us[.tenant]` histograms the soak harness reads p50/p95/p99
@@ -227,7 +227,7 @@ impl Server {
     }
 
     /// The shared observability sink (metrics pid map: fleet devices are
-    /// `0..n`, per-job host shims `n`, server counters [`Self::serve_pid`]).
+    /// `0..n`, per-job initial devices `n`, server counters [`Self::serve_pid`]).
     pub fn obs(&self) -> &Arc<obs::Obs> {
         &self.inner.obs
     }
@@ -281,7 +281,7 @@ fn worker_loop(inner: &Arc<Inner>) {
         };
         m.incr(inner.serve_pid, affinity, 1);
 
-        let registry = inner.sched.job_registry(p.device, inner.rc.host_threads);
+        let registry = inner.sched.job_registry(p.device);
         let (value, output) = match Runner::on(&job.app, registry, &inner.rc) {
             Ok(runner) => {
                 let value = runner.call(&job.entry, &job.args).map_err(|e| e.to_string());

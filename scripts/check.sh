@@ -130,6 +130,15 @@ if grep -rnwE 'new_cuda|with_shared_registry|CompiledCudaApp|fault_env' \
     exit 1
 fi
 
+echo "== one device type (the registry holds CudaDevs; the initial device is None) =="
+# cudadev is the device module: the registry resolves a device number to an
+# Arc<CudaDev>, or to None for the initial device, whose regions run their
+# host fallback body. No trait object or host-device stand-in sits between.
+if grep -rnwE 'DeviceModule|DeviceKind|HostDevice' crates src tests examples --include='*.rs'; then
+    echo "FAIL: the device-module trait and the host-device shim stay deleted"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

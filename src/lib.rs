@@ -17,6 +17,7 @@
 //! | [`gpusim`]   | the Maxwell SMM simulator (warps, named barriers, timing model) |
 //! | [`cudadev`]  | the OMPi device module: host part + device runtime library |
 //! | [`hostomp`]  | the host OpenMP runtime (thread teams, worksharing) |
+//! | [`devmod`]   | the device registry: cudadev GPUs by number, the host as the initial device |
 //! | [`ompi_core`]| the translator, `ompicc` driver and application runner |
 //! | [`serve`]    | the multi-tenant batch server over the device fleet |
 //! | [`unibench`] | the paper's evaluation applications |
@@ -60,7 +61,7 @@ pub use unibench;
 pub use vmcommon;
 
 pub use cudadev::{BreakerState, CudadevError, DevClock, RetryPolicy};
-pub use devmod::{DeviceKind, DeviceModule, DeviceRegistry, HostDevice};
+pub use devmod::DeviceRegistry;
 pub use gpusim::ExecMode;
 pub use gpusim::{FaultKind, FaultPlan, FaultPlanError, FaultRule, FaultSite};
 pub use nvccsim::BinMode;

@@ -19,9 +19,7 @@ use ompi_nano::minic::interp::InterpError;
 use ompi_nano::ompi_core::{DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS};
 use ompi_nano::serve::{JobSpec, ServeConfig, Server};
 use ompi_nano::unibench::{app_by_name, compile_cuda, compile_omp, max_rel_err, run_once};
-use ompi_nano::{
-    ConfigError, DeviceModule, DeviceRegistry, Ompicc, ResolvedConfig, Runner, RunnerConfig, Value,
-};
+use ompi_nano::{ConfigError, DeviceRegistry, Ompicc, ResolvedConfig, Runner, RunnerConfig, Value};
 
 /// Env vars are process globals; every test here serializes on this.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
@@ -432,7 +430,7 @@ fn setenv_after_construction_changes_nothing() {
         assert_eq!(fallbacks, 0);
 
         // The per-job view the workers build, under the same hostile env.
-        let registry = std::sync::Arc::new(DeviceRegistry::new(Vec::new(), 2, 4));
+        let registry = std::sync::Arc::new(DeviceRegistry::new(Vec::new(), 2));
         let view = Runner::on(&app, registry, server.resolved()).unwrap();
         assert!(!view.machine.hotspots_enabled());
         assert_eq!(view.machine.limits().fuel_budget(), None);

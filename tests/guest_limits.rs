@@ -3,7 +3,7 @@
 //! back as *typed* limit errors — never a panic, never a hang — with the
 //! device salvaged for the next job:
 //!
-//! * `guest_limit.<kind>` counters appear on the host shim's pid,
+//! * `guest_limit.<kind>` counters appear on the initial device's pid,
 //! * live device mappings of the aborted job are released,
 //! * the recovery breaker stays untouched (a guest limit is the guest's
 //!   fault, not the device's).

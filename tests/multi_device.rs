@@ -160,3 +160,47 @@ int main() {
     assert_eq!(runner.run_main().unwrap(), Value::I32(0));
     assert_eq!(runner.dev_clock().launches, 0, "the initial device never launches kernels");
 }
+
+/// The data directives with `device(n)` naming the initial device map
+/// nothing and move no bytes: `target data`, `target enter`/`exit data`
+/// and `target update` there are no-ops over host memory, and the program
+/// still computes the sequential answer.
+#[test]
+fn data_directives_on_the_initial_device_move_nothing() {
+    let src = r#"
+int main() {
+    int n = 64;
+    float a[64]; float b[64];
+    for (int i = 0; i < n; i++) { a[i] = 1.0f; b[i] = 5.0f; }
+    #pragma omp target data device(2) map(tofrom: a[0:n])
+    {
+        #pragma omp target teams distribute parallel for device(2) map(tofrom: a[0:n])
+        for (int i = 0; i < n; i++)
+            a[i] = a[i] + 1.0f;
+        #pragma omp target update device(2) from(a[0:n])
+    }
+    #pragma omp target enter data device(2) map(to: b[0:n])
+    for (int i = 0; i < n; i++) b[i] = 7.0f;
+    #pragma omp target update device(2) to(b[0:n])
+    #pragma omp target teams distribute parallel for device(2) map(tofrom: b[0:n])
+    for (int i = 0; i < n; i++)
+        b[i] = b[i] * 2.0f;
+    #pragma omp target exit data device(2) map(from: b[0:n])
+    for (int i = 0; i < n; i++) {
+        if (a[i] != 2.0f) return 1;
+        if (b[i] != 14.0f) return 2;
+    }
+    return 0;
+}
+"#;
+    let app = compile("initial-data", src);
+    let runner = Runner::new(&app, &two_dev_cfg(None)).unwrap();
+    assert_eq!(runner.run_main().unwrap(), Value::I32(0));
+    for d in 0..runner.num_devices() {
+        let clk = runner.dev_clock_of(d).unwrap();
+        assert_eq!(clk.launches, 0, "device {d} must launch nothing");
+        assert_eq!(clk.h2d_bytes, 0, "device {d} must receive no bytes");
+        assert_eq!(clk.d2h_bytes, 0, "device {d} must send no bytes");
+    }
+    assert_eq!(runner.dev_clock_of(2).unwrap().fallbacks, 2, "both regions ran on the host");
+}

@@ -3,7 +3,11 @@
 //! fallback attributed to the host process), the per-device profile table,
 //! and the `OMPI_TRACE` environment-variable path.
 
-use ompi_nano::{Ompicc, Runner, RunnerConfig, Value};
+use std::sync::Arc;
+
+use ompi_nano::minic::interp::InterpError;
+use ompi_nano::ompi_core::build_fleet;
+use ompi_nano::{DeviceRegistry, Ompicc, ResolvedConfig, Runner, RunnerConfig, Value};
 
 /// Two offloaded loops pinned to devices 0 and 1 (saxpy-shaped bodies).
 const TWO_DEV: &str = r#"
@@ -73,7 +77,7 @@ fn chrome_trace_of_faulty_two_device_run() {
     let arr = parsed.as_array().expect("Chrome trace array form");
     assert!(!arr.is_empty());
 
-    // One named process per device, plus the host shim.
+    // One named process per device, plus the initial device.
     let meta = events_with_ph(arr, "M");
     let named: std::collections::BTreeSet<u64> =
         meta.iter().map(|e| num(e, "pid") as u64).collect();
@@ -129,6 +133,50 @@ fn chrome_trace_of_faulty_two_device_run() {
         let e = events_with_ph(arr, "E").iter().filter(|e| num(e, "pid") as u64 == pid).count();
         assert_eq!(b, e, "unbalanced spans on pid {pid}");
     }
+}
+
+/// One region routed to the initial device of a one-device view, then a
+/// spin the fuel limit ends.
+const HOST_REGION_THEN_SPIN: &str = r#"
+int main() {
+    int n = 64;
+    float a[64];
+    for (int i = 0; i < n; i++) a[i] = 1.0f;
+    #pragma omp target teams distribute parallel for device(1) map(tofrom: a[0:n])
+    for (int i = 0; i < n; i++)
+        a[i] = a[i] + 1.0f;
+    while (a[0] == 2.0f);
+    return 0;
+}
+"#;
+
+/// A served job's registry pins the initial device's trace pid at the
+/// fleet size, which is not its local initial-device number. Its host
+/// spans and limit instants must still be stamped with the initial
+/// device's clock, not with a clock looked up by pid.
+#[test]
+fn served_job_host_events_read_the_initial_device_clock() {
+    let dir = std::env::temp_dir().join(format!("ompinano-trace-{}-served", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = Ompicc::new(&dir).compile(HOST_REGION_THEN_SPIN).unwrap();
+    let obs = obs::Obs::enabled();
+    let cfg = RunnerConfig { obs: Some(obs.clone()), fuel: Some(1_000_000), ..Default::default() };
+    let rc = ResolvedConfig::resolve(&cfg).unwrap();
+    // The batch server's view of device 0 of a two-device fleet.
+    let fleet = build_fleet(&rc, &app.kernel_dir, &obs).unwrap();
+    let registry = Arc::new(DeviceRegistry::new(fleet, 2));
+    let runner = Runner::on(&app, registry, &rc).unwrap();
+    assert!(matches!(runner.run_main(), Err(InterpError::Limit(_))));
+
+    let host = runner.dev_clock_of(runner.num_devices()).unwrap();
+    assert_eq!(host.fallbacks, 1);
+    assert!(host.fallback_s > 0.0);
+    let events = obs.tracer.events();
+    let on_host = |ph: obs::Phase| events.iter().filter(move |e| e.pid == 2 && e.ph == ph);
+    let fb_end = on_host(obs::Phase::End).next_back().expect("the fallback span must close");
+    assert_eq!(fb_end.ts_s, host.fallback_s, "fallback span end");
+    let limit = on_host(obs::Phase::Instant).find(|e| e.name == "limit").expect("limit instant");
+    assert_eq!(limit.ts_s, host.fallback_s, "limit instant");
 }
 
 /// The profile table attributes each device's simulated time to phases
