@@ -74,9 +74,9 @@ pub struct ResolvedConfig {
     pub host_mem: usize,
     /// The device knobs every fleet device shares: `global_mem`,
     /// `exec_mode`, `jit_cache_dir`, `launch_sampling`, `async_streams`,
-    /// `retry`, `launch_timeout` and `max_resets`. [`super::build_fleet`]
-    /// fills in the per-device rest (`device_id`, `kernel_dir`,
-    /// `fault_plan`, `obs`).
+    /// `launch_timeout`, `max_resets` and the default `retry` policy.
+    /// [`super::build_fleet`] fills in the per-device rest (`device_id`,
+    /// `kernel_dir`, `fault_plan`, `obs`).
     pub device: CudaDevConfig,
     pub num_devices: usize,
     /// Fault-plan text with optional `devN:` prefixes: the explicit
@@ -133,7 +133,6 @@ impl ResolvedConfig {
                 launch_sampling: cfg.launch_sampling,
                 async_streams: or_env(cfg.async_streams, || env_bool("OMPI_ASYNC"))?
                     .unwrap_or(false),
-                retry: cfg.retry,
                 launch_timeout: or_env(cfg.launch_timeout, || env_ms("OMPI_LAUNCH_TIMEOUT_MS"))?
                     .unwrap_or(DEFAULT_LAUNCH_TIMEOUT),
                 max_resets: or_env(cfg.max_resets, || env_int("OMPI_MAX_RESETS"))?

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use cudadev::{CudaDev, CudadevError, MapKind, PressureOutcome, TileParam};
 use devmod::DeviceRegistry;
 use hostomp::{HostRt, WsState};
-use minic::interp::{HookCtx, Hooks, IResult, Interp, InterpError};
+use minic::interp::{HookCtx, Hooks, IResult, InterpError};
 use vmcommon::sync::Mutex;
 use vmcommon::Value;
 
@@ -506,12 +506,8 @@ impl Hooks for OmpiHooks {
                 } else {
                     None
                 };
-                let machine = ctx.machine.clone();
-                let hooks = ctx.hooks.clone();
                 self.rt.parallel(nthr, |_tid| {
-                    let r = Interp::new(machine.clone(), hooks.clone())
-                        .and_then(|mut i| i.call(&fname, &[Value::I64(env.as_i64())]));
-                    if let Err(e) = r {
+                    if let Err(e) = ctx.call_guest(&fname, &[Value::I64(env.as_i64())]) {
                         let mut slot = self.parallel_error.lock();
                         if slot.is_none() {
                             *slot = Some(e.to_string());

@@ -9,7 +9,7 @@
 //! device), so one runner can drive several simulated GPUs with independent
 //! clocks, fault plans, and broken-device latches.
 
-use cudadev::{CudaDev, CudaDevConfig, DevClock, RetryPolicy};
+use cudadev::{CudaDev, CudaDevConfig, DevClock};
 use devmod::DeviceRegistry;
 use gpusim::{ExecMode, FaultPlan, FaultPlanError};
 use minic::interp::{IResult, Interp, InterpError, Machine};
@@ -60,8 +60,6 @@ pub struct RunnerConfig {
     /// to the `OMPI_FAULT_PLAN` environment variable, snapshotted at
     /// construction.
     pub fault_spec: Option<String>,
-    /// Retry policy for transient driver faults.
-    pub retry: RetryPolicy,
     /// Watchdog deadline for kernels and transfers: a hung operation is
     /// declared timed out after this much simulated waiting and handed to
     /// the recovery manager. `None` defers to `OMPI_LAUNCH_TIMEOUT_MS`,
@@ -106,7 +104,6 @@ impl Default for RunnerConfig {
             num_devices: 1,
             async_streams: None,
             fault_spec: None,
-            retry: RetryPolicy::default(),
             launch_timeout: None,
             max_resets: None,
             fuel: None,

@@ -966,8 +966,9 @@ impl CudaDev {
             * block[2] as u64;
 
         // Launch-level sampling: estimate repeated launches of the same
-        // kernel from the measured cycles-per-thread of earlier ones.
-        if self.cfg.launch_sampling {
+        // kernel from the measured cycles-per-thread of earlier ones, and
+        // fold every measured launch into that average.
+        let sample = if self.cfg.launch_sampling {
             let key = format!("{module}:{kernel}");
             let (count, cpt) = {
                 let h = self.launch_hist.lock();
@@ -988,32 +989,10 @@ impl CudaDev {
                 self.finish_launch(kernel, &stats);
                 return Ok(stats);
             }
-            let cfg = LaunchConfig { grid, block, params };
-            let mut run = || {
-                device.set_trace_base(self.launch_base());
-                m.launch(&device, kernel, &cfg, lib.as_ref(), self.cfg.exec_mode, None)
-            };
-            let stats = match self.retrying("launch", &mut run) {
-                Ok(s) => s,
-                Err(e) if e.is_terminal() => self
-                    .recover_terminal(Some(&device), Some(host_mem), "launch", &[], e, || {
-                        self.retrying("launch", &mut run)
-                    })
-                    .map_err(|err| match err {
-                        CudadevError::Data(error) => {
-                            CudadevError::Launch { kernel: kernel.to_string(), error }
-                        }
-                        err => err,
-                    })?,
-                Err(e) => return Err(launch_err(e)),
-            };
-            self.mark_device_dirty_params(&cfg.params);
-            let this_cpt = stats.kernel_cycles as f64 / total_threads.max(1) as f64;
-            let new_cpt = if cpt > 0.0 { 0.7 * cpt + 0.3 * this_cpt } else { this_cpt };
-            self.launch_hist.lock().insert(key, (count + 1, new_cpt));
-            self.finish_launch(kernel, &stats);
-            return Ok(stats);
-        }
+            Some((key, count, cpt))
+        } else {
+            None
+        };
 
         let cfg = LaunchConfig { grid, block, params };
         let mut run = || {
@@ -1035,6 +1014,11 @@ impl CudaDev {
             Err(e) => return Err(launch_err(e)),
         };
         self.mark_device_dirty_params(&cfg.params);
+        if let Some((key, count, cpt)) = sample {
+            let this_cpt = stats.kernel_cycles as f64 / total_threads.max(1) as f64;
+            let new_cpt = if cpt > 0.0 { 0.7 * cpt + 0.3 * this_cpt } else { this_cpt };
+            self.launch_hist.lock().insert(key, (count + 1, new_cpt));
+        }
         self.finish_launch(kernel, &stats);
         Ok(stats)
     }
@@ -1063,32 +1047,38 @@ impl CudaDev {
 
     /// Charge a completed launch to the clock and emit its kernel event
     /// plus occupancy metrics. On an async stream the launch is queued on
-    /// the stream engine instead and charged at the next flush.
+    /// the stream engine instead, charged at the next flush, and drawn on
+    /// the stream's track.
     fn finish_launch(&self, kernel: &str, stats: &LaunchStats) {
-        if let Some(s) = self.async_stream() {
-            self.async_finish_launch(s, kernel, stats);
-            return;
-        }
-        let (t0, pid) = {
-            let mut clk = self.clock.lock();
-            clk.kernel_s += stats.time_s;
-            clk.launches += 1;
-            (clk.total_s() - stats.time_s, self.pid())
+        let stream = self.async_stream();
+        let (t0, track) = match stream {
+            Some(s) => (self.async_queue_launch(s, stats), STREAM_TRACK_BASE + s as u64),
+            None => {
+                let mut clk = self.clock.lock();
+                clk.kernel_s += stats.time_s;
+                clk.launches += 1;
+                (clk.total_s() - stats.time_s, 0)
+            }
         };
+        let pid = self.pid();
         let obs = &self.cfg.obs;
+        let mut args = vec![
+            ("cycles", stats.kernel_cycles.into()),
+            ("blocks", stats.blocks_total.into()),
+            ("resident_blocks", stats.resident_blocks.into()),
+            ("waves", stats.waves.into()),
+        ];
+        if let Some(s) = stream {
+            args.push(("stream", (s as u64).into()));
+        }
         obs.tracer.complete(
             pid,
-            0,
+            track,
             &format!("kernel {kernel}"),
             "kernel",
             t0,
             stats.time_s,
-            vec![
-                ("cycles", stats.kernel_cycles.into()),
-                ("blocks", stats.blocks_total.into()),
-                ("resident_blocks", stats.resident_blocks.into()),
-                ("waves", stats.waves.into()),
-            ],
+            args,
         );
         obs.metrics.incr(pid, "launches", 1);
         obs.metrics.observe(pid, "kernel_cycles", stats.kernel_cycles);

@@ -214,7 +214,7 @@ impl CudaDev {
     /// Where a kernel queued on `stream` right now would start — the
     /// trace base for the eager simulation, so in-kernel block events
     /// line up with the scheduled kernel span. With single-threaded host
-    /// submission, the subsequent [`CudaDev::async_finish_launch`] lands
+    /// submission, the subsequent [`CudaDev::async_queue_launch`] lands
     /// on exactly this timestamp.
     pub(crate) fn async_kernel_base(&self, stream: usize) -> f64 {
         let inner = self.streams.inner.lock();
@@ -223,31 +223,15 @@ impl CudaDev {
     }
 
     /// Queue a completed (eagerly-simulated) launch on `stream`: schedule
-    /// its measured duration on the compute engine, draw the kernel span
-    /// on the stream track, and bump the launch counters.
-    pub(crate) fn async_finish_launch(&self, stream: usize, kernel: &str, stats: &LaunchStats) {
+    /// its measured duration on the compute engine and bump the launch
+    /// count. Returns the kernel's start on the stream's timeline.
+    pub(crate) fn async_queue_launch(&self, stream: usize, stats: &LaunchStats) -> f64 {
         let mut inner = self.streams.inner.lock();
         let not_before = self.clock.lock().total_s();
         let op = inner.engine.submit(stream, EngineKind::Compute, stats.time_s, not_before);
         inner.pending_kernel += stats.time_s;
         drop(inner);
         self.clock.lock().launches += 1;
-        let pid = self.pid();
-        let obs = &self.cfg.obs;
-        obs.tracer.complete(
-            pid,
-            STREAM_TRACK_BASE + stream as u64,
-            &format!("kernel {kernel}"),
-            "kernel",
-            op.start_s,
-            stats.time_s,
-            vec![
-                ("cycles", stats.kernel_cycles.into()),
-                ("blocks", stats.blocks_total.into()),
-                ("stream", (stream as u64).into()),
-            ],
-        );
-        obs.metrics.incr(pid, "launches", 1);
-        obs.metrics.observe(pid, "kernel_cycles", stats.kernel_cycles);
+        op.start_s
     }
 }

@@ -1,7 +1,7 @@
 //! Register bytecode for the mini-C host VM.
 //!
 //! [`crate::compile`] lowers an analyzed [`crate::ast::Program`] into one
-//! [`Chunk`] per function; [`crate::vm::Vm`] executes them. The design
+//! [`Chunk`] per function; [`crate::interp::Interp`] executes them. The design
 //! goals, in order: bit-identical results with the tree-walking oracle
 //! ([`crate::walker`]), then dispatch economy for the array-index / FMA
 //! shapes that dominate the UniBench loop nests.

@@ -1,6 +1,6 @@
 //! Host-side execution of mini-C programs: the [`Machine`] (one instance
 //! of a shared program [`Image`]: guest memory and run state) and the
-//! [`Interp`] execution façade.
+//! [`Interp`] that executes it.
 //!
 //! This stands in for "compile the translated C with gcc and run it on the
 //! A57 cores": the OMPi translator rewrites OpenMP constructs into plain C
@@ -8,23 +8,20 @@
 //! delegating every unknown function to pluggable [`Hooks`] (the OMPi host
 //! runtime: `hostomp` + `cudadev`).
 //!
-//! Two engines implement the same semantics:
-//!
-//! * [`crate::vm::Vm`] — the production engine: programs are compiled once
-//!   per image to register bytecode ([`crate::compile`] →
-//!   [`crate::bytecode`]) and dispatched from a flat instruction array.
-//! * [`crate::walker::TreeWalker`] — the original tree-walking
-//!   interpreter, retained as the differential-test oracle.
-//!
-//! [`Interp::new`] picks the engine from the machine: always the VM unless
-//! a test selected the oracle with [`Machine::set_engine`]. Both engines
-//! produce bit-identical results — same values, same traps, same output —
-//! which the differential tests assert.
+//! [`Interp`] is the register bytecode VM ([`crate::vm`]): programs are
+//! compiled once per image to bytecode ([`crate::compile`] →
+//! [`crate::bytecode`]) and dispatched from a flat instruction array. The
+//! original tree-walking interpreter, [`crate::walker::TreeWalker`],
+//! implements the same semantics and is kept as the differential-test
+//! oracle: tests build one or the other on a fresh machine and assert
+//! bit-identical results — same values, same traps, same output. Guest
+//! code a hook re-enters ([`HookCtx::call_guest`]) runs on the engine
+//! that made the hook call.
 //!
 //! All program state lives in a guest [`MemArena`], so `&x`, pointer
 //! arithmetic and byte-exact `memcpy` to the simulated device all behave
 //! like real C. Execution is thread-safe: host `parallel` regions run one
-//! `Interp` per OS thread over the shared arena.
+//! execution context per OS thread over the shared arena.
 //!
 //! A runner builds one [`Image`] per program and a fresh [`Machine`] per
 //! job ([`Machine::instantiate`]): the arena of a multi-MiB machine is a
@@ -50,6 +47,7 @@ use crate::limits::{GuestLimitError, GuestLimits};
 use crate::sema::ProgramInfo;
 
 pub use crate::rt::convert;
+pub use crate::vm::Interp;
 
 /// Which frontend stage rejected the program.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,17 +190,30 @@ impl Hooks for NoHooks {
     }
 }
 
+/// Runs one guest call on a fresh execution context of the engine that
+/// built the [`HookCtx`].
+pub(crate) type GuestCall = fn(Arc<Machine>, Arc<dyn Hooks>, &str, &[Value]) -> IResult<Value>;
+
 /// Context handed to hooks: enough to re-enter guest code and touch memory.
 pub struct HookCtx<'a> {
     pub machine: &'a Arc<Machine>,
     pub hooks: &'a Arc<dyn Hooks>,
+    call: GuestCall,
 }
 
 impl<'a> HookCtx<'a> {
-    /// Call a guest function on the current thread (fresh stack).
+    pub(crate) fn new(
+        machine: &'a Arc<Machine>,
+        hooks: &'a Arc<dyn Hooks>,
+        call: GuestCall,
+    ) -> HookCtx<'a> {
+        HookCtx { machine, hooks, call }
+    }
+
+    /// Call a guest function on the current thread (fresh stack), on the
+    /// engine that made this hook call.
     pub fn call_guest(&self, name: &str, args: &[Value]) -> IResult<Value> {
-        let mut i = Interp::new(self.machine.clone(), self.hooks.clone())?;
-        i.call(name, args)
+        (self.call)(self.machine.clone(), self.hooks.clone(), name, args)
     }
 
     pub fn mem(&self) -> &MemArena {
@@ -212,15 +223,6 @@ impl<'a> HookCtx<'a> {
 
 /// Where `printf` and friends write.
 pub type OutputSink = dyn Fn(&str) + Send + Sync;
-
-/// Which execution engine an [`Interp`] uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Engine {
-    /// Register bytecode VM (production default).
-    Vm,
-    /// Tree-walking oracle.
-    Walker,
-}
 
 /// Totals drained from a machine's VM dispatch counters
 /// (see [`Machine::drain_vm_counters`]).
@@ -268,15 +270,13 @@ pub struct Machine {
     /// Global initializers: [`GLOBALS_PENDING`], [`GLOBALS_STARTED`] or
     /// [`GLOBALS_FAILED`].
     globals: AtomicU8,
-    /// Engine for new [`Interp`]s: 0 = VM, 1 = walker.
-    engine: AtomicU8,
     /// VM observability: instructions dispatched, then per-category counts.
     vm_counters: [AtomicU64; 7],
     /// Attribute VM dispatch to source lines (costs nothing while the VM
     /// runs: the flush derives per-pc hits from the run-entry counts).
     hotspots: AtomicBool,
     /// Accumulated per-(chunk, line) dispatch counts, folded in by
-    /// [`crate::vm::Vm`] once per top-level call.
+    /// [`Interp`] once per top-level call.
     line_hits: Mutex<HashMap<(u32, u32), [u64; 6]>>,
     /// Guest resource governor: fuel, memory ceiling, stack depth,
     /// deadline. Shared by both engines and the runtime builtins.
@@ -321,7 +321,6 @@ impl Machine {
             output: Mutex::new(None),
             captured: Mutex::new(String::new()),
             globals: AtomicU8::new(GLOBALS_PENDING),
-            engine: AtomicU8::new(Engine::Vm as u8),
             vm_counters: Default::default(),
             hotspots: AtomicBool::new(false),
             line_hits: Mutex::new(HashMap::new()),
@@ -343,21 +342,6 @@ impl Machine {
     /// The image this machine is an instance of.
     pub fn image(&self) -> &Arc<Image> {
         &self.image
-    }
-
-    /// Engine used by new [`Interp`]s on this machine.
-    pub fn engine(&self) -> Engine {
-        if self.engine.load(Ordering::Relaxed) == Engine::Walker as u8 {
-            Engine::Walker
-        } else {
-            Engine::Vm
-        }
-    }
-
-    /// Override the execution engine (tests, A/B measurement). Affects
-    /// [`Interp`]s created after the call.
-    pub fn set_engine(&self, engine: Engine) {
-        self.engine.store(engine as u8, Ordering::Relaxed);
     }
 
     /// Add a VM execution's dispatch counts (flushed once per top-level
@@ -565,39 +549,5 @@ pub fn visit_child_stmts(s: &Stmt, f: &mut dyn FnMut(&Stmt)) {
             }
         }
         _ => {}
-    }
-}
-
-/// An execution context: one per OS thread, with its own guest stack.
-///
-/// A façade over the machine-selected engine; all production callers
-/// (`core` runner, `hostomp` teams, `cudadev` replay) go through this.
-pub enum Interp {
-    Vm(crate::vm::Vm),
-    Walker(crate::walker::TreeWalker),
-}
-
-impl Interp {
-    /// Create an execution context with a fresh guest stack, using the
-    /// machine's configured [`Engine`]. Runs global initializers on first
-    /// creation per machine.
-    pub fn new(machine: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Interp> {
-        match machine.engine() {
-            Engine::Vm => Ok(Interp::Vm(crate::vm::Vm::new(machine, hooks)?)),
-            Engine::Walker => Ok(Interp::Walker(crate::walker::TreeWalker::new(machine, hooks)?)),
-        }
-    }
-
-    /// Run `main` (or any entry) with no arguments.
-    pub fn run_main(&mut self) -> IResult<Value> {
-        self.call("main", &[])
-    }
-
-    /// Call a guest function by name.
-    pub fn call(&mut self, name: &str, args: &[Value]) -> IResult<Value> {
-        match self {
-            Interp::Vm(v) => v.call(name, args),
-            Interp::Walker(w) => w.call(name, args),
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! The register bytecode VM — the production host executor.
+//! The register bytecode VM, [`Interp`] — the host executor.
 //!
 //! Executes [`crate::bytecode::CompiledProgram`]s produced by
 //! [`crate::compile`]: one per [`crate::Image`], shared by every machine
@@ -8,7 +8,7 @@
 //! walker's `load_typed`/`store_typed` byte-for-byte, and trap conditions
 //! carry the walker's exact messages. Only dispatch cost differs.
 //!
-//! Execution model: one `Value` register stack per `Vm`, on which each
+//! Execution model: one `Value` register stack per [`Interp`], on which each
 //! guest call pushes a window of its chunk's `nregs` registers (the
 //! compiler pre-resolves scalar locals into window slots; a call's
 //! arguments are read in place from the caller's window, so no call
@@ -28,7 +28,7 @@
 //! (frame entry, call return, either arm of a branch) adds its length
 //! ([`crate::bytecode::Chunk::run_len`]) to the unbilled fuel, checks the
 //! fuel/deadline checkpoint once enough has accumulated, and bumps one
-//! entry counter in a flat per-`Vm` buffer. When the top-level call
+//! entry counter in a flat per-[`Interp`] buffer. When the top-level call
 //! returns, the entry counts flush to the machine's atomic counters as
 //! the instruction count, its six dispatch categories and (with hotspots
 //! on) per-pc hits (see `obs`'s `vm.*` metrics). Every dispatched op
@@ -47,7 +47,7 @@ use crate::limits::{GuestLimitError, FUEL_CHECK_INTERVAL};
 use crate::rt;
 
 /// An execution context: one per OS thread, with its own guest stack.
-pub struct Vm {
+pub struct Interp {
     machine: Arc<Machine>,
     hooks: Arc<dyn Hooks>,
     stack_block: u64,
@@ -68,14 +68,14 @@ pub struct Vm {
     regs: Vec<Value>,
 }
 
-impl Vm {
+impl Interp {
     /// Create a VM with a fresh guest stack. Runs global initializers on
     /// first creation per machine (compiling the image's program if no
     /// machine has yet).
-    pub fn new(machine: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Vm> {
+    pub fn new(machine: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Interp> {
         let stack_block = machine.heap.lock().alloc(STACK_SIZE)?;
         let hot = machine.hotspots_enabled();
-        let mut vm = Vm {
+        let mut vm = Interp {
             machine,
             hooks,
             stack_block,
@@ -247,7 +247,7 @@ impl Vm {
     }
 
     /// The dispatch loop, over an explicit guest call stack. `entries` is
-    /// the run-entry buffer (see [`Vm::entries`]), sized for `prog`.
+    /// the run-entry buffer (see [`Interp::entries`]), sized for `prog`.
     fn run(
         &mut self,
         prog: &CompiledProgram,
@@ -468,7 +468,7 @@ impl Vm {
                         let name = &prog.strs[*name as usize];
                         let a = *abase as usize;
                         let hooks = self.hooks.clone();
-                        let ctx = HookCtx { machine: &machine, hooks: &self.hooks };
+                        let ctx = HookCtx::new(&machine, &self.hooks, call_fresh);
                         match hooks.call(name, &regs[a..a + *nargs as usize], &ctx)? {
                             Some(v) => regs[*dst as usize] = v,
                             None => {
@@ -496,7 +496,7 @@ impl Vm {
                         let b = dim3_from(regs, *gb + 3);
                         let a = *abase as usize;
                         let hooks = self.hooks.clone();
-                        let ctx = HookCtx { machine: &machine, hooks: &self.hooks };
+                        let ctx = HookCtx::new(&machine, &self.hooks, call_fresh);
                         hooks.kernel_launch(name, g, b, &regs[a..a + *nargs as usize], &ctx)?;
                     }
                     Op::DimFix { dst, src } => {
@@ -619,10 +619,20 @@ struct Frame {
     reg_base: usize,
 }
 
-impl Drop for Vm {
+impl Drop for Interp {
     fn drop(&mut self) {
         let _ = self.machine.heap.lock().free(self.stack_block);
     }
+}
+
+/// [`HookCtx::call_guest`] on the VM.
+fn call_fresh(
+    machine: Arc<Machine>,
+    hooks: Arc<dyn Hooks>,
+    name: &str,
+    args: &[Value],
+) -> IResult<Value> {
+    Interp::new(machine, hooks)?.call(name, args)
 }
 
 /// Fused element address: the walker's `(p + i * stride)` with its null

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use vmcommon::Value;
 
-use super::Vm;
+use super::Interp;
 use crate::ast::BinOp;
 use crate::bytecode::{run_lens, Chunk, CompiledProgram, Op, ParamSpec, TyK, R};
 use crate::interp::{Machine, NoHooks};
@@ -44,7 +44,7 @@ const CMPS: [BinOp; 6] = [BinOp::Lt, BinOp::Le, BinOp::Gt, BinOp::Ge, BinOp::Eq,
 
 /// A VM to run hand-built chunks on; `consts[0..2]` are `I32(0)`, `I32(1)`.
 struct Bench {
-    vm: Vm,
+    vm: Interp,
     consts: Vec<Value>,
 }
 
@@ -53,7 +53,7 @@ impl Bench {
         let m = Machine::from_source_with_mem("int main() { return 0; }", 8 << 20).unwrap();
         let mut consts = vec![Value::I32(0), Value::I32(1)];
         consts.extend_from_slice(extra);
-        Bench { vm: Vm::new(m, Arc::new(NoHooks)).unwrap(), consts }
+        Bench { vm: Interp::new(m, Arc::new(NoHooks)).unwrap(), consts }
     }
 
     /// Bit-exact outcome of `code` with `args` in registers `0..`.

@@ -1,12 +1,14 @@
 //! The tree-walking interpreter, retained as the differential-test
 //! oracle for the bytecode VM.
 //!
-//! This was the original production executor; all production paths now
-//! run [`crate::vm::Vm`] through the [`crate::interp::Interp`] façade.
-//! The walker survives because its semantics are the executable
-//! specification: differential tests run both engines over the same
-//! programs and assert bit-identical results (a test selects it per
-//! machine with `Machine::set_engine`; there is no runtime selector).
+//! This was the original production executor; every production path now
+//! runs the VM, [`crate::interp::Interp`], and nothing outside tests
+//! builds a [`TreeWalker`]. The walker survives because its semantics are
+//! the executable specification: differential tests build both engines
+//! over the same programs and assert bit-identical results. A guest call
+//! a hook re-enters ([`HookCtx::call_guest`]) runs on a fresh walker, so
+//! the oracle stays complete through the runtime hooks too (host
+//! `parallel` team threads included).
 
 use std::sync::Arc;
 
@@ -376,7 +378,7 @@ impl TreeWalker {
                     vals.push(self.eval(a)?);
                 }
                 let hooks = self.hooks.clone();
-                let ctx = HookCtx { machine: &self.machine, hooks: &self.hooks };
+                let ctx = HookCtx::new(&self.machine, &self.hooks, call_fresh);
                 hooks.kernel_launch(callee, g, b, &vals, &ctx)?;
                 Ok(Value::I32(0))
             }
@@ -694,7 +696,7 @@ impl TreeWalker {
             return rt::call_builtin(&self.machine, which, &vals);
         }
         let hooks = self.hooks.clone();
-        let ctx = HookCtx { machine: &self.machine, hooks: &self.hooks };
+        let ctx = HookCtx::new(&self.machine, &self.hooks, call_fresh);
         if let Some(v) = hooks.call(callee, &vals, &ctx)? {
             return Ok(v);
         }
@@ -727,4 +729,14 @@ impl Drop for TreeWalker {
     fn drop(&mut self) {
         let _ = self.machine.heap.lock().free(self.stack_block);
     }
+}
+
+/// [`HookCtx::call_guest`] on the walker.
+fn call_fresh(
+    machine: Arc<Machine>,
+    hooks: Arc<dyn Hooks>,
+    name: &str,
+    args: &[Value],
+) -> IResult<Value> {
+    TreeWalker::new(machine, hooks)?.call(name, args)
 }

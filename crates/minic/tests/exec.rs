@@ -5,26 +5,43 @@
 
 use std::sync::Arc;
 
-use minic::interp::{Engine, HookCtx, Hooks, IResult, Interp, InterpError, Machine, NoHooks};
+use minic::interp::{HookCtx, Hooks, IResult, Interp, InterpError, Machine, NoHooks};
+use minic::walker::TreeWalker;
 use vmcommon::Value;
 
-const ENGINES: [Engine; 2] = [Engine::Vm, Engine::Walker];
+/// A fresh execution context over a machine, as a guest-call closure.
+type Ctx = Box<dyn FnMut(&str, &[Value]) -> IResult<Value>>;
+
+/// Builds one engine's [`Ctx`]; the first on a machine runs its global
+/// initializers.
+type Build = fn(Arc<Machine>, Arc<dyn Hooks>) -> IResult<Ctx>;
+
+fn vm(m: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Ctx> {
+    let mut i = Interp::new(m, hooks)?;
+    Ok(Box::new(move |name, args| i.call(name, args)))
+}
+
+fn walker(m: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Ctx> {
+    let mut w = TreeWalker::new(m, hooks)?;
+    Ok(Box::new(move |name, args| w.call(name, args)))
+}
+
+const ENGINES: [(&str, Build); 2] = [("vm", vm), ("walker", walker)];
 
 /// Run `main` under one engine on a fresh machine.
-fn run_on(engine: Engine, src: &str) -> (Arc<Machine>, Value) {
+fn run_on(build: Build, src: &str) -> (Arc<Machine>, Value) {
     let m = Machine::from_source(src).unwrap();
-    m.set_engine(engine);
-    let mut i = Interp::new(m.clone(), Arc::new(NoHooks)).unwrap();
-    let v = i.run_main().unwrap();
+    let mut i = build(m.clone(), Arc::new(NoHooks)).unwrap();
+    let v = i("main", &[]).unwrap();
     (m, v)
 }
 
 /// Assert `main` returns `want` and prints `out` under both engines.
 fn check(src: &str, want: Value, out: &str) {
-    for e in ENGINES {
-        let (m, v) = run_on(e, src);
-        assert_eq!(v, want, "return value under {e:?}");
-        assert_eq!(m.take_output(), out, "output under {e:?}");
+    for (e, build) in ENGINES {
+        let (m, v) = run_on(build, src);
+        assert_eq!(v, want, "return value under {e}");
+        assert_eq!(m.take_output(), out, "output under {e}");
     }
 }
 
@@ -35,11 +52,10 @@ fn check_ret(src: &str, want: i32) {
 /// Assert `main` fails with the SAME error string under both engines.
 fn check_err(src: &str) {
     let mut msgs = Vec::new();
-    for e in ENGINES {
+    for (_, build) in ENGINES {
         let m = Machine::from_source(src).unwrap();
-        m.set_engine(e);
-        let mut i = Interp::new(m, Arc::new(NoHooks)).unwrap();
-        msgs.push(i.run_main().unwrap_err().to_string());
+        let mut i = build(m, Arc::new(NoHooks)).unwrap();
+        msgs.push(i("main", &[]).unwrap_err().to_string());
     }
     assert_eq!(msgs[0], msgs[1], "vm and walker error messages differ");
 }
@@ -374,11 +390,10 @@ fn hooks_receive_unknown_calls() {
             }
         }
     }
-    for e in ENGINES {
+    for (_, build) in ENGINES {
         let m = Machine::from_source("int main() { return magic(4); }").unwrap();
-        m.set_engine(e);
-        let mut i = Interp::new(m, Arc::new(H)).unwrap();
-        assert_eq!(i.run_main().unwrap(), Value::I32(40));
+        let mut i = build(m, Arc::new(H)).unwrap();
+        assert_eq!(i("main", &[]).unwrap(), Value::I32(40));
     }
 }
 
@@ -396,14 +411,13 @@ fn hook_can_reenter_guest() {
             }
         }
     }
-    for e in ENGINES {
+    for (_, build) in ENGINES {
         let m = Machine::from_source(
             "int work(int x) { return x * 100; } int main() { return call_twice(); }",
         )
         .unwrap();
-        m.set_engine(e);
-        let mut i = Interp::new(m, Arc::new(H)).unwrap();
-        assert_eq!(i.run_main().unwrap(), Value::I32(300));
+        let mut i = build(m, Arc::new(H)).unwrap();
+        assert_eq!(i("main", &[]).unwrap(), Value::I32(300));
     }
 }
 
@@ -414,19 +428,18 @@ fn dim3_variables() {
 
 #[test]
 fn concurrent_interps_share_memory() {
-    for e in ENGINES {
+    for (_, build) in ENGINES {
         let m = Machine::from_source(
             "int counter; void bump() { counter = counter + 1; } int main() { return 0; }",
         )
         .unwrap();
-        m.set_engine(e);
         let g = m.image().global_addr("counter").unwrap();
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let m = m.clone();
                 s.spawn(move || {
-                    let mut i = Interp::new(m, Arc::new(NoHooks)).unwrap();
-                    i.call("bump", &[]).unwrap();
+                    let mut i = build(m, Arc::new(NoHooks)).unwrap();
+                    i("bump", &[]).unwrap();
                 });
             }
         });
@@ -470,13 +483,12 @@ fn sizeof_expressions() {
 /// produce it byte for byte even though they meter at different
 /// granularities.
 fn check_limit_err(src: &str, configure: fn(&Machine), want: &str) {
-    for e in ENGINES {
+    for (e, build) in ENGINES {
         let m = Machine::from_source(src).unwrap();
-        m.set_engine(e);
         configure(&m);
-        let mut i = Interp::new(m, Arc::new(NoHooks)).unwrap();
-        let got = i.run_main().unwrap_err().to_string();
-        assert_eq!(got, want, "limit trap under {e:?}");
+        let mut i = build(m, Arc::new(NoHooks)).unwrap();
+        let got = i("main", &[]).unwrap_err().to_string();
+        assert_eq!(got, want, "limit trap under {e}");
     }
 }
 
@@ -518,22 +530,21 @@ fn guest_mem_limit_message_is_engine_identical() {
 #[test]
 fn failed_global_initializer_poisons_the_machine() {
     let src = "int spin() { while (1); return 1; } int g = spin(); int main() { return g; }";
-    for e in ENGINES {
+    for (e, build) in ENGINES {
         let m = Machine::from_source(src).unwrap();
-        m.set_engine(e);
         m.limits().set_fuel(Some(50_000));
-        let first = Interp::new(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i.run_main());
+        let first = build(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i("main", &[]));
         assert_eq!(
             first.unwrap_err().to_string(),
             "guest limit: guest fuel exhausted (budget 50000 instructions)",
-            "first call under {e:?}"
+            "first call under {e}"
         );
         m.limits().set_fuel(None);
         for call in 2..4 {
-            let later = Interp::new(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i.run_main());
+            let later = build(m.clone(), Arc::new(NoHooks)).and_then(|mut i| i("main", &[]));
             assert!(
                 matches!(later, Err(InterpError::InitFailed)),
-                "call {call} under {e:?} must be InitFailed, got {later:?}"
+                "call {call} under {e} must be InitFailed, got {later:?}"
             );
         }
     }

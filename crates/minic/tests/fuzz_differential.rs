@@ -20,7 +20,9 @@
 
 use std::sync::Arc;
 
-use minic::interp::{Engine, Interp, Machine, NoHooks};
+use minic::interp::{Hooks, IResult, Interp, Machine, NoHooks};
+use minic::walker::TreeWalker;
+use vmcommon::Value;
 
 /// Generous budget: orders of magnitude above what a generated program
 /// needs unless it contains a genuinely unbounded loop.
@@ -29,20 +31,38 @@ const FUEL: u64 = 500_000;
 /// The whole run of one engine, flattened for comparison.
 type Outcome = Result<(String, String), String>;
 
-fn run_engine(src: &str, engine: Engine) -> Outcome {
+/// A fresh execution context over a machine, as a guest-call closure.
+type Ctx = Box<dyn FnMut(&str, &[Value]) -> IResult<Value>>;
+
+/// Builds one engine's [`Ctx`]; the first on a machine runs its global
+/// initializers.
+type Build = fn(Arc<Machine>, Arc<dyn Hooks>) -> IResult<Ctx>;
+
+fn vm(m: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Ctx> {
+    let mut i = Interp::new(m, hooks)?;
+    Ok(Box::new(move |name, args| i.call(name, args)))
+}
+
+fn walker(m: Arc<Machine>, hooks: Arc<dyn Hooks>) -> IResult<Ctx> {
+    let mut w = TreeWalker::new(m, hooks)?;
+    Ok(Box::new(move |name, args| w.call(name, args)))
+}
+
+const ENGINES: [(&str, Build); 2] = [("vm", vm), ("walker", walker)];
+
+fn run_engine(src: &str, build: Build) -> Outcome {
     let m = match Machine::from_source(src) {
         Ok(m) => m,
         // A frontend rejection is engine-independent by construction; it
         // still must not panic, which reaching here proves.
         Err(e) => return Err(format!("frontend: {e}")),
     };
-    m.set_engine(engine);
     m.limits().set_fuel(Some(FUEL));
-    let mut i = match Interp::new(m.clone(), Arc::new(NoHooks)) {
+    let mut i = match build(m.clone(), Arc::new(NoHooks)) {
         Ok(i) => i,
         Err(e) => return Err(format!("init: {e}")),
     };
-    match i.run_main() {
+    match i("main", &[]) {
         Ok(v) => Ok((format!("{v:?}"), m.take_output())),
         Err(e) => Err(e.to_string()),
     }
@@ -83,7 +103,7 @@ fn run_both(seed: u64, src: &str) -> Option<(Outcome, Outcome)> {
     std::thread::Builder::new()
         .name(format!("fuzz-{seed}"))
         .stack_size(64 << 20)
-        .spawn(move || (run_engine(&src, Engine::Vm), run_engine(&src, Engine::Walker)))
+        .spawn(move || (run_engine(&src, vm), run_engine(&src, walker)))
         .expect("spawn fuzz worker")
         .join()
         .ok()
@@ -134,16 +154,15 @@ fn the_loop_pass_fires_in_compared_programs() {
 #[test]
 fn hostile_loop_terminates_under_fuel() {
     let src = "int main() { while (1); return 0; }";
-    for engine in [Engine::Vm, Engine::Walker] {
+    for (engine, build) in ENGINES {
         let m = Machine::from_source(src).unwrap();
-        m.set_engine(engine);
         m.limits().set_fuel(Some(10_000));
-        let mut i = Interp::new(m, Arc::new(NoHooks)).unwrap();
-        let err = i.run_main().unwrap_err();
+        let mut i = build(m, Arc::new(NoHooks)).unwrap();
+        let err = i("main", &[]).unwrap_err();
         assert_eq!(
             err.to_string(),
             "guest limit: guest fuel exhausted (budget 10000 instructions)",
-            "under {engine:?}"
+            "under {engine}"
         );
     }
 }

@@ -97,15 +97,17 @@ pub fn host_machine(app: &App, n: u32) -> IResult<Arc<Machine>> {
     Machine::from_source_with_mem(app.omp_src, ((app.footprint)(n) + slack) as usize)
 }
 
-/// Run an app's guest `run(...)` host-sequentially on `m`'s current engine
-/// (no OMPi translation, no device hooks). Same buffer discipline as
-/// [`run_once`].
+/// Run an app's guest `run(...)` host-sequentially on the VM (no OMPi
+/// translation, no device hooks). Same buffer discipline as [`run_once`].
 pub fn run_host_once(app: &App, m: &Arc<Machine>, n: u32) -> IResult<Vec<f32>> {
     let mut i = Interp::new(m.clone(), Arc::new(NoHooks))?;
     run_entry(app, m, n, |args| i.call("run", args))
 }
 
-fn run_entry(
+/// Set up an app's buffers in `m`, pass them to `call` (which runs the
+/// guest `run(...)` entry on an engine of the caller's choice), read the
+/// outputs and free the buffers.
+pub fn run_entry(
     app: &App,
     m: &Arc<Machine>,
     n: u32,

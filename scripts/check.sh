@@ -10,7 +10,7 @@ echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic exe
 # The obs crate starts split (trace/metrics/profile/json, plus the PR-8
 # flight recorder and hotspots modules, covered by the same find); keep
 # it that way.
-# The minic execution engine starts split too (interp facade / walker
+# The minic execution engine starts split too (interp machine / walker
 # oracle / bytecode / compile/{mod,expr,specialize,loops} / vm / rt, plus the
 # PR-9 guest resource governor and the fuzz generator); keep each layer
 # under the cap rather than letting the VM regrow into a monolith. (The parser
@@ -136,6 +136,16 @@ echo "== one device type (the registry holds CudaDevs; the initial device is Non
 # host fallback body. No trait object or host-device stand-in sits between.
 if grep -rnwE 'DeviceModule|DeviceKind|HostDevice' crates src tests examples --include='*.rs'; then
     echo "FAIL: the device-module trait and the host-device shim stay deleted"
+    exit 1
+fi
+
+echo "== one host engine (Interp is the VM; tests build the walker oracle directly) =="
+# Production runs every guest call on the bytecode VM; the tree walker is a
+# reference implementation that only tests construct, so no engine switch
+# or enum arm may bring it back into the production build.
+if grep -rnE 'set_engine|Engine::Vm|Engine::Walker|Interp::Walker' \
+    crates src tests examples --include='*.rs'; then
+    echo "FAIL: the engine selector stays deleted; tests build TreeWalker::new directly"
     exit 1
 fi
 

@@ -210,3 +210,57 @@ fn nowait_and_taskwait_are_harmless_without_async_streams() {
     assert_eq!(runner.run_main().unwrap(), Value::I32(0));
     assert_eq!(runner.dev_clock().overlap_s, 0.0);
 }
+
+/// One combined region whose grid (32 teams of 256 threads) is four times
+/// what the SM holds at once (8 blocks of 256 threads), so it runs in four
+/// waves.
+const FOUR_WAVES: &str = r#"
+int main() {
+    int n = 8192;
+    float v[8192];
+    for (int i = 0; i < n; i++) v[i] = 0.0f;
+    #pragma omp target teams distribute parallel for num_teams(32) thread_limit(256) \
+        map(tofrom: v[0:n])
+    for (int i = 0; i < n; i++) v[i] = (float) i * 0.5f;
+    return (int) v[n - 1];
+}
+"#;
+
+/// A launch records the same occupancy data whether it finishes on the
+/// synchronous clock or on an async stream: the `occupancy_limited_blocks`
+/// counter, and `resident_blocks`/`waves` on its kernel event.
+#[test]
+fn async_launches_record_occupancy_like_sync_ones() {
+    let dir = std::env::temp_dir().join(format!("ompinano-waves-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = Ompicc::new(&dir).compile(FOUR_WAVES).unwrap();
+    for async_streams in [false, true] {
+        let obs = obs::Obs::enabled();
+        let cfg = RunnerConfig {
+            async_streams: Some(async_streams),
+            obs: Some(obs.clone()),
+            ..Default::default()
+        };
+        let runner = Runner::new(&app, &cfg).unwrap();
+        assert_eq!(runner.run_main().unwrap(), Value::I32(4095));
+        assert_eq!(runner.dev_clock().launches, 1, "the region must run on the device");
+        let limited = obs.metrics.counter(0, "occupancy_limited_blocks");
+        assert_eq!(limited, 32 - 8, "occupancy_limited_blocks, async = {async_streams}");
+
+        let path = dir.join(format!("trace-{async_streams}.json"));
+        runner.write_trace(&path).unwrap();
+        let parsed = obs::json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let kernel = parsed
+            .as_array()
+            .expect("Chrome trace array form")
+            .iter()
+            .find(|e| name_of(e).starts_with("kernel ") && num(e, "pid") as u64 == 0)
+            .expect("a kernel event on device 0")
+            .clone();
+        let args = kernel.get("args").expect("kernel event args");
+        let arg = |k: &str| args.get(k).and_then(|v| v.as_f64());
+        assert_eq!(arg("waves"), Some(4.0), "async = {async_streams}");
+        assert_eq!(arg("resident_blocks"), Some(8.0), "async = {async_streams}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -177,8 +177,8 @@ fn malformed_limit_env_is_a_construction_error() {
 /// results or the simulated clock.)
 #[test]
 fn generous_limits_do_not_perturb_results() {
-    use minic::interp::Engine;
-    use ompi_nano::unibench::{app_by_name, compile_omp, run_once, runner_config};
+    use minic::walker::TreeWalker;
+    use ompi_nano::unibench::{app_by_name, compile_omp, run_entry, run_once, runner_config};
     use ompi_nano::ExecMode;
 
     let _g = ENV_LOCK.lock().unwrap();
@@ -191,24 +191,31 @@ fn generous_limits_do_not_perturb_results() {
         let runner = Runner::new(&compiled, &base_cfg).unwrap();
         run_once(&app, &runner, n).unwrap()
     };
-    for engine in [Engine::Vm, Engine::Walker] {
-        let cfg = RunnerConfig {
-            fuel: Some(200_000_000),
-            guest_mem: Some(1 << 32),
-            guest_stack: Some(200),
-            job_timeout: Some(std::time::Duration::from_secs(600)),
-            ..base_cfg.clone()
-        };
+    let cfg = RunnerConfig {
+        fuel: Some(200_000_000),
+        guest_mem: Some(1 << 32),
+        guest_stack: Some(200),
+        job_timeout: Some(std::time::Duration::from_secs(600)),
+        ..base_cfg.clone()
+    };
+    for engine in ["vm", "walker"] {
         let runner = Runner::new(&compiled, &cfg).unwrap();
-        runner.machine.set_engine(engine);
-        let out = run_once(&app, &runner, n)
-            .unwrap_or_else(|e| panic!("generous limits tripped under {engine:?}: {e}"));
+        let out = if engine == "vm" {
+            run_once(&app, &runner, n)
+        } else {
+            let (m, hooks) = (&runner.machine, &runner.hooks);
+            m.limits().arm_deadline(cfg.job_timeout);
+            run_entry(&app, m, n, |args| {
+                TreeWalker::new(m.clone(), hooks.clone())?.call("run", args)
+            })
+        }
+        .unwrap_or_else(|e| panic!("generous limits tripped under {engine}: {e}"));
         assert_eq!(out.len(), baseline.len());
         for (i, (a, b)) in out.iter().zip(&baseline).enumerate() {
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
-                "{engine:?}: output[{i}] differs under generous limits ({a} vs {b})"
+                "{engine}: output[{i}] differs under generous limits ({a} vs {b})"
             );
         }
     }

@@ -4,9 +4,10 @@
 
 use std::sync::Arc;
 
-use minic::interp::Engine;
+use minic::interp::NoHooks;
+use minic::walker::TreeWalker;
 use ompi_nano::unibench::{
-    app_by_name, compile_omp, host_machine, run_host_once, run_once, runner_config,
+    app_by_name, compile_omp, host_machine, run_entry, run_host_once, run_once, runner_config,
 };
 use ompi_nano::{ExecMode, Runner};
 
@@ -17,14 +18,11 @@ fn work(tag: &str) -> std::path::PathBuf {
 }
 
 /// The fig4 `--hotspots` attribution pass: a dedicated host-sequential
-/// run with the VM engine and per-pc counting forced, regardless of what
-/// engine the caller had selected.
-fn gemm_attribution(ambient: Engine) -> Vec<minic::interp::LineHit> {
+/// run on the VM with per-pc counting on.
+fn gemm_attribution() -> Vec<minic::interp::LineHit> {
     let app = app_by_name("gemm").expect("gemm");
     let n = app.test_size;
     let m = host_machine(&app, n).unwrap();
-    m.set_engine(ambient); // what `--engine` picked...
-    m.set_engine(Engine::Vm); // ...and what the attribution pass forces
     m.set_hotspots(true);
     run_host_once(&app, &m, n).unwrap_or_else(|e| panic!("gemm hotspot pass: {e}"));
     m.line_profile()
@@ -33,13 +31,10 @@ fn gemm_attribution(ambient: Engine) -> Vec<minic::interp::LineHit> {
 /// The acceptance bar for the profiler: on gemm, at least 80% of all VM
 /// instructions must attribute to the kernel loop-nest lines of
 /// `gemm_omp.c` (lines 8–15: the i/j/k loops and the accumulate/store
-/// body), and the table must be identical whichever engine the harness
-/// was otherwise running.
+/// body).
 #[test]
 fn gemm_hotspots_attribute_kernel_loop_nest() {
-    let under_vm = gemm_attribution(Engine::Vm);
-    let under_walker = gemm_attribution(Engine::Walker);
-    assert_eq!(under_vm, under_walker, "hotspot attribution must not depend on the ambient engine");
+    let under_vm = gemm_attribution();
 
     let total: u64 = under_vm.iter().map(|h| h.instructions).sum();
     assert!(total > 0, "no instructions attributed — hotspot collection is off");
@@ -110,16 +105,15 @@ fn hotspot_lines_are_exact() {
 }
 
 /// The walker records no attribution (it dispatches no bytecode), so a
-/// hotspot table from a walker run renders the "no attribution" hint —
-/// which is why fig4 forces the VM for its attribution pass.
+/// hotspot table from a walker run renders the "no attribution" hint.
 #[test]
 fn walker_records_no_attribution() {
     let app = app_by_name("gemm").expect("gemm");
     let n = app.test_size;
     let m = host_machine(&app, n).unwrap();
-    m.set_engine(Engine::Walker);
     m.set_hotspots(true);
-    run_host_once(&app, &m, n).unwrap();
+    let mut w = TreeWalker::new(m.clone(), Arc::new(NoHooks)).unwrap();
+    run_entry(&app, &m, n, |args| w.call("run", args)).unwrap();
     assert!(m.line_profile().is_empty());
 }
 
