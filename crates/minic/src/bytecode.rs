@@ -8,11 +8,12 @@
 //!
 //! Key decisions:
 //!
-//! * **Registers, not a stack.** Operands are `Value` registers in a frame
-//!   window; scalar locals whose address is never taken live directly in
-//!   registers (slot resolution happens at compile time from
-//!   `sema::FrameInfo`), so the gemm inner loop touches guest memory only
-//!   for the actual array elements.
+//! * **Registers, not a stack.** Operands are registers in a frame
+//!   window, each a `Value` the VM keeps as a 64-bit payload and a 1-byte
+//!   tag in two parallel arrays (`vm/regs.rs`); scalar locals whose
+//!   address is never taken live directly in registers (slot resolution
+//!   happens at compile time from `sema::FrameInfo`), so the gemm inner
+//!   loop touches guest memory only for the actual array elements.
 //! * **Fused addressing.** `LoadIdx`/`StoreIdx` compute
 //!   `base + idx * stride`, null-check the base and access memory in one
 //!   dispatch — the walker needs three visits and two typed-memory calls

@@ -25,7 +25,12 @@
 //!   counted `int` loops under an invariant bound (`n - 1`) whose bodies
 //!   index `arr` row-major with repeated subexpressions
 //!   (`arr[(i * w + j) & 15]`), `break` and `continue`, `&&` and `?:`, and
-//!   sometimes reassign the would-be-invariant row width inside the loop.
+//!   sometimes reassign the would-be-invariant row width inside the loop;
+//! * pointer-typed locals: `int *p` into `arr` and `float *q` into `farr`,
+//!   read and written through masked indices (`p[(e) & 7]`, `q[(e) & 3]`),
+//!   subtracted from and compared with pointers into the same array, and
+//!   stepped with `p += (e) & 1` followed by a wrap back to the array's
+//!   start, so every access stays in bounds by construction.
 //!
 //! The generated source never depends on anything but the seed, and the
 //! generator itself never panics.
@@ -52,6 +57,9 @@ struct Gen {
     /// Are `main`'s fixed arrays in scope? (Helpers must not reference
     /// them.)
     has_arr: bool,
+    /// Are `main`'s pointers `p` (into `arr`, at most 7 elements in) and
+    /// `q` (into `farr`, at most 3 in) in scope?
+    has_ptr: bool,
     /// Only one unbounded loop per program — one is enough to need fuel,
     /// more just slows every fuel-limited run down.
     unbounded_done: bool,
@@ -76,6 +84,7 @@ impl Gen {
             doubles: Vec::new(),
             helpers: Vec::new(),
             has_arr: false,
+            has_ptr: false,
             unbounded_done: false,
             next_id: 0,
         }
@@ -197,6 +206,10 @@ impl Gen {
             "  for (int z1 = 0; z1 < {FARR_LEN}; z1++) farr[z1] = z1 * {}.25f;\n",
             self.rng.range_i64(-5, 5)
         ));
+        let (e, f) = (self.int_expr(1), self.int_expr(1));
+        body.push_str(&format!("  int *p = arr + (({e}) & 7);\n"));
+        body.push_str(&format!("  float *q = farr + (({f}) & 3);\n"));
+        self.has_ptr = true;
 
         let n = 3 + self.rng.below(5);
         for _ in 0..n {
@@ -219,7 +232,7 @@ impl Gen {
             let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
             return format!("{pad}while (1) {{ {v} = {v} + 1; }}\n");
         }
-        match self.rng.below(if d < 2 { 11 } else { 6 }) {
+        match self.rng.below(if d < 2 { 12 } else { 6 }) {
             // Scalar assignment.
             0 => {
                 let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
@@ -332,6 +345,7 @@ impl Gen {
                 )
             }
             9 if self.has_arr && self.counters.is_empty() => self.nest(d),
+            10 if self.has_ptr => self.ptr_stmt(&pad),
             // if / else.
             _ => {
                 let c = self.int_expr(2);
@@ -406,6 +420,19 @@ impl Gen {
         out
     }
 
+    /// A write through `p` or `q`, a step of one of them (wrapped back to
+    /// the array's start past its last in-bounds position), or a reset.
+    fn ptr_stmt(&mut self, pad: &str) -> String {
+        let i = self.int_expr(1);
+        match self.rng.below(5) {
+            0 => format!("{pad}p[({i}) & 7] = {};\n", self.int_expr(2)),
+            1 => format!("{pad}q[({i}) & 3] = {};\n", self.float_expr(2)),
+            2 => format!("{pad}p += ({i}) & 1; if (p - arr > 7) p = arr;\n"),
+            3 => format!("{pad}q += ({i}) & 1; if (q - farr > 3) q = farr;\n"),
+            _ => format!("{pad}p = arr + (({i}) & 7);\n"),
+        }
+    }
+
     fn block(&mut self, d: u32) -> String {
         let mut out = String::new();
         for _ in 0..1 + self.rng.below(3) {
@@ -461,7 +488,16 @@ impl Gen {
             }
             7 if self.has_arr => {
                 let i = self.int_expr(d - 1);
-                format!("arr[({i}) & {}]", ARR_LEN - 1)
+                match self.rng.below(if self.has_ptr { 5 } else { 1 }) {
+                    0 => format!("arr[({i}) & {}]", ARR_LEN - 1),
+                    1 => format!("p[({i}) & 7]"),
+                    2 => format!("((p - arr) + {i})"),
+                    3 => {
+                        let op = *self.rng.pick(&["==", "!=", "<", ">="]);
+                        format!("(p {op} arr + (({i}) & 7))")
+                    }
+                    _ => format!("(q != farr + (({i}) & 3))"),
+                }
             }
             8 if !self.helpers.is_empty() => {
                 // Mask arguments small so recursion stays shallow (deep
@@ -516,7 +552,10 @@ impl Gen {
                 0 if !self.floats.is_empty() => self.pick(&self.floats.clone()),
                 1 if self.has_arr => {
                     let i = self.int_expr(0);
-                    format!("farr[({i}) & {}]", FARR_LEN - 1)
+                    match self.has_ptr && self.rng.chance(1, 2) {
+                        true => format!("q[({i}) & 3]"),
+                        false => format!("farr[({i}) & {}]", FARR_LEN - 1),
+                    }
                 }
                 _ => format!("{}.25f", self.rng.range_i64(-40, 40)),
             };

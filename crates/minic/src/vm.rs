@@ -8,15 +8,19 @@
 //! walker's `load_typed`/`store_typed` byte-for-byte, and trap conditions
 //! carry the walker's exact messages. Only dispatch cost differs.
 //!
-//! Execution model: one `Value` register stack per [`Interp`], on which each
-//! guest call pushes a window of its chunk's `nregs` registers (the
-//! compiler pre-resolves scalar locals into window slots; a call's
-//! arguments are read in place from the caller's window, so no call
-//! allocates), a guest-memory stack frame identical to the walker's for
-//! address-taken and aggregate locals, and guest-to-guest calls on an
-//! explicit [`Frame`] stack — guest recursion must not consume host stack,
-//! whose debug-build frames would overflow well before the guest's
-//! configurable frame limit (`OMPI_GUEST_STACK`, default 200).
+//! Execution model: one register stack per [`Interp`], split into two
+//! parallel arrays over the same register numbers — 64-bit payloads and
+//! 1-byte `Value` tags (`vm/regs.rs`). Each guest call pushes a window of its
+//! chunk's `nregs` registers on both (the compiler pre-resolves scalar
+//! locals into window slots; a call's arguments are read in place from the
+//! caller's window, so no call allocates), a guest-memory stack frame
+//! identical to the walker's for address-taken and aggregate locals, and
+//! guest-to-guest calls on an explicit [`Frame`] stack — guest recursion
+//! must not consume host stack, whose debug-build frames would overflow
+//! well before the guest's configurable frame limit (`OMPI_GUEST_STACK`,
+//! default 200). A `Value` is built only where one leaves the register
+//! file: the generic fallbacks, argument packs for builtins, hooks,
+//! `printf` and launches, and the host-visible return value.
 //!
 //! The typed and fused ops (`AddI` … `IncI`) run a fast path when their
 //! operands carry the tags the specialisation pass proved, calling the
@@ -41,10 +45,11 @@ use vmcommon::addr::{self, Space};
 use vmcommon::{MemArena, MemError, Value};
 
 use crate::ast::BinOp;
-use crate::bytecode::{CompiledProgram, Op, ParamSpec, TyK, R};
+use crate::bytecode::{CompiledProgram, Op, ParamSpec, TyK};
 use crate::interp::{HookCtx, Hooks, IResult, InterpError, Machine, STACK_SIZE};
 use crate::limits::{GuestLimitError, FUEL_CHECK_INTERVAL};
 use crate::rt;
+use regs::{tag, Regs, Slot, Window};
 
 /// An execution context: one per OS thread, with its own guest stack.
 pub struct Interp {
@@ -65,7 +70,7 @@ pub struct Interp {
     hot: bool,
     /// The register stack: a guest frame is the window
     /// `[reg_base, reg_base + nregs)`, pushed on call, truncated on return.
-    regs: Vec<Value>,
+    regs: Regs,
 }
 
 impl Interp {
@@ -84,7 +89,7 @@ impl Interp {
             unbilled: 0,
             entries: Vec::new(),
             hot,
-            regs: Vec::new(),
+            regs: Regs::default(),
         };
         vm.init_globals_once()?;
         Ok(vm)
@@ -164,7 +169,9 @@ impl Interp {
         let mut regs = std::mem::take(&mut self.regs);
         let len0 = regs.len();
         // The host's arguments sit below the first window, like a caller's.
-        regs.extend_from_slice(args);
+        for &v in args {
+            regs.push(Slot::of(v));
+        }
         let mut entries = std::mem::take(&mut self.entries);
         if entries.len() < prog.counter_len() {
             entries.resize(prog.counter_len(), 0);
@@ -198,7 +205,7 @@ impl Interp {
         &mut self,
         prog: &CompiledProgram,
         idx: u32,
-        regs: &mut Vec<Value>,
+        regs: &mut Regs,
         (args, nargs): (usize, usize),
         ret_dst: u16,
     ) -> IResult<Frame> {
@@ -229,14 +236,16 @@ impl Interp {
         self.depth += 1;
 
         let reg_base = regs.len();
-        regs.resize(reg_base + chunk.nregs as usize, Value::I32(0));
+        regs.grow(chunk.nregs as usize);
         for &(r, ty) in &chunk.zero_init {
-            regs[reg_base + r as usize] = zero_k(ty);
+            regs.set(reg_base + r as usize, convert_k(Value::I32(0), ty));
         }
         for (k, spec) in chunk.params.iter().enumerate() {
-            let v = regs[args + k];
+            let v = regs.at(args + k);
             match spec {
-                ParamSpec::Reg { reg, ty } => regs[reg_base + *reg as usize] = convert_k(v, *ty),
+                ParamSpec::Reg { reg, ty } => {
+                    regs.set(reg_base + *reg as usize, convert_k(v.value(), *ty));
+                }
                 ParamSpec::Mem { off, ty } => {
                     let a = addr::make(Space::Host, addr::offset(base) + *off as u64);
                     store_k(&self.machine, a, *ty, v)?;
@@ -252,7 +261,7 @@ impl Interp {
         &mut self,
         prog: &CompiledProgram,
         idx: u32,
-        stack: &mut Vec<Value>,
+        stack: &mut Regs,
         args: usize,
         entries: &mut [u64],
     ) -> IResult<Value> {
@@ -260,6 +269,8 @@ impl Interp {
         let mut cur = self.new_frame(prog, idx, stack, (args, stack.len() - args), 0)?;
         let machine = self.machine.clone();
         let mem = &machine.mem;
+        // Argument packs handed to builtins, hooks, printf and launches.
+        let mut pack = Vec::new();
         'frame: loop {
             let chunk = &prog.chunks[cur.chunk as usize];
             let code = &chunk.code;
@@ -280,173 +291,160 @@ impl Interp {
             }
             let frame_off = addr::offset(cur.base);
             let mut pc = enter!(cur.pc);
-            let regs = &mut stack[cur.reg_base..cur.reg_base + chunk.nregs as usize];
+            let mut w = stack.window(cur.reg_base, chunk.nregs as usize);
             loop {
                 match &code[pc] {
-                    Op::Const { dst, idx } => {
-                        regs[*dst as usize] = prog.consts[*idx as usize];
-                    }
-                    Op::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
-                    Op::Conv { dst, src, ty } => {
-                        regs[*dst as usize] = convert_k(regs[*src as usize], *ty);
-                    }
+                    Op::Const { dst, idx } => w.set(*dst, Slot::of(prog.consts[*idx as usize])),
+                    Op::Mov { dst, src } => w.set(*dst, w.at(*src)),
+                    Op::Conv { dst, src, ty } => w.set(*dst, convert_k(w.get(*src), *ty)),
                     Op::FrameAddr { dst, off } => {
-                        regs[*dst as usize] =
-                            Value::Ptr(addr::make(Space::Host, frame_off + *off as u64));
+                        w.set(*dst, Slot::ptr(addr::make(Space::Host, frame_off + *off as u64)));
                     }
                     Op::LoadSlot { dst, off, ty } => {
-                        regs[*dst as usize] = load_arena(mem, frame_off + *off as u64, *ty)?;
+                        w.set(*dst, load_arena(mem, frame_off + *off as u64, *ty)?);
                     }
                     Op::StoreSlot { off, src, ty } => {
-                        store_arena(mem, frame_off + *off as u64, *ty, regs[*src as usize])?;
+                        store_arena(mem, frame_off + *off as u64, *ty, w.at(*src))?;
                     }
                     Op::LoadAbs { dst, at, ty } => {
                         let a = prog.consts[*at as usize].as_ptr();
-                        regs[*dst as usize] = load_k(&machine, a, *ty)?;
+                        w.set(*dst, load_k(&machine, a, *ty)?);
                     }
                     Op::StoreAbs { at, src, ty } => {
                         let a = prog.consts[*at as usize].as_ptr();
-                        store_k(&self.machine, a, *ty, regs[*src as usize])?;
+                        store_k(&self.machine, a, *ty, w.at(*src))?;
                     }
                     Op::Load { dst, addr, off, ty } => {
-                        let p = regs[*addr as usize].as_ptr();
+                        let p = w.get(*addr).as_ptr();
                         if p == 0 {
                             return Err(InterpError::Mem(MemError::Null));
                         }
-                        regs[*dst as usize] = load_k(&machine, p.wrapping_add(*off as u64), *ty)?;
+                        w.set(*dst, load_k(&machine, p.wrapping_add(*off as u64), *ty)?);
                     }
                     Op::Store { addr, off, src, ty } => {
-                        let p = regs[*addr as usize].as_ptr();
+                        let p = w.get(*addr).as_ptr();
                         if p == 0 {
                             return Err(InterpError::Mem(MemError::Null));
                         }
-                        store_k(&machine, p.wrapping_add(*off as u64), *ty, regs[*src as usize])?;
+                        store_k(&machine, p.wrapping_add(*off as u64), *ty, w.at(*src))?;
                     }
                     Op::LoadIdx { dst, base, idx, stride, ty } => {
-                        let a =
-                            idx_addr(regs[*base as usize], regs[*idx as usize], *stride as u64)?;
-                        regs[*dst as usize] = load_k(&machine, a, *ty)?;
+                        let a = idx_addr(w.at(*base), w.at(*idx), *stride as u64)?;
+                        w.set(*dst, load_k(&machine, a, *ty)?);
                     }
                     Op::StoreIdx { base, idx, stride, src, ty } => {
-                        let a =
-                            idx_addr(regs[*base as usize], regs[*idx as usize], *stride as u64)?;
-                        store_k(&self.machine, a, *ty, regs[*src as usize])?;
+                        let a = idx_addr(w.at(*base), w.at(*idx), *stride as u64)?;
+                        store_k(&self.machine, a, *ty, w.at(*src))?;
                     }
                     Op::AddrIdx { dst, base, idx, stride } => {
-                        let a =
-                            idx_addr(regs[*base as usize], regs[*idx as usize], *stride as u64)?;
-                        regs[*dst as usize] = Value::Ptr(a);
+                        let a = idx_addr(w.at(*base), w.at(*idx), *stride as u64)?;
+                        w.set(*dst, Slot::ptr(a));
                     }
                     Op::LoadIdxD { dst, base, idx, stride, ty } => {
-                        let s = regs[*stride as usize].as_i64() as u64;
-                        let a = idx_addr(regs[*base as usize], regs[*idx as usize], s)?;
-                        regs[*dst as usize] = load_k(&machine, a, *ty)?;
+                        let s = w.get(*stride).as_i64() as u64;
+                        let a = idx_addr(w.at(*base), w.at(*idx), s)?;
+                        w.set(*dst, load_k(&machine, a, *ty)?);
                     }
                     Op::StoreIdxD { base, idx, stride, src, ty } => {
-                        let s = regs[*stride as usize].as_i64() as u64;
-                        let a = idx_addr(regs[*base as usize], regs[*idx as usize], s)?;
-                        store_k(&self.machine, a, *ty, regs[*src as usize])?;
+                        let s = w.get(*stride).as_i64() as u64;
+                        let a = idx_addr(w.at(*base), w.at(*idx), s)?;
+                        store_k(&self.machine, a, *ty, w.at(*src))?;
                     }
                     Op::AddrIdxD { dst, base, idx, stride } => {
-                        let s = regs[*stride as usize].as_i64() as u64;
-                        let a = idx_addr(regs[*base as usize], regs[*idx as usize], s)?;
-                        regs[*dst as usize] = Value::Ptr(a);
+                        let s = w.get(*stride).as_i64() as u64;
+                        let a = idx_addr(w.at(*base), w.at(*idx), s)?;
+                        w.set(*dst, Slot::ptr(a));
                     }
                     Op::ChkNull { src } => {
-                        if regs[*src as usize].as_ptr() == 0 {
+                        if w.get(*src).as_ptr() == 0 {
                             return Err(InterpError::Mem(MemError::Null));
                         }
                     }
                     Op::Stride { dst, extent, elem } => {
-                        let n = regs[*extent as usize].as_i64();
+                        let n = w.get(*extent).as_i64();
                         if n < 0 {
                             return Err(InterpError::Trap("negative VLA extent".into()));
                         }
-                        regs[*dst as usize] = Value::I64((*elem as u64 * n as u64) as i64);
+                        w.set(*dst, Slot::i64((*elem as u64 * n as u64) as i64));
                     }
                     Op::StrideD { dst, extent, elem } => {
-                        let n = regs[*extent as usize].as_i64();
+                        let n = w.get(*extent).as_i64();
                         if n < 0 {
                             return Err(InterpError::Trap("negative VLA extent".into()));
                         }
-                        let e = regs[*elem as usize].as_i64() as u64;
-                        regs[*dst as usize] = Value::I64((e * n as u64) as i64);
+                        let e = w.get(*elem).as_i64() as u64;
+                        w.set(*dst, Slot::i64((e * n as u64) as i64));
                     }
                     Op::Bin { op, dst, a, b, stride } => {
-                        regs[*dst as usize] = rt::apply_binop(
-                            *op,
-                            regs[*a as usize],
-                            *stride as u64,
-                            regs[*b as usize],
-                        )?;
+                        let v = rt::apply_binop(*op, w.get(*a), *stride as u64, w.get(*b))?;
+                        w.set(*dst, Slot::of(v));
                     }
                     Op::BinD { op, dst, a, b, stride } => {
-                        let s = regs[*stride as usize].as_i64() as u64;
-                        regs[*dst as usize] =
-                            rt::apply_binop(*op, regs[*a as usize], s, regs[*b as usize])?;
+                        let s = w.get(*stride).as_i64() as u64;
+                        w.set(*dst, Slot::of(rt::apply_binop(*op, w.get(*a), s, w.get(*b))?));
                     }
                     Op::PtrDiff { dst, a, b, stride } => {
-                        let s = *stride as u64;
-                        regs[*dst as usize] = ptr_diff(regs[*a as usize], regs[*b as usize], s);
+                        w.set(*dst, ptr_diff(w.get(*a), w.get(*b), *stride as u64));
                     }
                     Op::PtrDiffD { dst, a, b, stride } => {
-                        let s = regs[*stride as usize].as_i64() as u64;
-                        regs[*dst as usize] = ptr_diff(regs[*a as usize], regs[*b as usize], s);
+                        let s = w.get(*stride).as_i64() as u64;
+                        w.set(*dst, ptr_diff(w.get(*a), w.get(*b), s));
                     }
                     Op::FmaAssign { dst, a, b, ty } => {
                         // Exactly the walker's compound-assign: rhs product,
                         // then accumulate, then convert — two rounding steps.
-                        let t =
-                            rt::apply_binop(BinOp::Mul, regs[*a as usize], 1, regs[*b as usize])?;
-                        let s = rt::apply_binop(BinOp::Add, regs[*dst as usize], 1, t)?;
-                        regs[*dst as usize] = convert_k(s, *ty);
+                        let t = rt::apply_binop(BinOp::Mul, w.get(*a), 1, w.get(*b))?;
+                        let s = rt::apply_binop(BinOp::Add, w.get(*dst), 1, t)?;
+                        w.set(*dst, convert_k(s, *ty));
                     }
                     Op::Neg { dst, src } => {
-                        regs[*dst as usize] = match regs[*src as usize] {
+                        let v = match w.get(*src) {
                             Value::I32(v) => Value::I32(v.wrapping_neg()),
                             Value::I64(v) => Value::I64(v.wrapping_neg()),
                             Value::F32(v) => Value::F32(-v),
                             Value::F64(v) => Value::F64(-v),
                             Value::Ptr(v) => Value::I64(-(v as i64)),
                         };
+                        w.set(*dst, Slot::of(v));
                     }
                     Op::NotL { dst, src } => {
-                        regs[*dst as usize] = Value::I32(!regs[*src as usize].is_truthy() as i32);
+                        w.set(*dst, Slot::i32(!w.get(*src).is_truthy() as i32));
                     }
                     Op::BitNot { dst, src } => {
-                        regs[*dst as usize] = match regs[*src as usize] {
+                        let v = match w.get(*src) {
                             Value::I64(v) => Value::I64(!v),
                             v => Value::I32(!v.as_i32()),
                         };
+                        w.set(*dst, Slot::of(v));
                     }
                     Op::Truth { dst, src } => {
-                        regs[*dst as usize] = Value::I32(regs[*src as usize].is_truthy() as i32);
+                        w.set(*dst, Slot::i32(w.get(*src).is_truthy() as i32));
                     }
                     Op::Jmp { to } => {
                         pc = enter!(*to as usize);
                         continue;
                     }
                     Op::Jz { cond, to } => {
-                        let taken = !regs[*cond as usize].is_truthy();
+                        let taken = !w.get(*cond).is_truthy();
                         pc = enter!(if taken { *to as usize } else { pc + 1 });
                         continue;
                     }
                     Op::Jnz { cond, to } => {
-                        let taken = regs[*cond as usize].is_truthy();
+                        let taken = w.get(*cond).is_truthy();
                         pc = enter!(if taken { *to as usize } else { pc + 1 });
                         continue;
                     }
                     Op::Ret { src } => {
-                        let v = regs[*src as usize];
+                        let v = w.at(*src);
                         self.sp = cur.saved_sp;
                         self.depth -= 1;
                         stack.truncate(cur.reg_base);
                         match frames.pop() {
-                            None => return Ok(v),
+                            None => return Ok(v.value()),
                             Some(parent) => {
                                 let dst = cur.ret_dst as usize;
                                 cur = parent;
-                                stack[cur.reg_base + dst] = v;
+                                stack.set(cur.reg_base + dst, v);
                                 continue 'frame;
                             }
                         }
@@ -460,17 +458,16 @@ impl Interp {
                         continue 'frame;
                     }
                     Op::CallBuiltin { dst, which, abase, nargs } => {
-                        let a = *abase as usize;
-                        regs[*dst as usize] =
-                            rt::call_builtin(&machine, *which, &regs[a..a + *nargs as usize])?;
+                        let args = w.pack(&mut pack, *abase, *nargs);
+                        w.set(*dst, Slot::of(rt::call_builtin(&machine, *which, args)?));
                     }
                     Op::CallHook { dst, name, abase, nargs } => {
                         let name = &prog.strs[*name as usize];
-                        let a = *abase as usize;
+                        let args = w.pack(&mut pack, *abase, *nargs);
                         let hooks = self.hooks.clone();
                         let ctx = HookCtx::new(&machine, &self.hooks, call_fresh);
-                        match hooks.call(name, &regs[a..a + *nargs as usize], &ctx)? {
-                            Some(v) => regs[*dst as usize] = v,
+                        match hooks.call(name, args, &ctx)? {
+                            Some(v) => w.set(*dst, Slot::of(v)),
                             None => {
                                 return Err(InterpError::Trap(format!("unknown function `{name}`")))
                             }
@@ -478,42 +475,40 @@ impl Interp {
                     }
                     Op::Printf { dst, fmt, abase, nargs } => {
                         let fmt = &prog.strs[*fmt as usize];
-                        let a = *abase as usize;
-                        regs[*dst as usize] =
-                            rt::do_printf(&machine, fmt, &regs[a..a + *nargs as usize])?;
+                        let args = w.pack(&mut pack, *abase, *nargs);
+                        w.set(*dst, Slot::of(rt::do_printf(&machine, fmt, args)?));
                     }
                     Op::PrintfD { dst, fmt, abase, nargs } => {
-                        let p = regs[*fmt as usize].as_ptr();
+                        let p = w.get(*fmt).as_ptr();
                         let fmt = machine.mem.read_cstr(addr::offset(p))?;
-                        let a = *abase as usize;
-                        let avail = &regs[a..a + *nargs as usize];
+                        let avail = w.pack(&mut pack, *abase, *nargs);
                         let n = rt::printf_arg_kinds(&fmt).len().min(avail.len());
-                        regs[*dst as usize] = rt::do_printf(&machine, &fmt, &avail[..n])?;
+                        w.set(*dst, Slot::of(rt::do_printf(&machine, &fmt, &avail[..n])?));
                     }
                     Op::Launch { name, gb, abase, nargs } => {
                         let name = &prog.strs[*name as usize];
-                        let g = dim3_from(regs, *gb);
-                        let b = dim3_from(regs, *gb + 3);
-                        let a = *abase as usize;
+                        let g = dim3_from(&w, *gb);
+                        let b = dim3_from(&w, *gb + 3);
+                        let args = w.pack(&mut pack, *abase, *nargs);
                         let hooks = self.hooks.clone();
                         let ctx = HookCtx::new(&machine, &self.hooks, call_fresh);
-                        hooks.kernel_launch(name, g, b, &regs[a..a + *nargs as usize], &ctx)?;
+                        hooks.kernel_launch(name, g, b, args, &ctx)?;
                     }
                     Op::DimFix { dst, src } => {
-                        regs[*dst as usize] =
-                            Value::I64(regs[*src as usize].as_i64().max(1) as u32 as i64);
+                        let v = w.get(*src).as_i64().max(1) as u32 as i64;
+                        w.set(*dst, Slot::i64(v));
                     }
                     Op::Dim3Load { dst3, off } => {
                         let a = frame_off + *off as u64;
                         for k in 0..3u64 {
-                            regs[(*dst3 + k as u16) as usize] =
-                                Value::I64(mem.load_u32(a + 4 * k)? as i64);
+                            let v = mem.load_u32(a + 4 * k)? as i64;
+                            w.set(*dst3 + k as u16, Slot::i64(v));
                         }
                     }
                     Op::Dim3Store { off, src3 } => {
                         let a = frame_off + *off as u64;
                         for k in 0..3u64 {
-                            let v = regs[(*src3 + k as u16) as usize].as_i64() as u32;
+                            let v = w.get(*src3 + k as u16).as_i64() as u32;
                             mem.store_u32(a + 4 * k, v)?;
                         }
                     }
@@ -521,82 +516,76 @@ impl Interp {
                         return Err(InterpError::Trap(prog.strs[*msg as usize].clone()))
                     }
                     Op::AddI { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        int2(regs, *dst, BinOp::Add, x, y, *conv)?;
+                        w.set(*dst, int2(BinOp::Add, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::SubI { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        int2(regs, *dst, BinOp::Sub, x, y, *conv)?;
+                        w.set(*dst, int2(BinOp::Sub, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::MulI { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        int2(regs, *dst, BinOp::Mul, x, y, *conv)?;
+                        w.set(*dst, int2(BinOp::Mul, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::AddIK { dst, a, k, conv } => {
-                        let x = regs[*a as usize];
-                        int2(regs, *dst, BinOp::Add, x, Value::I32(*k), *conv)?;
+                        w.set(*dst, int2(BinOp::Add, w.at(*a), Slot::i32(*k), *conv)?);
                     }
                     Op::MulIK { dst, a, k, conv } => {
-                        let x = regs[*a as usize];
-                        int2(regs, *dst, BinOp::Mul, x, Value::I32(*k), *conv)?;
+                        w.set(*dst, int2(BinOp::Mul, w.at(*a), Slot::i32(*k), *conv)?);
                     }
                     Op::AddF { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        f32x2(regs, *dst, BinOp::Add, x, y, *conv)?;
+                        w.set(*dst, f32x2(BinOp::Add, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::SubF { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        f32x2(regs, *dst, BinOp::Sub, x, y, *conv)?;
+                        w.set(*dst, f32x2(BinOp::Sub, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::MulF { dst, a, b, conv } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        f32x2(regs, *dst, BinOp::Mul, x, y, *conv)?;
+                        w.set(*dst, f32x2(BinOp::Mul, w.at(*a), w.at(*b), *conv)?);
                     }
                     Op::MulKF { dst, a, k, conv } => {
-                        let x = regs[*a as usize];
-                        f32x2(regs, *dst, BinOp::Mul, x, Value::F32(*k), *conv)?;
+                        w.set(*dst, f32x2(BinOp::Mul, w.at(*a), Slot::f32(*k), *conv)?);
                     }
                     Op::FmaF { dst, a, b } => {
-                        let (s, x, y) = (regs[*dst as usize], regs[*a as usize], regs[*b as usize]);
-                        if let (Value::F32(s), Value::F32(x), Value::F32(y)) = (s, x, y) {
-                            let p = rt::f32_op(BinOp::Mul, x, y);
-                            regs[*dst as usize] = Value::F32(rt::f32_op(BinOp::Add, s, p));
+                        let (s, x, y) = (w.at(*dst), w.at(*a), w.at(*b));
+                        if s.tag == tag::F32 && x.tag == tag::F32 && y.tag == tag::F32 {
+                            let p = rt::f32_op(BinOp::Mul, x.as_f32(), y.as_f32());
+                            w.set(*dst, Slot::f32(rt::f32_op(BinOp::Add, s.as_f32(), p)));
                         } else {
-                            let p = rt::apply_binop(BinOp::Mul, x, 1, y)?;
-                            generic(regs, *dst, BinOp::Add, s, p, Some(TyK::Float))?;
+                            let p = rt::apply_binop(BinOp::Mul, x.value(), 1, y.value())?;
+                            w.set(*dst, generic(BinOp::Add, s, Slot::of(p), Some(TyK::Float))?);
                         }
                     }
                     Op::Jcmp { op, a, b, to, when, float } => {
-                        let (x, y) = (regs[*a as usize], regs[*b as usize]);
-                        let holds = match (x, y) {
-                            (Value::I32(x), Value::I32(y)) if !*float => {
-                                rt::cmp_holds(*op, Some(x.cmp(&y)))
+                        let (x, y) = (w.at(*a), w.at(*b));
+                        let holds = match (x.tag, y.tag) {
+                            (tag::I32, tag::I32) if !*float => {
+                                rt::cmp_holds(*op, Some(x.as_i32().cmp(&y.as_i32())))
                             }
-                            (Value::F32(x), Value::F32(y)) if *float => {
-                                rt::cmp_holds(*op, (x as f64).partial_cmp(&(y as f64)))
-                            }
+                            (tag::F32, tag::F32) if *float => rt::cmp_holds(
+                                *op,
+                                (x.as_f32() as f64).partial_cmp(&(y.as_f32() as f64)),
+                            ),
                             _ => generic_cmp(*op, x, y)?,
                         };
                         pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
                         continue;
                     }
                     Op::JcmpIK { op, a, k, to, when } => {
-                        let holds = match regs[*a as usize] {
-                            Value::I32(x) => rt::cmp_holds(*op, Some(x.cmp(&(*k as i32)))),
-                            x => generic_cmp(*op, x, Value::I32(*k as i32))?,
+                        let x = w.at(*a);
+                        let holds = match x.tag {
+                            tag::I32 => rt::cmp_holds(*op, Some(x.as_i32().cmp(&(*k as i32)))),
+                            _ => generic_cmp(*op, x, Slot::i32(*k as i32))?,
                         };
                         pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
                         continue;
                     }
-                    Op::IncI { r, k } => match regs[*r as usize] {
-                        Value::I32(x) => {
-                            let v = rt::int_op(BinOp::Add, x as i64, *k as i64)?;
-                            regs[*r as usize] = Value::I32(v as i32);
+                    Op::IncI { r, k } => {
+                        let x = w.at(*r);
+                        if x.tag == tag::I32 {
+                            let v = rt::int_op(BinOp::Add, x.as_i32() as i64, *k as i64)?;
+                            w.set(*r, Slot::i32(v as i32));
+                        } else {
+                            let k = Slot::i64(*k as i64);
+                            w.set(*r, generic(BinOp::Add, x, k, Some(TyK::Int))?);
                         }
-                        x => {
-                            generic(regs, *r, BinOp::Add, x, Value::I64(*k as i64), Some(TyK::Int))?
-                        }
-                    },
+                    }
                 }
                 pc += 1;
             }
@@ -635,95 +624,72 @@ fn call_fresh(
     Interp::new(machine, hooks)?.call(name, args)
 }
 
-/// Fused element address: the walker's `(p + i * stride)` with its null
-/// check at lvalue time.
-#[inline]
-fn idx_addr(base: Value, idx: Value, stride: u64) -> IResult<u64> {
-    let p = base.as_ptr();
-    if p == 0 {
-        return Err(InterpError::Mem(MemError::Null));
-    }
-    Ok(rt::ptr_offset(p, idx.as_i64(), stride))
-}
-
-/// Pointer difference `(a - b) / stride` (a zero stride divides by 1).
-fn ptr_diff(a: Value, b: Value, stride: u64) -> Value {
-    let d = (a.as_ptr() as i64).wrapping_sub(b.as_ptr() as i64);
-    Value::I64(d.wrapping_div(stride.max(1) as i64))
-}
-
 // Typed arms: the `I32`/`F32` fast path calls the same domain helper as
 // `rt::apply_binop`; any other tag runs the generic op they replaced.
-// The fast path writes its register itself, apart from the fallback's.
+
+/// `x op y` on two `I32`s; other tags run the generic form.
+#[inline(always)]
+fn int2(op: BinOp, x: Slot, y: Slot, conv: bool) -> IResult<Slot> {
+    if x.tag == tag::I32 && y.tag == tag::I32 {
+        return Ok(Slot::i32(rt::int_op(op, x.as_i32() as i64, y.as_i32() as i64)? as i32));
+    }
+    generic(op, x, y, conv.then_some(TyK::Int))
+}
+
+/// `x op y` on two `F32`s; other tags run the generic form.
+#[inline(always)]
+fn f32x2(op: BinOp, x: Slot, y: Slot, conv: bool) -> IResult<Slot> {
+    if x.tag == tag::F32 && y.tag == tag::F32 {
+        return Ok(Slot::f32(rt::f32_op(op, x.as_f32(), y.as_f32())));
+    }
+    generic(op, x, y, conv.then_some(TyK::Float))
+}
 
 /// The generic form of a typed op: `apply_binop`, then the absorbed
-/// `Conv` if there was one, into `regs[dst]`.
+/// `Conv` if there was one.
 #[cold]
 #[inline(never)]
-fn generic(
-    regs: &mut [Value],
-    dst: R,
-    op: BinOp,
-    x: Value,
-    y: Value,
-    conv: Option<TyK>,
-) -> IResult<()> {
-    let v = rt::apply_binop(op, x, 1, y)?;
-    regs[dst as usize] = conv.map_or(v, |ty| convert_k(v, ty));
-    Ok(())
+fn generic(op: BinOp, x: Slot, y: Slot, conv: Option<TyK>) -> IResult<Slot> {
+    let v = rt::apply_binop(op, x.value(), 1, y.value())?;
+    Ok(conv.map_or(Slot::of(v), |ty| convert_k(v, ty)))
 }
 
 /// The generic form of a `Jcmp`'s comparison.
 #[cold]
 #[inline(never)]
-fn generic_cmp(op: BinOp, x: Value, y: Value) -> IResult<bool> {
-    Ok(rt::apply_binop(op, x, 1, y)?.is_truthy())
+fn generic_cmp(op: BinOp, x: Slot, y: Slot) -> IResult<bool> {
+    Ok(rt::apply_binop(op, x.value(), 1, y.value())?.is_truthy())
 }
 
-/// `regs[dst] = x op y` on two `I32`s; other tags run the generic form.
-#[inline(always)]
-fn int2(regs: &mut [Value], dst: R, op: BinOp, x: Value, y: Value, conv: bool) -> IResult<()> {
-    if let (Value::I32(a), Value::I32(b)) = (x, y) {
-        regs[dst as usize] = Value::I32(rt::int_op(op, a as i64, b as i64)? as i32);
-        return Ok(());
+/// Fused element address: the walker's `(p + i * stride)` with its null
+/// check at lvalue time.
+#[inline]
+fn idx_addr(base: Slot, idx: Slot, stride: u64) -> IResult<u64> {
+    let p = base.value().as_ptr();
+    if p == 0 {
+        return Err(InterpError::Mem(MemError::Null));
     }
-    generic(regs, dst, op, x, y, conv.then_some(TyK::Int))
+    Ok(rt::ptr_offset(p, idx.value().as_i64(), stride))
 }
 
-/// `regs[dst] = x op y` on two `F32`s; other tags run the generic form.
-#[inline(always)]
-fn f32x2(regs: &mut [Value], dst: R, op: BinOp, x: Value, y: Value, conv: bool) -> IResult<()> {
-    if let (Value::F32(a), Value::F32(b)) = (x, y) {
-        regs[dst as usize] = Value::F32(rt::f32_op(op, a, b));
-        return Ok(());
-    }
-    generic(regs, dst, op, x, y, conv.then_some(TyK::Float))
+/// Pointer difference `(a - b) / stride` (a zero stride divides by 1).
+fn ptr_diff(a: Value, b: Value, stride: u64) -> Slot {
+    let d = (a.as_ptr() as i64).wrapping_sub(b.as_ptr() as i64);
+    Slot::i64(d.wrapping_div(stride.max(1) as i64))
 }
 
 /// [`rt::convert`] over the compact type kind (identical per-type rules).
-#[inline]
-fn convert_k(v: Value, ty: TyK) -> Value {
+#[inline(always)]
+fn convert_k(v: Value, ty: TyK) -> Slot {
     match ty {
-        TyK::Char => Value::I32(v.as_i64() as i8 as i32),
-        TyK::Int => Value::I32(v.as_i32()),
-        TyK::Long => Value::I64(v.as_i64()),
-        TyK::Float => Value::F32(v.as_f32()),
-        TyK::Double => Value::F64(v.as_f64()),
-        TyK::Ptr => Value::Ptr(v.as_ptr()),
+        TyK::Char => Slot::i32(v.as_i64() as i8 as i32),
+        TyK::Int => Slot::i32(v.as_i32()),
+        TyK::Long => Slot::i64(v.as_i64()),
+        TyK::Float => Slot::f32(v.as_f32()),
+        TyK::Double => Slot::f64(v.as_f64()),
+        TyK::Ptr => Slot::ptr(v.as_ptr()),
         // Whole-dim3 assignment converts like the walker: identity.
-        TyK::Dim3X => v,
-    }
-}
-
-/// The typed zero a fresh frame slot would load as.
-fn zero_k(ty: TyK) -> Value {
-    match ty {
-        TyK::Char | TyK::Int => Value::I32(0),
-        TyK::Long => Value::I64(0),
-        TyK::Float => Value::F32(0.0),
-        TyK::Double => Value::F64(0.0),
-        TyK::Ptr => Value::Ptr(0),
-        TyK::Dim3X => Value::I32(0),
+        TyK::Dim3X => Slot::of(v),
     }
 }
 
@@ -738,20 +704,20 @@ fn resolve(m: &Machine, a: u64) -> IResult<&MemArena> {
 
 /// The walker's `load_typed`, keyed by [`TyK`].
 #[inline]
-fn load_k(m: &Machine, a: u64, ty: TyK) -> IResult<Value> {
+fn load_k(m: &Machine, a: u64, ty: TyK) -> IResult<Slot> {
     let mem = resolve(m, a)?;
     load_arena(mem, addr::offset(a), ty)
 }
 
 #[inline]
-fn load_arena(mem: &MemArena, off: u64, ty: TyK) -> IResult<Value> {
+fn load_arena(mem: &MemArena, off: u64, ty: TyK) -> IResult<Slot> {
     Ok(match ty {
-        TyK::Char => Value::I32(mem.load_u8(off)? as i8 as i32),
-        TyK::Int => Value::I32(mem.load_u32(off)? as i32),
-        TyK::Long => Value::I64(mem.load_u64(off)? as i64),
-        TyK::Float => Value::F32(f32::from_bits(mem.load_u32(off)?)),
-        TyK::Double => Value::F64(f64::from_bits(mem.load_u64(off)?)),
-        TyK::Ptr => Value::Ptr(mem.load_u64(off)?),
+        TyK::Char => Slot::i32(mem.load_u8(off)? as i8 as i32),
+        TyK::Int => Slot::i32(mem.load_u32(off)? as i32),
+        TyK::Long => Slot::i64(mem.load_u64(off)? as i64),
+        TyK::Float => Slot::f32(f32::from_bits(mem.load_u32(off)?)),
+        TyK::Double => Slot::f64(f64::from_bits(mem.load_u64(off)?)),
+        TyK::Ptr => Slot::ptr(mem.load_u64(off)?),
         TyK::Dim3X => return Err(InterpError::Trap("cannot load value of type dim3".into())),
     })
 }
@@ -759,13 +725,14 @@ fn load_arena(mem: &MemArena, off: u64, ty: TyK) -> IResult<Value> {
 /// The walker's `store_typed`, keyed by [`TyK`] (`Dim3X` stores the x
 /// component, matching whole-`dim3` scalar stores).
 #[inline]
-fn store_k(m: &Machine, a: u64, ty: TyK, v: Value) -> IResult<()> {
+fn store_k(m: &Machine, a: u64, ty: TyK, s: Slot) -> IResult<()> {
     let mem = resolve(m, a)?;
-    store_arena(mem, addr::offset(a), ty, v)
+    store_arena(mem, addr::offset(a), ty, s)
 }
 
 #[inline]
-fn store_arena(mem: &MemArena, off: u64, ty: TyK, v: Value) -> IResult<()> {
+fn store_arena(mem: &MemArena, off: u64, ty: TyK, s: Slot) -> IResult<()> {
+    let v = s.value();
     match ty {
         TyK::Char => mem.store_u8(off, v.as_i64() as u8)?,
         TyK::Int => mem.store_u32(off, v.as_i32() as u32)?,
@@ -778,13 +745,10 @@ fn store_arena(mem: &MemArena, off: u64, ty: TyK, v: Value) -> IResult<()> {
     Ok(())
 }
 
-fn dim3_from(regs: &[Value], at: u16) -> [u32; 3] {
-    [
-        regs[at as usize].as_i64() as u32,
-        regs[at as usize + 1].as_i64() as u32,
-        regs[at as usize + 2].as_i64() as u32,
-    ]
+fn dim3_from(w: &Window, at: u16) -> [u32; 3] {
+    [0, 1, 2].map(|k| w.get(at + k).as_i64() as u32)
 }
 
+mod regs;
 #[cfg(test)]
 mod tests;

@@ -1,9 +1,13 @@
 //! Each typed or fused op against the generic sequence it replaces, both
 //! run by the VM on hand-built chunks. The argument registers take every
 //! corner tag unconverted, so the typed arm runs where the tags match and
-//! the fallback arm everywhere else; the two chunks must agree bit for bit
-//! (NaNs aside, whose bits Rust does not fix), error messages included.
+//! the fallback arm everywhere else; the two chunks must agree bit for bit,
+//! error messages included, except that an arithmetic NaN result matches
+//! any NaN (Rust does not fix its bits). Values that only move through
+//! registers (`Const`, `Mov`, `Conv`, calls, returns) must keep every bit,
+//! NaN payloads included.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
 use vmcommon::Value;
@@ -12,6 +16,8 @@ use super::Interp;
 use crate::ast::BinOp;
 use crate::bytecode::{run_lens, Chunk, CompiledProgram, Op, ParamSpec, TyK, R};
 use crate::interp::{Machine, NoHooks};
+use crate::rt;
+use crate::types::Ty;
 
 fn corners() -> Vec<Value> {
     use Value::*;
@@ -23,6 +29,7 @@ fn corners() -> Vec<Value> {
         I32(i32::MIN),
         I32(i32::MAX),
         I64(-1),
+        I64(-2),
         I64(i64::MIN),
         I64(1 << 40),
         F32(0.0),
@@ -30,13 +37,18 @@ fn corners() -> Vec<Value> {
         F32(1.5),
         F32(-3.25),
         F32(f32::NAN),
+        F32(f32::from_bits(0x7fc0_1234)),
+        F32(f32::from_bits(0xffc0_0001)),
         F32(f32::INFINITY),
         F32(16_777_216.0),
         F64(-0.0),
         F64(2.5),
         F64(f64::NAN),
+        F64(f64::from_bits(0x7ff8_0000_dead_beef)),
+        F64(f64::from_bits(0xfff8_0000_0000_0001)),
         Ptr(0),
         Ptr(0x100),
+        Ptr(0xffff_8000_0000_0100),
     ]
 }
 
@@ -56,42 +68,59 @@ impl Bench {
         Bench { vm: Interp::new(m, Arc::new(NoHooks)).unwrap(), consts }
     }
 
-    /// Bit-exact outcome of `code` with `args` in registers `0..`.
+    /// Run `chunks[0]` with `args` in registers `0..`.
+    fn call(&mut self, mut chunks: Vec<Chunk>, args: &[Value]) -> Result<Value, String> {
+        let mut base = 0;
+        for c in &mut chunks {
+            c.base = base;
+            base += 1 + c.code.len() as u32;
+        }
+        let prog = CompiledProgram { chunks, consts: self.consts.clone(), ..Default::default() };
+        self.vm.call_chunk(&prog, 0, args).map_err(|e| format!("error: {e}"))
+    }
+
+    /// Outcome of `code` with `args` in registers `0..`, bit-exact apart
+    /// from NaNs.
     fn run(&mut self, code: &[Op], args: &[Value]) -> String {
-        let chunk = Chunk {
-            name: "t".into(),
-            nregs: 8,
-            frame_size: 0,
-            // `Dim3X` binds without converting.
-            params: (0..args.len())
-                .map(|r| ParamSpec::Reg { reg: r as R, ty: TyK::Dim3X })
-                .collect(),
-            zero_init: Vec::new(),
-            code: code.to_vec(),
-            line_table: 0,
-            run_len: run_lens(code),
-            base: 0,
-        };
-        let prog = CompiledProgram {
-            chunks: vec![chunk],
-            consts: self.consts.clone(),
-            ..Default::default()
-        };
+        // `Dim3X` binds without converting.
+        let params = (0..args.len()).map(|r| ParamSpec::Reg { reg: r as R, ty: TyK::Dim3X });
         // Rust leaves a NaN result's sign and payload unspecified (LLVM
         // may commute `a + b`), so any NaN matches any NaN.
-        match self.vm.call_chunk(&prog, 0, args) {
+        match self.call(vec![chunk(code, params.collect(), 0)], args) {
             Ok(Value::F32(x)) if x.is_nan() => "F32(NaN)".into(),
             Ok(Value::F64(x)) if x.is_nan() => "F64(NaN)".into(),
-            Ok(Value::F32(x)) => format!("F32({:#x})", x.to_bits()),
-            Ok(Value::F64(x)) => format!("F64({:#x})", x.to_bits()),
-            Ok(v) => format!("{v:?}"),
-            Err(e) => format!("error: {e}"),
+            Ok(v) => exact(v),
+            Err(e) => e,
         }
     }
 
     fn same(&mut self, typed: &[Op], generic: &[Op], args: &[Value]) {
         let (t, g) = (self.run(typed, args), self.run(generic, args));
         assert_eq!(t, g, "{typed:?} vs {generic:?} on {args:?}");
+    }
+}
+
+/// A chunk of 8 registers with `frame_size` bytes of guest frame.
+fn chunk(code: &[Op], params: Vec<ParamSpec>, frame_size: u64) -> Chunk {
+    Chunk {
+        name: "t".into(),
+        nregs: 8,
+        frame_size,
+        params,
+        zero_init: Vec::new(),
+        code: code.to_vec(),
+        line_table: 0,
+        run_len: run_lens(code),
+        base: 0,
+    }
+}
+
+/// A value's variant and every payload bit.
+fn exact(v: Value) -> String {
+    match v {
+        Value::F32(x) => format!("F32({:#x})", x.to_bits()),
+        Value::F64(x) => format!("F64({:#x})", x.to_bits()),
+        v => format!("{v:?}"),
     }
 }
 
@@ -269,5 +298,97 @@ fn increment_matches_mov_const_bin_conv() {
                 &[x],
             );
         }
+    }
+}
+
+/// The walker's rule for a value converted to `ty`.
+fn convert(v: Value, ty: TyK) -> Value {
+    let ty = match ty {
+        TyK::Char => Ty::Char,
+        TyK::Int => Ty::Int,
+        TyK::Long => Ty::Long,
+        TyK::Float => Ty::Float,
+        TyK::Double => Ty::Double,
+        TyK::Ptr => Ty::Ptr(Box::new(Ty::Int)),
+        TyK::Dim3X => Ty::Dim3,
+    };
+    rt::convert(black_box(v), &ty)
+}
+
+#[test]
+fn registers_keep_every_bit_through_moves_conversions_calls_and_returns() {
+    const TYS: [TyK; 7] =
+        [TyK::Char, TyK::Int, TyK::Long, TyK::Float, TyK::Double, TyK::Ptr, TyK::Dim3X];
+    let mut b = Bench::new(&corners());
+    for (i, v) in corners().into_iter().enumerate() {
+        // A host argument comes back as it went in.
+        let echo = chunk(&[Op::Ret { src: 0 }], vec![ParamSpec::Reg { reg: 0, ty: TyK::Dim3X }], 0);
+        assert_eq!(b.call(vec![echo], &[v]).map(exact), Ok(exact(v)), "host argument");
+        for ty in TYS {
+            // `Const`, `Mov`, `Conv`, then a call binding the result to a
+            // register parameter and (but for `dim3`, which does not load)
+            // a frame parameter of the same type; the callee returns one.
+            let caller = chunk(
+                &[
+                    Op::Const { dst: 0, idx: 2 + i as u32 },
+                    Op::Mov { dst: 1, src: 0 },
+                    Op::Conv { dst: 2, src: 1, ty },
+                    Op::Mov { dst: 3, src: 2 },
+                    Op::Mov { dst: 4, src: 2 },
+                    Op::Call { dst: 5, func: 1, abase: 3, nargs: 2 },
+                    Op::Ret { src: 5 },
+                ],
+                Vec::new(),
+                0,
+            );
+            let mem_ty = if ty == TyK::Dim3X { TyK::Long } else { ty };
+            let params = vec![ParamSpec::Reg { reg: 0, ty }, ParamSpec::Mem { off: 0, ty: mem_ty }];
+            let want = convert(convert(v, ty), ty);
+            let mem_want = convert(convert(v, ty), mem_ty);
+            for (code, want) in [
+                (vec![Op::Ret { src: 0 }], want),
+                (vec![Op::LoadSlot { dst: 1, off: 0, ty: mem_ty }, Op::Ret { src: 1 }], mem_want),
+            ] {
+                let callee = chunk(&code, params.clone(), 8);
+                let got = b.call(vec![caller.clone(), callee], &[]);
+                assert_eq!(got.map(exact), Ok(exact(want)), "{v:?} as {ty:?}, callee {code:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_register_that_changes_tag_reads_as_its_latest_value() {
+    let p = 0xffff_8000_0000_0100;
+    let mut b = Bench::new(&[Value::I32(-7), Value::Ptr(p)]);
+    // r0 is `I32`, then `F64` (by `Conv`), then `Ptr` (by `Const`), then
+    // `I32` again; every read after a change sees the new tag, typed ops
+    // included (they fall back to the generic form).
+    let code = [
+        Op::Const { dst: 0, idx: 2 },
+        Op::Mov { dst: 1, src: 0 },
+        Op::Conv { dst: 0, src: 0, ty: TyK::Double },
+        Op::Mov { dst: 2, src: 0 },
+        Op::AddI { dst: 3, a: 0, b: 0, conv: false },
+        Op::Const { dst: 0, idx: 3 },
+        Op::Mov { dst: 4, src: 0 },
+        Op::AddIK { dst: 5, a: 0, k: 1, conv: false },
+        Op::Conv { dst: 0, src: 0, ty: TyK::Int },
+        Op::AddI { dst: 6, a: 0, b: 0, conv: false },
+        Op::Mov { dst: 7, src: 0 },
+    ];
+    let want = [
+        Value::I32(0x100),
+        Value::I32(-7),
+        Value::F64(-7.0),
+        Value::F64(-14.0),
+        Value::Ptr(p),
+        Value::Ptr(p + 1),
+        Value::I32(0x200),
+        Value::I32(0x100),
+    ];
+    for (r, want) in want.into_iter().enumerate() {
+        let got = b.run(&[&code[..], &[Op::Ret { src: r as R }]].concat(), &[]);
+        assert_eq!(got, exact(want), "r{r}");
     }
 }

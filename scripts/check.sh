@@ -11,7 +11,7 @@ echo "== module size ratchet (core, obs, serve, gpusim, cudadev host/, minic exe
 # flight recorder and hotspots modules, covered by the same find); keep
 # it that way.
 # The minic execution engine starts split too (interp machine / walker
-# oracle / bytecode / compile/{mod,expr,specialize,loops} / vm / rt, plus the
+# oracle / bytecode / compile/{mod,expr,specialize,loops} / vm{,/regs} / rt, plus the
 # PR-9 guest resource governor and the fuzz generator); keep each layer
 # under the cap rather than letting the VM regrow into a monolith. (The parser
 # predates the ratchet and is exempt until it gets the same treatment.)
@@ -32,6 +32,7 @@ crates/minic/src/compile/expr.rs
 crates/minic/src/compile/specialize.rs
 crates/minic/src/compile/loops.rs
 crates/minic/src/vm.rs
+crates/minic/src/vm/regs.rs
 crates/minic/src/rt.rs
 crates/minic/src/limits.rs
 crates/minic/src/fuzzgen.rs
@@ -146,6 +147,24 @@ echo "== one host engine (Interp is the VM; tests build the walker oracle direct
 if grep -rnE 'set_engine|Engine::Vm|Engine::Walker|Interp::Walker' \
     crates src tests examples --include='*.rs'; then
     echo "FAIL: the engine selector stays deleted; tests build TreeWalker::new directly"
+    exit 1
+fi
+
+echo "== split register file (no Value-typed register stack in crates/minic/src/vm.rs) =="
+# The VM keeps 64-bit payloads and 1-byte tags in two parallel arrays: a
+# register read as a 16-byte Value waits for the two narrower stores that
+# wrote it, because the core cannot forward from them. Argument packs that
+# hand &[Value] to builtins and hooks are not registers and stay allowed.
+regfile=$(awk '/^pub struct Interp \{/,/^\}/; /^    fn (run|new_frame)\(/,/\) -> /' \
+    crates/minic/src/vm.rs)
+for item in 'pub struct Interp' 'fn run(' 'fn new_frame('; do
+    case "$regfile" in
+    *"$item"*) ;;
+    *) echo "FAIL: the register-file guard cannot find \`$item\` in crates/minic/src/vm.rs"; exit 1 ;;
+    esac
+done
+if printf '%s\n' "$regfile" | grep -n 'Vec<Value>'; then
+    echo "FAIL: Interp, run and new_frame hold registers as payload and tag arrays, not Vec<Value>"
     exit 1
 fi
 
