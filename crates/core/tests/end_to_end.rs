@@ -452,6 +452,61 @@ int main() {{
     assert!(t2 > t1, "larger problem must take longer: {t1} vs {t2}");
 }
 
+/// The master/worker ablation (DESIGN §5): the same 4096-float loop as the
+/// combined construct (§3.1) and as a stand-alone `parallel for` inside
+/// `target` (§3.2), both loaded from cubins. Both are correct, and the
+/// master/worker scheme costs strictly more simulated time — the reason
+/// the paper recommends combined constructs for loops.
+#[test]
+fn master_worker_costs_more_than_the_combined_construct() {
+    const COMBINED: &str = r#"
+int main() {
+    int n = 4096;
+    float v[4096];
+    for (int i = 0; i < n; i++) v[i] = 1.0f;
+    #pragma omp target teams distribute parallel for map(tofrom: v[0:n]) num_threads(128)
+    for (int i = 0; i < n; i++)
+        v[i] = v[i] * 2.0f + 1.0f;
+    int bad = 0;
+    for (int i = 0; i < n; i++)
+        if (v[i] != 3.0f)
+            bad++;
+    return bad;
+}
+"#;
+    const MASTER_WORKER: &str = r#"
+int main() {
+    int n = 4096;
+    float v[4096];
+    for (int i = 0; i < n; i++) v[i] = 1.0f;
+    #pragma omp target map(tofrom: v[0:n]) map(to: n)
+    {
+        int i;
+        #pragma omp parallel for
+        for (i = 0; i < n; i++)
+            v[i] = v[i] * 2.0f + 1.0f;
+    }
+    int bad = 0;
+    for (int i = 0; i < n; i++)
+        if (v[i] != 3.0f)
+            bad++;
+    return bad;
+}
+"#;
+    let sim_s = |tag: &str, src: &str| {
+        let app = Ompicc::new(workdir(tag)).with_mode(nvccsim::BinMode::Cubin).compile(src);
+        let runner = Runner::new(&app.unwrap(), &RunnerConfig::default()).expect("runner");
+        assert_eq!(runner.run_main().unwrap(), Value::I32(0), "{tag}: every v[i] must be 3.0f");
+        runner.dev_clock().total_s()
+    };
+    let combined = sim_s("mw_combined", COMBINED);
+    let master_worker = sim_s("mw_master_worker", MASTER_WORKER);
+    assert!(
+        master_worker > combined,
+        "master/worker must cost more than combined: {master_worker} vs {combined}"
+    );
+}
+
 /// Guided schedule on a combined construct.
 #[test]
 fn combined_guided_schedule() {

@@ -1151,8 +1151,4 @@ impl CudaDev {
     pub fn exec_mode(&self) -> ExecMode {
         self.cfg.exec_mode
     }
-
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.cfg.exec_mode = mode;
-    }
 }

@@ -306,16 +306,6 @@ impl Device {
         self.alloc.lock().bytes_free()
     }
 
-    /// Largest contiguous free block in the global arena.
-    pub fn mem_largest_free(&self) -> u64 {
-        self.alloc.lock().largest_free()
-    }
-
-    /// Peak bytes allocated since device creation.
-    pub fn mem_high_water(&self) -> u64 {
-        self.alloc.lock().high_water()
-    }
-
     /// `cuMemcpyHtoD`: copy from a host buffer into device memory.
     /// Returns the simulated copy time in seconds.
     pub fn memcpy_h2d(&self, dst: u64, src: &[u8]) -> Result<f64, ExecError> {

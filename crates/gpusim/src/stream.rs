@@ -79,10 +79,6 @@ impl StreamEngine {
         self.streams.len() - 1
     }
 
-    pub fn num_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Earliest time the copy engine can serve a `dur_s`-long transfer
     /// that becomes ready at `ready`: the first idle gap (between busy
     /// intervals, at or after `ready`) wide enough, else after the last

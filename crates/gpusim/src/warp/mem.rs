@@ -309,19 +309,7 @@ impl<'a> Warp<'a> {
         Ok(String::from_utf8_lossy(&s).into_owned())
     }
 
-    /// Public typed accessors for the device library.
-    pub fn mem_read_u32(&mut self, a: u64) -> Result<u32, ExecError> {
-        Ok(self.load_mem(MemTy::B32, a)? as u32)
-    }
-
-    pub fn mem_write_u32(&mut self, a: u64, v: u32) -> Result<(), ExecError> {
-        self.store_mem(MemTy::B32, a, v as u64)
-    }
-
-    pub fn mem_read_u64(&mut self, a: u64) -> Result<u64, ExecError> {
-        self.load_mem(MemTy::B64, a)
-    }
-
+    /// Typed store for the device library.
     pub fn mem_write_u64(&mut self, a: u64, v: u64) -> Result<(), ExecError> {
         self.store_mem(MemTy::B64, a, v)
     }

@@ -221,9 +221,6 @@ impl<'a> HookCtx<'a> {
     }
 }
 
-/// Where `printf` and friends write.
-pub type OutputSink = dyn Fn(&str) + Send + Sync;
-
 /// Totals drained from a machine's VM dispatch counters
 /// (see [`Machine::drain_vm_counters`]).
 #[derive(Clone, Copy, Debug, Default)]
@@ -263,9 +260,7 @@ pub struct Machine {
     pub(crate) image: Arc<Image>,
     pub mem: MemArena,
     pub heap: Mutex<BlockAllocator>,
-    /// Output sink for printf (also always captured).
-    output: Mutex<Option<Box<OutputSink>>>,
-    /// Captured output.
+    /// Everything `printf` and friends wrote.
     pub captured: Mutex<String>,
     /// Global initializers: [`GLOBALS_PENDING`], [`GLOBALS_STARTED`] or
     /// [`GLOBALS_FAILED`].
@@ -318,7 +313,6 @@ impl Machine {
             image,
             mem,
             heap: Mutex::new(heap),
-            output: Mutex::new(None),
             captured: Mutex::new(String::new()),
             globals: AtomicU8::new(GLOBALS_PENDING),
             vm_counters: Default::default(),
@@ -432,15 +426,7 @@ impl Machine {
         &self.limits
     }
 
-    /// Install a live output sink for `printf` (output is captured too).
-    pub fn set_output(&self, sink: Box<OutputSink>) {
-        *self.output.lock() = Some(sink);
-    }
-
     pub(crate) fn emit(&self, s: &str) {
-        if let Some(sink) = self.output.lock().as_ref() {
-            sink(s);
-        }
         self.captured.lock().push_str(s);
     }
 

@@ -82,10 +82,6 @@ impl Ty {
         matches!(self, Ty::Float | Ty::Double)
     }
 
-    pub fn is_arith(&self) -> bool {
-        self.is_integer() || self.is_float()
-    }
-
     pub fn is_ptr(&self) -> bool {
         matches!(self, Ty::Ptr(_))
     }

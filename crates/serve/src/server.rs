@@ -212,11 +212,6 @@ impl Server {
         }
     }
 
-    /// Non-blocking claim.
-    pub fn try_result(&self, id: JobId) -> Option<JobResult> {
-        self.inner.results.lock().remove(&id.0)
-    }
-
     /// Stop admitting jobs, let workers drain the queues, and join them.
     pub fn shutdown(&self) {
         self.inner.sched.shutdown();

@@ -510,10 +510,6 @@ impl Module {
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name == name)
     }
-
-    pub fn function_index(&self, name: &str) -> Option<u32> {
-        self.functions.iter().position(|f| f.name == name).map(|i| i as u32)
-    }
 }
 
 /// Walk all instructions in a node list (for verification / analysis).

@@ -63,37 +63,8 @@ pub fn output_checksum(xs: &[f32]) -> u64 {
     h
 }
 
-/// Compile one variant of an app and instantiate a runner sized for `n`.
-pub fn build_variant(
-    app: &App,
-    variant: Variant,
-    n: u32,
-    exec_mode: ExecMode,
-    launch_sampling: bool,
-    work_dir: &std::path::Path,
-) -> Built {
-    build_variant_obs(app, variant, n, exec_mode, launch_sampling, work_dir, None)
-}
-
-/// [`build_variant`] with an explicit observability sink: all runners built
-/// with the same `Arc<Obs>` record into one trace (the harness exports it
-/// once at the end).
-#[allow(clippy::too_many_arguments)]
-pub fn build_variant_obs(
-    app: &App,
-    variant: Variant,
-    n: u32,
-    exec_mode: ExecMode,
-    launch_sampling: bool,
-    work_dir: &std::path::Path,
-    obs: Option<std::sync::Arc<obs::Obs>>,
-) -> Built {
-    let mut cfg = runner_config((app.footprint)(n), exec_mode, launch_sampling);
-    cfg.obs = obs;
-    build_variant_cfg(app, variant, work_dir, &cfg)
-}
-
-/// [`build_variant`] with a caller-supplied runner configuration — the
+/// Compile one variant of an app and instantiate a runner with `cfg`.
+/// [`runner_config`] sizes a configuration for a problem size; the
 /// memory-pressure paths (fig4's `--mem`, the golden tests) cap
 /// `device_mem` below the app footprint to exercise the governor.
 pub fn build_variant_cfg(
@@ -138,7 +109,8 @@ pub fn validate_app(app: &App, work_dir: &std::path::Path) -> Result<(), String>
     let n = app.test_size;
     let reference = (app.reference)(n);
     for variant in [Variant::OmpiCudadev, Variant::Cuda] {
-        let built = build_variant(app, variant, n, ExecMode::Functional, false, work_dir);
+        let cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+        let built = build_variant_cfg(app, variant, work_dir, &cfg);
         let got = run_once(app, &built.runner, n)
             .map_err(|e| format!("{} {}: {e}", app.name, variant.label()))?;
         if got.len() != reference.len() {

@@ -24,8 +24,7 @@ pub mod harness;
 
 pub use apps::{all_apps, app_by_name, App};
 pub use harness::{
-    build_variant, build_variant_cfg, build_variant_obs, measure, output_checksum, validate_app,
-    Built, Measurement, Variant,
+    build_variant_cfg, measure, output_checksum, validate_app, Built, Measurement, Variant,
 };
 
 /// Allocate a guest f32 buffer on a machine's heap and fill it.

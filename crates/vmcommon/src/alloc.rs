@@ -38,7 +38,6 @@ impl std::error::Error for AllocError {}
 #[derive(Debug)]
 pub struct BlockAllocator {
     start: u64,
-    len: u64,
     /// Free blocks: offset -> length. Coalesced on free.
     free: BTreeMap<u64, u64>,
     /// Live blocks: offset -> length.
@@ -58,7 +57,7 @@ impl BlockAllocator {
         if len >= Self::ALIGN {
             free.insert(astart, len - len % Self::ALIGN);
         }
-        BlockAllocator { start: astart, len, free, live: BTreeMap::new(), high_water: 0 }
+        BlockAllocator { start: astart, free, live: BTreeMap::new(), high_water: 0 }
     }
 
     /// Allocate `size` bytes (rounded up to the granularity); returns the
@@ -155,19 +154,9 @@ impl BlockAllocator {
         self.free.values().copied().max().unwrap_or(0)
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
     /// The managed range start.
     pub fn range_start(&self) -> u64 {
         self.start
-    }
-
-    /// The managed range length.
-    pub fn range_len(&self) -> u64 {
-        self.len
     }
 }
 

@@ -10,7 +10,7 @@
 //! guidance in "Rust Atomics and Locks" on building locks from atomics.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Errors produced by guest memory accesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,19 +119,6 @@ impl MemArena {
     pub fn store_u8(&self, offset: u64, v: u8) -> MemResult<()> {
         let o = self.check(offset, 1, 1)?;
         unsafe { AtomicU8::from_ptr(self.base.add(o)).store(v, Ordering::Relaxed) };
-        Ok(())
-    }
-
-    #[inline]
-    pub fn load_u16(&self, offset: u64) -> MemResult<u16> {
-        let o = self.check(offset, 2, 2)?;
-        Ok(unsafe { AtomicU16::from_ptr(self.base.add(o) as *mut u16).load(Ordering::Relaxed) })
-    }
-
-    #[inline]
-    pub fn store_u16(&self, offset: u64, v: u16) -> MemResult<()> {
-        let o = self.check(offset, 2, 2)?;
-        unsafe { AtomicU16::from_ptr(self.base.add(o) as *mut u16).store(v, Ordering::Relaxed) };
         Ok(())
     }
 

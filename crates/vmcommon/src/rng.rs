@@ -31,10 +31,6 @@ impl XorShift64 {
         x.wrapping_mul(0x2545_f491_4f6c_dd1d)
     }
 
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform value in `[0, bound)`; `bound` must be nonzero.
     pub fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);

@@ -168,6 +168,16 @@ if printf '%s\n' "$regfile" | grep -n 'Vec<Value>'; then
     exit 1
 fi
 
+echo "== one measuring harness (the repo benchmark, fig4 and the tests) =="
+# Wall time per layer is the benchmark's, the paper's simulated numbers are
+# fig4's, behaviour is the tests'. The stopwatch benches, the second soak
+# driver and unibench's positional variant builders stay deleted.
+if grep -rnE 'crates/bench/benches|serve_soak|fn timeit|build_variant_obs|fn build_variant\(' \
+    crates src tests examples .github; then
+    echo "FAIL: measure in benchmark/, fig4 or a test; build variants with build_variant_cfg"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

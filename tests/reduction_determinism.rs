@@ -30,14 +30,8 @@ fn gramschmidt_outputs_are_byte_identical_across_fresh_runners() {
     let _ = std::fs::remove_dir_all(&dir);
     for n in [128, 256] {
         let run = || {
-            let built = harness::build_variant(
-                &app,
-                harness::Variant::OmpiCudadev,
-                n,
-                ExecMode::Functional,
-                false,
-                &dir,
-            );
+            let cfg = unibench::runner_config((app.footprint)(n), ExecMode::Functional, false);
+            let built = harness::build_variant_cfg(&app, harness::Variant::OmpiCudadev, &dir, &cfg);
             let q = unibench::run_once(&app, &built.runner, n).unwrap();
             q.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()
         };
