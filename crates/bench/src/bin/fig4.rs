@@ -3,10 +3,16 @@
 //! application.
 //!
 //! Usage:
-//!   fig4 [--app NAME] [--sizes a,b,c] [--full] [--max-blocks N]
-//!        [--trace PATH] [--profile] [--hotspots] [--mem SIZE] [--async]
-//!        [--fuel N] [--job-timeout-ms N] [--chaos-seed N]
-//!        [--json PATH] [--quick]
+//!   fig4 [--app NAME] [--sizes a,b,c] [--trace PATH] [--profile]
+//!        [--hotspots] [--mem SIZE] [--async] [--fuel N]
+//!        [--job-timeout-ms N] [--chaos-seed N] [--json PATH] [--quick]
+//!
+//! Every run simulates every block of every launch (`ExecMode::Functional`):
+//! each number is the simulated clock of a run that happened, and each
+//! checksum is of a computed output, so a CUDA and an OMPi row of the same
+//! (app, n) carry the same checksum, except where float atomics from
+//! different blocks meet in host order (gramschmidt at n >= 512). There is
+//! no sampling mode.
 //!
 //! `--json PATH` additionally writes a machine-readable
 //! perf-trajectory artifact (wall-clock + simulated-clock per app and
@@ -44,12 +50,12 @@
 //! Combine with `--mem` to see the governor's double-buffered tiling
 //! pipeline transfers under compute within a single region.
 //!
-//! By default every app runs over its paper sizes in sampled-simulation
-//! mode (see DESIGN.md for the sampling substitution). `--full` forces
-//! functional simulation (slow; use small sizes). `--trace PATH` writes a
-//! Chrome trace-event JSON of every run (load in Perfetto / chrome://tracing)
-//! and `--profile` prints the per-device simulated-time profile table after
-//! each measurement.
+//! By default every app runs over its paper sizes: one such run took 878 s
+//! of wall time on two vCPUs, 445 s of it gramschmidt@2048 (6144 launches
+//! per variant) and 266 s gemm@2048; `--quick` took 0.83–0.94 s. `--trace
+//! PATH` writes a Chrome trace-event JSON of every run (load in Perfetto /
+//! chrome://tracing) and `--profile` prints the per-device simulated-time
+//! profile table after each measurement.
 //!
 //! `--hotspots` prints each app's guest-source "hot lines" table: VM
 //! instruction/dispatch counters attributed to source lines through the
@@ -58,7 +64,6 @@
 
 use std::sync::Arc;
 
-use gpusim::ExecMode;
 use ompi_core::{ResolvedConfig, RunnerConfig};
 use unibench::{
     all_apps, app_by_name, build_variant_cfg, host_machine, measure, output_checksum,
@@ -95,8 +100,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app_filter: Option<String> = None;
     let mut sizes_override: Option<Vec<u32>> = None;
-    let mut full = false;
-    let mut max_blocks = 4u32;
     let mut trace_path: Option<std::path::PathBuf> = None;
     let mut profile = false;
     let mut hotspots = false;
@@ -117,14 +120,6 @@ fn main() {
             "--sizes" => {
                 sizes_override =
                     Some(args[i + 1].split(',').map(|s| s.trim().parse().expect("size")).collect());
-                i += 2;
-            }
-            "--full" => {
-                full = true;
-                i += 1;
-            }
-            "--max-blocks" => {
-                max_blocks = args[i + 1].parse().expect("max-blocks");
                 i += 2;
             }
             "--trace" => {
@@ -182,8 +177,6 @@ fn main() {
             }
         }
     }
-    let mode = if full { ExecMode::Functional } else { ExecMode::Sampled { max_blocks } };
-
     // What the OMPi variant sets on top of `runner_config`. The runners
     // share one explicit sink, so its flight-dump path (`OMPI_FLIGHT_DUMP`)
     // comes from the same env snapshot they will take of this config.
@@ -199,7 +192,7 @@ fn main() {
         cfg.fuel = fuel;
         cfg.job_timeout = job_timeout_ms.map(std::time::Duration::from_millis);
     };
-    let mut probe = runner_config(0, mode, true);
+    let mut probe = runner_config(0);
     ompi_knobs(&mut probe);
     let snapshot = ResolvedConfig::resolve(&probe).unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -217,7 +210,8 @@ fn main() {
     };
 
     println!("# Fig. 4 reproduction — simulated Jetson Nano 2GB (sm_53, 128-core Maxwell)");
-    println!("# mode: {:?}; times are simulated seconds (kernel + memory operations)\n", mode);
+    let mode = probe.exec_mode;
+    println!("# mode: {mode:?}; times are simulated seconds (kernel + memory operations)\n");
     let mut rows: Vec<JsonRow> = Vec::new();
     for app in apps {
         let sizes: Vec<u32> = sizes_override.clone().unwrap_or_else(|| {
@@ -232,7 +226,7 @@ fn main() {
         for &n in &sizes {
             let mut row = Vec::new();
             for variant in [Variant::Cuda, Variant::OmpiCudadev] {
-                let mut cfg = runner_config((app.footprint)(n), mode, true);
+                let mut cfg = runner_config((app.footprint)(n));
                 cfg.obs = Some(obs.clone());
                 if variant == Variant::OmpiCudadev {
                     ompi_knobs(&mut cfg);

@@ -45,6 +45,9 @@ pub enum ConfigError {
     /// A parsed byte count that does not fit `usize` on this target —
     /// previously a silent `as usize` wrap on 32-bit.
     Overflow { var: &'static str, bytes: u64 },
+    /// A `RunnerConfig` field set to a value that no longer exists
+    /// (`launch_sampling: true`), refused rather than ignored.
+    Retired { field: &'static str },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -60,6 +63,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::Overflow { var, bytes } => {
                 write!(f, "{var}: {bytes} bytes does not fit in usize on this target")
             }
+            ConfigError::Retired { field } => write!(
+                f,
+                "RunnerConfig::{field} is retired: every launch is simulated, none is estimated"
+            ),
         }
     }
 }
@@ -73,8 +80,8 @@ impl std::error::Error for ConfigError {}
 pub struct ResolvedConfig {
     pub host_mem: usize,
     /// The device knobs every fleet device shares: `global_mem`,
-    /// `exec_mode`, `jit_cache_dir`, `launch_sampling`, `async_streams`,
-    /// `launch_timeout`, `max_resets` and the default `retry` policy.
+    /// `exec_mode`, `jit_cache_dir`, `async_streams`, `launch_timeout`,
+    /// `max_resets` and the default `retry` policy.
     /// [`super::build_fleet`] fills in the per-device rest (`device_id`,
     /// `kernel_dir`, `fault_plan`, `obs`).
     pub device: CudaDevConfig,
@@ -121,7 +128,12 @@ impl ResolvedConfig {
     /// `OMPI_ASYNC`, `OMPI_LAUNCH_TIMEOUT_MS`, `OMPI_MAX_RESETS`,
     /// `OMPI_JOB_TIMEOUT_MS` and the `OMPI_GUEST_*` limits may apply
     /// (each only where the config left the field unset).
+    /// `launch_sampling: true` is [`ConfigError::Retired`]: no launch is
+    /// estimated.
     pub fn resolve(cfg: &RunnerConfig) -> Result<ResolvedConfig, ConfigError> {
+        if cfg.launch_sampling {
+            return Err(ConfigError::Retired { field: "launch_sampling" });
+        }
         let flag = |var| env_text(var).and_then(|v| obs::parse_bool(&v)).unwrap_or(false);
         Ok(ResolvedConfig {
             host_mem: cfg.host_mem,
@@ -130,7 +142,6 @@ impl ResolvedConfig {
                     .unwrap_or(DEFAULT_DEVICE_MEM),
                 exec_mode: cfg.exec_mode,
                 jit_cache_dir: cfg.jit_cache_dir.clone(),
-                launch_sampling: cfg.launch_sampling,
                 async_streams: or_env(cfg.async_streams, || env_bool("OMPI_ASYNC"))?
                     .unwrap_or(false),
                 launch_timeout: or_env(cfg.launch_timeout, || env_ms("OMPI_LAUNCH_TIMEOUT_MS"))?
@@ -281,6 +292,16 @@ mod tests {
         let e = ConfigError::Overflow { var: "OMPI_DEV_MEM", bytes: u64::MAX };
         assert!(e.to_string().contains("OMPI_DEV_MEM"));
         assert!(e.to_string().contains("does not fit"));
+    }
+
+    #[test]
+    fn launch_sampling_is_refused_by_name() {
+        let cfg = RunnerConfig { launch_sampling: true, ..Default::default() };
+        for resolve in [ResolvedConfig::resolve, ResolvedConfig::resolve_cuda] {
+            let e = resolve(&cfg).unwrap_err();
+            assert_eq!(e, ConfigError::Retired { field: "launch_sampling" });
+            assert!(e.to_string().contains("launch_sampling"), "{e}");
+        }
     }
 
     #[test]

@@ -46,7 +46,9 @@ pub struct RunnerConfig {
     pub exec_mode: ExecMode,
     /// JIT cache directory (PTX mode), shared across devices.
     pub jit_cache_dir: std::path::PathBuf,
-    /// Estimate repeated launches from earlier ones (see cudadev docs).
+    /// Retired: every launch is simulated. `true` fails
+    /// [`ResolvedConfig::resolve`] with [`ConfigError::Retired`]; the field
+    /// stays only because the repo benchmark still sets it to `false`.
     pub launch_sampling: bool,
     /// Number of simulated offload devices in the registry.
     pub num_devices: usize,

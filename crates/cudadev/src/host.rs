@@ -239,12 +239,6 @@ pub struct CudaDevConfig {
     pub jit_cache_dir: PathBuf,
     /// How much of each grid to simulate.
     pub exec_mode: ExecMode,
-    /// Launch-level sampling: after a warm-up, repeated launches of the
-    /// same kernel are *estimated* from recent measured launches (scaled by
-    /// total thread count) instead of simulated. Used by the Fig. 4 harness
-    /// for gramschmidt-style apps that launch thousands of kernels inside a
-    /// host loop. Documented substitution — see DESIGN.md.
-    pub launch_sampling: bool,
     /// Deterministic fault-injection plan (see `gpusim::fault`); `None`
     /// injects nothing. The fleet builder in `ompi-core` resolves it per
     /// device from the config snapshot — this crate never reads the
@@ -287,7 +281,6 @@ impl Default for CudaDevConfig {
             kernel_dir: base.join("kernels"),
             jit_cache_dir: base.join("jitcache"),
             exec_mode: ExecMode::Functional,
-            launch_sampling: false,
             fault_plan: None,
             retry: RetryPolicy::default(),
             staging_bytes: 16 << 20,
@@ -315,9 +308,6 @@ pub struct CudaDev {
     /// Monotone counter stamping cache entries for LRU ordering.
     lru_tick: std::sync::atomic::AtomicU64,
     pub clock: Mutex<DevClock>,
-    /// Per-kernel launch history for launch-level sampling:
-    /// (launch count, recent cycles-per-thread estimate).
-    launch_hist: Mutex<HashMap<String, (u64, f64)>>,
     /// Async command-stream state (engines, streams, pending busy time).
     streams: stream::AsyncState,
     /// Recovery circuit breaker: reset budget and health state (see
@@ -347,7 +337,6 @@ impl CudaDev {
             cache: Mutex::new(HashMap::new()),
             lru_tick: std::sync::atomic::AtomicU64::new(0),
             clock: Mutex::new(DevClock::default()),
-            launch_hist: Mutex::new(HashMap::new()),
             streams: stream::AsyncState::default(),
             recovery: Mutex::new(recovery::RecoveryCtl::default()),
             broken: AtomicBool::new(false),
@@ -470,8 +459,8 @@ impl CudaDev {
 
     /// Run a driver operation, retrying transient faults with bounded
     /// exponential backoff. The backoff delay is charged to the device
-    /// clock as `retry_backoff_s` (and still slept in wall time); each
-    /// retry leaves a nested span plus a per-site counter bump.
+    /// clock as `retry_backoff_s`; each retry leaves a nested span plus a
+    /// per-site counter bump.
     fn retrying<T>(
         &self,
         site: &str,
@@ -483,8 +472,7 @@ impl CudaDev {
             match f() {
                 Err(e) if e.is_transient() && attempt < self.cfg.retry.max_retries => {
                     attempt += 1;
-                    let delay = self.cfg.retry.delay(attempt);
-                    let delay_s = delay.as_secs_f64();
+                    let delay_s = self.cfg.retry.delay(attempt).as_secs_f64();
                     let t0 = {
                         let mut clk = self.clock.lock();
                         clk.retries += 1;
@@ -510,7 +498,6 @@ impl CudaDev {
                         vec![("site", site.into()), ("attempt", attempt.into())],
                     );
                     obs.metrics.incr(self.pid(), &format!("retries.{site}"), 1);
-                    std::thread::sleep(delay);
                 }
                 Err(e) => {
                     obs.tracer.instant(
@@ -958,42 +945,6 @@ impl CudaDev {
         let m = self.load_program(module)?;
         let launch_err =
             |error: ExecError| CudadevError::Launch { kernel: kernel.to_string(), error };
-        let total_threads = grid[0] as u64
-            * grid[1] as u64
-            * grid[2] as u64
-            * block[0] as u64
-            * block[1] as u64
-            * block[2] as u64;
-
-        // Launch-level sampling: estimate repeated launches of the same
-        // kernel from the measured cycles-per-thread of earlier ones, and
-        // fold every measured launch into that average.
-        let sample = if self.cfg.launch_sampling {
-            let key = format!("{module}:{kernel}");
-            let (count, cpt) = {
-                let h = self.launch_hist.lock();
-                h.get(&key).copied().unwrap_or((0, 0.0))
-            };
-            let measure = count < 8 || count % 128 == 0;
-            if !measure && cpt > 0.0 {
-                let cycles = cpt * total_threads as f64;
-                let time_s = gpusim::timing::LAUNCH_OVERHEAD_S + cycles / device.props.clock_hz;
-                self.launch_hist.lock().insert(key, (count + 1, cpt));
-                let stats = LaunchStats {
-                    blocks_total: (grid[0] as u64) * (grid[1] as u64) * (grid[2] as u64),
-                    blocks_executed: 0,
-                    kernel_cycles: cycles as u64,
-                    time_s,
-                    ..Default::default()
-                };
-                self.finish_launch(kernel, &stats);
-                return Ok(stats);
-            }
-            Some((key, count, cpt))
-        } else {
-            None
-        };
-
         let cfg = LaunchConfig { grid, block, params };
         let mut run = || {
             device.set_trace_base(self.launch_base());
@@ -1014,11 +965,6 @@ impl CudaDev {
             Err(e) => return Err(launch_err(e)),
         };
         self.mark_device_dirty_params(&cfg.params);
-        if let Some((key, count, cpt)) = sample {
-            let this_cpt = stats.kernel_cycles as f64 / total_threads.max(1) as f64;
-            let new_cpt = if cpt > 0.0 { 0.7 * cpt + 0.3 * this_cpt } else { this_cpt };
-            self.launch_hist.lock().insert(key, (count + 1, new_cpt));
-        }
         self.finish_launch(kernel, &stats);
         Ok(stats)
     }

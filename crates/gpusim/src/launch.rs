@@ -72,8 +72,8 @@ pub enum ExecMode {
     /// Execute every block — full output correctness.
     Functional,
     /// Execute at most `max_blocks` evenly-spaced blocks and extrapolate
-    /// the timing; output is only partially computed. (Documented
-    /// substitution for full-scale runs; see DESIGN.md.)
+    /// the timing; output is only partially computed. No Fig. 4 number,
+    /// test or example uses it: only the repo benchmark's `stream3d` op.
     Sampled { max_blocks: u32 },
 }
 

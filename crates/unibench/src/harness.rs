@@ -1,6 +1,5 @@
 //! Build/measure/validate machinery shared by tests and the Fig. 4 harness.
 
-use gpusim::ExecMode;
 use ompi_core::Runner;
 
 use crate::apps::App;
@@ -109,7 +108,7 @@ pub fn validate_app(app: &App, work_dir: &std::path::Path) -> Result<(), String>
     let n = app.test_size;
     let reference = (app.reference)(n);
     for variant in [Variant::OmpiCudadev, Variant::Cuda] {
-        let cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+        let cfg = runner_config((app.footprint)(n));
         let built = build_variant_cfg(app, variant, work_dir, &cfg);
         let got = run_once(app, &built.runner, n)
             .map_err(|e| format!("{} {}: {e}", app.name, variant.label()))?;

@@ -14,7 +14,6 @@
 
 use std::sync::Arc;
 
-use gpusim::ExecMode;
 use minic::interp::{IResult, Interp, Machine, NoHooks};
 use ompi_core::{CudaCc, Ompicc, Runner, RunnerConfig};
 use vmcommon::{addr, Value};
@@ -56,15 +55,13 @@ pub fn max_rel_err(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// Default runner configuration for a problem size (arena sizes scale with
-/// the footprint).
-pub fn runner_config(bytes_needed: u64, exec_mode: ExecMode, sampling: bool) -> RunnerConfig {
+/// the footprint). Every block of every launch is simulated.
+pub fn runner_config(bytes_needed: u64) -> RunnerConfig {
     let slack = 96u64 << 20;
     RunnerConfig {
         host_mem: (bytes_needed + slack) as usize,
         device_mem: Some((bytes_needed + slack) as usize),
-        exec_mode,
         jit_cache_dir: std::env::temp_dir().join("ompi-jitcache"),
-        launch_sampling: sampling,
         ..RunnerConfig::default()
     }
 }

@@ -3,15 +3,14 @@
 //!
 //!     cargo run --release --example matmul_offload [-- <size>]
 
-use gpusim::ExecMode;
 use unibench::{app_by_name, build_variant_cfg, measure, runner_config, Variant};
 
 fn main() {
     let n: u32 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(256);
     let app = app_by_name("gemm").unwrap();
     let work = std::env::temp_dir().join("ompi-example-matmul");
-    println!("gemm n={n} on the simulated Jetson Nano (sampled grid)");
-    let cfg = runner_config((app.footprint)(n), ExecMode::Sampled { max_blocks: 8 }, false);
+    println!("gemm n={n} on the simulated Jetson Nano");
+    let cfg = runner_config((app.footprint)(n));
     for variant in [Variant::Cuda, Variant::OmpiCudadev] {
         let built = build_variant_cfg(&app, variant, &work, &cfg);
         let m = measure(&app, &built, n);

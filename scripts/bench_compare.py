@@ -3,7 +3,8 @@
 
 Usage: bench_compare.py BASELINE CURRENT
 
-Three gates, per (app, variant, n) series point present in both files:
+Three gates per (app, variant, n) series point present in both files,
+and a fourth within the current file:
 
 * **checksum** — must match bit-exactly. The guest programs are
   deterministic IEEE-754, so checksums are machine-independent; any
@@ -21,6 +22,13 @@ Three gates, per (app, variant, n) series point present in both files:
   runtime change that moves it is a change to the reproduced result and
   needs a deliberate baseline refresh. This is the cross-commit twin of
   the repo benchmark's in-run pinned-facts check.
+* **cuda = ompi** — within CURRENT, the `cuda` and `ompi` rows of each
+  (app, n) must carry the same checksum. Both variants compute the same
+  output from the same inputs, and every block of every launch is
+  simulated, so a difference is a miscompiled or half-computed output.
+  Feed it `fig4 --quick` rows: at n >= 512 gramschmidt's OMPi checksum
+  still varies, because float atomics from different blocks meet in host
+  order.
 
 No wall-clock gate: a `wall_s` from a fig4 smoke run on an unknown
 machine says little, and the repo benchmark (`BENCHMARK.json`, 20 %
@@ -81,6 +89,16 @@ def main(argv):
                         "(the simulated clock is deterministic — a timing-model or "
                         "kernel change needs a baseline refresh)"
                     )
+    by_point = {}
+    for row in cur["series"]:
+        if row["variant"] in ("cuda", "ompi"):
+            by_point.setdefault((row["app"], row["n"]), {})[row["variant"]] = row["checksum"]
+    for (app, n), sums in sorted(by_point.items()):
+        if len(sums) == 2 and sums["cuda"] != sums["ompi"]:
+            failures.append(
+                f"{app}/n={n}: cuda checksum {sums['cuda']} != ompi checksum {sums['ompi']} "
+                "(both variants compute the same output)"
+            )
     if compared == 0:
         print("no comparable series points between baseline and current", file=sys.stderr)
         return 2

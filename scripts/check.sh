@@ -178,6 +178,30 @@ if grep -rnE 'crates/bench/benches|serve_soak|fn timeit|build_variant_obs|fn bui
     exit 1
 fi
 
+echo "== every Fig. 4 number is simulated (no launch estimator, one fig4 mode) =="
+# A launch is always simulated: the estimator's history stays deleted, the
+# refused RunnerConfig::launch_sampling field lives only where it is
+# refused, block sampling (ExecMode::Sampled) only in gpusim, and fig4 has
+# no switch back to a sampled run. (benchmark/ still spells both names
+# until its next definition change.)
+if grep -rnI --exclude-dir=target 'launch_hist' crates src tests examples benchmark .github; then
+    echo "FAIL: launches are simulated, not estimated from a launch history"
+    exit 1
+fi
+if grep -rn 'launch_sampling' crates src tests examples .github \
+    | grep -v -e '^crates/core/src/runner/mod.rs:' -e '^crates/core/src/runner/config.rs:'; then
+    echo "FAIL: launch_sampling is a refused RunnerConfig field; nothing else may name it"
+    exit 1
+fi
+if grep -rn 'Sampled {' crates src tests examples .github | grep -v '^crates/gpusim/src/'; then
+    echo "FAIL: fig4, the tests and the examples run ExecMode::Functional"
+    exit 1
+fi
+if grep -rnE -- '--full|--max-blocks' crates/bench README.md .github/workflows/ci.yml; then
+    echo "FAIL: fig4 has one execution mode"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

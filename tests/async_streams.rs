@@ -3,7 +3,6 @@
 //! tracks that only appear in async mode, and the `nowait`/`taskwait`
 //! path overlapping two target regions on the simulated clock.
 
-use gpusim::ExecMode;
 use ompi_nano::unibench::{
     app_by_name, build_variant_cfg, measure, runner_config, Measurement, Variant,
 };
@@ -21,7 +20,7 @@ fn run_atax(async_streams: bool, tag: &str) -> (Measurement, Vec<(String, u64)>,
     let n = 1024;
     let work = std::env::temp_dir().join(format!("ompinano-async-{}-{tag}", std::process::id()));
     let obs = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Sampled { max_blocks: 4 }, true);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.obs = Some(obs.clone());
     cfg.device_mem = Some(3 << 20);
     cfg.async_streams = Some(async_streams);

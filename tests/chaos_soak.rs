@@ -11,7 +11,7 @@
 //! So any result difference — or any error — is a recovery bug.
 
 use ompi_nano::unibench::{app_by_name, compile_omp, run_once, runner_config};
-use ompi_nano::{ExecMode, Runner, RunnerConfig};
+use ompi_nano::{Runner, RunnerConfig};
 
 /// Fixed seeds chosen for coverage of the rule space (see the generator's
 /// kind mix): terminal launch/init, hangs at launch/h2d/alloc, terminal
@@ -34,7 +34,7 @@ fn chaos_soak_is_bit_identical_across_apps_and_seeds() {
         let app = app_by_name(name).expect("unibench app");
         let n = app.test_size;
         let compiled = compile_omp(&app, &work(name));
-        let cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+        let cfg = runner_config((app.footprint)(n));
 
         let baseline_runner = Runner::new(&compiled, &cfg).unwrap();
         let baseline = run_once(&app, &baseline_runner, n)
@@ -73,7 +73,7 @@ fn tight_fuel_under_chaos_trips_cleanly() {
     let n = app.test_size;
     let compiled = compile_omp(&app, &work("gs-fuel"));
     let obs = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.fault_spec = Some("chaos:3".into());
     cfg.fuel = Some(2000); // gramschmidt needs ~11k
     cfg.obs = Some(obs.clone());
@@ -97,7 +97,7 @@ fn chaos_hang_seed_exercises_reset_and_replay() {
     let n = app.test_size;
     let compiled = compile_omp(&app, &work("atax-obs"));
     let obs = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.fault_spec = Some("chaos:3".into());
     cfg.obs = Some(obs.clone());
     let runner = Runner::new(&compiled, &cfg).unwrap();

@@ -4,7 +4,7 @@
 //! and JIT-cache corruption is invalidated and recompiled.
 
 use ompi_nano::unibench::{app_by_name, compile_omp, run_once, runner_config};
-use ompi_nano::{BinMode, BreakerState, ExecMode, Ompicc, Runner, RunnerConfig, Value};
+use ompi_nano::{BinMode, BreakerState, Ompicc, Runner, RunnerConfig, Value};
 
 /// The paper's Fig. 1 SAXPY; `main` returns the number of wrong elements,
 /// so `I32(0)` proves the computed `y` is bit-identical to the host-side
@@ -196,7 +196,7 @@ fn host_fallback_bit_identical_for_unibench_app() {
     let dir = work("unibench-atax");
     let compiled = compile_omp(&app, &dir);
 
-    let cfg_ok = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let cfg_ok = runner_config((app.footprint)(n));
     let dev_runner = Runner::new(&compiled, &cfg_ok).unwrap();
     let dev_out = run_once(&app, &dev_runner, n).unwrap();
     assert!(!dev_runner.device_broken());

@@ -179,13 +179,12 @@ fn malformed_limit_env_is_a_construction_error() {
 fn generous_limits_do_not_perturb_results() {
     use minic::walker::TreeWalker;
     use ompi_nano::unibench::{app_by_name, compile_omp, run_entry, run_once, runner_config};
-    use ompi_nano::ExecMode;
 
     let _g = ENV_LOCK.lock().unwrap();
     let app = app_by_name("gemm").unwrap();
     let n = app.test_size;
     let compiled = compile_omp(&app, &work("parity"));
-    let base_cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let base_cfg = runner_config((app.footprint)(n));
 
     let baseline = {
         let runner = Runner::new(&compiled, &base_cfg).unwrap();

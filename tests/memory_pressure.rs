@@ -5,7 +5,6 @@
 //! the observability layer must record which ladder rung — evict, stage,
 //! tile, or host fallback — resolved each pressure event.
 
-use gpusim::ExecMode;
 use ompi_nano::unibench::{
     all_apps, app_by_name, build_variant_cfg, max_rel_err, run_once, runner_config, App, Variant,
 };
@@ -20,7 +19,7 @@ fn run_with_arena(app: &App, n: u32, device_mem: Option<usize>) -> (Vec<f32>, Ve
         app.name
     ));
     let obs = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.obs = Some(obs.clone());
     if let Some(m) = device_mem {
         cfg.device_mem = Some(m);
@@ -121,7 +120,7 @@ fn trace_names_the_resolving_rung() {
     let n = 1024;
     let work = std::env::temp_dir().join(format!("ompinano-mempress-{}-trace", std::process::id()));
     let obs = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.obs = Some(obs.clone());
     cfg.device_mem = Some(2 << 20);
     let built = build_variant_cfg(&app, Variant::OmpiCudadev, &work, &cfg);

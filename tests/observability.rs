@@ -9,7 +9,7 @@ use minic::walker::TreeWalker;
 use ompi_nano::unibench::{
     app_by_name, compile_omp, host_machine, run_entry, run_host_once, run_once, runner_config,
 };
-use ompi_nano::{ExecMode, Runner};
+use ompi_nano::Runner;
 
 fn work(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("ompinano-obs-{}-{tag}", std::process::id()));
@@ -138,7 +138,7 @@ fn flight_recorder_dumps_on_device_latch() {
         metrics: obs::Metrics::with_flight(flight.clone()),
         flight,
     });
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     // Seed 45: every allocation fails terminally — the breaker spends its
     // reset budget and latches; the run completes on the host.
     cfg.fault_spec = Some("chaos:45".into());
@@ -201,7 +201,7 @@ fn profile_table_reports_region_latency_percentiles() {
     let n = app.test_size;
     let compiled = compile_omp(&app, &work("latency"));
     let sink = obs::Obs::enabled();
-    let mut cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let mut cfg = runner_config((app.footprint)(n));
     cfg.obs = Some(sink.clone());
     let runner = Runner::new(&compiled, &cfg).unwrap();
     run_once(&app, &runner, n).unwrap();

@@ -17,7 +17,6 @@
 //! block, and with more than one block worker float atomics from
 //! *different blocks* to one address still land in host scheduling order.
 
-use ompi_nano::gpusim::ExecMode;
 use ompi_nano::unibench::{self, harness};
 use ompi_nano::{Ompicc, Runner, RunnerConfig, Value};
 
@@ -30,7 +29,7 @@ fn gramschmidt_outputs_are_byte_identical_across_fresh_runners() {
     let _ = std::fs::remove_dir_all(&dir);
     for n in [128, 256] {
         let run = || {
-            let cfg = unibench::runner_config((app.footprint)(n), ExecMode::Functional, false);
+            let cfg = unibench::runner_config((app.footprint)(n));
             let built = harness::build_variant_cfg(&app, harness::Variant::OmpiCudadev, &dir, &cfg);
             let q = unibench::run_once(&app, &built.runner, n).unwrap();
             q.iter().map(|x| x.to_bits()).collect::<Vec<u32>>()

@@ -1,6 +1,9 @@
 //! The paper's metric, pinned: every simulated number the six apps (OMPi and
-//! CUDA, at `fig4 --quick`'s sizes and settings) and the Fig. 3
-//! master/worker region produce, held to constants to the last bit.
+//! CUDA, at `fig4 --quick`'s sizes, every block of every launch simulated)
+//! and the Fig. 3 master/worker region produce, held to constants to the
+//! last bit, together with each run's output checksum. A CUDA and an OMPi
+//! run of the same (app, n) compute the same output, so they must carry the
+//! same checksum.
 //!
 //! A change to how fast the simulator runs must leave all of them alone. A
 //! change to the timing model or to what the compilers emit moves them on
@@ -9,32 +12,31 @@
 
 use std::path::PathBuf;
 
-use ompi_nano::gpusim::ExecMode;
 use ompi_nano::unibench::{self, alloc_f32, read_f32, App, Variant};
 use ompi_nano::vmcommon::Value;
 
 /// One run's simulated numbers: `DevClock` `kernel_s` and `memcpy_s` as
-/// `f64` bits, `launches`, and the device's `lane_insts`,
-/// `mem_transactions` and `blocks_simulated`.
-type Row = (&'static str, &'static str, u32, u64, u64, u64, u64, u64, u64);
+/// `f64` bits, `launches`, the device's `lane_insts`, `mem_transactions`
+/// and `blocks_simulated`, and the output checksum.
+type Row = (&'static str, &'static str, u32, u64, u64, u64, u64, u64, u64, u64);
 
 #[rustfmt::skip]
 const PINNED: &[Row] = &[
-    ("3dconv", "cuda", 16, 4544850117973415104, 4543925788061708151, 1, 101632, 768, 5),
-    ("3dconv", "ompi", 16, 4545138428413560191, 4543925788061708151, 1, 162030, 1000, 5),
-    ("bicg", "cuda", 96, 4549583020877812962, 4549160389430805174, 2, 317632, 10968, 2),
-    ("bicg", "ompi", 96, 4549590306701210130, 4549160389430805174, 2, 329408, 10968, 2),
-    ("atax", "cuda", 96, 4549583020877812962, 4545979139226845585, 2, 317632, 10968, 2),
-    ("atax", "ompi", 96, 4549590306701210130, 4545979139226845585, 2, 329408, 10968, 2),
-    ("mvt", "cuda", 96, 4549585222637630787, 4551013397426087076, 2, 318208, 10992, 2),
-    ("mvt", "ompi", 96, 4549592508461027955, 4551013397426087076, 2, 329984, 10992, 2),
-    ("gemm", "cuda", 40, 4545792070855477573, 4547562694546340218, 1, 616832, 5296, 5),
-    ("gemm", "ompi", 40, 4545495193568041310, 4547562694546340218, 1, 744160, 5800, 5),
-    ("gramschmidt", "cuda", 24, 4571933735308506562, 4547207128128806503, 72, 203336, 2847, 24),
-    ("gramschmidt", "ompi", 24, 4571866301410086060, 4561696201253250509, 72, 341204, 2839, 24),
-    ("gramschmidt", "cuda", 128, 4584392963693625369, 4550665904171842090, 384, 5523560, 69308, 24),
-    ("gramschmidt", "ompi", 128, 4583797127454925069, 4570452673990195552, 384, 5674740, 69276, 24),
-    ("master_worker", "ompi", 2048, 4547105440602808872, 4545695797237873406, 1, 227045, 24576, 1),
+    ("3dconv", "cuda", 16, 4544915370128016116, 4543925788061708151, 1, 609728, 4704, 28, 2604021857498243886),
+    ("3dconv", "ompi", 16, 4545138428413560191, 4543925788061708151, 1, 907368, 5600, 28, 2604021857498243886),
+    ("bicg", "cuda", 96, 4549583020877812962, 4549160389430805174, 2, 317632, 10968, 2, 16903572036983900804),
+    ("bicg", "ompi", 96, 4549590306701210130, 4549160389430805174, 2, 329408, 10968, 2, 16903572036983900804),
+    ("atax", "cuda", 96, 4549583020877812962, 4545979139226845585, 2, 317632, 10968, 2, 5054696278822152679),
+    ("atax", "ompi", 96, 4549590306701210130, 4545979139226845585, 2, 329408, 10968, 2, 5054696278822152679),
+    ("mvt", "cuda", 96, 4549585222637630787, 4551013397426087076, 2, 318208, 10992, 2, 3766336393989628555),
+    ("mvt", "ompi", 96, 4549592508461027955, 4551013397426087076, 2, 329984, 10992, 2, 3766336393989628555),
+    ("gemm", "cuda", 40, 4545812246981808193, 4547562694546340218, 1, 1398400, 11600, 10, 16709968019083986714),
+    ("gemm", "ompi", 40, 4545495193568041310, 4547562694546340218, 1, 1488320, 11600, 10, 16709968019083986714),
+    ("gramschmidt", "cuda", 24, 4571925100907220975, 4547207128128806503, 72, 409176, 6741, 72, 10830856282348039403),
+    ("gramschmidt", "ompi", 24, 4571857571932808340, 4563650775529386191, 72, 819516, 6717, 72, 10830856282348039403),
+    ("gramschmidt", "cuda", 128, 4584381560204068898, 4550665904171842090, 384, 45998720, 624472, 384, 15122963614577540534),
+    ("gramschmidt", "ompi", 128, 4583785700196370565, 4574233250770840520, 384, 48346944, 623960, 384, 15122963614577540534),
+    ("master_worker", "ompi", 2048, 4547105440602808872, 4545695797237873406, 1, 227045, 24576, 1, 1364551044739597093),
 ];
 
 /// Stand-alone `parallel for` regions inside one `target`: the master warp
@@ -90,9 +92,9 @@ fn work_dir() -> PathBuf {
 }
 
 /// Run `app` once at `n` on a fresh runner and read its simulated numbers.
-fn measure(app: &App, variant: Variant, n: u32, mode: ExecMode, sampling: bool) -> Row {
+fn measure(app: &App, variant: Variant, n: u32) -> Row {
     let dir = work_dir();
-    let cfg = unibench::runner_config((app.footprint)(n), mode, sampling);
+    let cfg = unibench::runner_config((app.footprint)(n));
     let built = unibench::build_variant_cfg(app, variant, &dir, &cfg);
     let m = unibench::measure(app, &built, n);
     let dev = built.runner.registry().device(0).and_then(|d| d.raw_device()).expect("device");
@@ -109,15 +111,14 @@ fn measure(app: &App, variant: Variant, n: u32, mode: ExecMode, sampling: bool) 
         st.lane_insts,
         st.mem_transactions,
         st.blocks_simulated,
+        m.checksum,
     )
 }
 
 #[test]
 fn simulated_numbers_match_the_pinned_table() {
     let mut got = Vec::new();
-    // `fig4 --quick`: each app's test size (gramschmidt also at 128),
-    // sampled simulation of four blocks, launch-level sampling on.
-    let quick = ExecMode::Sampled { max_blocks: 4 };
+    // `fig4 --quick`: each app's test size (gramschmidt also at 128).
     for app in unibench::all_apps() {
         let mut sizes = vec![app.test_size];
         if app.name == "gramschmidt" {
@@ -125,13 +126,23 @@ fn simulated_numbers_match_the_pinned_table() {
         }
         for n in sizes {
             for variant in [Variant::Cuda, Variant::OmpiCudadev] {
-                got.push(measure(&app, variant, n, quick, true));
+                got.push(measure(&app, variant, n));
             }
         }
     }
     let mw = master_worker();
-    got.push(measure(&mw, Variant::OmpiCudadev, mw.test_size, ExecMode::Functional, false));
+    got.push(measure(&mw, Variant::OmpiCudadev, mw.test_size));
 
     let table: String = got.iter().map(|r| format!("    {r:?},\n")).collect();
+    // A CUDA and an OMPi run of one (app, n) compute the same output.
+    for cuda in got.iter().filter(|r| r.1 == "cuda") {
+        let ompi = got.iter().find(|r| r.1 == "ompi" && (r.0, r.2) == (cuda.0, cuda.2));
+        let ompi = ompi.unwrap_or_else(|| panic!("{}@{} has no ompi row", cuda.0, cuda.2));
+        assert_eq!(
+            cuda.9, ompi.9,
+            "{}@{}: CUDA checksum {:#018x}, OMPi {:#018x}; the rows read:\n{table}",
+            cuda.0, cuda.2, cuda.9, ompi.9
+        );
+    }
     assert!(got == PINNED, "simulated numbers moved; they now read:\n{table}");
 }

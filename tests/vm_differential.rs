@@ -20,7 +20,7 @@ use ompi_nano::unibench::{
     all_apps, app_by_name, compile_omp, host_machine, output_checksum, run_entry, run_host_once,
     run_once, runner_config, App,
 };
-use ompi_nano::{ExecMode, Ompicc, Runner, RunnerConfig, Value};
+use ompi_nano::{Ompicc, Runner, RunnerConfig, Value};
 
 /// Host-sequential outputs of `app` at size `n` under the VM.
 fn vm_outputs(app: &App, n: u32) -> Vec<f32> {
@@ -63,7 +63,7 @@ fn offloaded_run_bit_identical_between_engines() {
     let dir = std::env::temp_dir().join(format!("ompinano-vmdiff-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let compiled = compile_omp(&app, &dir);
-    let cfg = runner_config((app.footprint)(n), ExecMode::Functional, false);
+    let cfg = runner_config((app.footprint)(n));
 
     let (vm_sum, vm_clock) = {
         let runner = Runner::new(&compiled, &cfg).unwrap();
