@@ -38,7 +38,7 @@
 //! baseline has no guest interpreter to govern and runs unlimited.
 //!
 //! `--mem 32M` caps the OMPi variant's device arena below the working set,
-//! driving the memory governor's evict → stage → tile → fallback ladder
+//! driving the memory governor's evict → tile → fallback ladder
 //! (the CUDA baseline keeps its full arena: it manages raw device memory
 //! itself and has no governor to degrade through).
 //!

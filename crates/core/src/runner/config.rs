@@ -80,8 +80,8 @@ impl std::error::Error for ConfigError {}
 pub struct ResolvedConfig {
     pub host_mem: usize,
     /// The device knobs every fleet device shares: `global_mem`,
-    /// `exec_mode`, `jit_cache_dir`, `async_streams`, `launch_timeout`,
-    /// `max_resets` and the default `retry` policy.
+    /// `exec_mode`, `jit_cache_dir`, `async_streams`, `launch_timeout`
+    /// and `max_resets`.
     /// [`super::build_fleet`] fills in the per-device rest (`device_id`,
     /// `kernel_dir`, `fault_plan`, `obs`).
     pub device: CudaDevConfig,

@@ -22,6 +22,11 @@ thread_local! {
     static SECT_WS: RefCell<Option<(Arc<WsState>, u64)>> = const { RefCell::new(None) };
 }
 
+/// A runtime error the guest sees as a trap.
+fn trap(e: impl std::fmt::Display) -> InterpError {
+    InterpError::Trap(e.to_string())
+}
+
 /// The runtime hook implementation.
 pub struct OmpiHooks {
     /// The host OpenMP runtime the `ort_*` hooks (parallel regions,
@@ -104,12 +109,12 @@ impl OmpiHooks {
         }
     }
 
-    /// Device 0's raw simulator, for the CUDA-baseline runtime hooks
+    /// Device 0 and its raw simulator, for the CUDA-baseline runtime hooks
     /// (`cudaMalloc` & friends bypass the mapping layer).
-    fn baseline_device(&self) -> IResult<Arc<gpusim::Device>> {
+    fn baseline_device(&self) -> IResult<(&CudaDev, Arc<gpusim::Device>)> {
         self.registry
             .device(0)
-            .and_then(|d| d.raw_device())
+            .and_then(|d| Some((d.as_ref(), d.raw_device()?)))
             .ok_or_else(|| InterpError::Trap("no offload device available".into()))
     }
 
@@ -635,56 +640,48 @@ impl Hooks for OmpiHooks {
             "cudaMalloc" => {
                 // cudaMalloc(&ptr, size)
                 let size = a(1).as_i64().max(0) as u64;
-                let dp = self
-                    .baseline_device()?
-                    .mem_alloc(size)
-                    .map_err(|e| InterpError::Trap(e.to_string()))?;
+                let (dev, device) = self.baseline_device()?;
+                let dp = dev.baseline_alloc(&device, size).map_err(trap)?;
                 mem.store_u64(vmcommon::addr::offset(a(0).as_ptr()), dp)?;
                 Ok(Some(Value::I32(0)))
             }
             "cudaFree" => {
-                self.baseline_device()?
-                    .mem_free(a(0).as_ptr())
-                    .map_err(|e| InterpError::Trap(e.to_string()))?;
+                self.baseline_device()?.1.mem_free(a(0).as_ptr()).map_err(trap)?;
                 Ok(Some(Value::I32(0)))
             }
             "cudaMemcpy" => {
                 // cudaMemcpy(dst, src, bytes, kind): 1 = HtoD, 2 = DtoH.
-                // Bytes move arena to arena, as in cudadev; a bad host range
-                // is the guest's memory fault, reported before the device
-                // sees the copy.
+                // cudadev's retried, booked copy; a bad host range is the
+                // guest's memory fault, reported before the device sees
+                // the copy.
                 let bytes = a(2).as_i64().max(0) as u64;
-                let kind = a(3).as_i64();
-                let device = self.baseline_device()?;
-                let trap = |e: gpusim::ExecError| InterpError::Trap(e.to_string());
-                let t = match kind {
+                let (dev, device) = self.baseline_device()?;
+                match a(3).as_i64() {
                     1 => {
                         let src = vmcommon::addr::offset(a(1).as_ptr());
                         mem.check_range(src, bytes)?;
-                        device.memcpy_h2d_from(a(0).as_ptr(), mem, src, bytes).map_err(trap)?
+                        dev.h2d_copy(&device, a(0).as_ptr(), mem, src, bytes)
                     }
                     2 => {
                         let dst = vmcommon::addr::offset(a(0).as_ptr());
                         mem.check_range(dst, bytes)?;
-                        device.memcpy_d2h_to(mem, dst, a(1).as_ptr(), bytes).map_err(trap)?
+                        dev.d2h_copy(&device, a(1).as_ptr(), mem, dst, bytes)
                     }
                     other => {
                         return Err(InterpError::Trap(format!(
                             "cudaMemcpy kind {other} unsupported"
                         )))
                     }
-                };
-                if let Some(d) = self.registry.device(0) {
-                    let (h2d, d2h) = if kind == 1 { (bytes, 0) } else { (0, bytes) };
-                    d.record_memcpy(t, h2d, d2h);
                 }
+                .map_err(trap)?;
                 Ok(Some(Value::I32(0)))
             }
             "cudaDeviceSynchronize" | "cudaThreadSynchronize" => Ok(Some(Value::I32(0))),
             "cudaMemset" => {
                 self.baseline_device()?
+                    .1
                     .memset_d8(a(0).as_ptr(), a(1).as_i64() as u8, a(2).as_i64().max(0) as u64)
-                    .map_err(|e| InterpError::Trap(e.to_string()))?;
+                    .map_err(trap)?;
                 Ok(Some(Value::I32(0)))
             }
 

@@ -203,9 +203,12 @@ pub struct RetryPolicy {
     pub max_delay_ms: u64,
 }
 
+/// The policy every driver operation retries under.
+const RETRY: RetryPolicy = RetryPolicy { max_retries: 3, base_delay_ms: 1, max_delay_ms: 20 };
+
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_retries: 3, base_delay_ms: 1, max_delay_ms: 20 }
+        RETRY
     }
 }
 
@@ -244,13 +247,6 @@ pub struct CudaDevConfig {
     /// device from the config snapshot — this crate never reads the
     /// environment.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Retry policy for transient driver faults.
-    pub retry: RetryPolicy,
-    /// Staging bound for host↔device transfers: copies larger than this
-    /// are split into chunked simulated transfers (the governor's "stage"
-    /// rung), each one driver copy with its own fault-site call. The bytes
-    /// still move arena to arena; there is no host staging buffer.
-    pub staging_bytes: u64,
     /// Async command streams: transfers and launches inside a target
     /// region are queued on per-region streams and scheduled on a copy
     /// engine and a compute engine that overlap on the simulated clock
@@ -282,8 +278,6 @@ impl Default for CudaDevConfig {
             jit_cache_dir: base.join("jitcache"),
             exec_mode: ExecMode::Functional,
             fault_plan: None,
-            retry: RetryPolicy::default(),
-            staging_bytes: 16 << 20,
             async_streams: false,
             obs: obs::Obs::disabled(),
             launch_timeout: DEFAULT_LAUNCH_TIMEOUT,
@@ -458,9 +452,9 @@ impl CudaDev {
     }
 
     /// Run a driver operation, retrying transient faults with bounded
-    /// exponential backoff. The backoff delay is charged to the device
-    /// clock as `retry_backoff_s`; each retry leaves a nested span plus a
-    /// per-site counter bump.
+    /// exponential backoff ([`RetryPolicy::default`]). The backoff delay is
+    /// charged to the device clock as `retry_backoff_s`; each retry leaves
+    /// a nested span plus a per-site counter bump.
     fn retrying<T>(
         &self,
         site: &str,
@@ -470,9 +464,9 @@ impl CudaDev {
         let mut attempt = 0u32;
         loop {
             match f() {
-                Err(e) if e.is_transient() && attempt < self.cfg.retry.max_retries => {
+                Err(e) if e.is_transient() && attempt < RETRY.max_retries => {
                     attempt += 1;
-                    let delay_s = self.cfg.retry.delay(attempt).as_secs_f64();
+                    let delay_s = RETRY.delay(attempt).as_secs_f64();
                     let t0 = {
                         let mut clk = self.clock.lock();
                         clk.retries += 1;
@@ -1056,21 +1050,6 @@ impl CudaDev {
         *self.clock.lock()
     }
 
-    /// Account a memcpy performed outside the mapped data environment (the
-    /// CUDA-dialect `cudaMemcpy` baseline path).
-    pub fn record_memcpy(&self, seconds: f64, h2d_bytes: u64, d2h_bytes: u64) {
-        let mut clk = self.clock.lock();
-        // Attribute the transfer time to the direction that moved bytes
-        // (the baseline path always calls with exactly one side non-zero).
-        if d2h_bytes > 0 && h2d_bytes == 0 {
-            clk.d2h_s += seconds;
-        } else {
-            clk.h2d_s += seconds;
-        }
-        clk.h2d_bytes += h2d_bytes;
-        clk.d2h_bytes += d2h_bytes;
-    }
-
     /// Is this device worth offloading to right now? Initializes it on the
     /// first call; a device whose init fails (or that has latched broken)
     /// answers `false` and the region runs on the host instead.
@@ -1078,10 +1057,16 @@ impl CudaDev {
         self.try_device().is_ok()
     }
 
-    /// The raw simulator device, if it comes up (the CUDA baseline path
-    /// needs direct `cuMemAlloc`/`cuMemcpy` access).
+    /// The raw simulator device, if it comes up (the CUDA baseline's
+    /// `cudaFree`/`cudaMemset` and its copies and allocations need it).
     pub fn raw_device(&self) -> Option<Arc<Device>> {
         self.try_device().ok()
+    }
+
+    /// The CUDA baseline's `cudaMalloc`: one retried driver allocation,
+    /// outside the governor and the mapped data environment.
+    pub fn baseline_alloc(&self, device: &Device, size: u64) -> Result<u64, ExecError> {
+        self.retrying("alloc", || device.mem_alloc(size))
     }
 
     /// Captured device-side printf output, bringing the device up if it is

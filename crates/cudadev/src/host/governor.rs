@@ -1,27 +1,26 @@
 //! The device-memory **governor**: allocation failure on the (simulated)
 //! 2 GB shared arena degrades gracefully instead of killing the offload.
 //!
-//! Four rungs, tried in order, each traced as a `pressure` instant (with a
+//! Three rungs, tried in order, each traced as a `pressure` instant (with a
 //! `rung` argument) and counted as `pressure.<rung>` in the metrics:
 //!
 //! 1. **evict** — buffers whose mapping refcount dropped to zero are kept
 //!    as an LRU cache for transfer reuse; under pressure they are freed
 //!    (they were written back at unmap time, so eviction is just a free)
 //!    and the allocation is retried.
-//! 2. **stage** — host↔device copies larger than the configured staging
-//!    bound ([`super::CudaDevConfig::staging_bytes`]) are split into
-//!    chunked simulated transfers (`host::transfer`). Only the simulated
-//!    copy is chunked: bytes move arena to arena, no host buffer exists.
-//! 3. **tile** — a combined `target teams distribute parallel for` region
+//! 2. **tile** — a combined `target teams distribute parallel for` region
 //!    whose mapped arrays still don't fit runs as a sequence of smaller
 //!    grids: each tile streams the slices of oversized (*pending*) arrays
 //!    it touches, and the kernel observes the *logical* grid via
 //!    [`gpusim::TileView`], so `cudadev_get_distribute_chunk` computes the
 //!    same per-team bounds as the monolithic launch — results are
 //!    bit-identical.
-//! 4. **host fallback** — the region is declined ([`PressureOutcome::
+//! 3. **host fallback** — the region is declined ([`PressureOutcome::
 //!    Declined`]) and the runtime re-executes it on the host, annotated
 //!    with an `oom` reason distinct from `device_lost`.
+//!
+//! Transfers are never split: bytes move arena to arena in one driver
+//! copy (`host::transfer`), so no copy needs memory the arena lacks.
 //!
 //! Slicing assumes the translator's conservative shape analysis: a buffer
 //! is sliceable only when every access indexes it as `i*stride + rest`

@@ -1,20 +1,15 @@
 //! Host↔device **transfers**: every `map`, `unmap`, `update`, dirty
-//! refresh, OOM sync, tile stream and recovery replay moves its bytes
-//! here, in one pass from arena to arena ([`vmcommon::MemArena::copy_to`]
-//! via [`gpusim::Device::memcpy_h2d_from`] / [`gpusim::Device::
-//! memcpy_d2h_commit`]) — the paper's one `cuMemcpyHtoD` from the host
-//! pointer (§4.2), with no host-side staging buffer.
+//! refresh, OOM sync, tile stream, recovery replay and CUDA-baseline
+//! `cudaMemcpy` moves its bytes here, as one retried driver copy from
+//! arena to arena ([`vmcommon::MemArena::copy_to`] via
+//! [`gpusim::Device::memcpy_h2d_from`] / [`gpusim::Device::memcpy_d2h_to`])
+//! — the paper's one `cuMemcpyHtoD`/`cuMemcpyDtoH` per mapping (§4.2),
+//! with no host-side staging buffer and no chunking.
 //!
-//! A copy larger than [`super::CudaDevConfig::staging_bytes`] is split
-//! into chunks (the governor's `stage` rung): each chunk is one simulated
-//! driver copy with its own fault-site call, per-copy overhead and retry,
-//! so the chunking shapes the simulated transfer and its fault numbering,
-//! not any host memory.
-//!
-//! A copy-back runs every chunk's checks — fault site, source space,
-//! bounds, with retries — before the first byte lands in the host arena.
-//! A failed copy-back therefore leaves the host range as it was, which is
-//! what lets the runtime re-execute the region on the host.
+//! A copy-back checks its fault site, source space and both ranges before
+//! the first byte lands in the host arena. A failed copy-back therefore
+//! leaves the host range as it was, which is what lets the runtime
+//! re-execute the region on the host.
 //!
 //! Transfer reuse ([`CudaDev::cache_contents_match`]) compares the cached
 //! device range with the host range byte for byte; it is only asked for
@@ -27,13 +22,12 @@ use super::governor::CacheEntry;
 use super::CudaDev;
 
 impl CudaDev {
-    /// Host→device copy of `len` bytes at `host_off` in `host_mem`,
-    /// chunked through the staging bound. Emits the `h2d` span and
-    /// charges the clock like an unchunked copy, so small copies keep
-    /// their trace and fault numbering. On an async stream the copy still
-    /// executes eagerly, but its simulated time is queued on the copy
-    /// engine and drawn on the stream's track.
-    pub(super) fn h2d_copy(
+    /// Host→device copy of `len` bytes at `host_off` in `host_mem`: one
+    /// retried driver copy. Emits the `h2d` span and charges the clock. On
+    /// an async stream the copy still executes eagerly, but its simulated
+    /// time is queued on the copy engine and drawn on the stream's track.
+    /// Mappings and the CUDA baseline's `cudaMemcpy` both copy here.
+    pub fn h2d_copy(
         &self,
         device: &Device,
         dev_ptr: u64,
@@ -46,20 +40,16 @@ impl CudaDev {
         host_mem.check_range(host_off, len)?;
         let async_stream = self.async_stream();
         let _span = self.copy_span("h2d", len, async_stream);
-        let mut total = 0.0;
-        for (off, n) in self.stage("h2d", len) {
-            total += self.retrying("h2d", || {
-                device.memcpy_h2d_from(dev_ptr + off, host_mem, host_off + off, n)
-            })?;
-        }
-        self.book_copy(async_stream, true, total, len);
+        let t =
+            self.retrying("h2d", || device.memcpy_h2d_from(dev_ptr, host_mem, host_off, len))?;
+        self.book_copy(async_stream, true, t, len);
         Ok(())
     }
 
-    /// Device→host copy into `len` bytes at `host_off` in `host_mem`,
-    /// chunked like [`CudaDev::h2d_copy`]. On failure the host range is
-    /// untouched (see the module docs).
-    pub(super) fn d2h_copy(
+    /// Device→host copy into `len` bytes at `host_off` in `host_mem`, like
+    /// [`CudaDev::h2d_copy`]. On failure the host range is untouched (see
+    /// the module docs).
+    pub fn d2h_copy(
         &self,
         device: &Device,
         dev_ptr: u64,
@@ -67,18 +57,11 @@ impl CudaDev {
         host_off: u64,
         len: u64,
     ) -> Result<(), ExecError> {
+        host_mem.check_range(host_off, len)?;
         let async_stream = self.async_stream();
         let _span = self.copy_span("d2h", len, async_stream);
-        let chunks = self.stage("d2h", len);
-        for (off, n) in chunks.clone() {
-            self.retrying("d2h", || device.memcpy_d2h_check(dev_ptr + off, n))?;
-        }
-        host_mem.check_range(host_off, len)?;
-        let mut total = 0.0;
-        for (off, n) in chunks {
-            total += device.memcpy_d2h_commit(host_mem, host_off + off, dev_ptr + off, n)?;
-        }
-        self.book_copy(async_stream, false, total, len);
+        let t = self.retrying("d2h", || device.memcpy_d2h_to(host_mem, host_off, dev_ptr, len))?;
+        self.book_copy(async_stream, false, t, len);
         Ok(())
     }
 
@@ -119,24 +102,9 @@ impl CudaDev {
         })
     }
 
-    /// The `(offset, length)` chunks a `len`-byte copy is split into by
-    /// the staging bound. More than one is a `stage` pressure event.
-    fn stage(&self, dir: &'static str, len: u64) -> impl Iterator<Item = (u64, u64)> + Clone {
-        let cap = self.cfg.staging_bytes.max(vmcommon::alloc::BlockAllocator::ALIGN);
-        if len > cap {
-            let chunks = len.div_ceil(cap);
-            self.pressure(
-                "stage",
-                vec![("dir", dir.into()), ("bytes", len.into()), ("chunks", chunks.into())],
-            );
-            self.cfg.obs.metrics.incr(self.pid(), "staged_chunks", chunks);
-        }
-        (0..len).step_by(cap as usize).map(move |off| (off, cap.min(len - off)))
-    }
-
     /// Book a finished copy: its time on the clock (or queued on its
     /// async stream), its bytes on the clock and in the metrics.
-    fn book_copy(&self, async_stream: Option<usize>, h2d: bool, total: f64, len: u64) {
+    fn book_copy(&self, async_stream: Option<usize>, h2d: bool, copy_s: f64, len: u64) {
         {
             let clk = &mut *self.clock.lock();
             let (bytes, secs) = if h2d {
@@ -146,11 +114,11 @@ impl CudaDev {
             };
             *bytes += len;
             if async_stream.is_none() {
-                *secs += total;
+                *secs += copy_s;
             }
         }
         if let Some(s) = async_stream {
-            self.async_copy(s, h2d, total, len);
+            self.async_copy(s, h2d, copy_s, len);
         }
         let name = if h2d { "h2d_bytes" } else { "d2h_bytes" };
         self.cfg.obs.metrics.incr(self.pid(), name, len);

@@ -1,8 +1,8 @@
 //! Memory-governor tests: fragmentation-induced OOM at the allocator
-//! level, LRU eviction reclaiming contiguous arena space, chunked staging
-//! of oversized transfers (and a chunked copy-back that fails leaving the
-//! host untouched), transfer reuse from the cache and when it must not
-//! fire, and the typed `InvalidFree` error under fault injection.
+//! level, LRU eviction reclaiming contiguous arena space, a copy-back that
+//! fails leaving the host untouched, transfer reuse from the cache and
+//! when it must not fire, and the typed `InvalidFree` error under fault
+//! injection.
 
 use std::sync::Arc;
 
@@ -101,34 +101,6 @@ fn evict_reclaims_contiguous_arena_space() {
     dev.unmap(&host, b, MapKind::To).unwrap();
 }
 
-/// The stage rung: copies larger than the staging bound are split into
-/// bounded chunks — same bytes on the device, `staged_chunks` counted.
-#[test]
-fn oversized_transfers_are_staged_in_chunks() {
-    let obs = obs::Obs::enabled();
-    let dev = dev_with(obs.clone(), "stage", |cfg| cfg.staging_bytes = 4096);
-    let host = MemArena::new(1 << 20);
-    let base = 4096u64;
-    let words = 16384u64; // 64 KiB = 16 chunks of 4 KiB
-    for i in 0..words {
-        host.store_u32(base + 4 * i, i as u32).unwrap();
-    }
-    let ha = addr::make(addr::Space::Host, base);
-    let dp = dev.map(&host, ha, words * 4, MapKind::To).unwrap();
-
-    assert_eq!(counter(&obs, "pressure.stage"), 1);
-    assert_eq!(counter(&obs, "staged_chunks"), 16);
-
-    // The chunked upload must be byte-identical to a flat copy.
-    let mut raw = vec![0u8; (words * 4) as usize];
-    dev.device().memcpy_d2h(&mut raw, dp).unwrap();
-    for i in 0..words {
-        let v = u32::from_le_bytes(raw[(4 * i) as usize..(4 * i + 4) as usize].try_into().unwrap());
-        assert_eq!(v, i as u32, "word {i} survived staging");
-    }
-    dev.unmap(&host, ha, MapKind::To).unwrap();
-}
-
 /// The host bytes `[off, off+len)`.
 fn host_bytes(host: &MemArena, off: u64, len: u64) -> Vec<u8> {
     let mut out = vec![0u8; len as usize];
@@ -136,19 +108,17 @@ fn host_bytes(host: &MemArena, off: u64, len: u64) -> Vec<u8> {
     out
 }
 
-/// A copy-back is checked chunk by chunk before any byte lands. With a
-/// terminal fault on the second of four chunks the unmap fails and the
-/// host range is byte-identical to its state before the unmap — the
-/// runtime re-executes the region there. With a transient fault there the
-/// chunk is retried once and all four land.
+/// A copy-back is checked before any byte lands. With a terminal fault
+/// on it the unmap fails and the host range is byte-identical to its
+/// state before the unmap — the runtime re-executes the region there.
+/// With a transient fault it is retried once and every byte lands.
 #[test]
 fn failed_copy_back_leaves_the_host_range_untouched() {
     let (base, len) = (4096u64, 16u64 << 10);
     let ha = addr::make(addr::Space::Host, base);
-    for (plan, terminal) in [("d2h@2x*", true), ("d2h@2", false)] {
+    for (plan, terminal) in [("d2h@1x*", true), ("d2h@1", false)] {
         let obs = obs::Obs::enabled();
         let dev = dev_with(obs.clone(), &format!("copyback-{terminal}"), |cfg| {
-            cfg.staging_bytes = 4096;
             cfg.fault_plan = Some(Arc::new(FaultPlan::parse(plan).unwrap()));
         });
         let host = MemArena::new(1 << 16);
@@ -156,7 +126,7 @@ fn failed_copy_back_leaves_the_host_range_untouched() {
             host.store_u32(base + 4 * i, i as u32).unwrap();
         }
         let dp = dev.map(&host, ha, len, MapKind::ToFrom).unwrap();
-        // Stand in for a kernel: every chunk of the device copy changes.
+        // Stand in for a kernel: every byte of the device copy changes.
         let results: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         dev.device().memcpy_h2d(dp, &results).unwrap();
         let before = host_bytes(&host, base, len);
@@ -165,15 +135,14 @@ fn failed_copy_back_leaves_the_host_range_untouched() {
         if terminal {
             let err = unmapped.expect_err("the copy-back is lost");
             assert!(err.is_device_lost(), "{plan}: got {err}");
-            assert_eq!(host_bytes(&host, base, len), before, "{plan}: no chunk may land");
+            assert_eq!(host_bytes(&host, base, len), before, "{plan}: no byte may land");
             assert_eq!(dev.clock.lock().d2h_bytes, 0, "{plan}: nothing was copied back");
         } else {
             unmapped.expect("a transient fault is retried");
             assert_eq!(counter(&obs, "retries.d2h"), 1, "{plan}");
-            assert_eq!(host_bytes(&host, base, len), results, "{plan}: all four chunks land");
+            assert_eq!(host_bytes(&host, base, len), results, "{plan}: every byte lands");
             assert_eq!(dev.clock.lock().d2h_bytes, len, "{plan}");
         }
-        assert_eq!(counter(&obs, "staged_chunks"), 8, "{plan}: four up, four down");
     }
 }
 

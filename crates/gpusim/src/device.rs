@@ -331,14 +331,14 @@ impl Device {
 
     /// `cuMemcpyDtoH`. Returns the simulated copy time in seconds.
     pub fn memcpy_d2h(&self, dst: &mut [u8], src: u64) -> Result<f64, ExecError> {
-        self.memcpy_d2h_check(src, dst.len() as u64)?;
+        self.d2h_check(src, dst.len() as u64)?;
         self.global.read_bytes(addr::offset(src), dst)?;
         Ok(self.charge_copy(dst.len() as u64, false))
     }
 
     /// `cuMemcpyDtoH` straight into `len` bytes of a host arena at
-    /// `dst_off`: [`Device::memcpy_d2h_check`], then
-    /// [`Device::memcpy_d2h_commit`].
+    /// `dst_off`: every check first, then the bytes, so a rejected copy
+    /// leaves the host range untouched.
     pub fn memcpy_d2h_to(
         &self,
         dst: &MemArena,
@@ -346,34 +346,20 @@ impl Device {
         src: u64,
         len: u64,
     ) -> Result<f64, ExecError> {
-        self.memcpy_d2h_check(src, len)?;
-        self.memcpy_d2h_commit(dst, dst_off, src, len)
+        self.d2h_check(src, len)?;
+        self.global.copy_to(addr::offset(src), dst, dst_off, len)?;
+        Ok(self.charge_copy(len, false))
     }
 
-    /// Everything `cuMemcpyDtoH` checks before a byte moves, in order:
-    /// the fault site, the source space, the source range. A chunked
-    /// copy-back runs this for every chunk before committing any, so a
-    /// failure leaves the host untouched.
-    pub fn memcpy_d2h_check(&self, src: u64, len: u64) -> Result<(), ExecError> {
+    /// Everything `cuMemcpyDtoH` checks on the device side before a byte
+    /// moves, in order: the fault site, the source space, the source range.
+    fn d2h_check(&self, src: u64, len: u64) -> Result<(), ExecError> {
         self.fault_check(FaultSite::D2H)?;
         if addr::space(src) != Some(Space::Global) {
             return Err(ExecError::Trap(format!("DtoH source {src:#x} is not device memory")));
         }
         self.global.check_range(addr::offset(src), len)?;
         Ok(())
-    }
-
-    /// Move the bytes of a copy-back whose [`Device::memcpy_d2h_check`]
-    /// passed, and charge it. Returns the simulated copy time in seconds.
-    pub fn memcpy_d2h_commit(
-        &self,
-        dst: &MemArena,
-        dst_off: u64,
-        src: u64,
-        len: u64,
-    ) -> Result<f64, ExecError> {
-        self.global.copy_to(addr::offset(src), dst, dst_off, len)?;
-        Ok(self.charge_copy(len, false))
     }
 
     /// What `cuMemcpyHtoD` checks before a byte moves: the fault site,
@@ -461,7 +447,7 @@ mod tests {
 
         assert!(d.memcpy_h2d_from(addr::make(Space::Host, 64), &host, 0, 8).is_err());
         assert!(d.memcpy_d2h_to(&host, 4090, p, 16).is_err(), "host range too short");
-        assert!(d.memcpy_d2h_check(p + (1 << 20), 8).is_err(), "device range out of bounds");
+        assert!(d.d2h_check(p + (1 << 20), 8).is_err(), "device range out of bounds");
         let mut tail = [0u8; 6];
         host.read_bytes(4090, &mut tail).unwrap();
         assert_eq!(tail, [0; 6], "a rejected copy-back moves nothing");

@@ -202,6 +202,16 @@ if grep -rnE -- '--full|--max-blocks' crates/bench README.md .github/workflows/c
     exit 1
 fi
 
+echo "== one driver copy per transfer (no staging rung, one copy path) =="
+# Every host<->device copy, the CUDA baseline's included, is one retried
+# driver copy booked by cudadev's transfer path. (benchmark/ keeps its
+# always-zero pressure.stage slot until its next definition change.)
+if grep -rnIE --exclude-dir=target 'staging_bytes|staged_chunks|fn stage\(|record_memcpy' \
+    crates src tests examples .github; then
+    echo "FAIL: copies are not chunked; cudaMemcpy goes through CudaDev::h2d_copy/d2h_copy"
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -3,8 +3,11 @@
 //! device broken and degrade to host execution with identical results,
 //! and JIT-cache corruption is invalidated and recompiled.
 
-use ompi_nano::unibench::{app_by_name, compile_omp, run_once, runner_config};
-use ompi_nano::{BinMode, BreakerState, Ompicc, Runner, RunnerConfig, Value};
+use ompi_nano::minic::interp::InterpError;
+use ompi_nano::unibench::{
+    app_by_name, compile_cuda, compile_omp, output_checksum, run_once, runner_config,
+};
+use ompi_nano::{BinMode, BreakerState, CudaCc, Ompicc, Runner, RunnerConfig, Value};
 
 /// The paper's Fig. 1 SAXPY; `main` returns the number of wrong elements,
 /// so `I32(0)` proves the computed `y` is bit-identical to the host-side
@@ -149,41 +152,49 @@ int main() {
     assert!(runner.device_broken());
 }
 
-/// Root-level twin of cudadev's `failed_copy_back_leaves_the_host_range_
-/// untouched`: a mapping over the default 16 MiB staging bound copies
-/// back in two chunks, and the second is lost terminally. The first chunk
-/// must not have landed: the region re-executes on the host from its
-/// inputs, and `main` returns 0 only if every updated element equals the
-/// sequential answer (a landed first chunk would apply the update twice).
+/// The CUDA baseline's `cudaMalloc` and `cudaMemcpy` ride cudadev's retry
+/// path like the OMPi variant's mappings: a transient alloc or H2D fault
+/// is retried, and the outputs are bit-identical to a fault-free run.
 #[test]
-fn copy_back_lost_on_its_second_chunk_reexecutes_on_the_host() {
-    const TWO_CHUNKS: &str = r#"
-int main() {
-    int n = 4200000;
-    int stride = (n - 1) / 63;
-    float *y = (float *) malloc(n * sizeof(float));
-    for (int i = 0; i < 64; i++) y[i * stride] = (float) i;
-    #pragma omp target map(tofrom: y[0:n])
-    {
-        int i;
-        #pragma omp parallel for
-        for (i = 0; i < 64; i++)
-            y[i * stride] = 2.0f * y[i * stride] + 1.0f;
+fn cuda_baseline_retries_transient_alloc_and_h2d_faults() {
+    let app = app_by_name("bicg").expect("bicg is a unibench app");
+    let n = app.test_size;
+    let compiled = compile_cuda(&app, &work("cuda-baseline-retry"));
+    let cfg = runner_config((app.footprint)(n));
+    let clean = run_once(&app, &Runner::new(&compiled, &cfg).unwrap(), n).unwrap();
+    for (plan, site) in [("h2d@2x2", "retries.h2d"), ("alloc@2x2", "retries.alloc")] {
+        let obs = obs::Obs::enabled();
+        let cfg =
+            RunnerConfig { fault_spec: Some(plan.into()), obs: Some(obs.clone()), ..cfg.clone() };
+        let runner = Runner::new(&compiled, &cfg).unwrap();
+        let out = run_once(&app, &runner, n).unwrap_or_else(|e| panic!("{plan}: {e}"));
+        assert_eq!(output_checksum(&out), output_checksum(&clean), "{plan}");
+        assert_eq!(obs.metrics.counter(0, site), 2, "{plan}: both failing calls retried");
+        assert_eq!(runner.dev_clock().retries, 2, "{plan}");
     }
-    int bad = 0;
-    for (int i = 0; i < 64; i++)
-        if (y[i * stride] != 2.0f * (float) i + 1.0f) bad++;
-    return bad;
 }
-"#;
-    let app = Ompicc::new(work("copy-back-chunk")).compile(TWO_CHUNKS).unwrap();
-    let cfg = RunnerConfig { fault_spec: Some("d2h@2x*".into()), ..Default::default() };
-    let runner = Runner::new(&app, &cfg).unwrap();
-    assert_eq!(runner.run_main().unwrap(), Value::I32(0));
-    assert!(runner.device_broken(), "the terminal copy-back fault latches the device");
-    let clk = runner.dev_clock();
-    assert_eq!(clk.launches, 1, "the kernel itself ran on the device");
-    assert_eq!(clk.d2h_bytes, 0, "no copy-back committed");
+
+/// A `cudaMemcpy` whose host range leaves the guest arena is the guest's
+/// memory fault, raised before the device sees the copy: the transient
+/// fault armed on the first copy of each direction is never consumed, so
+/// nothing is retried and no byte is booked.
+#[test]
+fn cuda_baseline_bad_host_range_is_a_guest_memory_fault() {
+    for kind in [1, 2] {
+        let src = format!(
+            "int main() {{ float *d; float h[4]; cudaMalloc(&d, 16);
+               cudaMemcpy({}, 1073741824, {kind}); return 0; }}",
+            if kind == 1 { "d, h" } else { "h, d" }
+        );
+        let app =
+            CudaCc::new(work(&format!("cuda-bad-range-{kind}"))).compile(&src, "bad").unwrap();
+        let cfg = RunnerConfig { fault_spec: Some("h2d@1,d2h@1".into()), ..Default::default() };
+        let runner = Runner::new(&app, &cfg).unwrap();
+        let err = runner.run_main().unwrap_err();
+        assert!(matches!(err, InterpError::Mem(_)), "kind {kind}: got {err}");
+        let clk = runner.dev_clock();
+        assert_eq!((clk.retries, clk.h2d_bytes, clk.d2h_bytes), (0, 0, 0), "kind {kind}");
+    }
 }
 
 /// Host fallback is bit-identical to device execution for a unibench app:

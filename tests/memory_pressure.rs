@@ -2,8 +2,8 @@
 //! arena capped below its working set, must produce results bit-identical
 //! to the uncapped run (relative-error tolerance only for apps with float
 //! reductions, whose device-side atomics reorder the accumulation), and
-//! the observability layer must record which ladder rung — evict, stage,
-//! tile, or host fallback — resolved each pressure event.
+//! the observability layer must record which ladder rung — evict, tile,
+//! or host fallback — resolved each pressure event.
 
 use ompi_nano::unibench::{
     all_apps, app_by_name, build_variant_cfg, max_rel_err, run_once, runner_config, App, Variant,
@@ -152,7 +152,7 @@ fn trace_names_the_resolving_rung() {
         .collect();
     assert!(!rungs.is_empty(), "capped run must emit pressure events");
     for r in &rungs {
-        assert!(["evict", "stage", "tile", "fallback"].contains(&r.as_str()), "unknown rung `{r}`");
+        assert!(["evict", "tile", "fallback"].contains(&r.as_str()), "unknown rung `{r}`");
     }
     assert!(rungs.iter().any(|r| r == "tile"), "tile rung must appear, got {rungs:?}");
 }
