@@ -33,9 +33,18 @@
 //!   pass (`compile/loops.rs`) deletes repeated typed integer arithmetic,
 //!   hoists loop-invariant arithmetic in front of its loop and rotates
 //!   loop tests onto the back edge.
+//! * **Superinstructions for the hot pairs.** Last, the fusion pass
+//!   (`compile/fuse.rs`) rewrites the adjacent typed ops that dominate
+//!   the loop nests (a sum- or `i * n + j`-indexed load, a load feeding an
+//!   FMA, an increment feeding the back-edge test) into one op each
+//!   (`LoadIdxSum` … `IncJcmp`, at the very end of [`Op`]). A
+//!   superinstruction is one dispatch but counts as the ops it replaced:
+//!   its weight ([`Op::cats`]) is their number, in fuel, instruction
+//!   counts, dispatch categories and hotspot hits alike.
 //! * **Billed per straight run.** A chunk's code splits into runs, each
 //!   ending at its first control op ([`Op::ends_run`]); the VM bills fuel
-//!   and counts one entry per run, not per op ([`Chunk::run_len`]).
+//!   and counts one entry per run, not per op: a run's length
+//!   ([`Chunk::run_len`]) is the sum of its ops' weights.
 
 use crate::ast::BinOp;
 use vmcommon::Value;
@@ -56,6 +65,19 @@ pub enum TyK {
     Double,
     Ptr,
     Dim3X,
+}
+
+impl TyK {
+    /// Bytes of one element of this type in guest memory (`None` for
+    /// `Dim3X`, which does not load).
+    pub fn size(self) -> Option<u32> {
+        match self {
+            TyK::Char => Some(1),
+            TyK::Int | TyK::Float => Some(4),
+            TyK::Long | TyK::Double | TyK::Ptr => Some(8),
+            TyK::Dim3X => None,
+        }
+    }
 }
 
 /// One bytecode instruction.
@@ -419,6 +441,51 @@ pub enum Op {
         r: R,
         k: i32,
     },
+
+    // Superinstructions. Only the fusion pass (`compile/fuse.rs`) emits
+    // them, for an adjacent run of the ops named below whose intermediate
+    // registers are dead afterwards; the ops after the first are no jump
+    // target. Each is one dispatch but bills, counts and attributes as the
+    // ops it replaced ([`Op::cats`]), and its VM arm runs those ops' arms
+    // in order, so tags, traps and messages are theirs. A fused load's
+    // stride is its type's size ([`TyK::size`]).
+    /// `AddI t = a + b; LoadIdx dst = base[t]`.
+    LoadIdxSum {
+        dst: R,
+        base: R,
+        a: R,
+        b: R,
+        ty: TyK,
+    },
+    /// `MulI t = i * n; AddI u = t + j; LoadIdx dst = base[u]`.
+    LoadIdxMad {
+        dst: R,
+        base: R,
+        i: R,
+        n: R,
+        j: R,
+        ty: TyK,
+    },
+    /// `LoadIdx t = base[idx]` of a `float` and the `FmaF acc += x * t`
+    /// (`acc += t * x` when `first`) that consumes it.
+    FmaIdx {
+        acc: R,
+        x: R,
+        base: R,
+        idx: R,
+        first: bool,
+    },
+    /// `IncI r, k` (or `AddIK r = r + k` with its `Conv`, whose generic
+    /// form is the same) and the `Jcmp r op b` of the `I32` domain after
+    /// it: the increment-and-branch of a rotated loop.
+    IncJcmp {
+        op: BinOp,
+        r: R,
+        b: R,
+        k: i8,
+        to: u32,
+        when: bool,
+    },
 }
 
 // `JcmpIK` squeezes its constant to 16 bits to keep every op at 12 bytes; a
@@ -444,15 +511,19 @@ pub struct Chunk {
     /// Guest-stack frame size (identical to the walker's `FrameInfo::size`
     /// so stack-exhaustion behaviour is unchanged).
     pub frame_size: u64,
+    /// How each argument binds, in declaration order (an argument whose
+    /// tag already is its register parameter's keeps its bits).
     pub params: Vec<ParamSpec>,
-    /// Registers zero-initialized at entry to the typed zero of their
-    /// slot (matching a typed load from zeroed frame memory).
+    /// Registers set at entry to the typed zero of their slot (matching a
+    /// typed load from zeroed frame memory). Every register starts as
+    /// `I32(0)`, so only other zeros are listed, and no register a
+    /// parameter binds.
     pub zero_init: Vec<(R, TyK)>,
     pub code: Vec<Op>,
     /// Index into [`CompiledProgram::line_tables`] — the pc→source-line
     /// map for this chunk.
     pub line_table: u32,
-    /// Per pc: the ops from `pc` through the next op that
+    /// Per pc: the weight of the ops from `pc` through the next op that
     /// [ends a run](Op::ends_run), inclusive ([`run_lens`]).
     pub run_len: Vec<u32>,
     /// First of this chunk's `1 + code.len()` slots in the VM's flat
@@ -466,7 +537,8 @@ pub fn run_lens(code: &[Op]) -> Vec<u32> {
     let mut out = vec![0; code.len()];
     let mut len = 0;
     for (pc, op) in code.iter().enumerate().rev() {
-        len = if op.ends_run() { 1 } else { len + 1 };
+        let weight = op.cats().len() as u32;
+        len = if op.ends_run() { weight } else { len + weight };
         out[pc] = len;
     }
     out
@@ -481,6 +553,8 @@ pub struct LoopStats {
     pub hoisted: u32,
     /// Back-edge jumps replaced by the loop's test.
     pub rotated: u32,
+    /// Superinstructions the fusion pass made (`compile/fuse.rs`).
+    pub fused: u32,
 }
 
 /// The whole program in bytecode form, plus its pools.
@@ -548,16 +622,20 @@ impl Op {
                 | Jnz { .. }
                 | Jcmp { .. }
                 | JcmpIK { .. }
+                | IncJcmp { .. }
                 | Call { .. }
                 | Ret { .. }
                 | Trap { .. }
         )
     }
 
-    /// Category for the dispatch counters.
+    /// The dispatch categories of the ops this one stands for, in order:
+    /// one for a plain op, one per op a superinstruction replaced. Its
+    /// length is the op's weight in fuel and instruction counts.
     #[inline]
-    pub fn cat(&self) -> OpCat {
+    pub fn cats(&self) -> &'static [OpCat] {
         use Op::*;
+        use OpCat::{Alu, Ctrl, Idx};
         match self {
             LoadSlot { .. }
             | StoreSlot { .. }
@@ -566,13 +644,13 @@ impl Op {
             | Load { .. }
             | Store { .. }
             | Dim3Load { .. }
-            | Dim3Store { .. } => OpCat::Mem,
+            | Dim3Store { .. } => &[OpCat::Mem],
             LoadIdx { .. }
             | StoreIdx { .. }
             | AddrIdx { .. }
             | LoadIdxD { .. }
             | StoreIdxD { .. }
-            | AddrIdxD { .. } => OpCat::Idx,
+            | AddrIdxD { .. } => &[Idx],
             Conv { .. }
             | Bin { .. }
             | BinD { .. }
@@ -596,19 +674,23 @@ impl Op {
             | MulF { .. }
             | MulKF { .. }
             | FmaF { .. }
-            | IncI { .. } => OpCat::Alu,
+            | IncI { .. } => &[Alu],
             Jmp { .. } | Jz { .. } | Jnz { .. } | Jcmp { .. } | JcmpIK { .. } | Ret { .. } => {
-                OpCat::Ctrl
+                &[Ctrl]
             }
             Call { .. }
             | CallBuiltin { .. }
             | CallHook { .. }
             | Printf { .. }
             | PrintfD { .. }
-            | Launch { .. } => OpCat::Call,
+            | Launch { .. } => &[OpCat::Call],
             Const { .. } | Mov { .. } | FrameAddr { .. } | ChkNull { .. } | Trap { .. } => {
-                OpCat::Misc
+                &[OpCat::Misc]
             }
+            LoadIdxSum { .. } => &[Alu, Idx],
+            LoadIdxMad { .. } => &[Alu, Alu, Idx],
+            FmaIdx { .. } => &[Idx, Alu],
+            IncJcmp { .. } => &[Alu, Ctrl],
         }
     }
 }

@@ -72,6 +72,14 @@ pub(super) fn compile_fn(cx: &mut Cx<'_>, fd: &FuncDef) -> Chunk {
     f.emit(Op::Ret { src: out });
 
     let (code, line_table) = f.finish(&zero_init);
+    // The binding plan: a new frame's registers start as `I32(0)` and its
+    // register parameters bind theirs, so entry writes only the other
+    // slots' typed zeros that differ from `I32(0)`.
+    let bound = |r: R| params.iter().any(|p| matches!(p, ParamSpec::Reg { reg, .. } if *reg == r));
+    let zero_init = zero_init
+        .into_iter()
+        .filter(|&(r, ty)| !matches!(ty, TyK::Char | TyK::Int | TyK::Dim3X) && !bound(r))
+        .collect();
     Chunk {
         name: fd.sig.name.clone(),
         nregs: f.max_reg,

@@ -24,9 +24,11 @@
 //!    `Jcmp`/`JcmpIK` exiting to the op after the `Jmp` becomes that
 //!    compare with `when` inverted, jumping to the op after the header.
 //!
-//! Every deleted or moved op leaves a dropped slot behind, so jump targets
-//! stay valid until the one compaction at the end remaps them and the
-//! line table (a moved op keeps its own source line).
+//! 4. **Superinstructions** ([`super::fuse`]) over the rotated code.
+//!
+//! Every deleted, moved or fused-away op leaves a dropped slot behind, so
+//! jump targets stay valid until the one compaction at the end remaps them
+//! and the line table (a moved op keeps its own source line).
 //!
 //! Why moving is safe: the specialisation pass emits these ops only where
 //! it proved both operands `I32`, and an operand no loop op writes is a
@@ -35,6 +37,7 @@
 //! arithmetic and without trapping, the value it computed in the loop;
 //! when the loop would not have reached it, nothing reads the result.
 
+use super::fuse;
 use super::specialize::{def_of, target_mut, uses_of};
 use crate::bytecode::{LoopStats, Op, R};
 
@@ -53,12 +56,17 @@ pub(super) fn optimize(
         p.value_number();
     }
     p.rotate();
+    if p.code.iter().any(fuse::leads) {
+        let flow = p.flow();
+        p.stats.fused = fuse::fuse(&mut p.code, &mut p.keep, &p.line, &flow);
+    }
     if p.stats == LoopStats::default() {
         return (p.code, lines);
     }
     stats.removed += p.stats.removed;
     stats.hoisted += p.stats.hoisted;
     stats.rotated += p.stats.rotated;
+    stats.fused += p.stats.fused;
     *nregs = p.nregs;
     p.compact()
 }
@@ -103,7 +111,8 @@ fn target(op: &Op) -> Option<usize> {
         | Op::Jz { to, .. }
         | Op::Jnz { to, .. }
         | Op::Jcmp { to, .. }
-        | Op::JcmpIK { to, .. } => Some(to as usize),
+        | Op::JcmpIK { to, .. }
+        | Op::IncJcmp { to, .. } => Some(to as usize),
         _ => None,
     }
 }
@@ -116,7 +125,7 @@ fn ends_block(op: &Op) -> bool {
 /// Call `f` on each register operand an op reads one at a time, i.e. every
 /// read [`uses_of`] reports except the register runs of calls, `printf`,
 /// launches and `Dim3Store`, and the in-place operand of `IncI`/`FmaF`/
-/// `FmaAssign`.
+/// `FmaAssign`/`FmaIdx`/`IncJcmp`.
 fn single_reads_mut(op: &mut Op, mut f: impl FnMut(&mut R)) {
     use Op::*;
     match op {
@@ -139,7 +148,8 @@ fn single_reads_mut(op: &mut Op, mut f: impl FnMut(&mut R)) {
         | MulIK { a: src, .. }
         | MulKF { a: src, .. }
         | JcmpIK { a: src, .. }
-        | PrintfD { fmt: src, .. } => f(src),
+        | PrintfD { fmt: src, .. }
+        | IncJcmp { b: src, .. } => f(src),
         Store { addr: a, src: b, .. }
         | LoadIdx { base: a, idx: b, .. }
         | AddrIdx { base: a, idx: b, .. }
@@ -159,6 +169,8 @@ fn single_reads_mut(op: &mut Op, mut f: impl FnMut(&mut R)) {
             f(b);
         }
         StoreIdx { base, idx, src: c, .. }
+        | LoadIdxSum { base, a: idx, b: c, .. }
+        | FmaIdx { x: base, base: idx, idx: c, .. }
         | LoadIdxD { base, idx, stride: c, .. }
         | AddrIdxD { base, idx, stride: c, .. }
         | BinD { a: base, b: idx, stride: c, .. }
@@ -167,7 +179,8 @@ fn single_reads_mut(op: &mut Op, mut f: impl FnMut(&mut R)) {
             f(idx);
             f(c);
         }
-        StoreIdxD { base, idx, stride, src, .. } => {
+        StoreIdxD { base, idx, stride, src, .. }
+        | LoadIdxMad { base, i: idx, n: stride, j: src, .. } => {
             f(base);
             f(idx);
             f(stride);
@@ -220,7 +233,7 @@ fn rename(op: &mut Op, from: R, to: R) {
 }
 
 /// Basic blocks and register liveness of the code as it stands.
-struct Flow {
+pub(super) struct Flow {
     /// Block start pcs, then the code length.
     starts: Vec<usize>,
     /// Per pc: its block.
@@ -241,7 +254,21 @@ impl Flow {
     }
 
     fn live_out(&self, block: usize, r: R) -> bool {
-        Flow::bit(&self.live_out[block * self.words..(block + 1) * self.words], r)
+        Flow::bit(self.live_out_of(block), r)
+    }
+
+    /// The registers live out of `block`, as a bitset.
+    pub(super) fn live_out_of(&self, block: usize) -> &[u64] {
+        &self.live_out[block * self.words..(block + 1) * self.words]
+    }
+
+    pub(super) fn blocks(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The pcs of `block`, dropped slots included.
+    pub(super) fn range(&self, block: usize) -> std::ops::Range<usize> {
+        self.starts[block]..self.starts[block + 1]
     }
 
     /// The pc one past the end of `pc`'s block.
@@ -361,7 +388,7 @@ impl Pass {
 
     fn value_number(&mut self) {
         let flow = self.flow();
-        for b in 0..flow.starts.len() - 1 {
+        for b in 0..flow.blocks() {
             // (value, the register holding it)
             let mut table: Vec<(Key, R)> = Vec::new();
             let forget = |table: &mut Vec<(Key, R)>, r: R| {

@@ -98,19 +98,19 @@ fn counted_loop() -> Vec<Op> {
 fn an_invariant_op_moves_in_front_of_its_loop_and_the_test_rotates() {
     let lines = vec![(0, 10), (1, 11), (3, 12), (5, 13)];
     let (out, lines, nregs, stats) = run(counted_loop(), lines, 8);
+    // The rotated test fuses with the increment in front of it.
     let want = [
         mulk(2, 0, 4),
-        exit_unless_lt(1, 0, 5),
+        exit_unless_lt(1, 0, 4),
         add(3, 2, 1),
-        INC,
-        Op::Jcmp { op: BinOp::Lt, a: 1, b: 0, to: 2, when: true, float: false },
+        Op::IncJcmp { op: BinOp::Lt, r: 1, b: 0, k: 1, to: 2, when: true },
         Op::Ret { src: 3 },
     ];
     assert_eq!(format!("{out:?}"), format!("{want:?}"));
     // The hoisted op keeps its line (11); the rotated test sits on the
-    // back edge's (12).
-    assert_eq!(lines, vec![(0, 11), (1, 10), (2, 11), (3, 12), (5, 13)]);
-    assert_eq!(stats, LoopStats { removed: 0, hoisted: 1, rotated: 1 });
+    // back edge's (12), which is the increment's too.
+    assert_eq!(lines, vec![(0, 11), (1, 10), (2, 11), (3, 12), (4, 13)]);
+    assert_eq!(stats, LoopStats { removed: 0, hoisted: 1, rotated: 1, fused: 1 });
     assert_eq!(nregs, 8);
 }
 
@@ -135,20 +135,18 @@ fn values_climb_out_of_a_nest_innermost_first() {
             out[..],
             [
                 Op::MulIK { dst: 3, .. },
-                Op::Jcmp { to: 9, when: false, .. },
+                Op::Jcmp { to: 7, when: false, .. },
                 Op::Const { .. },
                 Op::MulI { dst: 4, .. },
-                Op::Jcmp { to: 7, when: false, .. },
-                Op::IncI { r: 2, .. },
-                Op::Jcmp { to: 5, when: true, .. },
-                Op::IncI { r: 1, .. },
-                Op::Jcmp { to: 2, when: true, .. },
+                Op::Jcmp { to: 6, when: false, .. },
+                Op::IncJcmp { r: 2, k: 1, to: 5, when: true, .. },
+                Op::IncJcmp { r: 1, k: 1, to: 2, when: true, .. },
                 Op::Ret { .. },
             ]
         ),
         "{out:?}"
     );
-    assert_eq!(stats, LoopStats { removed: 0, hoisted: 3, rotated: 2 });
+    assert_eq!(stats, LoopStats { removed: 0, hoisted: 3, rotated: 2, fused: 2 });
 }
 
 #[test]

@@ -712,6 +712,7 @@ fn store_kind(ty: &Ty) -> Option<TyK> {
 }
 
 mod expr;
+mod fuse;
 mod loops;
 mod specialize;
 

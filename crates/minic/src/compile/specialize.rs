@@ -150,7 +150,11 @@ pub(super) fn def_of(op: &Op) -> Option<(R, u16)> {
         | MulF { dst, .. }
         | MulKF { dst, .. }
         | FmaF { dst, .. }
-        | IncI { r: dst, .. } => (dst, 1),
+        | IncI { r: dst, .. }
+        | LoadIdxSum { dst, .. }
+        | LoadIdxMad { dst, .. }
+        | FmaIdx { acc: dst, .. }
+        | IncJcmp { r: dst, .. } => (dst, 1),
         Dim3Load { dst3, .. } => (dst3, 3),
         StoreSlot { .. }
         | StoreAbs { .. }
@@ -207,7 +211,8 @@ pub(super) fn uses_of(op: &Op, mut f: impl FnMut(R)) {
         | AddF { a, b, .. }
         | SubF { a, b, .. }
         | MulF { a, b, .. }
-        | Jcmp { a, b, .. } => {
+        | Jcmp { a, b, .. }
+        | IncJcmp { r: a, b, .. } => {
             run(a, 1);
             run(b, 1);
         }
@@ -217,12 +222,15 @@ pub(super) fn uses_of(op: &Op, mut f: impl FnMut(R)) {
         | BinD { a: base, b: idx, stride: c, .. }
         | PtrDiffD { a: base, b: idx, stride: c, .. }
         | FmaAssign { dst: base, a: idx, b: c, .. }
-        | FmaF { dst: base, a: idx, b: c } => {
+        | FmaF { dst: base, a: idx, b: c }
+        | LoadIdxSum { base, a: idx, b: c, .. } => {
             run(base, 1);
             run(idx, 1);
             run(c, 1);
         }
-        StoreIdxD { base, idx, stride, src, .. } => {
+        StoreIdxD { base, idx, stride, src, .. }
+        | LoadIdxMad { base, i: idx, n: stride, j: src, .. }
+        | FmaIdx { acc: base, x: idx, base: stride, idx: src, .. } => {
             run(base, 1);
             run(idx, 1);
             run(stride, 1);
@@ -255,7 +263,7 @@ pub(super) fn uses_of(op: &Op, mut f: impl FnMut(R)) {
 pub(super) fn target_mut(op: &mut Op) -> Option<&mut u32> {
     match op {
         Op::Jmp { to } | Op::Jz { to, .. } | Op::Jnz { to, .. } => Some(to),
-        Op::Jcmp { to, .. } | Op::JcmpIK { to, .. } => Some(to),
+        Op::Jcmp { to, .. } | Op::JcmpIK { to, .. } | Op::IncJcmp { to, .. } => Some(to),
         _ => None,
     }
 }

@@ -44,11 +44,16 @@ float run(int n, float *a, float *b) {
 "#,
         "run",
     );
-    assert!(has(&code, |op| matches!(op, Op::IncI { k: 1, .. })), "{code:?}");
+    // `i++` and the loop test rotated behind it fuse into one op, and so
+    // do the `b[i]` load and the `FmaF` that consumes it.
+    assert!(
+        has(&code, |op| matches!(op, Op::IncJcmp { op: BinOp::Lt, k: 1, when: true, .. })),
+        "{code:?}"
+    );
     assert!(has(&code, |op| matches!(op, Op::Jcmp { op: BinOp::Lt, float: false, .. })));
     assert!(has(&code, |op| matches!(op, Op::JcmpIK { op: BinOp::Lt, k: 2, when: false, .. })));
     assert!(has(&code, |op| matches!(op, Op::MulKF { k, .. } if *k == 2.0)));
-    assert!(has(&code, |op| matches!(op, Op::FmaF { .. })));
+    assert!(has(&code, |op| matches!(op, Op::FmaIdx { first: false, .. })));
     assert!(has(&code, |op| matches!(op, Op::MulIK { k: 3, .. })));
     // `s = s + ...` writes the slot directly.
     assert!(has(&code, |op| matches!(op, Op::AddI { conv: true, .. })));

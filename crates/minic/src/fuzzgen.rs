@@ -26,6 +26,13 @@
 //!   index `arr` row-major with repeated subexpressions
 //!   (`arr[(i * w + j) & 15]`), `break` and `continue`, `&&` and `?:`, and
 //!   sometimes reassign the would-be-invariant row width inside the loop;
+//! * the shapes the fusion pass turns into superinstructions, unmasked:
+//!   nests of counted loops that index `farr` row- and column-major
+//!   (`farr[i * w + j]`, `farr[j * h + i]`) under bounds that keep every
+//!   index in range, `acc += x * farr[k]` in either factor order, and
+//!   `while (k <= n) { …; k = k + 1; }`; one nest in six strides a row
+//!   or column past the end of guest memory and reads through it first,
+//!   so it traps inside a fused load at its second step;
 //! * pointer-typed locals: `int *p` into `arr` and `float *q` into `farr`,
 //!   read and written through masked indices (`p[(e) & 7]`, `q[(e) & 3]`),
 //!   subtracted from and compared with pointers into the same array, and
@@ -232,7 +239,7 @@ impl Gen {
             let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
             return format!("{pad}while (1) {{ {v} = {v} + 1; }}\n");
         }
-        match self.rng.below(if d < 2 { 12 } else { 6 }) {
+        match self.rng.below(if d < 2 { 13 } else { 6 }) {
             // Scalar assignment.
             0 => {
                 let v = self.ints[self.rng.below(self.ints.len() as u64) as usize].clone();
@@ -346,6 +353,7 @@ impl Gen {
             }
             9 if self.has_arr && self.counters.is_empty() => self.nest(d),
             10 if self.has_ptr => self.ptr_stmt(&pad),
+            11 if self.has_arr && self.counters.is_empty() => self.fused(d),
             // if / else.
             _ => {
                 let c = self.int_expr(2);
@@ -417,6 +425,76 @@ impl Gen {
 {pad}}} }}
 "
         ));
+        out
+    }
+
+    /// A float accumulation over `farr` in the shapes the fusion pass
+    /// fuses: a `while (k <= n)` loop stepping `k = k + 1`, or an `h` by
+    /// `w` nest (`h * w` at most the array's length) reading `farr` and
+    /// `arr` at `i * sr + j` and `j * sc + i`, where the strides `sr`, `sc`
+    /// are `w` and `h`, or one is far past the end of guest memory. The
+    /// sum is printed.
+    fn fused(&mut self, d: u32) -> String {
+        let pad = "  ".repeat(d as usize + 1);
+        let acc = self.fresh("s");
+        let x = match self.floats.is_empty() {
+            true => format!("{}.5f", self.rng.range_i64(-4, 4)),
+            false => self.pick(&self.floats.clone()),
+        };
+        let fma = |g: &mut Gen, at: &str| match g.rng.chance(1, 2) {
+            true => format!("{acc} += {x} * farr[{at}];"),
+            false => format!("{acc} += farr[{at}] * {x};"),
+        };
+        let mut out = format!("{pad}{{ float {acc} = 0.0f;\n");
+        if self.rng.chance(1, 3) {
+            let (k, n) = (self.fresh("k"), self.fresh("n"));
+            let last = self.rng.below(FARR_LEN as u64);
+            self.counters.push(k.clone());
+            let body = self.block(d + 1);
+            self.counters.pop();
+            let step = fma(self, &k);
+            out.push_str(&format!(
+                "{pad}int {k} = 0; int {n} = {last};\n\
+                 {pad}while ({k} <= {n}) {{\n{pad}  {step}\n{body}{pad}  {k} = {k} + 1;\n{pad}}}\n"
+            ));
+        } else {
+            let (i, j) = (self.fresh("i"), self.fresh("j"));
+            let (h, w, sr, sc) =
+                (self.fresh("h"), self.fresh("w"), self.fresh("r"), self.fresh("c"));
+            // A far stride gets two rows and columns and a first line that
+            // reads through it, so the nest traps at its second step.
+            let far = self.rng.chance(1, 6);
+            let rows = if far { 2 } else { 1 + self.rng.below(4) };
+            let cols = if far { 2 + self.rng.below(3) } else { 1 + self.rng.below(8 / rows) };
+            let (mut row, mut col) = (w.clone(), h.clone());
+            let (by_row, by_col) = (format!("{i} * {sr} + {j}"), format!("{j} * {sc} + {i}"));
+            let mut lines = Vec::new();
+            if far {
+                let at = self.rng.pick(&["1 << 28", "-(1 << 28)"]).to_string();
+                let by_row_far = self.rng.chance(1, 2);
+                *if by_row_far { &mut row } else { &mut col } = at;
+                lines.push(fma(self, if by_row_far { &by_row } else { &by_col }));
+            }
+            out.push_str(&format!(
+                "{pad}int {h} = {rows}; int {w} = {cols}; int {sr} = {row}; int {sc} = {col};\n\
+                 {pad}for (int {i} = 0; {i} < {h}; {i}++) {{\n\
+                 {pad}  for (int {j} = 0; {j} < {w}; {j}++) {{\n"
+            ));
+            self.counters.extend([i.clone(), j.clone()]);
+            for _ in 0..2 + self.rng.below(3) {
+                lines.push(match self.rng.below(5) {
+                    0 => fma(self, &by_row),
+                    1 => fma(self, &by_col),
+                    2 => fma(self, &j),
+                    3 => format!("arr[{by_row}] = arr[{by_col}] + {j};"),
+                    _ => self.stmt(d + 2).trim().to_string(),
+                });
+            }
+            lines.iter().for_each(|line| out.push_str(&format!("{pad}    {line}\n")));
+            self.counters.truncate(self.counters.len() - 2);
+            out.push_str(&format!("{pad}  }}\n{pad}}}\n"));
+        }
+        out.push_str(&format!("{pad}printf(\"%f\\n\", {acc}); }}\n"));
         out
     }
 

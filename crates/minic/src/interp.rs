@@ -384,8 +384,10 @@ impl Machine {
                 continue;
             }
             let line = crate::bytecode::line_for_pc(table, pc as u32);
-            let cat = ch.code[pc].cat() as usize;
-            hits.entry((chunk, line)).or_insert([0; 6])[cat] += n;
+            let row = hits.entry((chunk, line)).or_insert([0; 6]);
+            for &cat in ch.code[pc].cats() {
+                row[cat as usize] += n;
+            }
         }
     }
 

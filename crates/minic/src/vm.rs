@@ -26,7 +26,8 @@
 //! operands carry the tags the specialisation pass proved, calling the
 //! same `rt` domain helpers as `apply_binop`; any other tag runs the
 //! generic sequence the op replaced, so a wrong proof costs speed, never
-//! a different answer.
+//! a different answer. A superinstruction (`LoadIdxSum` … `IncJcmp`) runs
+//! the arms of the ops it replaced, in order.
 //!
 //! Billing and counting go per straight run, not per op: entering a run
 //! (frame entry, call return, either arm of a branch) adds its length
@@ -36,8 +37,9 @@
 //! returns, the entry counts flush to the machine's atomic counters as
 //! the instruction count, its six dispatch categories and (with hotspots
 //! on) per-pc hits (see `obs`'s `vm.*` metrics). Every dispatched op
-//! counts once, in its own category, for every call that returns; a trap
-//! bills the rest of its run too.
+//! counts once per op it stands for ([`crate::bytecode::Op::cats`]), in
+//! that op's category, for every call that returns; a trap bills the rest
+//! of its run too.
 
 use std::sync::Arc;
 
@@ -130,7 +132,7 @@ impl Interp {
         self.machine.limits.drain_fuel(self.unbilled);
         self.unbilled = 0;
         // An op runs once per entry of every run that covers it, and
-        // counts once, in its category.
+        // counts once per op it stands for, in that op's category.
         let mut dispatch = [0u64; 6];
         let mut hits = Vec::new();
         for (ci, chunk) in prog.chunks.iter().enumerate() {
@@ -143,7 +145,9 @@ impl Interp {
             let mut live = 0;
             for (op, n) in chunk.code.iter().zip(counts.iter_mut()) {
                 live += std::mem::take(n);
-                dispatch[op.cat() as usize] += live;
+                for &cat in op.cats() {
+                    dispatch[cat as usize] += live;
+                }
                 if self.hot {
                     hits.push(live);
                 }
@@ -235,17 +239,17 @@ impl Interp {
         self.sp = base + chunk.frame_size;
         self.depth += 1;
 
+        // Every register starts as `I32(0)`; the chunk lists the others'
+        // typed zeros and leaves out the registers its parameters bind.
         let reg_base = regs.len();
         regs.grow(chunk.nregs as usize);
         for &(r, ty) in &chunk.zero_init {
-            regs.set(reg_base + r as usize, convert_k(Value::I32(0), ty));
+            regs.set(reg_base + r as usize, Slot::zero(ty));
         }
         for (k, spec) in chunk.params.iter().enumerate() {
             let v = regs.at(args + k);
             match spec {
-                ParamSpec::Reg { reg, ty } => {
-                    regs.set(reg_base + *reg as usize, convert_k(v.value(), *ty));
-                }
+                ParamSpec::Reg { reg, ty } => regs.set(reg_base + *reg as usize, bind(v, *ty)),
                 ParamSpec::Mem { off, ty } => {
                     let a = addr::make(Space::Host, addr::offset(base) + *off as u64);
                     store_k(&self.machine, a, *ty, v)?;
@@ -542,27 +546,16 @@ impl Interp {
                     Op::MulKF { dst, a, k, conv } => {
                         w.set(*dst, f32x2(BinOp::Mul, w.at(*a), Slot::f32(*k), *conv)?);
                     }
-                    Op::FmaF { dst, a, b } => {
-                        let (s, x, y) = (w.at(*dst), w.at(*a), w.at(*b));
-                        if s.tag == tag::F32 && x.tag == tag::F32 && y.tag == tag::F32 {
-                            let p = rt::f32_op(BinOp::Mul, x.as_f32(), y.as_f32());
-                            w.set(*dst, Slot::f32(rt::f32_op(BinOp::Add, s.as_f32(), p)));
-                        } else {
-                            let p = rt::apply_binop(BinOp::Mul, x.value(), 1, y.value())?;
-                            w.set(*dst, generic(BinOp::Add, s, Slot::of(p), Some(TyK::Float))?);
-                        }
-                    }
+                    Op::FmaF { dst, a, b } => w.set(*dst, fma_f(w.at(*dst), w.at(*a), w.at(*b))?),
                     Op::Jcmp { op, a, b, to, when, float } => {
                         let (x, y) = (w.at(*a), w.at(*b));
                         let holds = match (x.tag, y.tag) {
-                            (tag::I32, tag::I32) if !*float => {
-                                rt::cmp_holds(*op, Some(x.as_i32().cmp(&y.as_i32())))
-                            }
                             (tag::F32, tag::F32) if *float => rt::cmp_holds(
                                 *op,
                                 (x.as_f32() as f64).partial_cmp(&(y.as_f32() as f64)),
                             ),
-                            _ => generic_cmp(*op, x, y)?,
+                            _ if *float => generic_cmp(*op, x, y)?,
+                            _ => cmp_i(*op, x, y)?,
                         };
                         pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
                         continue;
@@ -576,15 +569,32 @@ impl Interp {
                         pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
                         continue;
                     }
-                    Op::IncI { r, k } => {
-                        let x = w.at(*r);
-                        if x.tag == tag::I32 {
-                            let v = rt::int_op(BinOp::Add, x.as_i32() as i64, *k as i64)?;
-                            w.set(*r, Slot::i32(v as i32));
-                        } else {
-                            let k = Slot::i64(*k as i64);
-                            w.set(*r, generic(BinOp::Add, x, k, Some(TyK::Int))?);
-                        }
+                    Op::IncI { r, k } => w.set(*r, inc_i(w.at(*r), *k)?),
+                    // Superinstructions: the arms of the ops they replaced,
+                    // in order, minus the writes of dead intermediates.
+                    Op::LoadIdxSum { dst, base, a, b, ty } => {
+                        let t = int2(BinOp::Add, w.at(*a), w.at(*b), false)?;
+                        let at = idx_addr(w.at(*base), t, elem_size(*ty))?;
+                        w.set(*dst, load_k(&machine, at, *ty)?);
+                    }
+                    Op::LoadIdxMad { dst, base, i, n, j, ty } => {
+                        let t = int2(BinOp::Mul, w.at(*i), w.at(*n), false)?;
+                        let u = int2(BinOp::Add, t, w.at(*j), false)?;
+                        let at = idx_addr(w.at(*base), u, elem_size(*ty))?;
+                        w.set(*dst, load_k(&machine, at, *ty)?);
+                    }
+                    Op::FmaIdx { acc, x, base, idx, first } => {
+                        let at = idx_addr(w.at(*base), w.at(*idx), elem_size(TyK::Float))?;
+                        let t = load_k(&machine, at, TyK::Float)?;
+                        let (p, q) = if *first { (t, w.at(*x)) } else { (w.at(*x), t) };
+                        w.set(*acc, fma_f(w.at(*acc), p, q)?);
+                    }
+                    Op::IncJcmp { op, r, b, k, to, when } => {
+                        let x = inc_i(w.at(*r), *k as i32)?;
+                        w.set(*r, x);
+                        let holds = cmp_i(*op, x, w.at(*b))?;
+                        pc = enter!(if holds == *when { *to as usize } else { pc + 1 });
+                        continue;
                     }
                 }
                 pc += 1;
@@ -645,6 +655,37 @@ fn f32x2(op: BinOp, x: Slot, y: Slot, conv: bool) -> IResult<Slot> {
     generic(op, x, y, conv.then_some(TyK::Float))
 }
 
+/// `IncI`: `convert(x + I64(k), int)`.
+#[inline(always)]
+fn inc_i(x: Slot, k: i32) -> IResult<Slot> {
+    if x.tag == tag::I32 {
+        return Ok(Slot::i32(rt::int_op(BinOp::Add, x.as_i32() as i64, k as i64)? as i32));
+    }
+    generic(BinOp::Add, x, Slot::i64(k as i64), Some(TyK::Int))
+}
+
+/// `FmaF`: `convert(s + x * y, float)` on three `F32`s; other tags run
+/// `FmaAssign`'s two `apply_binop` steps.
+#[inline(always)]
+fn fma_f(s: Slot, x: Slot, y: Slot) -> IResult<Slot> {
+    if s.tag == tag::F32 && x.tag == tag::F32 && y.tag == tag::F32 {
+        let p = rt::f32_op(BinOp::Mul, x.as_f32(), y.as_f32());
+        return Ok(Slot::f32(rt::f32_op(BinOp::Add, s.as_f32(), p)));
+    }
+    let p = rt::apply_binop(BinOp::Mul, x.value(), 1, y.value())?;
+    generic(BinOp::Add, s, Slot::of(p), Some(TyK::Float))
+}
+
+/// The `I32`-domain comparison of a `Jcmp`; other tags run the generic
+/// form.
+#[inline(always)]
+fn cmp_i(op: BinOp, x: Slot, y: Slot) -> IResult<bool> {
+    if x.tag == tag::I32 && y.tag == tag::I32 {
+        return Ok(rt::cmp_holds(op, Some(x.as_i32().cmp(&y.as_i32()))));
+    }
+    generic_cmp(op, x, y)
+}
+
 /// The generic form of a typed op: `apply_binop`, then the absorbed
 /// `Conv` if there was one.
 #[cold]
@@ -662,14 +703,36 @@ fn generic_cmp(op: BinOp, x: Slot, y: Slot) -> IResult<bool> {
 }
 
 /// Fused element address: the walker's `(p + i * stride)` with its null
-/// check at lvalue time.
-#[inline]
+/// check at lvalue time. A `PTR` base and an `I32` index are read from
+/// their payloads; other tags convert through `Value`.
+#[inline(always)]
 fn idx_addr(base: Slot, idx: Slot, stride: u64) -> IResult<u64> {
-    let p = base.value().as_ptr();
+    let (p, i) = if base.tag == tag::PTR && idx.tag == tag::I32 {
+        (base.bits, idx.as_i32() as i64)
+    } else {
+        (base.value().as_ptr(), idx.value().as_i64())
+    };
     if p == 0 {
         return Err(InterpError::Mem(MemError::Null));
     }
-    Ok(rt::ptr_offset(p, idx.value().as_i64(), stride))
+    Ok(rt::ptr_offset(p, i, stride))
+}
+
+/// A fused load's stride: the size of its element type.
+#[inline(always)]
+fn elem_size(ty: TyK) -> u64 {
+    ty.size().map_or(0, u64::from)
+}
+
+/// A register argument bound to a parameter of type `ty`: its bits as
+/// they are when it already has `ty`'s tag (a `char` always narrows),
+/// else `convert_k`.
+#[inline(always)]
+fn bind(v: Slot, ty: TyK) -> Slot {
+    if v.tag == Slot::zero(ty).tag && ty != TyK::Char {
+        return v;
+    }
+    convert_k(v.value(), ty)
 }
 
 /// Pointer difference `(a - b) / stride` (a zero stride divides by 1).

@@ -13,7 +13,7 @@
 
 use vmcommon::Value;
 
-use crate::bytecode::R;
+use crate::bytecode::{TyK, R};
 
 /// `Value` tags as the register file stores them.
 pub(super) mod tag {
@@ -69,6 +69,19 @@ impl Slot {
     #[inline(always)]
     pub fn ptr(x: u64) -> Slot {
         Slot { bits: x, tag: tag::PTR }
+    }
+
+    /// The typed zero of `ty`: what a zeroed frame slot loads as.
+    #[inline(always)]
+    pub fn zero(ty: TyK) -> Slot {
+        let tag = match ty {
+            TyK::Char | TyK::Int | TyK::Dim3X => tag::I32,
+            TyK::Long => tag::I64,
+            TyK::Float => tag::F32,
+            TyK::Double => tag::F64,
+            TyK::Ptr => tag::PTR,
+        };
+        Slot { bits: 0, tag }
     }
 
     #[inline(always)]

@@ -1,5 +1,5 @@
-//! Each typed or fused op against the generic sequence it replaces, both
-//! run by the VM on hand-built chunks. The argument registers take every
+//! Each typed or fused op, superinstructions included, against the
+//! sequence it replaces, both run by the VM on hand-built chunks. The argument registers take every
 //! corner tag unconverted, so the typed arm runs where the tags match and
 //! the fallback arm everywhere else; the two chunks must agree bit for bit,
 //! error messages included, except that an arithmetic NaN result matches
@@ -10,6 +10,7 @@
 use std::hint::black_box;
 use std::sync::Arc;
 
+use vmcommon::addr::{self, Space};
 use vmcommon::Value;
 
 use super::Interp;
@@ -92,6 +93,14 @@ impl Bench {
             Ok(v) => exact(v),
             Err(e) => e,
         }
+    }
+
+    /// A guest buffer holding `bytes`, as a pointer.
+    fn buffer(&self, bytes: &[u8]) -> Value {
+        let m = &self.vm.machine;
+        let off = m.heap.lock().alloc(bytes.len() as u64).unwrap();
+        m.mem.write_bytes(off, bytes).unwrap();
+        Value::Ptr(addr::make(Space::Host, off))
     }
 
     fn same(&mut self, typed: &[Op], generic: &[Op], args: &[Value]) {
@@ -390,5 +399,142 @@ fn a_register_that_changes_tag_reads_as_its_latest_value() {
     for (r, want) in want.into_iter().enumerate() {
         let got = b.run(&[&code[..], &[Op::Ret { src: r as R }]].concat(), &[]);
         assert_eq!(got, exact(want), "r{r}");
+    }
+}
+
+// ------------------------------------------------------- superinstructions
+
+/// Indices for the fused loads: in range, out of range either way, and
+/// every tag the `I32` fast path must refuse.
+fn indices() -> Vec<Value> {
+    use Value::*;
+    vec![I32(0), I32(1), I32(3), I32(-1), I32(i32::MAX), I32(i32::MIN), I64(2), I64(-1)]
+        .into_iter()
+        .chain([F32(1.5), F64(2.5), Ptr(0x100)])
+        .collect()
+}
+
+/// A 16-float guest buffer of corner floats (NaN payloads included), a
+/// null pointer and every other tag as the base of a fused load.
+fn bases(b: &Bench) -> Vec<Value> {
+    let floats = corners().into_iter().filter_map(|v| match v {
+        Value::F32(x) => Some(x),
+        _ => None,
+    });
+    let bytes: Vec<u8> = floats.cycle().take(16).flat_map(|x| x.to_le_bytes()).collect();
+    let mut out = vec![b.buffer(&bytes), Value::Ptr(0)];
+    out.extend([Value::I32(64), Value::I64(64), Value::F64(1.0)]);
+    out
+}
+
+const LOAD_TYS: [TyK; 4] = [TyK::Float, TyK::Int, TyK::Char, TyK::Double];
+
+#[test]
+fn sum_indexed_load_matches_add_then_load() {
+    let mut b = Bench::new(&[]);
+    for base in bases(&b) {
+        for x in indices() {
+            for y in indices() {
+                for ty in LOAD_TYS {
+                    let stride = ty.size().unwrap();
+                    b.same(
+                        &[Op::LoadIdxSum { dst: 4, base: 0, a: 1, b: 2, ty }, Op::Ret { src: 4 }],
+                        &[
+                            Op::AddI { dst: 3, a: 1, b: 2, conv: false },
+                            Op::LoadIdx { dst: 4, base: 0, idx: 3, stride, ty },
+                            Op::Ret { src: 4 },
+                        ],
+                        &[base, x, y],
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn row_major_load_matches_mul_add_then_load() {
+    let mut b = Bench::new(&[]);
+    for base in bases(&b) {
+        for i in indices() {
+            for n in indices() {
+                for j in indices() {
+                    for ty in [TyK::Float, TyK::Long] {
+                        let stride = ty.size().unwrap();
+                        b.same(
+                            &[
+                                Op::LoadIdxMad { dst: 7, base: 0, i: 1, n: 2, j: 3, ty },
+                                Op::Ret { src: 7 },
+                            ],
+                            &[
+                                Op::MulI { dst: 5, a: 1, b: 2, conv: false },
+                                Op::AddI { dst: 6, a: 5, b: 3, conv: false },
+                                Op::LoadIdx { dst: 7, base: 0, idx: 6, stride, ty },
+                                Op::Ret { src: 7 },
+                            ],
+                            &[base, i, n, j],
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fma_from_memory_matches_load_then_fma() {
+    let mut b = Bench::new(&[]);
+    let idx = [Value::I32(0), Value::I32(5), Value::I32(-1), Value::I64(3), Value::F32(2.0)];
+    for base in bases(&b) {
+        for k in idx {
+            for acc in corners() {
+                for x in corners() {
+                    for first in [false, true] {
+                        let (a, bb) = if first { (4, 1) } else { (1, 4) };
+                        b.same(
+                            &[
+                                Op::FmaIdx { acc: 0, x: 1, base: 2, idx: 3, first },
+                                Op::Ret { src: 0 },
+                            ],
+                            &[
+                                Op::LoadIdx { dst: 4, base: 2, idx: 3, stride: 4, ty: TyK::Float },
+                                Op::FmaF { dst: 0, a, b: bb },
+                                Op::Ret { src: 0 },
+                            ],
+                            &[acc, x, base, k],
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn increment_and_branch_matches_increment_then_compare() {
+    let mut b = Bench::new(&[]);
+    // Falling through returns the register; the target returns it as a
+    // `double`, so both the branch and the new value show.
+    let exits =
+        [Op::Ret { src: 0 }, Op::Conv { dst: 7, src: 0, ty: TyK::Double }, Op::Ret { src: 7 }];
+    for op in CMPS {
+        for when in [false, true] {
+            for k in [1i8, -1, 127, -128] {
+                for r in corners() {
+                    for y in corners() {
+                        let jcmp = Op::Jcmp { op, a: 0, b: 1, to: 3, when, float: false };
+                        let typed = [&[Op::IncJcmp { op, r: 0, b: 1, k, to: 2, when }][..], &exits]
+                            .concat();
+                        for inc in [
+                            Op::IncI { r: 0, k: k as i32 },
+                            Op::AddIK { dst: 0, a: 0, k: k as i32, conv: true },
+                        ] {
+                            let generic = [&[inc, jcmp.clone()][..], &exits].concat();
+                            b.same(&typed, &generic, &[r, y]);
+                        }
+                    }
+                }
+            }
+        }
     }
 }

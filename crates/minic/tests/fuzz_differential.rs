@@ -20,6 +20,7 @@
 
 use std::sync::Arc;
 
+use minic::bytecode::Op;
 use minic::interp::{Hooks, IResult, Interp, Machine, NoHooks};
 use minic::walker::TreeWalker;
 use vmcommon::Value;
@@ -147,6 +148,37 @@ fn the_loop_pass_fires_in_compared_programs() {
         }
     }
     assert!(fired >= 30, "the loop pass fired in {fired} of 300 compared programs");
+}
+
+/// The oracle covers the fusion pass: in the default sweep, each kind of
+/// superinstruction is in ten or more compared programs, and in some the
+/// guest traps on a fused load out of guest memory.
+#[test]
+fn every_superinstruction_runs_in_compared_programs() {
+    let kind = |op: &Op| match op {
+        Op::LoadIdxSum { .. } => Some(0),
+        Op::LoadIdxMad { .. } => Some(1),
+        Op::FmaIdx { .. } => Some(2),
+        Op::IncJcmp { .. } => Some(3),
+        _ => None,
+    };
+    let (mut fired, mut trapped) = ([0u32; 4], 0);
+    for seed in 0..300 {
+        let src = minic::fuzzgen::generate(seed);
+        let Ok(m) = Machine::from_source(&src) else { continue };
+        let mut has = [false; 4];
+        for op in m.image().compiled().chunks.iter().flat_map(|c| &c.code) {
+            kind(op).into_iter().for_each(|k| has[k] = true);
+        }
+        let Some((vm, walker)) = run_both(seed, &src) else { continue };
+        if fuel_trapped(&vm) || fuel_trapped(&walker) {
+            continue;
+        }
+        (0..4).for_each(|k| fired[k] += has[k] as u32);
+        trapped += matches!(&vm, Err(e) if e.contains("out of bounds")) as u32;
+    }
+    assert!(fired.iter().all(|&n| n >= 10), "programs with each superinstruction: {fired:?}");
+    assert!(trapped >= 3, "{trapped} programs trapped on a fused load");
 }
 
 /// Fuel-limited runs of a guaranteed-hostile program terminate in both
