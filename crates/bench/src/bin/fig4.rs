@@ -96,6 +96,16 @@ fn quick_sizes(app: &unibench::App) -> Vec<u32> {
     sizes
 }
 
+const USAGE: &str = "usage: fig4 [--app NAME] [--sizes a,b,c] [--trace PATH] [--profile]
+            [--hotspots] [--mem SIZE] [--async] [--fuel N]
+            [--job-timeout-ms N] [--chaos-seed N] [--json PATH] [--quick]";
+
+/// Report a malformed command line and exit with status 2.
+fn usage(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut app_filter: Option<String> = None;
@@ -110,71 +120,53 @@ fn main() {
     let mut chaos_seed: Option<u64> = None;
     let mut json_path: Option<std::path::PathBuf> = None;
     let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--app" => {
-                app_filter = Some(args[i + 1].clone());
-                i += 2;
-            }
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        let arg = arg.as_str();
+        let mut value = || rest.next().unwrap_or_else(|| usage(&format!("{arg} needs a value")));
+        match arg {
+            "--app" => app_filter = Some(value().clone()),
             "--sizes" => {
-                sizes_override =
-                    Some(args[i + 1].split(',').map(|s| s.trim().parse().expect("size")).collect());
-                i += 2;
-            }
-            "--trace" => {
-                trace_path = Some(std::path::PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--profile" => {
-                profile = true;
-                i += 1;
-            }
-            "--hotspots" => {
-                hotspots = true;
-                i += 1;
-            }
-            "--mem" => {
-                mem_cap = Some(vmcommon::fmt::parse_size(&args[i + 1]).unwrap_or_else(|e| {
-                    eprintln!("--mem: {e}");
-                    std::process::exit(2);
+                let list = value();
+                let sizes: Option<Vec<u32>> =
+                    list.split(',').map(|s| s.trim().parse().ok()).collect();
+                sizes_override = Some(sizes.unwrap_or_else(|| {
+                    usage(&format!(
+                        "--sizes: expected a comma-separated list of sizes, got `{list}`"
+                    ))
                 }));
-                i += 2;
+            }
+            "--trace" => trace_path = Some(std::path::PathBuf::from(value())),
+            "--profile" => profile = true,
+            "--hotspots" => hotspots = true,
+            "--mem" => {
+                mem_cap = Some(
+                    vmcommon::fmt::parse_size(value())
+                        .unwrap_or_else(|e| usage(&format!("--mem: {e}"))),
+                )
             }
             "--fuel" => {
-                fuel = Some(args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("--fuel: expected an instruction budget, got `{}`", args[i + 1]);
-                    std::process::exit(2);
+                let v = value();
+                fuel = Some(v.parse().unwrap_or_else(|_| {
+                    usage(&format!("--fuel: expected an instruction budget, got `{v}`"))
                 }));
-                i += 2;
             }
             "--job-timeout-ms" => {
-                job_timeout_ms = Some(args[i + 1].parse().unwrap_or_else(|_| {
-                    eprintln!("--job-timeout-ms: expected milliseconds, got `{}`", args[i + 1]);
-                    std::process::exit(2);
+                let v = value();
+                job_timeout_ms = Some(v.parse().unwrap_or_else(|_| {
+                    usage(&format!("--job-timeout-ms: expected milliseconds, got `{v}`"))
                 }));
-                i += 2;
             }
-            "--async" => {
-                async_streams = true;
-                i += 1;
-            }
+            "--async" => async_streams = true,
             "--chaos-seed" => {
-                chaos_seed = Some(args[i + 1].parse().expect("chaos-seed"));
-                i += 2;
+                let v = value();
+                chaos_seed = Some(v.parse().unwrap_or_else(|_| {
+                    usage(&format!("--chaos-seed: expected a seed, got `{v}`"))
+                }));
             }
-            "--json" => {
-                json_path = Some(std::path::PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            "--quick" => {
-                quick = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            "--json" => json_path = Some(std::path::PathBuf::from(value())),
+            "--quick" => quick = true,
+            other => usage(&format!("unknown argument `{other}`")),
         }
     }
     // What the OMPi variant sets on top of `runner_config`. The runners

@@ -16,6 +16,8 @@
 //! parks on a named barrier, spins on a lock, or ends, and then the next
 //! warp in warp-id order runs (see [`launch`]).
 
+#![forbid(unsafe_code)]
+
 pub mod barrier;
 pub mod device;
 pub mod fault;

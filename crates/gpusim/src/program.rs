@@ -19,6 +19,16 @@
 //!   (both cost (1, 2)). A float immediate read as a float converts straight
 //!   from its f64 value ([`alu::cvt_imm_f`]), anything else as a register
 //!   holding those bits would.
+//! * **Fusion**: an address chain `[cvt.i64.i32 t1, x;] mul.i64 t2, t1|x, k;
+//!   add.i64 t3, base, t2` right before the `ld`/`st [t3+off]` it feeds
+//!   becomes that access's [`Addr::Index`], computed in one lane loop, when
+//!   `k` is a constant and each `t` is written once and read once in the
+//!   whole function (counted once per function, before lowering), so never
+//!   observed but by the next op. The fused op bills exactly what it
+//!   replaces: its `issue` and `lat` are the sums of the replaced ops', and
+//!   its [`WarpOp::count`] of instructions multiplies `lane_insts`. The
+//!   temporaries are not written at all. None of the replaced ops can trap,
+//!   so a fault of the access reports as it did.
 //! * **Control flow** becomes branch targets over the warp's mask stack:
 //!   `If`/`Else`/`EndIf`, `Loop`/`LoopEnd`, and `Break`/`Continue` that know
 //!   how many `if`s lie between them and their loop. A `break` or
@@ -44,6 +54,17 @@ pub(crate) enum Src {
     Special(u8),
     /// Each lane's `.local` window base in the running frame.
     LocalBase,
+}
+
+/// Where an `ld`/`st`'s 32 addresses come from, before its offset.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Addr {
+    /// A row of addresses.
+    Row(Src),
+    /// `base + idx * scale` in wrapping 64-bit arithmetic, `idx`
+    /// sign-extended from its low 32 bits first when `sext`: an address
+    /// chain fused into its access.
+    Index { base: Src, idx: Src, sext: bool, scale: i64 },
 }
 
 /// What one op does. Register destinations are row offsets, like
@@ -76,13 +97,13 @@ pub(crate) enum Op {
     Ld {
         ty: MemTy,
         dst: u32,
-        addr: Src,
+        addr: Addr,
         offset: i64,
     },
     St {
         ty: MemTy,
         src: Src,
-        addr: Src,
+        addr: Addr,
         offset: i64,
     },
     AtomCas {
@@ -161,6 +182,9 @@ pub(crate) struct IntrinsicOp {
 pub(crate) struct WarpOp {
     pub issue: u32,
     pub lat: u32,
+    /// The SPTX instructions the op stands for: each active lane counts
+    /// this many in `lane_insts`.
+    pub count: u32,
     pub op: Op,
 }
 
@@ -209,7 +233,7 @@ const BRANCH_COST: (u64, u64) = (1, 2);
 
 impl Func {
     pub(crate) fn lower(f: &sptx::Function) -> Func {
-        let mut l = Lower::default();
+        let mut l = Lower { uses: Uses::of(f), ..Lower::default() };
         l.nodes(&f.body);
         Func {
             name: f.name.clone(),
@@ -238,6 +262,119 @@ fn const_bits(o: &Operand) -> Option<u64> {
     }
 }
 
+/// How often each register of a function is written and read, counted up
+/// to 2: fusion only asks whether both are exactly once.
+#[derive(Default)]
+struct Uses {
+    writes: Vec<u8>,
+    reads: Vec<u8>,
+}
+
+impl Uses {
+    fn of(f: &sptx::Function) -> Uses {
+        // `num_regs` is a hint: the tables grow to the highest register used.
+        let n = f.num_regs as usize;
+        let mut u = Uses { writes: vec![0; n], reads: vec![0; n] };
+        u.nodes(&f.body);
+        u
+    }
+
+    fn bump(counts: &mut Vec<u8>, r: sptx::Reg) {
+        let i = r.0 as usize;
+        if i >= counts.len() {
+            counts.resize(i + 1, 0);
+        }
+        counts[i] = (counts[i] + 1).min(2);
+    }
+
+    fn read(&mut self, o: &Operand) {
+        if let Operand::Reg(r) = *o {
+            Uses::bump(&mut self.reads, r);
+        }
+    }
+
+    fn nodes(&mut self, nodes: &[Node]) {
+        for n in nodes {
+            match n {
+                Node::Inst(i) => self.inst(i),
+                Node::If { cond, then_b, else_b } => {
+                    self.read(cond);
+                    self.nodes(then_b);
+                    self.nodes(else_b);
+                }
+                Node::Loop { body } => self.nodes(body),
+                Node::Break | Node::Continue => {}
+            }
+        }
+    }
+
+    fn inst(&mut self, i: &Inst) {
+        let dst = match i {
+            Inst::Mov { dst, src } | Inst::Un { dst, a: src, .. } | Inst::Cvt { dst, src, .. } => {
+                self.read(src);
+                Some(*dst)
+            }
+            Inst::Bin { dst, a, b, .. } => {
+                self.reads(&[a, b]);
+                Some(*dst)
+            }
+            Inst::Ld { dst, addr, .. } => {
+                self.read(addr);
+                Some(*dst)
+            }
+            Inst::St { src, addr, .. } => {
+                self.reads(&[src, addr]);
+                None
+            }
+            Inst::AtomCas { dst, addr, expected, new } => {
+                self.reads(&[addr, expected, new]);
+                Some(*dst)
+            }
+            Inst::Atom { dst, addr, val, .. } => {
+                self.reads(&[addr, val]);
+                Some(*dst)
+            }
+            Inst::BarSync { id, count } => {
+                self.read(id);
+                count.iter().for_each(|c| self.read(c));
+                None
+            }
+            Inst::Call { dst, args, .. } | Inst::Intrinsic { dst, args, .. } => {
+                args.iter().for_each(|a| self.read(a));
+                *dst
+            }
+            Inst::Ret { val } => {
+                val.iter().for_each(|v| self.read(v));
+                None
+            }
+            Inst::Trap { .. } => None,
+        };
+        if let Some(d) = dst {
+            Uses::bump(&mut self.writes, d);
+        }
+    }
+
+    fn reads(&mut self, ops: &[&Operand]) {
+        ops.iter().for_each(|o| self.read(o));
+    }
+
+    /// Is `s` a register written once and read once in the function?
+    fn once(&self, s: Src) -> bool {
+        let Src::Reg(row) = s else { return false };
+        let r = (row / 32) as usize;
+        self.writes.get(r) == Some(&1) && self.reads.get(r) == Some(&1)
+    }
+}
+
+/// What a fused op bills for the ops it replaced: their summed issue and
+/// latency, and their count.
+#[derive(Clone, Copy, Default)]
+struct Bill {
+    issue: u64,
+    lat: u64,
+    count: u32,
+}
+
 #[derive(Default)]
 struct Lower {
     ops: Vec<WarpOp>,
@@ -246,12 +383,67 @@ struct Lower {
     /// The constructs around the op being lowered, innermost last: `true`
     /// for a loop, `false` for an `if`.
     nest: Vec<bool>,
+    uses: Uses,
 }
 
 impl Lower {
-    fn push(&mut self, (issue, lat): (u64, u64), op: Op) -> u32 {
-        self.ops.push(WarpOp { issue: issue as u32, lat: lat as u32, op });
+    fn push(&mut self, cost: (u64, u64), op: Op) -> u32 {
+        self.push_billed(cost, Bill::default(), op)
+    }
+
+    /// Push `op` costing `cost`, standing also for the ops `fused` bills.
+    fn push_billed(&mut self, (issue, lat): (u64, u64), fused: Bill, op: Op) -> u32 {
+        let (issue, lat) = ((issue + fused.issue) as u32, (lat + fused.lat) as u32);
+        self.ops.push(WarpOp { issue, lat, count: 1 + fused.count, op });
         self.ops.len() as u32 - 1
+    }
+
+    /// The addresses of an `ld`/`st`, fusing in the address chain right
+    /// before it, `[cvt.i64.i32 t1, x;] mul.i64 t2, t1|x, k; add.i64 t3,
+    /// base, t2`, when each `t` is written once and read once in the whole
+    /// function (so by the op that follows it) and `k` is a constant. The
+    /// chain's ops are popped and billed to the access.
+    fn addr(&mut self, a: &Operand) -> (Addr, Bill) {
+        let t3 = self.src(a);
+        self.fuse_chain(t3).unwrap_or((Addr::Row(t3), Bill::default()))
+    }
+
+    fn fuse_chain(&mut self, t3: Src) -> Option<(Addr, Bill)> {
+        let n = self.ops.len();
+        let back = |k: usize| n.checked_sub(k).map(|i| &self.ops[i].op);
+        let Some(&Op::Bin { ty: ScalarTy::I64, op: BinOp::Add, dst, a, b }) = back(1) else {
+            return None;
+        };
+        let Some(&Op::Bin { ty: ScalarTy::I64, op: BinOp::Mul, dst: t2, a: x, b: k }) = back(2)
+        else {
+            return None;
+        };
+        let t2 = Src::Reg(t2);
+        let base = match (a, b) {
+            (base, t) | (t, base) if t == t2 => base,
+            _ => return None,
+        };
+        let (x, scale) = match (x, k) {
+            (x, Src::Const(k)) | (Src::Const(k), x) => (x, self.consts[k as usize] as i64),
+            _ => return None,
+        };
+        if Src::Reg(dst) != t3 || !self.uses.once(t3) || !self.uses.once(t2) {
+            return None;
+        }
+        let (idx, sext, len) = match back(3) {
+            Some(&Op::Cvt { to: CvtTy::I64, from: CvtTy::I32, dst: t1, src })
+                if Src::Reg(t1) == x && self.uses.once(x) =>
+            {
+                (src, true, 3)
+            }
+            _ => (x, false, 2),
+        };
+        let bill = self.ops.drain(n - len..).fold(Bill::default(), |b, op| Bill {
+            issue: b.issue + op.issue as u64,
+            lat: b.lat + op.lat as u64,
+            count: b.count + op.count,
+        });
+        Some((Addr::Index { base, idx, sext, scale }, bill))
     }
 
     fn constant(&mut self, bits: u64) -> Src {
@@ -367,10 +559,17 @@ impl Lower {
                 }
             }
             Inst::Ld { ty, dst, addr, offset } => {
-                Op::Ld { ty: *ty, dst: row(*dst), addr: self.src(addr), offset: *offset }
+                let (addr, chain) = self.addr(addr);
+                let op = Op::Ld { ty: *ty, dst: row(*dst), addr, offset: *offset };
+                self.push_billed(timing::inst_cost(i), chain, op);
+                return;
             }
             Inst::St { ty, src, addr, offset } => {
-                Op::St { ty: *ty, src: self.src(src), addr: self.src(addr), offset: *offset }
+                let src = self.src(src);
+                let (addr, chain) = self.addr(addr);
+                let op = Op::St { ty: *ty, src, addr, offset: *offset };
+                self.push_billed(timing::inst_cost(i), chain, op);
+                return;
             }
             Inst::AtomCas { dst, addr, expected, new } => Op::AtomCas {
                 dst: row(*dst),

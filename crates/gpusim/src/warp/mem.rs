@@ -2,12 +2,29 @@
 //! arena, the block's shared memory and the warp-local stack, the per-lane
 //! side of `ld`/`st`/`atom`, and the coalescing model.
 //!
-//! Memory is where lanes stay *ordered*. Addresses and values are computed
-//! warp-wide, but every access goes through [`MemArena`]'s bounds, alignment
-//! and space checks one active lane at a time, lowest lane first: the fault
-//! reported is the lowest faulting lane's, two lanes storing to one address
-//! leave the higher lane's value, and a float atomic accumulates in lane
-//! order — all of which a guest can observe.
+//! Memory is where lanes stay *ordered*: the fault reported is the lowest
+//! faulting lane's, two lanes storing to one address leave the higher lane's
+//! value, and a float atomic accumulates in lane order — all of which a
+//! guest can observe. Addresses and values are computed warp-wide (a fused
+//! address chain in one lane loop, see [`Addr`]); an `ld`/`st` then looks at
+//! the shape of its address row:
+//!
+//! * **Uniform** — every active lane has one address: one access, its value
+//!   splatted (a store writes the highest active lane's value), and
+//!   `is_global` transactions.
+//! * **Affine** — a full warp at `first + lane * stride`, `stride > 0`, in the
+//!   global or shared arena: one bounds-and-alignment check for all 32
+//!   lanes ([`MemArena::load_strided`]), and the transactions in closed
+//!   form, 32 when `stride >= 32` bytes and `seg(last) - seg(first) + 1`
+//!   otherwise. A run that leaves the arena, into another tag or by
+//!   wrapping, fails that check.
+//! * **Anything else**, an affine run whose check fails, and local memory:
+//!   the lane-ordered path ([`Warp::ld_lanes`], [`Warp::st_lanes`]), one
+//!   active lane at a time, lowest first, through [`MemArena`]'s checks.
+//!
+//! A shape never decides an observable: a failed check of an affine run has
+//! moved nothing, and the lane-ordered path then reports the lowest faulting
+//! lane. Atomics always walk the lanes.
 
 use sptx::{AtomOp, MemTy};
 use vmcommon::addr::{self, Space};
@@ -16,7 +33,7 @@ use vmcommon::MemArena;
 
 use super::{iter_lanes, LaneVec, Warp};
 use crate::device::ExecError;
-use crate::program::{Func, Src};
+use crate::program::{Addr, Func, Src};
 use crate::timing;
 
 enum Resolved<'m> {
@@ -68,15 +85,12 @@ impl<'a> Warp<'a> {
         f: &Func,
         ty: MemTy,
         dst: u32,
-        addr: Src,
+        addr: Addr,
         offset: i64,
         mask: u32,
     ) -> Result<(), ExecError> {
         let addrs = self.lane_addrs(f, addr, offset);
-        let v = self.load_lanes(ty, &addrs, mask)?;
-        self.set_row(dst, &v, mask);
-        self.coalesce(&addrs, mask);
-        Ok(())
+        self.ld_row(ty, dst, &addrs, mask)
     }
 
     /// `st`: the active lanes' values of `src` to memory.
@@ -86,14 +100,109 @@ impl<'a> Warp<'a> {
         f: &Func,
         ty: MemTy,
         src: Src,
-        addr: Src,
+        addr: Addr,
         offset: i64,
         mask: u32,
     ) -> Result<(), ExecError> {
         let addrs = self.lane_addrs(f, addr, offset);
         let v = *self.read(f, src);
-        self.store_lanes(ty, &addrs, &v, mask)?;
-        self.coalesce(&addrs, mask);
+        self.st_row(ty, &addrs, &v, mask)
+    }
+
+    /// `ld` of the addresses `addrs`, by their shape.
+    pub(super) fn ld_row(
+        &mut self,
+        ty: MemTy,
+        dst: u32,
+        addrs: &LaneVec,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        match shape(addrs, mask) {
+            Shape::Uniform(a) => {
+                let v = self.load_mem(ty, a)?;
+                self.set_row(dst, &[v; 32], mask);
+                self.charge_mem(is_global(a) as u64, a);
+                return Ok(());
+            }
+            Shape::Affine { first, stride } => {
+                if let Some(m) = self.arena(first) {
+                    // A full warp: the whole row is written, or none of it.
+                    let (off, out) = (addr::offset(first), self.row_mut(dst));
+                    let loaded = match ty.size() {
+                        1 => m.load_strided::<1>(off, stride, out),
+                        4 => m.load_strided::<4>(off, stride, out),
+                        _ => m.load_strided::<8>(off, stride, out),
+                    };
+                    if loaded.is_ok() {
+                        self.charge_mem(affine_segments(first, stride), first);
+                        return Ok(());
+                    }
+                }
+            }
+            Shape::Other => {}
+        }
+        self.ld_lanes(ty, dst, addrs, mask)
+    }
+
+    /// `st` of `vals` to the addresses `addrs`, by their shape.
+    pub(super) fn st_row(
+        &mut self,
+        ty: MemTy,
+        addrs: &LaneVec,
+        vals: &LaneVec,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        match shape(addrs, mask) {
+            Shape::Uniform(a) => {
+                // Of the lanes storing to one address, the highest wins.
+                self.store_mem(ty, a, vals[31 - mask.leading_zeros() as usize])?;
+                self.charge_mem(is_global(a) as u64, a);
+                return Ok(());
+            }
+            Shape::Affine { first, stride } => {
+                if let Some(m) = self.arena(first) {
+                    let off = addr::offset(first);
+                    let stored = match ty.size() {
+                        1 => m.store_strided::<1>(off, stride, vals),
+                        4 => m.store_strided::<4>(off, stride, vals),
+                        _ => m.store_strided::<8>(off, stride, vals),
+                    };
+                    if stored.is_ok() {
+                        self.charge_mem(affine_segments(first, stride), first);
+                        return Ok(());
+                    }
+                }
+            }
+            Shape::Other => {}
+        }
+        self.st_lanes(ty, addrs, vals, mask)
+    }
+
+    /// The lane-ordered `ld`, for any shape: each active lane's load, lowest
+    /// lane first, then the coalescing charge.
+    pub(super) fn ld_lanes(
+        &mut self,
+        ty: MemTy,
+        dst: u32,
+        addrs: &LaneVec,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        let v = self.load_lanes(ty, addrs, mask)?;
+        self.set_row(dst, &v, mask);
+        self.coalesce(addrs, mask);
+        Ok(())
+    }
+
+    /// The lane-ordered `st`, for any shape.
+    pub(super) fn st_lanes(
+        &mut self,
+        ty: MemTy,
+        addrs: &LaneVec,
+        vals: &LaneVec,
+        mask: u32,
+    ) -> Result<(), ExecError> {
+        self.store_lanes(ty, addrs, vals, mask)?;
+        self.coalesce(addrs, mask);
         Ok(())
     }
 
@@ -153,9 +262,31 @@ impl<'a> Warp<'a> {
 
     /// `addr + offset` in every lane (wrapping: an inactive lane may hold
     /// anything).
-    #[inline]
-    fn lane_addrs(&self, f: &Func, addr: Src, offset: i64) -> LaneVec {
-        self.read(f, addr).map(|a| (a as i64).wrapping_add(offset) as u64)
+    #[inline(always)]
+    fn lane_addrs(&self, f: &Func, addr: Addr, offset: i64) -> LaneVec {
+        let at = |base: u64, idx: i64, scale: i64| {
+            (base as i64).wrapping_add(idx.wrapping_mul(scale)).wrapping_add(offset) as u64
+        };
+        match addr {
+            Addr::Row(a) => self.read(f, a).map(|a| at(a, 0, 0)),
+            Addr::Index { base, idx, sext: true, scale } => {
+                let (b, x) = (self.read(f, base), self.read(f, idx));
+                std::array::from_fn(|l| at(b[l], x[l] as u32 as i32 as i64, scale))
+            }
+            Addr::Index { base, idx, sext: false, scale } => {
+                let (b, x) = (self.read(f, base), self.read(f, idx));
+                std::array::from_fn(|l| at(b[l], x[l] as i64, scale))
+            }
+        }
+    }
+
+    /// The arena a tagged address lives in; `None` for local memory and
+    /// for an address in no device space.
+    fn arena(&self, a: u64) -> Option<&'a MemArena> {
+        match self.resolve(a) {
+            Ok(Resolved::Arena(m, _)) => Some(m),
+            _ => None,
+        }
     }
 
     /// Resolve a tagged guest address to the arena (or the local stack) it
@@ -319,20 +450,74 @@ impl<'a> Warp<'a> {
     /// transactions) and one exposed access latency, that of the first
     /// active lane's space.
     pub(super) fn coalesce(&mut self, addrs: &LaneVec, mask: u32) {
-        let nsegs = global_segments(addrs, mask);
+        if mask != 0 {
+            self.charge_mem(global_segments(addrs, mask), addrs[mask.trailing_zeros() as usize]);
+        }
+    }
+
+    /// Charge `nsegs` transactions and the latency of `first`'s space.
+    fn charge_mem(&mut self, nsegs: u64, first: u64) {
         self.stats.mem_transactions += nsegs;
         // Throughput: roughly one transaction per cycle of issue;
         // latency: one exposed access per instruction.
         self.issue += nsegs;
-        if mask != 0 {
-            let lat = match addr::space(addrs[mask.trailing_zeros() as usize]) {
-                Some(Space::Global) => timing::GLOBAL_MEM_LAT,
-                Some(Space::Shared) => timing::SHARED_MEM_LAT,
-                _ => timing::LOCAL_MEM_LAT,
-            };
-            self.clock += lat;
-        }
+        self.clock += match addr::space(first) {
+            Some(Space::Global) => timing::GLOBAL_MEM_LAT,
+            Some(Space::Shared) => timing::SHARED_MEM_LAT,
+            _ => timing::LOCAL_MEM_LAT,
+        };
     }
+}
+
+/// The layout of one access's addresses over its active lanes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(super) enum Shape {
+    /// Every active lane has this address.
+    Uniform(u64),
+    /// All 32 lanes at `first + lane * stride`, `stride > 0`. A run that
+    /// leaves the first lane's arena — by wrapping or into another tag —
+    /// fails the arena's check, as it faults on the lane-ordered path.
+    Affine {
+        first: u64,
+        stride: u64,
+    },
+    Other,
+}
+
+pub(super) fn shape(addrs: &LaneVec, mask: u32) -> Shape {
+    if mask != u32::MAX {
+        let first = addrs[mask.trailing_zeros().min(31) as usize];
+        let uniform = mask != 0 && iter_lanes(mask).all(|l| addrs[l as usize] == first);
+        return if uniform { Shape::Uniform(first) } else { Shape::Other };
+    }
+    let (first, stride) = (addrs[0], addrs[1].wrapping_sub(addrs[0]));
+    if !addrs.windows(2).all(|w| w[1].wrapping_sub(w[0]) == stride) {
+        Shape::Other
+    } else if stride == 0 {
+        Shape::Uniform(first)
+    } else if (stride as i64) > 0 {
+        Shape::Affine { first, stride }
+    } else {
+        Shape::Other
+    }
+}
+
+fn is_global(a: u64) -> bool {
+    addr::space(a) == Some(Space::Global)
+}
+
+/// [`global_segments`] of an [`Shape::Affine`] run, in closed form: no two
+/// lanes share a segment once the stride is a segment or more, and below
+/// that no segment between the first lane's and the last's is skipped.
+fn affine_segments(first: u64, stride: u64) -> u64 {
+    if !is_global(first) {
+        return 0;
+    }
+    if stride >= timing::TRANSACTION_BYTES {
+        return 32;
+    }
+    let seg = |a: u64| addr::offset(a) / timing::TRANSACTION_BYTES;
+    seg(first + 31 * stride) - seg(first) + 1
 }
 
 /// Number of distinct 32-byte global-memory segments among the active

@@ -20,17 +20,21 @@
 //! and one branch-free loop computes all 32 lanes straight into the
 //! destination row under the mask ([`alu`]), so inactive lanes keep their
 //! bits. `mov`, `bin`, `un`, `cvt`, the `if` condition and the address/value
-//! side of `ld`/`st` all run this way. `issue`/`clock` are charged once per
-//! warp instruction from the costs stored on the op, and `lane_insts` grows
-//! by the mask's population count.
+//! side of `ld`/`st` all run this way; an address chain fused into its
+//! access ([`crate::program`]) is one such loop. `issue`/`clock` are charged
+//! once per op from the costs stored on it, and `lane_insts` grows by the
+//! mask's population count times the instructions the op stands for.
+//! Memory is warp-wide where its address row allows ([`mem`]): every active
+//! lane at one address is one access, and a full warp at a constant positive
+//! stride is one bounds-and-alignment check for all 32 lanes.
 //!
 //! **What stays lane-ordered, and why.** Wherever the order of lanes is
-//! observable the interpreter walks the active lanes lowest first
-//! ([`mem`]): memory accesses (the fault reported is the lowest faulting
-//! lane's, and of two lanes storing to one address the higher wins),
-//! atomics (a float `atom.add` accumulates in lane order), integer
-//! `div`/`rem` (only an executing lane may trap on a zero divisor), and
-//! device-library calls.
+//! observable the interpreter walks the active lanes lowest first: every
+//! other memory access, and a strided one that would fault (the fault
+//! reported is the lowest faulting lane's, and of two lanes storing to one
+//! address the higher wins), atomics (a float `atom.add` accumulates in lane order),
+//! integer `div`/`rem` (only an executing lane may trap on a zero divisor),
+//! and device-library calls.
 //!
 //! **Who runs a warp.** The block worker's scheduler ([`crate::launch`]),
 //! one [`Warp::run`] at a time. A warp runs until it yields: at a barrier
@@ -431,12 +435,16 @@ impl<'a> Warp<'a> {
         }
     }
 
+    /// Register row `dst` of the running frame, writable.
+    fn row_mut(&mut self, dst: u32) -> &mut LaneVec {
+        let at = self.frame().reg_base + dst as usize;
+        (&mut self.regs[at..at + 32]).try_into().expect("32-lane row")
+    }
+
     /// Write `v` to register row `dst` in the lanes of `mask`; the other
     /// lanes keep their bits.
     fn set_row(&mut self, dst: u32, v: &LaneVec, mask: u32) {
-        let at = self.frame().reg_base + dst as usize;
-        let out = (&mut self.regs[at..at + 32]).try_into().expect("32-lane row");
-        alu::blend(out, v, mask);
+        alu::blend(self.row_mut(dst), v, mask);
     }
 
     pub fn add_cost(&mut self, issue: u64, lat: u64) {
@@ -444,11 +452,12 @@ impl<'a> Warp<'a> {
         self.clock += lat;
     }
 
-    /// Charge one instruction for the lanes of `mask`.
+    /// Charge one op, and the instructions it stands for, to the lanes of
+    /// `mask`.
     #[inline(always)]
     fn charge(&mut self, op: &WarpOp, mask: u32) {
         self.add_cost(op.issue as u64, op.lat as u64);
-        self.stats.lane_insts += mask.count_ones() as u64;
+        self.stats.lane_insts += (op.count * mask.count_ones()) as u64;
     }
 
     /// Step through `f`'s ops on the running frame from `pc` for the lanes

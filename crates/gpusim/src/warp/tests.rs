@@ -67,9 +67,9 @@ const NUM_REGS: usize = 4;
 const LOCAL_SIZE: u64 = 16;
 
 /// A 64-thread (8×4×2) block, block (2, 1, 0) of a 3×2×1 grid, of a
-/// launch of `module`.
+/// launch of `module`, on a device with room for a warp at a 3 KiB stride.
 fn with_env(module: sptx::Module, f: impl FnOnce(&BlockEnv<'_>)) {
-    let device = Device::new(64 << 10);
+    let device = Device::new(128 << 10);
     let program = Program::new(Arc::new(module));
     f(&BlockEnv {
         device: &device,

@@ -203,6 +203,109 @@ fn coalescing_counts_distinct_global_segments() {
     });
 }
 
+// ------------------------------------------------------------------ shapes
+
+/// What one access leaves behind: its result, the destination row, its
+/// charges (transactions, issue, clock) and every byte of the three
+/// memories.
+type Access = (Result<(), String>, LaneVec, (u64, u64, u64), Vec<u8>);
+
+/// Run `path` on patterned memory and a sentinel destination row.
+fn access(w: &mut Warp<'_>, path: impl FnOnce(&mut Warp<'_>) -> Result<(), ExecError>) -> Access {
+    let pattern = |n: usize, salt: u8| -> Vec<u8> {
+        (0..n).map(|i| (i as u8).wrapping_mul(31).wrapping_add(salt)).collect()
+    };
+    let (global, shared) = (&w.env.device.global, &w.env.ctx.shared);
+    global.write_bytes(0, &pattern(global.size(), 7)).unwrap();
+    shared.write_bytes(0, &pattern(shared.size(), 11)).unwrap();
+    w.local_stack = pattern(w.local_stack.len(), 13);
+    *reg_mut(w, R2) = sentinel();
+    let before = (w.stats.mem_transactions, w.issue, w.clock);
+    let result = path(w).map_err(|e| e.to_string());
+    let mut mem = vec![0u8; global.size() + shared.size()];
+    let (g, sh) = mem.split_at_mut(global.size());
+    global.read_bytes(0, g).unwrap();
+    shared.read_bytes(0, sh).unwrap();
+    mem.extend_from_slice(&w.local_stack);
+    let charges = (w.stats.mem_transactions - before.0, w.issue - before.1, w.clock - before.2);
+    (result, reg(w, R2), charges, mem)
+}
+
+#[test]
+fn every_address_shape_matches_the_lane_ordered_path() {
+    use super::super::mem::{shape, Shape};
+    with_warp(sptx::Module::default(), |w| {
+        let arena = w.env.device.global.size() as u64;
+        let g = |off: u64| addr::make(Space::Global, off);
+        let run = |first: u64, stride: i64| -> LaneVec {
+            std::array::from_fn(|l| first.wrapping_add(stride.wrapping_mul(l as i64) as u64))
+        };
+        let with = |mut a: LaneVec, lane: usize, v: u64| {
+            a[lane] = v;
+            a
+        };
+        let (full, odd) = (u32::MAX, 0x5555_5555);
+        let wild = run(g(24), 1000);
+        let uniform = |a| [a; 32];
+        // (name, type, addresses, mask, shape: 'u'niform, 'a'ffine, 'o'ther)
+        let cases: Vec<(&str, MemTy, LaneVec, u32, char)> = vec![
+            ("uniform, full mask", MemTy::B32, uniform(g(100)), full, 'u'),
+            ("uniform, partial mask", MemTy::B64, with(with(wild, 0, g(64)), 2, g(64)), 0b101, 'u'),
+            ("uniform, one lane", MemTy::B8, wild, 1 << 9, 'u'),
+            ("uniform, every other lane", MemTy::F32, run(g(40), 0), odd, 'u'),
+            ("unit stride", MemTy::B32, run(g(256), 4), full, 'a'),
+            ("unit stride, bytes", MemTy::B8, run(g(3), 1), full, 'a'),
+            ("stride 8", MemTy::B64, run(g(512), 8), full, 'a'),
+            ("stride 12", MemTy::F32, run(g(4), 12), full, 'a'),
+            ("stride 32", MemTy::B32, run(g(96), 32), full, 'a'),
+            ("stride 3072", MemTy::F64, run(g(8), 3072), full, 'a'),
+            ("stride not a multiple of the width", MemTy::B32, run(g(16), 6), full, 'a'),
+            ("b64 at a 4-byte stride", MemTy::B64, run(g(16), 4), full, 'a'),
+            ("negative stride", MemTy::B32, run(g(1024), -4), full, 'o'),
+            ("affine under a partial mask", MemTy::B32, run(g(256), 4), odd, 'o'),
+            ("past the arena at lane 31", MemTy::B32, run(g(arena - 31 * 4), 4), full, 'a'),
+            ("past the arena from lane 10", MemTy::B32, run(g(arena - 10 * 2048), 2048), full, 'a'),
+            ("a faulting middle lane", MemTy::B32, with(run(g(256), 4), 17, g(arena)), full, 'o'),
+            ("a misaligned middle lane", MemTy::B32, with(run(g(256), 4), 17, g(326)), full, 'o'),
+            ("shared, unit stride", MemTy::B64, run(addr::make(Space::Shared, 8), 8), full, 'a'),
+            ("shared, uniform", MemTy::B32, uniform(addr::make(Space::Shared, 12)), odd, 'u'),
+            ("local", MemTy::B32, run(addr::make(Space::Local, 4), 4), full, 'a'),
+            ("local, uniform", MemTy::B32, uniform(addr::make(Space::Local, 8)), full, 'u'),
+            ("host", MemTy::B32, run(addr::make(Space::Host, 64), 4), full, 'a'),
+            ("host, uniform", MemTy::B32, uniform(addr::make(Space::Host, 64)), odd, 'u'),
+            ("tag changes mid-warp", MemTy::B32, run(g((1 << 56) - 64), 4), full, 'a'),
+            ("a tag per lane", MemTy::B32, run(g(64), 1 << 56), full, 'a'),
+            ("wrapping", MemTy::B32, run(g(64), 1 << 62), full, 'a'),
+        ];
+        let vals: LaneVec = std::array::from_fn(|l| 0x0102_0304_0506_0708 * (l as u64 + 1));
+        let dst = R2.0 * 32;
+        for (name, ty, addrs, mask, want_shape) in cases {
+            let got_shape = match shape(&addrs, mask) {
+                Shape::Uniform(_) => 'u',
+                Shape::Affine { .. } => 'a',
+                Shape::Other => 'o',
+            };
+            assert_eq!(got_shape, want_shape, "{name}");
+            let want = access(w, |w| w.ld_lanes(ty, dst, &addrs, mask));
+            let got = access(w, |w| w.ld_row(ty, dst, &addrs, mask));
+            assert!(
+                got == want,
+                "ld, {name}:\n got {:?}\nwant {:?}",
+                (&got.0, &got.2),
+                (&want.0, &want.2)
+            );
+            let want = access(w, |w| w.st_lanes(ty, &addrs, &vals, mask));
+            let got = access(w, |w| w.st_row(ty, &addrs, &vals, mask));
+            assert!(
+                got == want,
+                "st, {name}:\n got {:?}\nwant {:?}",
+                (&got.0, &got.2),
+                (&want.0, &want.2)
+            );
+        }
+    });
+}
+
 // ------------------------------------------------------------------- calls
 
 /// `sum(p0..pN) = p0 + … + pN` over i64, calling itself never.

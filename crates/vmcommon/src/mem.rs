@@ -250,6 +250,62 @@ impl MemArena {
         }
     }
 
+    /// Load `out.len()` values of `W` bytes (1, 4 or 8), zero-extended, at
+    /// `offset`, `offset + stride`, `offset + 2 * stride`, …: one bounds and
+    /// alignment check for the whole run, then one relaxed atomic load per
+    /// element. On an error, the first failing element's, nothing is read
+    /// and `out` is left as it was.
+    pub fn load_strided<const W: usize>(
+        &self,
+        offset: u64,
+        stride: u64,
+        out: &mut [u64],
+    ) -> MemResult<()> {
+        let p = self.strided::<W>(offset, stride, out.len())?;
+        for (i, o) in out.iter_mut().enumerate() {
+            // SAFETY: `strided` checked every element in bounds and aligned.
+            *o = unsafe { load_w::<W>(p.wrapping_add(i * stride as usize)) };
+        }
+        Ok(())
+    }
+
+    /// Store the low `W` bytes of each of `vals` at `offset + i * stride`,
+    /// checked like [`MemArena::load_strided`]; on an error nothing is
+    /// written.
+    pub fn store_strided<const W: usize>(
+        &self,
+        offset: u64,
+        stride: u64,
+        vals: &[u64],
+    ) -> MemResult<()> {
+        let p = self.strided::<W>(offset, stride, vals.len())?;
+        for (i, &v) in vals.iter().enumerate() {
+            // SAFETY: as in `load_strided`.
+            unsafe { store_w::<W>(p.wrapping_add(i * stride as usize), v) };
+        }
+        Ok(())
+    }
+
+    /// The base pointer of `n` `W`-byte elements `stride` apart from
+    /// `offset`, once all of them are in bounds and aligned: when the first
+    /// and last are and `stride` keeps the alignment, every one between is.
+    /// An element whose offset does not fit in 64 bits is out of bounds.
+    fn strided<const W: usize>(&self, offset: u64, stride: u64, n: usize) -> MemResult<*mut u8> {
+        let w = W as u64;
+        let at = |i: u64| stride.checked_mul(i).and_then(|d| offset.checked_add(d));
+        let ends_ok = |last| self.check(offset, w, w).and(self.check(last, w, w)).is_ok();
+        match at((n as u64).saturating_sub(1)) {
+            Some(last) if n > 0 && stride.is_multiple_of(w) && ends_ok(last) => {}
+            _ => {
+                for i in 0..n as u64 {
+                    let o = at(i).ok_or(MemError::OutOfBounds { offset: u64::MAX, size: w })?;
+                    self.check(o, w, w)?;
+                }
+            }
+        }
+        Ok(self.at(offset as usize))
+    }
+
     /// Is `[offset, offset+len)` inside the arena? The bounds check every
     /// bulk operation below makes, for callers that must know before the
     /// first byte moves.
@@ -513,6 +569,40 @@ unsafe fn word<'a>(p: *mut u8) -> &'a AtomicU64 {
     unsafe { AtomicU64::from_ptr(p as *mut u64) }
 }
 
+/// The `W`-byte word at `p`, zero-extended: the strided loads' element
+/// access, whatever the width (1, 4 or 8).
+///
+/// # Safety
+/// `p..p+W` lies inside a live arena and `p` is `W`-aligned.
+#[inline(always)]
+unsafe fn load_w<const W: usize>(p: *mut u8) -> u64 {
+    const { assert!(W == 1 || W == 4 || W == 8, "access widths are 1, 4 and 8 bytes") };
+    unsafe {
+        match W {
+            1 => byte(p).load(Ordering::Relaxed) as u64,
+            4 => AtomicU32::from_ptr(p.cast()).load(Ordering::Relaxed) as u64,
+            _ => word(p).load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Store the low `W` bytes of `v` at `p`: the strided stores' element
+/// access.
+///
+/// # Safety
+/// As for [`load_w`].
+#[inline(always)]
+unsafe fn store_w<const W: usize>(p: *mut u8, v: u64) {
+    const { assert!(W == 1 || W == 4 || W == 8, "access widths are 1, 4 and 8 bytes") };
+    unsafe {
+        match W {
+            1 => byte(p).store(v as u8, Ordering::Relaxed),
+            4 => AtomicU32::from_ptr(p.cast()).store(v as u32, Ordering::Relaxed),
+            _ => word(p).store(v, Ordering::Relaxed),
+        }
+    }
+}
+
 /// Walk `len` bytes that start at arena offset `offset`: `byte(i)` for
 /// each byte before the first 8-byte boundary, `word(i)` for each whole
 /// word, `byte(i)` for the bytes after the last boundary, `i` counted from
@@ -703,6 +793,34 @@ mod tests {
             assert_eq!(m.size(), size);
             assert!(snapshot(&m).iter().all(|&b| b == 0), "arena of {asked} bytes is not zero");
         }
+    }
+
+    #[test]
+    fn strided_access_checks_once_and_reports_the_first_failing_element() {
+        let m = patterned(256, 3);
+        let mut out = [7u64; 4];
+        m.load_strided::<4>(8, 12, &mut out).unwrap();
+        let want: Vec<u64> = (0..4).map(|i| m.load_u32(8 + 12 * i).unwrap() as u64).collect();
+        assert_eq!(out[..], want[..]);
+        m.store_strided::<1>(1, 100, &[0x1ff, 0x2aa]).unwrap();
+        assert_eq!((m.load_u8(1).unwrap(), m.load_u8(101).unwrap()), (0xff, 0xaa));
+        let before = snapshot(&m);
+        // (offset, stride, elements): the first failing element's error.
+        let oob = |offset| MemError::OutOfBounds { offset, size: 8 };
+        for (off, stride, n, err) in [
+            (8, 8, 32, oob(256)),
+            (200, 40, 4, oob(280)),
+            (12, 8, 2, MemError::Misaligned { offset: 12, align: 8 }),
+            (0, 12, 3, MemError::Misaligned { offset: 12, align: 8 }),
+            (8, u64::MAX - 4, 2, oob(u64::MAX)),
+        ] {
+            let mut out = [7u64; 32];
+            assert_eq!(m.load_strided::<8>(off, stride, &mut out[..n]), Err(err));
+            assert_eq!(out, [7; 32], "({off}, {stride}, {n}) read");
+            assert_eq!(m.store_strided::<8>(off, stride, &[1; 32][..n]), Err(err));
+            assert_eq!(snapshot(&m), before, "({off}, {stride}, {n}) wrote");
+        }
+        assert_eq!(m.load_strided::<4>(1 << 20, 4, &mut []), Ok(()), "no element, no check");
     }
 
     #[test]
