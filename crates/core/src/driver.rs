@@ -74,8 +74,6 @@ pub struct CompiledApp {
     pub mode: BinMode,
     /// The one kernel module of a pure-CUDA baseline, through which its
     /// `<<<...>>>` launches resolve; `None` for an OpenMP application.
-    /// It also picks the env rule: the runner's device variables do not
-    /// apply to a baseline (see [`crate::ResolvedConfig::resolve_cuda`]).
     pub cuda_module: Option<String>,
 }
 

@@ -22,25 +22,17 @@ mod config;
 mod hooks;
 
 pub use config::{
-    ConfigError, Export, ResolvedConfig, DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT,
-    DEFAULT_MAX_RESETS,
+    ConfigError, ResolvedConfig, DEFAULT_DEVICE_MEM, DEFAULT_LAUNCH_TIMEOUT, DEFAULT_MAX_RESETS,
 };
 pub use hooks::OmpiHooks;
 
-/// Runner configuration.
-///
-/// The four device knobs that also have `OMPI_*` env vars are `Option`s:
-/// `None` means "not set here — let the env var, then the default, apply";
-/// `Some` always wins over the environment. (Historically the env vars
-/// silently *overrode* explicit fields, the exact bug a long-running
-/// server cannot live with.) See [`ResolvedConfig::resolve`] for the full
-/// precedence contract.
+/// Runner configuration. An unset (`None`) field means its default;
+/// [`ResolvedConfig::resolve`] fills them in.
 #[derive(Clone, Debug)]
 pub struct RunnerConfig {
     /// Host guest-memory size.
     pub host_mem: usize,
-    /// Device DRAM size (per device). `None` defers to `OMPI_DEV_MEM`,
-    /// then [`DEFAULT_DEVICE_MEM`].
+    /// Device DRAM size (per device). `None` = [`DEFAULT_DEVICE_MEM`].
     pub device_mem: Option<usize>,
     /// Grid simulation mode.
     pub exec_mode: ExecMode,
@@ -55,43 +47,37 @@ pub struct RunnerConfig {
     /// Async command streams: transfers and launches are scheduled on
     /// per-region streams whose copy and compute engines overlap on the
     /// simulated clock (results stay bit-identical — execution is eager).
-    /// `None` defers to `OMPI_ASYNC` (strict boolean), then `false`.
+    /// `None` = `false`.
     pub async_streams: Option<bool>,
     /// Fault-plan source text with optional `devN:` prefixes (unprefixed
-    /// rules target device 0), parsed once per device. `None` falls back
-    /// to the `OMPI_FAULT_PLAN` environment variable, snapshotted at
-    /// construction.
+    /// rules target device 0), parsed once per device. `None` = no
+    /// faults.
     pub fault_spec: Option<String>,
     /// Watchdog deadline for kernels and transfers: a hung operation is
     /// declared timed out after this much simulated waiting and handed to
-    /// the recovery manager. `None` defers to `OMPI_LAUNCH_TIMEOUT_MS`,
-    /// then [`DEFAULT_LAUNCH_TIMEOUT`].
+    /// the recovery manager. `None` = [`DEFAULT_LAUNCH_TIMEOUT`].
     pub launch_timeout: Option<std::time::Duration>,
     /// How many consecutive reset-and-replay attempts may fail before a
-    /// device latches permanently broken. `None` defers to
-    /// `OMPI_MAX_RESETS`, then [`DEFAULT_MAX_RESETS`].
+    /// device latches permanently broken. `None` = [`DEFAULT_MAX_RESETS`].
     pub max_resets: Option<u32>,
-    /// Guest instruction budget per machine (`OMPI_GUEST_FUEL`): a hostile
+    /// Guest instruction budget per machine: a hostile
     /// `while(1);` returns [`minic::limits::GuestLimitError::FuelExhausted`]
     /// instead of hanging the process. `None` = unlimited.
     pub fuel: Option<u64>,
-    /// Guest heap + stack-frame byte ceiling (`OMPI_GUEST_MEM`). `None` =
+    /// Guest heap + stack-frame byte ceiling. `None` =
     /// unlimited (bounded only by the host arena).
     pub guest_mem: Option<u64>,
-    /// Guest call-depth limit in frames (`OMPI_GUEST_STACK`). `None`
+    /// Guest call-depth limit in frames. `None`
     /// keeps the historical default of 200.
     pub guest_stack: Option<u32>,
-    /// Wall-clock deadline for each guest job (`OMPI_JOB_TIMEOUT_MS`),
+    /// Wall-clock deadline for each guest job,
     /// armed at every [`Runner::call`] and checked at the engines'
     /// fuel-check boundary. `None` = no deadline.
     pub job_timeout: Option<std::time::Duration>,
-    /// Explicit observability sink (tracer + metrics). `None` resolves the
-    /// `OMPI_TRACE` / `OMPI_PROFILE` / `OMPI_HOTSPOTS` / `OMPI_FLIGHT_DUMP`
-    /// environment variables: a set `OMPI_TRACE` makes the runner write
-    /// Chrome trace-event JSON there on drop, `OMPI_PROFILE=1` prints the
-    /// per-device profile table to stderr, `OMPI_HOTSPOTS=1` the
-    /// guest-source hotspot table. An explicit sink suppresses all of
-    /// these — the caller owns export.
+    /// Observability sink (tracer + metrics + flight recorder). `None`
+    /// gives the runner a disabled one. The caller owns export: it writes
+    /// the trace ([`Runner::write_trace`]), prints the profile table
+    /// ([`Runner::profile_table`]) and fires the flight post-mortem.
     pub obs: Option<Arc<obs::Obs>>,
 }
 
@@ -153,55 +139,29 @@ pub fn build_fleet(
 pub struct Runner {
     pub machine: Arc<Machine>,
     pub hooks: Arc<OmpiHooks>,
-    /// Set when the runner built its own sink: export it on drop, and
-    /// fire the last-chance flight post-mortem. An explicit shared sink
-    /// must not be — a short-lived runner would consume the one dump out
-    /// from under longer-lived ones (first-trigger-wins).
-    export: Option<Export>,
     /// Wall-clock deadline armed on the machine at every guest call.
     job_timeout: Option<std::time::Duration>,
 }
 
 impl Runner {
     /// Instantiate a compiled application — OpenMP or pure CUDA — on a
-    /// fleet of its own: the sink (explicit, or built from the snapshot
-    /// and then exported on drop), [`build_fleet`], a registry over all of
-    /// it, and then the same per-job view ([`Runner::on`]) the batch
-    /// server uses over its long-lived fleet.
-    ///
-    /// The environment is snapshotted here, once; env vars apply only to
-    /// fields the config leaves unset (see [`ResolvedConfig::resolve`]):
-    /// with no explicit [`RunnerConfig::device_mem`], `OMPI_DEV_MEM=64M`-style
-    /// values cap the per-device arena, exercising the memory governor's
-    /// degradation ladder. The four device variables do not apply to an
-    /// app with a [`CompiledApp::cuda_module`] — the CUDA baseline manages
-    /// raw device memory itself and would just crash
-    /// ([`ResolvedConfig::resolve_cuda`]).
+    /// fleet of its own: [`ResolvedConfig::resolve`], [`build_fleet`], a
+    /// registry over it, and then the same per-job view ([`Runner::on`])
+    /// the batch server uses over its long-lived fleet.
     pub fn new(app: &CompiledApp, cfg: &RunnerConfig) -> IResult<Runner> {
-        let resolve = match app.cuda_module {
-            Some(_) => ResolvedConfig::resolve_cuda,
-            None => ResolvedConfig::resolve,
-        };
-        let mut rc = resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
-        let trace = rc.export.as_ref().is_some_and(|e| e.trace_path.is_some());
-        let obs =
-            rc.obs.get_or_insert_with(|| obs::Obs::new(trace, rc.flight_dump.clone())).clone();
-        let fleet = build_fleet(&rc, &app.kernel_dir, &obs)
+        let rc = ResolvedConfig::resolve(cfg).map_err(|e| InterpError::Trap(e.to_string()))?;
+        let fleet = build_fleet(&rc, &app.kernel_dir, &rc.obs)
             .map_err(|e| InterpError::Trap(format!("fault plan: {e}")))?;
         let host_pid = fleet.len() as u64;
         let registry = Arc::new(DeviceRegistry::new(fleet, host_pid));
-        let mut runner = Self::on(app, registry, &rc)?;
-        runner.machine.set_hotspots(rc.export.as_ref().is_some_and(|e| e.hotspots));
-        runner.export = rc.export;
-        Ok(runner)
+        Self::on(app, registry, &rc)
     }
 
     /// One job's view over a registry somebody else may own, from a
-    /// pre-resolved snapshot (whose `obs` is the caller's sink): a fresh
-    /// instance of the app's image and a hook set, nothing exported on
-    /// drop. This is the batch server's path: the scheduler owns the
-    /// device fleet and hands each job the device(s) it placed it on;
-    /// nothing here reads the environment. Kernel launches of a CUDA
+    /// resolved snapshot (whose `obs` is the caller's sink): a fresh
+    /// instance of the app's image and a hook set. This is the batch
+    /// server's path: the scheduler owns the device fleet and hands each
+    /// job the device(s) it placed it on. Kernel launches of a CUDA
     /// baseline resolve through its `cuda_module`.
     pub fn on(
         app: &CompiledApp,
@@ -209,10 +169,10 @@ impl Runner {
         rc: &ResolvedConfig,
     ) -> IResult<Runner> {
         let machine = Machine::instantiate(app.image.clone(), rc.host_mem, rc.guest_limits())?;
-        let obs = rc.obs.clone().unwrap_or_else(obs::Obs::disabled);
+        let obs = rc.obs.clone();
         let hooks =
             Arc::new(OmpiHooks::new(registry, app.cuda_module.clone(), obs, rc.host_threads));
-        Ok(Runner { machine, hooks, export: None, job_timeout: rc.job_timeout })
+        Ok(Runner { machine, hooks, job_timeout: rc.job_timeout })
     }
 
     /// Call a guest function. A guest that exceeds a configured resource
@@ -356,25 +316,6 @@ impl Runner {
         obs::render_profile(&rows)
     }
 
-    /// The guest-source hotspot table: VM dispatch attributed to source
-    /// lines through the compiler's pc→line tables. Empty (with a hint)
-    /// unless the machine collected attribution (`OMPI_HOTSPOTS=1` or
-    /// [`Machine::set_hotspots`]).
-    pub fn hotspot_table(&self) -> String {
-        let rows: Vec<obs::HotLine> = self
-            .machine
-            .line_profile()
-            .into_iter()
-            .map(|h| obs::HotLine {
-                func: h.func,
-                line: h.line,
-                instructions: h.instructions,
-                dispatch: h.dispatch,
-            })
-            .collect();
-        obs::render_hotspots("guest vm", &rows)
-    }
-
     /// Make sure every trace "process" carries a human-readable name
     /// (first-wins: devices that came up already named themselves).
     fn name_trace_processes(&self) {
@@ -389,31 +330,5 @@ impl Runner {
     pub fn write_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
         self.name_trace_processes();
         self.hooks.obs.tracer.write_json(path)
-    }
-}
-
-impl Drop for Runner {
-    /// Own-sink export: `OMPI_TRACE` writes the trace JSON,
-    /// `OMPI_PROFILE` prints the profile table to stderr, `OMPI_HOTSPOTS`
-    /// the guest-source hotspot table, then the flight post-mortem fires.
-    /// Explicit `RunnerConfig::obs` sinks and per-job views skip all of it
-    /// (the caller owns export).
-    fn drop(&mut self) {
-        let Some(export) = self.export.take() else { return };
-        if let Some(path) = &export.trace_path {
-            if let Err(e) = self.write_trace(path) {
-                eprintln!("ompi: failed to write trace to {}: {e}", path.display());
-            }
-        }
-        if export.profile {
-            eprintln!("{}", self.profile_table());
-        }
-        if export.hotspots {
-            eprintln!("{}", self.hotspot_table());
-        }
-        // Last-chance flight dump (`OMPI_FLIGHT_DUMP` with no fault this
-        // run): a no-op without a dump path, and first-trigger-wins if a
-        // latch or watchdog already dumped.
-        self.hooks.obs.flight.post_mortem("runner drop");
     }
 }

@@ -35,8 +35,8 @@ pub enum CudadevError {
     /// A kernel launch failed, after any retries.
     Launch { kernel: String, error: ExecError },
     /// The watchdog expired an operation that exceeded its deadline
-    /// (`OMPI_LAUNCH_TIMEOUT_MS`) and recovery could not bring the device
-    /// back within the reset budget. Equivalent to a lost device.
+    /// (`CudaDevConfig::launch_timeout`) and recovery could not bring the
+    /// device back within the reset budget. Equivalent to a lost device.
     Timeout { site: String, deadline_ms: u64 },
 }
 

@@ -223,9 +223,10 @@ impl RetryPolicy {
     }
 }
 
-/// Default hang-watchdog deadline (`OMPI_LAUNCH_TIMEOUT_MS`).
+/// Default hang-watchdog deadline ([`CudaDevConfig::launch_timeout`]).
 pub const DEFAULT_LAUNCH_TIMEOUT: Duration = Duration::from_millis(250);
-/// Default reset budget before a device latches broken (`OMPI_MAX_RESETS`).
+/// Default reset budget before a device latches broken
+/// ([`CudaDevConfig::max_resets`]).
 pub const DEFAULT_MAX_RESETS: u32 = 3;
 
 /// Configuration of a CudaDev instance.
@@ -243,9 +244,8 @@ pub struct CudaDevConfig {
     /// How much of each grid to simulate.
     pub exec_mode: ExecMode,
     /// Deterministic fault-injection plan (see `gpusim::fault`); `None`
-    /// injects nothing. The fleet builder in `ompi-core` resolves it per
-    /// device from the config snapshot — this crate never reads the
-    /// environment.
+    /// injects nothing. The fleet builder in `ompi-core` parses it per
+    /// device from `RunnerConfig::fault_spec`.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Async command streams: transfers and launches inside a target
     /// region are queued on per-region streams and scheduled on a copy
@@ -260,11 +260,11 @@ pub struct CudaDevConfig {
     pub obs: Arc<obs::Obs>,
     /// Watchdog deadline for kernels and transfers: a hung operation is
     /// declared timed out after this much *simulated* waiting and handed
-    /// to the recovery manager (`OMPI_LAUNCH_TIMEOUT_MS`).
+    /// to the recovery manager.
     pub launch_timeout: Duration,
     /// Reset budget of the recovery circuit breaker: how many consecutive
     /// reset-and-replay attempts may fail before the device latches
-    /// permanently broken (`OMPI_MAX_RESETS`).
+    /// permanently broken.
     pub max_resets: u32,
 }
 
@@ -423,6 +423,15 @@ impl CudaDev {
                     CudadevError::Data(e) => CudadevError::Init(e),
                     e => e,
                 })?,
+            // An arena too small for the control block can never come up:
+            // the device is unavailable and every region runs on the host.
+            Err(ExecError::Alloc(vmcommon::alloc::AllocError::OutOfMemory { .. })) => {
+                let why = format!(
+                    "{}-byte device arena cannot hold the runtime control block",
+                    d.global.size()
+                );
+                return Err(CudadevError::Init(ExecError::DeviceLost(why)));
+            }
             Err(e) => return Err(CudadevError::Init(e)),
         };
         *self.lib.lock() = Some(Arc::new(CudaDeviceLib::new(lock_area)));

@@ -6,8 +6,8 @@
 //! Instead the recovery manager:
 //!
 //! 1. **books the watchdog wait** for hangs: the operation is charged its
-//!    full deadline (`OMPI_LAUNCH_TIMEOUT_MS`) on the simulated clock and
-//!    surfaces as a typed timeout;
+//!    full deadline (`CudaDevConfig::launch_timeout`) on the simulated
+//!    clock and surfaces as a typed timeout;
 //! 2. **opens the breaker** and charges an exponential cool-down to the
 //!    simulated clock (no wall-time sleep — the cool-down is part of the
 //!    virtual timeline, like retry backoff);
@@ -21,8 +21,8 @@
 //!    probe. Success closes the breaker (and refunds the reset budget);
 //!    another terminal failure loops back to step 2.
 //!
-//! Only when `OMPI_MAX_RESETS` consecutive reset attempts fail does the
-//! breaker latch and the old permanent `broken` flag engage — from then
+//! Only when `CudaDevConfig::max_resets` consecutive reset attempts fail
+//! does the breaker latch and the old permanent `broken` flag engage — from then
 //! on the runtime falls back to the host as before. Because replayed
 //! mappings land at their exact old addresses, already-translated kernel
 //! parameters stay valid and a re-executed region is bit-identical to a

@@ -176,8 +176,7 @@ impl Device {
     /// Create a device with `global_mem` bytes of DRAM.
     pub fn new(global_mem: usize) -> Device {
         let global = MemArena::new(global_mem);
-        // Offset 0 is reserved so that a null device pointer faults.
-        let alloc = BlockAllocator::new(256, global.size() as u64 - 256);
+        let alloc = Self::fresh_allocator(&global);
         Device {
             props: DeviceProps::jetson_nano_2gb(global_mem as u64),
             global,
@@ -269,7 +268,14 @@ impl Device {
     /// garbage; the recovery manager re-reserves and re-uploads what it
     /// needs via [`Device::reserve_at`].
     pub fn reset(&self) {
-        *self.alloc.lock() = BlockAllocator::new(256, self.global.size() as u64 - 256);
+        *self.alloc.lock() = Self::fresh_allocator(&self.global);
+    }
+
+    /// An empty allocator over `global`. Offset 0 is reserved so that a
+    /// null device pointer faults; an arena of 256 bytes or less has no
+    /// allocatable bytes at all, so every allocation is `OutOfMemory`.
+    fn fresh_allocator(global: &MemArena) -> BlockAllocator {
+        BlockAllocator::new(256, (global.size() as u64).saturating_sub(256))
     }
 
     /// Re-reserve `size` bytes at the exact device address `ptr` after a
@@ -409,6 +415,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmcommon::alloc::AllocError;
 
     #[test]
     fn alloc_copy_roundtrip() {
@@ -474,6 +481,20 @@ mod tests {
     fn oom_reported() {
         let d = Device::new(1 << 16);
         assert!(d.mem_alloc(1 << 20).is_err());
+    }
+
+    /// An arena smaller than the reserved null page has no allocatable
+    /// bytes, before and after a reset: the allocator's range must not
+    /// wrap around to a huge one.
+    #[test]
+    fn tiny_arena_has_nothing_to_allocate() {
+        for size in [0, 1, 256] {
+            let d = Device::new(size);
+            let oom = |r| matches!(r, Err(ExecError::Alloc(AllocError::OutOfMemory { .. })));
+            assert!(oom(d.mem_alloc(1)), "{size} B");
+            d.reset();
+            assert!(oom(d.mem_alloc(1)), "{size} B after reset");
+        }
     }
 
     /// After a reset, every prior allocation is gone and `reserve_at`

@@ -17,8 +17,8 @@
 //!   the host driver's watchdog converts it into a timeout and attempts
 //!   reset-and-replay recovery.
 //!
-//! The compact plan syntax (also accepted from the `OMPI_FAULT_PLAN`
-//! environment variable) is a comma-separated list of
+//! The compact plan syntax (`RunnerConfig::fault_spec`, `fig4 --faults`)
+//! is a comma-separated list of
 //! `[devN:][hang@]site[@first[xCOUNT|x*]]`:
 //!
 //! ```text
@@ -330,7 +330,7 @@ impl FaultPlan {
     }
 
     /// A seeded random — but *completion-safe* — plan for the chaos soak
-    /// harness (`OMPI_FAULT_PLAN=chaos:<seed>`): 2–4 rules, at most one
+    /// harness (`fig4 --faults chaos:<seed>`): 2–4 rules, at most one
     /// per site, drawn so that every run still completes with bit-exact
     /// results. Concretely:
     ///

@@ -299,9 +299,8 @@ impl Machine {
     /// the arena is mapped, the string literals written and the heap
     /// allocator built over the rest. Initializers run on the first
     /// [`Interp`] creation. An arena smaller than the image's static data
-    /// is [`InterpError::ArenaTooSmall`]. Nothing here reads the
-    /// environment: the runner's config snapshot supplies `limits` (and the
-    /// hotspot switch, through [`Machine::set_hotspots`]).
+    /// is [`InterpError::ArenaTooSmall`]. The runner's config snapshot
+    /// supplies `limits`; [`Machine::set_hotspots`] turns on attribution.
     pub fn instantiate(
         image: Arc<Image>,
         mem_bytes: usize,
@@ -360,8 +359,7 @@ impl Machine {
     }
 
     /// Is guest-source hotspot attribution on? (Off until
-    /// [`Machine::set_hotspots`]; the runner turns it on for
-    /// `OMPI_HOTSPOTS=1`.)
+    /// [`Machine::set_hotspots`]; `fig4 --hotspots` turns it on.)
     pub fn hotspots_enabled(&self) -> bool {
         self.hotspots.load(Ordering::Relaxed)
     }

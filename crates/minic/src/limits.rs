@@ -34,14 +34,14 @@ const UNLIMITED: u64 = u64::MAX;
 /// never latch a healthy device.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GuestLimitError {
-    /// The per-job instruction budget ran out (`OMPI_GUEST_FUEL`).
+    /// The per-job instruction budget ran out (`RunnerConfig::fuel`).
     FuelExhausted { budget: u64 },
     /// Guest heap + stack-frame bytes would exceed the per-job ceiling
-    /// (`OMPI_GUEST_MEM`).
+    /// (`RunnerConfig::guest_mem`).
     MemExceeded { limit: u64 },
-    /// Call depth exceeded the recursion limit (`OMPI_GUEST_STACK`).
+    /// Call depth exceeded the recursion limit (`RunnerConfig::guest_stack`).
     StackOverflow { limit: u32 },
-    /// The wall-clock job deadline passed (`OMPI_JOB_TIMEOUT_MS`).
+    /// The wall-clock job deadline passed (`RunnerConfig::job_timeout`).
     DeadlineExceeded { ms: u64 },
 }
 

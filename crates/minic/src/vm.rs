@@ -17,7 +17,7 @@
 //! identical to the walker's for address-taken and aggregate locals, and
 //! guest-to-guest calls on an explicit [`Frame`] stack — guest recursion
 //! must not consume host stack, whose debug-build frames would overflow
-//! well before the guest's configurable frame limit (`OMPI_GUEST_STACK`,
+//! well before the guest's configurable frame limit (`RunnerConfig::guest_stack`,
 //! default 200). A `Value` is built only where one leaves the register
 //! file: the generic fallbacks, argument packs for builtins, hooks,
 //! `printf` and launches, and the host-visible return value.

@@ -12,10 +12,10 @@
 //! Dumps are written by [`FlightRecorder::post_mortem`], which fires at
 //! most once per recorder (first trigger wins): `cudadev` calls it when a
 //! watchdog timeout is charged and when the circuit breaker latches a
-//! device, and the `core` runner calls it at drop. A dump is only written
-//! when a path was configured ([`crate::Obs::new`]; the runner passes the
-//! snapshotted `OMPI_FLIGHT_DUMP` value) — so ordinary runs and tests
-//! never touch the filesystem.
+//! device, and `fig4` calls it at exit. A dump is only written
+//! when a path was configured ([`crate::Obs::new`]; `fig4 --flight-dump
+//! PATH` passes one) — so ordinary runs and tests never touch the
+//! filesystem.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -140,7 +140,7 @@ impl FlightRecorder {
     }
 
     /// Dump the ring to the configured path, once: the first trigger
-    /// (watchdog timeout, breaker latch, runner drop) wins and later calls
+    /// (watchdog timeout, breaker latch, end of run) wins and later calls
     /// are no-ops, so the artifact keeps the tail that led up to the first
     /// failure. Returns the path when a dump was written. A recorder with
     /// no configured path records `reason` in the ring but never touches

@@ -33,7 +33,9 @@ pub fn render_hotspots(title: &str, rows: &[HotLine]) -> String {
     let grand: u64 = rows.iter().map(|r| r.instructions).sum();
     out.push_str(&format!("hotspots: {title} ({grand} instructions)\n"));
     if rows.is_empty() {
-        out.push_str("  (no attribution recorded — was OMPI_HOTSPOTS set?)\n");
+        out.push_str(
+            "  (no attribution recorded — was `--hotspots` or `Machine::set_hotspots` on?)\n",
+        );
         return out;
     }
 

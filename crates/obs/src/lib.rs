@@ -19,13 +19,10 @@
 //! layer. A disabled handle is a single relaxed atomic load per event, so
 //! instrumentation can stay unconditional in hot paths.
 //!
-//! This crate never reads the environment: [`Obs::new`] takes the tracing
-//! switch and the flight-dump path as values. The `OMPI_TRACE` /
-//! `OMPI_PROFILE` / `OMPI_HOTSPOTS` / `OMPI_FLIGHT_DUMP` variables are
-//! snapshotted by `ompi-core`'s config resolution, which builds the sink
-//! and exports the trace, the profile table (see
-//! [`profile::render_profile`]) and the hotspot table (see
-//! [`hotspots::render_hotspots`]) when the runner is dropped.
+//! [`Obs::new`] takes the tracing switch and the flight-dump path as
+//! values. Whoever builds the sink exports it: `fig4` writes the trace and
+//! prints the profile table (see [`profile::render_profile`]) and the
+//! hotspot table (see [`hotspots::render_hotspots`]) from its flags.
 
 pub mod flight;
 pub mod hotspots;
@@ -79,46 +76,11 @@ impl Obs {
     }
 }
 
-/// Strict boolean parsing for `OMPI_*` env vars: `1/true/on/yes` and
-/// `0/false/off/no` (case-insensitive, whitespace-trimmed) are the only
-/// recognized spellings; anything else is `None` so callers can reject it
-/// with a typed error instead of guessing. The historical "non-empty and
-/// not `0` means true" rule silently read `OMPI_ASYNC=off` as *enabled*.
-pub fn parse_bool(s: &str) -> Option<bool> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
-}
-
 impl fmt::Debug for Obs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Obs")
             .field("tracing", &self.tracer.is_enabled())
             .field("events", &self.tracer.len())
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_bool;
-
-    #[test]
-    fn parse_bool_recognizes_both_vocabularies() {
-        for v in ["1", "true", "TRUE", " on ", "Yes"] {
-            assert_eq!(parse_bool(v), Some(true), "{v:?}");
-        }
-        for v in ["0", "false", "False", "off", " NO "] {
-            assert_eq!(parse_bool(v), Some(false), "{v:?}");
-        }
-    }
-
-    #[test]
-    fn parse_bool_rejects_everything_else() {
-        for v in ["", "2", "enable", "y", "n", "tru"] {
-            assert_eq!(parse_bool(v), None, "{v:?}");
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! The plain-text per-device profile table (`OMPI_PROFILE=1`,
+//! The plain-text per-device profile table (`Runner::profile_table`,
 //! `fig4 --profile`): simulated time attributed to the offload phases the
 //! paper's evaluation breaks down, one row per device.
 

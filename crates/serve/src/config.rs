@@ -24,10 +24,9 @@ impl Default for TenantConfig {
     }
 }
 
-/// Server-wide configuration. Environment variables are read exactly once,
-/// at [`crate::Server::new`], through [`ompi_core::ResolvedConfig`] — the
-/// precedence contract (explicit field > well-formed env > default) is the
-/// runner's, applied to `runner` here.
+/// Server-wide configuration. `runner` is resolved exactly once, at
+/// [`crate::Server::new`], through [`ompi_core::ResolvedConfig`]: an unset
+/// field means its default, as for a runner.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Working directory for compiled kernels and the shared JIT cache.

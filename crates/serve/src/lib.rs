@@ -31,7 +31,7 @@
 //!   on every aborted job.
 //!
 //! Configuration is snapshotted once at [`Server::new`] through
-//! [`ompi_core::ResolvedConfig`]; no job ever reads the environment.
+//! [`ompi_core::ResolvedConfig`]; every job takes its values from it.
 
 mod config;
 mod scheduler;

@@ -1,7 +1,7 @@
 //! The batch server: tenants, programs, submission, workers, results.
 //!
-//! Lifecycle: [`Server::new`] resolves configuration **once** (this is the
-//! env snapshot — no job ever reads `OMPI_*`), builds the device fleet the
+//! Lifecycle: [`Server::new`] resolves configuration **once** (every job
+//! takes its values from that snapshot), builds the device fleet the
 //! scheduler owns with [`ompi_core::build_fleet`], and compiles nothing.
 //! Tenants register programs ([`Server::register_program`] — each gets a
 //! unique module-name prefix so every tenant's `k0_main` coexists in the
@@ -70,19 +70,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the server: resolve config against the environment (the only
-    /// env read in the server's lifetime), construct the fleet, validate
-    /// every device's fault plan eagerly.
+    /// Build the server: resolve the config once, construct the fleet,
+    /// validate every device's fault plan eagerly.
     pub fn new(cfg: &ServeConfig) -> Result<Server, ServeError> {
         let mut rc = ResolvedConfig::resolve(&cfg.runner).map_err(ServeError::Config)?;
         rc.num_devices = rc.num_devices.max(1);
-        let obs =
-            rc.obs.get_or_insert_with(|| obs::Obs::new(false, rc.flight_dump.clone())).clone();
+        let obs = rc.obs.clone();
 
         let kernel_dir = cfg.work_dir.join("kernels");
         std::fs::create_dir_all(&kernel_dir).map_err(|e| ServeError::Io(e.to_string()))?;
         // Fault plans resolve at startup, not at lazy device init: a
-        // malformed `OMPI_FAULT_PLAN` must fail server construction, never
+        // malformed `fault_spec` must fail server construction, never
         // surface later as one tenant's mysterious host run.
         let fleet = build_fleet(&rc, &kernel_dir, &obs)
             .map_err(|e| ServeError::FaultPlan(e.to_string()))?;
@@ -245,8 +243,7 @@ impl Server {
         self.inner.completion_log.lock().clone()
     }
 
-    /// The resolved config snapshot jobs run under (tests assert the
-    /// precedence outcome without re-reading the environment).
+    /// The resolved config snapshot jobs run under.
     pub fn resolved(&self) -> &ResolvedConfig {
         &self.inner.rc
     }

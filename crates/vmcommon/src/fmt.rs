@@ -178,7 +178,7 @@ pub fn format(spec: &str, args: &[FmtArg]) -> String {
 
 /// Parse a human-readable byte size: a decimal count with an optional
 /// `K`/`M`/`G` suffix (binary units, case-insensitive, optional trailing
-/// `B`/`iB`). Used for `OMPI_DEV_MEM=64M`-style environment knobs.
+/// `B`/`iB`). Used for `fig4 --mem 64M`-style size flags.
 pub fn parse_size(s: &str) -> Result<u64, String> {
     let t = s.trim();
     if t.is_empty() {

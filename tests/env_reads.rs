@@ -1,18 +1,16 @@
-//! Source guard: `crates/core/src/runner/config.rs` is the only file under
-//! `crates/*/src` that touches the process environment. Every layer below
-//! the config snapshot takes explicit values, so a `setenv` after
-//! construction cannot reconfigure anything (`config_precedence.rs` holds
-//! the behavioural half of that promise). The binaries in
-//! `crates/bench/src/bin` are exempt from the read ban, but nothing in
-//! `crates/bench` may *write* the environment — it is not a global
-//! variable. `scripts/check.sh` mirrors both checks with `grep`.
+//! Source guard: configuration is `RunnerConfig`, not the environment.
+//! Under `crates/*/src` — the `fig4` binary in `crates/unibench/src/bin`
+//! included — the one environment access is `crates/core/src/runner/config.rs`
+//! reading `OMP_NUM_THREADS`, the OpenMP specification's initializer of
+//! `nthreads-var`. Nothing there writes the environment either.
+//! `scripts/check.sh` mirrors this with `grep`.
 
 use std::path::{Path, PathBuf};
 
-const ALLOWED: &str = "crates/core/src/runner/config.rs";
-const BINS: &str = "crates/bench/src/bin";
-const WRITE: &str = "set_var";
-const READS: [&str; 3] = ["env::var", "env::vars", "var_os"];
+const CONFIG: &str = "crates/core/src/runner/config.rs";
+const FIG4: &str = "crates/unibench/src/bin/fig4.rs";
+const ALLOWED_READ: &str = "env::var(\"OMP_NUM_THREADS\")";
+const ACCESS: [&str; 5] = ["env::var", "env::vars", "var_os", "set_var", "remove_var"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
@@ -35,27 +33,34 @@ fn only_the_config_snapshot_touches_the_environment() {
             rust_files(&src, &mut files);
         }
     }
-    assert!(files.len() > 50, "the walk found only {} source files", files.len());
+    let rels: Vec<String> = files
+        .iter()
+        .map(|f| f.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/"))
+        .collect();
+    for must in [CONFIG, FIG4] {
+        assert!(rels.iter().any(|r| r == must), "the walk missed {must}");
+    }
 
+    let mut allowed = 0;
     let mut hits = Vec::new();
-    for file in files {
-        let rel = file.strip_prefix(root).unwrap().to_string_lossy().replace('\\', "/");
-        if rel == ALLOWED {
-            continue;
-        }
-        // Outside `crates/*/src`, and in the binaries, only writes are banned.
-        let reads_allowed = rel.starts_with(BINS) || !rel.contains("/src/");
-        let text = std::fs::read_to_string(&file).unwrap();
+    for (file, rel) in files.iter().zip(&rels) {
+        let text = std::fs::read_to_string(file).unwrap();
         for (i, line) in text.lines().enumerate() {
-            let read = !reads_allowed && READS.iter().any(|r| line.contains(r));
-            if read || line.contains(WRITE) {
+            if !ACCESS.iter().any(|a| line.contains(a)) {
+                continue;
+            }
+            if rel == CONFIG && line.contains(ALLOWED_READ) {
+                allowed += 1;
+            } else {
                 hits.push(format!("{rel}:{}: {}", i + 1, line.trim()));
             }
         }
     }
     assert!(
         hits.is_empty(),
-        "environment access outside {ALLOWED} (take the value from `ResolvedConfig` instead):\n{}",
+        "environment access other than {CONFIG}'s `OMP_NUM_THREADS` read \
+         (take the value from `RunnerConfig` instead):\n{}",
         hits.join("\n")
     );
+    assert_eq!(allowed, 1, "{CONFIG} reads `OMP_NUM_THREADS` exactly once");
 }

@@ -7,20 +7,9 @@
 //! * live device mappings of the aborted job are released,
 //! * the recovery breaker stays untouched (a guest limit is the guest's
 //!   fault, not the device's).
-//!
-//! The `OMPI_GUEST_*` environment variables configure the same limits for
-//! uninstrumented binaries; tests here serialize on a lock because env
-//! vars are process-global and `Runner::new` snapshots them (through
-//! `ResolvedConfig::resolve`) at construction.
-
-use std::sync::Mutex;
 
 use ompi_nano::minic::interp::InterpError;
 use ompi_nano::{Ompicc, Runner, RunnerConfig};
-
-/// Serializes tests in this binary: the env-var test mutates process
-/// globals that `Runner::new` reads.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn work(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("ompinano-limits-{}-{tag}", std::process::id()));
@@ -57,7 +46,6 @@ int main() { return g; }
 /// the typed `InitFailed`, never a run on the zeroed global.
 #[test]
 fn limit_in_global_initializer_is_cleaned_up_and_poisons_the_runner() {
-    let _g = ENV_LOCK.lock().unwrap();
     let app = Ompicc::new(work("init")).compile(HOSTILE_INIT).unwrap();
     let obs = obs::Obs::enabled();
     let cfg = RunnerConfig {
@@ -84,7 +72,6 @@ fn limit_in_global_initializer_is_cleaned_up_and_poisons_the_runner() {
 
 #[test]
 fn hostile_loop_returns_typed_fuel_error_from_runner() {
-    let _g = ENV_LOCK.lock().unwrap();
     let app = Ompicc::new(work("fuel")).compile(HOSTILE_LOOP).unwrap();
     let obs = obs::Obs::enabled();
     let cfg = RunnerConfig { fuel: Some(50_000), obs: Some(obs.clone()), ..Default::default() };
@@ -102,7 +89,6 @@ fn hostile_loop_returns_typed_fuel_error_from_runner() {
 
 #[test]
 fn unbounded_alloc_returns_typed_mem_error_from_runner() {
-    let _g = ENV_LOCK.lock().unwrap();
     let src = r#"
 int main() {
     while (1) { void* p = malloc(65536); }
@@ -123,7 +109,6 @@ int main() {
 
 #[test]
 fn job_deadline_returns_typed_error_from_runner() {
-    let _g = ENV_LOCK.lock().unwrap();
     let src = "int main() { while (1); return 0; }";
     let app = Ompicc::new(work("deadline")).compile(src).unwrap();
     let obs = obs::Obs::enabled();
@@ -145,32 +130,6 @@ fn job_deadline_returns_typed_error_from_runner() {
     assert!(!runner.device_broken());
 }
 
-/// The `OMPI_GUEST_FUEL` env var configures the same governor for runs
-/// that never touch `RunnerConfig` (fig4, external harnesses).
-#[test]
-fn env_var_configures_fuel_budget() {
-    let _g = ENV_LOCK.lock().unwrap();
-    let app = Ompicc::new(work("env")).compile(HOSTILE_LOOP).unwrap();
-    std::env::set_var("OMPI_GUEST_FUEL", "30000");
-    let runner = Runner::new(&app, &RunnerConfig::default());
-    std::env::remove_var("OMPI_GUEST_FUEL");
-    let err = runner.unwrap().run_main().expect_err("env-configured budget must apply");
-    assert_eq!(err.to_string(), "guest limit: guest fuel exhausted (budget 30000 instructions)");
-}
-
-/// A malformed limit env var is a typed construction error, not a silent
-/// unlimited run.
-#[test]
-fn malformed_limit_env_is_a_construction_error() {
-    let _g = ENV_LOCK.lock().unwrap();
-    let app = Ompicc::new(work("badenv")).compile("int main() { return 0; }").unwrap();
-    std::env::set_var("OMPI_GUEST_FUEL", "lots");
-    let r = Runner::new(&app, &RunnerConfig::default());
-    std::env::remove_var("OMPI_GUEST_FUEL");
-    let e = r.err().expect("a bad budget must not be ignored").to_string();
-    assert!(e.contains("OMPI_GUEST_FUEL"), "error must name the variable, got: {e}");
-}
-
 /// Limits above real usage are invisible: a governed run is bit-identical
 /// to an ungoverned one, on both engines. (The six-app sweep lives in
 /// `vm_differential.rs`; gemm here proves the governor doesn't perturb
@@ -180,7 +139,6 @@ fn generous_limits_do_not_perturb_results() {
     use minic::walker::TreeWalker;
     use ompi_nano::unibench::{app_by_name, compile_omp, run_entry, run_once, runner_config};
 
-    let _g = ENV_LOCK.lock().unwrap();
     let app = app_by_name("gemm").unwrap();
     let n = app.test_size;
     let compiled = compile_omp(&app, &work("parity"));

@@ -1,7 +1,7 @@
 //! Observability integration tests: the Chrome-trace export of a
 //! two-device run with injected faults (retry spans nested under launches,
-//! fallback attributed to the host process), the per-device profile table,
-//! and the `OMPI_TRACE` environment-variable path.
+//! fallback attributed to the host process) and the per-device profile
+//! table.
 
 use std::sync::Arc;
 
@@ -222,30 +222,4 @@ fn profile_rows_sum_to_device_clock_totals() {
     for label in ["dev0", "dev1", "host"] {
         assert!(table.contains(label), "profile table missing `{label}`:\n{table}");
     }
-}
-
-/// `OMPI_TRACE=path` (no explicit sink) makes the runner write the trace
-/// on drop. Serial with respect to the other tests in this binary: they
-/// all pass explicit sinks, which ignore the environment.
-#[test]
-fn ompi_trace_env_var_writes_trace_on_drop() {
-    let path = std::env::temp_dir().join(format!("ompinano-trace-env-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    std::env::set_var("OMPI_TRACE", &path);
-    let app = compile("envvar");
-    {
-        let runner = Runner::new(&app, &RunnerConfig::default()).unwrap();
-        assert_eq!(runner.run_main().unwrap(), Value::I32(0));
-        // Trace written on drop.
-    }
-    std::env::remove_var("OMPI_TRACE");
-
-    let text = std::fs::read_to_string(&path).expect("runner drop must write OMPI_TRACE file");
-    let _ = std::fs::remove_file(&path);
-    let parsed = obs::json::parse(&text).expect("env-var trace must be valid JSON");
-    let arr = parsed.as_array().unwrap();
-    assert!(
-        arr.iter().any(|e| e.get("ph").and_then(|p| p.as_str()) == Some("X")),
-        "trace from a real run must contain complete events"
-    );
 }
