@@ -134,6 +134,8 @@ pub struct DeviceStats {
     pub blocks_total: u64,
     pub lane_insts: u64,
     pub mem_transactions: u64,
+    /// Branches at which the active lanes split both ways.
+    pub divergent_branches: u64,
     pub bytes_h2d: u64,
     pub bytes_d2h: u64,
     /// Total simulated busy time (seconds) across launches and copies.

@@ -282,6 +282,7 @@ impl Program {
             st.blocks_simulated += a.executed;
             st.lane_insts += a.lane_insts;
             st.mem_transactions += a.transactions;
+            st.divergent_branches += a.divergent;
             st.busy_time_s += time_s;
         }
 

@@ -28,7 +28,23 @@
 //!   replaces: its `issue` and `lat` are the sums of the replaced ops', and
 //!   its [`WarpOp::count`] of instructions multiplies `lane_insts`. The
 //!   temporaries are not written at all. None of the replaced ops can trap,
-//!   so a fault of the access reports as it did.
+//!   so a fault of the access reports as it did. Three more folds of
+//!   nvccsim's bookkeeping follow the same rules (one-use temporaries,
+//!   adjacent ops, summed bills, temporaries never written):
+//!   - **Loop exits.** `[setp.cc t1, a, b;] [not.i32 t2, t1;] if t { break |
+//!     continue }`, with no else and inside a loop, is one [`Op::Leave`]: it
+//!     computes the exit mask from the comparison (or the row), ORs it into
+//!     the loop's `break`/`continue` mask, and charges the `if`'s cost and
+//!     divergence as an `If` would. It pushes no control entry. Any `if`
+//!     whose only statement is a `break`/`continue` takes the `if` part.
+//!   - **Results.** `op t, …; mov x, t` is `op x, …` when `op` is a `mov`,
+//!     `un`, `cvt` or a `bin` that cannot trap (`x` may be an operand of
+//!     `op`: the ALU reads a copy of its destination row). An op that may
+//!     trap (integer `div`/`rem`, an `ld`) keeps its `mov`, so that a trap
+//!     bills exactly the ops before it.
+//!   - **Constants.** `mov t, const` (often a folded `cvt` of a literal)
+//!     right before the `bin`/`un` that reads `t` becomes its constant
+//!     operand.
 //! * **Control flow** becomes branch targets over the warp's mask stack:
 //!   `If`/`Else`/`EndIf`, `Loop`/`LoopEnd`, and `Break`/`Continue` that know
 //!   how many `if`s lie between them and their loop. A `break` or
@@ -65,6 +81,16 @@ pub(crate) enum Addr {
     /// sign-extended from its low 32 bits first when `sext`: an address
     /// chain fused into its access.
     Index { base: Src, idx: Src, sext: bool, scale: i64 },
+}
+
+/// The test of a folded loop exit ([`Op::Leave`]), true in a lane where the
+/// low 32 bits of its value are non-zero.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Cond {
+    /// A row, as an `if` reads it.
+    Row(Src),
+    /// `setp.op.ty a, b`, computed without writing its row.
+    Cmp { ty: ScalarTy, op: BinOp, a: Src, b: Src },
 }
 
 /// What one op does. Register destinations are row offsets, like
@@ -161,6 +187,15 @@ pub(crate) enum Op {
         up: u32,
     },
     Continue {
+        up: u32,
+    },
+    /// `if cond { break }` (`continue` when `cont`) with no else, inside a
+    /// loop: the lanes where `cond` holds (fails, when `negate`) leave the
+    /// loop `up` `if`s out and the rest go on. No control entry is pushed.
+    Leave {
+        cond: Cond,
+        negate: bool,
+        cont: bool,
         up: u32,
     },
     /// A `break`/`continue` with no loop around it.
@@ -375,6 +410,16 @@ struct Bill {
     count: u32,
 }
 
+impl Bill {
+    fn add(self, op: &WarpOp) -> Bill {
+        Bill {
+            issue: self.issue + op.issue as u64,
+            lat: self.lat + op.lat as u64,
+            count: self.count + op.count,
+        }
+    }
+}
+
 #[derive(Default)]
 struct Lower {
     ops: Vec<WarpOp>,
@@ -396,6 +441,88 @@ impl Lower {
         let (issue, lat) = ((issue + fused.issue) as u32, (lat + fused.lat) as u32);
         self.ops.push(WarpOp { issue, lat, count: 1 + fused.count, op });
         self.ops.len() as u32 - 1
+    }
+
+    /// The last op pushed, when it writes row `t` and `t` is a register
+    /// written once and read once in the function: so its one reader is
+    /// the op being lowered.
+    fn producer(&self, t: Src) -> Option<&Op> {
+        let op = &self.ops.last()?.op;
+        let (Op::Mov { dst, .. } | Op::Bin { dst, .. } | Op::Un { dst, .. } | Op::Cvt { dst, .. }) =
+            *op
+        else {
+            return None;
+        };
+        (Src::Reg(dst) == t && self.uses.once(t)).then_some(op)
+    }
+
+    /// Pop the last op, adding what it billed to `bill`.
+    fn pop_into(&mut self, bill: &mut Bill) {
+        let op = self.ops.pop().expect("an op to fold");
+        *bill = bill.add(&op);
+    }
+
+    /// `mov x, t` right after the `mov`/`bin`/`un`/`cvt` that writes `t`,
+    /// `t` written and read once: that op writes `x` instead and bills the
+    /// `mov`. A `bin` that may trap keeps its `mov` (as does an `ld`, never
+    /// a producer), so a trap still bills exactly the ops before it.
+    fn forward(&mut self, x: u32, t: Src, (issue, lat): (u64, u64)) -> bool {
+        match self.producer(t) {
+            Some(&Op::Bin { ty, op, .. }) if alu::bin_may_trap(ty, op) => return false,
+            Some(_) => {}
+            None => return false,
+        }
+        let last = self.ops.last_mut().expect("the producer");
+        if let Op::Mov { dst, .. }
+        | Op::Bin { dst, .. }
+        | Op::Un { dst, .. }
+        | Op::Cvt { dst, .. } = &mut last.op
+        {
+            *dst = x;
+        }
+        last.issue += issue as u32;
+        last.lat += lat as u32;
+        last.count += 1;
+        true
+    }
+
+    /// An operand that is the one reader of `mov t, const` right before
+    /// it: the constant, with the `mov` popped and billed to `bill`.
+    fn fold_const(&mut self, s: Src, bill: &mut Bill) -> Src {
+        match self.producer(s) {
+            Some(&Op::Mov { src: c @ Src::Const(_), .. }) => {
+                self.pop_into(bill);
+                c
+            }
+            _ => s,
+        }
+    }
+
+    /// `[setp.cc t1, a, b;] [not.i32 t2, t1;] if t { break | continue }`,
+    /// each `t` written and read once: one [`Op::Leave`] that bills the
+    /// `if`'s cost and the folded ops.
+    fn leave(&mut self, cond: &Operand, cont: bool, up: u32) {
+        let mut bill = Bill { issue: BRANCH_COST.0, lat: BRANCH_COST.1, count: 0 };
+        let mut row = self.src(cond);
+        let mut negate = false;
+        if let Some(&Op::Un { ty: ScalarTy::I32, op: UnOp::Not, a, .. }) = self.producer(row) {
+            self.pop_into(&mut bill);
+            (row, negate) = (a, true);
+        }
+        let mut cond = Cond::Row(row);
+        if let Some(&Op::Bin { ty, op, a, b, .. }) = self.producer(row) {
+            if op.is_comparison() {
+                self.pop_into(&mut bill);
+                cond = Cond::Cmp { ty, op, a, b };
+            }
+        }
+        let op = Op::Leave { cond, negate, cont, up };
+        self.ops.push(WarpOp {
+            issue: bill.issue as u32,
+            lat: bill.lat as u32,
+            count: bill.count,
+            op,
+        });
     }
 
     /// The addresses of an `ld`/`st`, fusing in the address chain right
@@ -438,11 +565,7 @@ impl Lower {
             }
             _ => (x, false, 2),
         };
-        let bill = self.ops.drain(n - len..).fold(Bill::default(), |b, op| Bill {
-            issue: b.issue + op.issue as u64,
-            lat: b.lat + op.lat as u64,
-            count: b.count + op.count,
-        });
+        let bill = self.ops.drain(n - len..).fold(Bill::default(), |b, op| b.add(&op));
         Some((Addr::Index { base, idx, sext, scale }, bill))
     }
 
@@ -487,6 +610,12 @@ impl Lower {
             match n {
                 Node::Inst(i) => self.inst(i),
                 Node::If { cond, then_b, else_b } => {
+                    if let (Some(up), [exit @ (Node::Break | Node::Continue)], []) =
+                        (self.loop_depth(), &then_b[..], &else_b[..])
+                    {
+                        self.leave(cond, matches!(exit, Node::Continue), up);
+                        continue;
+                    }
                     let cond = self.src(cond);
                     let at = self.push(BRANCH_COST, Op::If { cond, else_pc: 0 });
                     self.nest.push(false);
@@ -530,17 +659,23 @@ impl Lower {
     }
 
     fn inst(&mut self, i: &Inst) {
+        let mut consts = Bill::default();
         let op = match i {
-            Inst::Mov { dst, src } => Op::Mov { dst: row(*dst), src: self.src(src) },
-            Inst::Bin { ty, op, dst, a, b } => Op::Bin {
-                ty: *ty,
-                op: *op,
-                dst: row(*dst),
-                a: self.src_as(a, *ty),
-                b: self.src_as(b, *ty),
-            },
+            Inst::Mov { dst, src } => {
+                let src = self.src(src);
+                if self.forward(row(*dst), src, timing::inst_cost(i)) {
+                    return;
+                }
+                Op::Mov { dst: row(*dst), src }
+            }
+            Inst::Bin { ty, op, dst, a, b } => {
+                let (a, b) = (self.src_as(a, *ty), self.src_as(b, *ty));
+                let (a, b) = (self.fold_const(a, &mut consts), self.fold_const(b, &mut consts));
+                Op::Bin { ty: *ty, op: *op, dst: row(*dst), a, b }
+            }
             Inst::Un { ty, op, dst, a } => {
-                Op::Un { ty: *ty, op: *op, dst: row(*dst), a: self.src_as(a, *ty) }
+                let a = self.src_as(a, *ty);
+                Op::Un { ty: *ty, op: *op, dst: row(*dst), a: self.fold_const(a, &mut consts) }
             }
             Inst::Cvt { to, from, dst, src } => {
                 let folded = match src {
@@ -595,6 +730,6 @@ impl Lower {
             Inst::Ret { val } => Op::Ret { val: val.as_ref().map(|v| self.src(v)) },
             Inst::Trap { msg } => Op::Trap { msg: msg.as_str().into() },
         };
-        self.push(timing::inst_cost(i), op);
+        self.push_billed(timing::inst_cost(i), consts, op);
     }
 }

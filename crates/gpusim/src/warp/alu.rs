@@ -167,6 +167,16 @@ pub(super) fn bin(
     Ok(())
 }
 
+/// Can [`bin`] trap on this `(type, op)`? Integer `div`/`rem` (a zero
+/// divisor) and the bitwise ops on floats can.
+pub(crate) fn bin_may_trap(ty: ScalarTy, op: BinOp) -> bool {
+    use BinOp::*;
+    match ty {
+        ScalarTy::I32 | ScalarTy::I64 => matches!(op, Div | Rem),
+        ScalarTy::F32 | ScalarTy::F64 => matches!(op, And | Or | Xor | Shl | Shr),
+    }
+}
+
 macro_rules! int_un {
     ($t:ty, $u:ty, $op:expr, $out:expr, $a:expr, $mask:expr) => {{
         let d = |x: u64| x as $u as $t;

@@ -261,22 +261,24 @@ impl<'a> Warp<'a> {
     }
 
     /// `addr + offset` in every lane (wrapping: an inactive lane may hold
-    /// anything).
+    /// anything). A power-of-two scale is a shift: the build's baseline
+    /// x86-64 has no 64-bit lane multiply, so a multiply walks the lanes.
     #[inline(always)]
-    fn lane_addrs(&self, f: &Func, addr: Addr, offset: i64) -> LaneVec {
-        let at = |base: u64, idx: i64, scale: i64| {
-            (base as i64).wrapping_add(idx.wrapping_mul(scale)).wrapping_add(offset) as u64
+    pub(super) fn lane_addrs(&self, f: &Func, addr: Addr, offset: i64) -> LaneVec {
+        let (base, idx, sext, scale) = match addr {
+            Addr::Row(a) => return self.read(f, a).map(|a| a.wrapping_add(offset as u64)),
+            Addr::Index { base, idx, sext, scale } => (base, idx, sext, scale),
         };
-        match addr {
-            Addr::Row(a) => self.read(f, a).map(|a| at(a, 0, 0)),
-            Addr::Index { base, idx, sext: true, scale } => {
-                let (b, x) = (self.read(f, base), self.read(f, idx));
-                std::array::from_fn(|l| at(b[l], x[l] as u32 as i32 as i64, scale))
-            }
-            Addr::Index { base, idx, sext: false, scale } => {
-                let (b, x) = (self.read(f, base), self.read(f, idx));
-                std::array::from_fn(|l| at(b[l], x[l] as i64, scale))
-            }
+        let (b, x) = (self.read(f, base), self.read(f, idx));
+        let at =
+            |l: usize, scaled: i64| (b[l] as i64).wrapping_add(scaled).wrapping_add(offset) as u64;
+        let sx = |v: u64| v as u32 as i32 as i64;
+        let k = scale.trailing_zeros();
+        match (sext, scale > 0 && scale & (scale - 1) == 0) {
+            (true, true) => std::array::from_fn(|l| at(l, sx(x[l]) << k)),
+            (false, true) => std::array::from_fn(|l| at(l, (x[l] as i64) << k)),
+            (true, false) => std::array::from_fn(|l| at(l, sx(x[l]).wrapping_mul(scale))),
+            (false, false) => std::array::from_fn(|l| at(l, (x[l] as i64).wrapping_mul(scale))),
         }
     }
 

@@ -21,12 +21,17 @@
 //! destination row under the mask ([`alu`]), so inactive lanes keep their
 //! bits. `mov`, `bin`, `un`, `cvt`, the `if` condition and the address/value
 //! side of `ld`/`st` all run this way; an address chain fused into its
-//! access ([`crate::program`]) is one such loop. `issue`/`clock` are charged
-//! once per op from the costs stored on it, and `lane_insts` grows by the
-//! mask's population count times the instructions the op stands for.
-//! Memory is warp-wide where its address row allows ([`mem`]): every active
-//! lane at one address is one access, and a full warp at a constant positive
-//! stride is one bounds-and-alignment check for all 32 lanes.
+//! access ([`crate::program`]) is one such loop, a shift when its scale is a
+//! power of two. The lowering folds nvccsim's loop tests (`setp`, `not`,
+//! `if`, `break` and the `if`'s end: one [`Op::Leave`] that turns the
+//! comparison into the exit mask), its `op t; mov x, t` assignments and its
+//! one-use constants into the ops they feed, so each dispatch does more of
+//! the warp's work. `issue`/`clock` are charged once per op from the costs
+//! stored on it, and `lane_insts` grows by the mask's population count
+//! times the instructions the op stands for. Memory is warp-wide where its
+//! address row allows ([`mem`]): every active lane at one address is one
+//! access, and a full warp at a constant positive stride is one
+//! bounds-and-alignment check for all 32 lanes.
 //!
 //! **What stays lane-ordered, and why.** Wherever the order of lanes is
 //! observable the interpreter walks the active lanes lowest first: every
@@ -59,7 +64,7 @@ use std::sync::atomic::AtomicU64;
 use vmcommon::MemArena;
 
 use crate::device::{Device, ExecError};
-use crate::program::{Func, Op, Program, Src, WarpOp};
+use crate::program::{Cond, Func, Op, Program, Src, WarpOp};
 use crate::timing;
 
 /// One value per lane.
@@ -616,7 +621,33 @@ impl<'a> Warp<'a> {
                     *self.loop_masks(up).1 |= mask;
                     mask = 0;
                 }
+                Op::Leave { cond, negate, cont, up } => {
+                    let leave =
+                        (self.cond_mask(f, cond) ^ if negate { u32::MAX } else { 0 }) & mask;
+                    let stay = mask & !leave;
+                    if leave != 0 && stay != 0 {
+                        self.stats.divergent_branches += 1;
+                        self.clock += timing::DIVERGENCE_LAT;
+                    }
+                    self.charge(op, mask);
+                    let (brk, conts) = self.loop_masks(up);
+                    *if cont { conts } else { brk } |= leave;
+                    mask = stay;
+                }
                 Op::Stray { msg } => return Err(ExecError::Trap(msg.into())),
+            }
+        }
+    }
+
+    /// The lanes where the test of an [`Op::Leave`] is true.
+    fn cond_mask(&self, f: &Func, cond: Cond) -> u32 {
+        match cond {
+            Cond::Row(s) => alu::nonzero_mask(self.read(f, s)),
+            Cond::Cmp { ty, op, a, b } => {
+                let mut t = [0; 32];
+                alu::bin(ty, op, &mut t, self.read(f, a), self.read(f, b), u32::MAX)
+                    .expect("a comparison cannot trap");
+                alu::nonzero_mask(&t)
             }
         }
     }

@@ -4,21 +4,24 @@
 //! executor, kept as the oracle for control flow and fusion: every straight-line
 //! instruction runs through the per-op path (lowered on its own), so the two
 //! can differ only in how `if`, `loop`, `break`, `continue`, `ret` and the
-//! mask are handled — and in the address chains that the lowering fuses
-//! into their loads and stores and the tree walk runs op by op. A seeded
-//! generator builds kernels of nested `if`/else and counter-bounded loops
-//! with `break`/`continue` at any depth, `ret` inside loops, lane-divergent
-//! conditions and address chains, fusable or not; each runs both ways from
-//! identical warps under several masks, and registers, memory, return
-//! values, `issue`, `clock`, `lane_insts`, `divergent_branches` and the
-//! result (a fault included) must agree.
+//! mask are handled — and in the ops that the lowering folds together and
+//! the tree walk runs one by one: address chains fused into their loads and
+//! stores, loop-exit tests, results forwarded past a `mov`, and constants
+//! forwarded into their reader. A seeded generator builds kernels of nested
+//! `if`/else and counter-bounded loops with `break`/`continue` at any depth,
+//! `ret` inside loops, lane-divergent conditions, and each of those shapes
+//! as nvccsim emits it, foldable or not; each runs both ways from identical
+//! warps under several masks, and registers (but the one-use temporaries a
+//! fold never writes), memory, return values, `issue`, `clock`,
+//! `lane_insts`, `divergent_branches` and the result (a fault included)
+//! must agree.
 
-use sptx::{BinOp, CvtTy, Inst, MemTy, Node, Operand, Reg, ScalarTy, SpecialReg};
+use sptx::{BinOp, CvtTy, Inst, MemTy, Node, Operand, Reg, ScalarTy, SpecialReg, UnOp};
 use vmcommon::addr;
 
 use super::super::*;
 use super::{lowered, operand, reg_mut, run_body, warp, with_env};
-use crate::program::Addr;
+use crate::program::{Addr, Cond};
 
 /// The structured tree with each instruction lowered once.
 enum Tree {
@@ -123,7 +126,10 @@ fn exec_nodes(
 
 /// Registers of a generated kernel: four data registers, the store address
 /// row, one loop counter per loop depth, condition temporaries, the buffer's
-/// base in every lane, and the temporaries of [`CHAINS`] address chains.
+/// base in every lane, and from [`CHAIN0`] on the one-use temporaries of the
+/// foldable shapes: [`CHAINS`] address chains, then [`SETS`] loop tests,
+/// forwarded results and forwarded constants each. A later shape of a kind
+/// reuses the first one's, which writes each twice and keeps it unfolded.
 const DATA: u32 = 4;
 const ADDR: Reg = Reg(4);
 const COUNTER0: u32 = 5;
@@ -132,27 +138,52 @@ const TEMP0: u32 = COUNTER0 + MAX_LOOPS;
 const TEMPS: u32 = 2;
 const BASE: Reg = Reg(TEMP0 + TEMPS);
 const CHAIN0: u32 = BASE.0 + 1;
-/// Chains with temporaries of their own; later ones reuse them, which
-/// writes each twice and keeps those chains unfused.
 const CHAINS: u32 = 4;
-const REGS: usize = (CHAIN0 + 3 * CHAINS) as usize;
+const SETS: u32 = 4;
+/// Loop tests: `setp t1; not t2, t1`.
+const TEST0: u32 = CHAIN0 + 3 * CHAINS;
+/// `op t; mov x, t`.
+const FWD0: u32 = TEST0 + 2 * SETS;
+/// `mov t, const; op x, …, t`.
+const CONST0: u32 = FWD0 + SETS;
+const REGS: usize = (CONST0 + SETS) as usize;
 const MAX_DEPTH: u32 = 4;
 /// Store sites per kernel; each site is a 32-lane row of words.
 const SITES: u32 = 48;
 
 /// A seeded xorshift generator of structured kernels.
+#[derive(Default)]
 struct Gen {
     x: u64,
     /// Statements left to emit.
     budget: u32,
     site: u32,
-    /// Address chains emitted.
+    /// Shapes emitted: address chains, loop tests, forwarded results and
+    /// forwarded constants.
     chains: u32,
+    tests: u32,
+    fwds: u32,
+    consts: u32,
 }
 
 impl Gen {
     fn new(seed: u64) -> Gen {
-        Gen { x: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1, budget: 24, site: 0, chains: 0 }
+        Gen { x: seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1, budget: 24, ..Gen::default() }
+    }
+
+    /// A kernel: a block, then a store of every data register, so that no
+    /// data register is a one-use temporary a fold may leave unwritten.
+    fn kernel(&mut self) -> Vec<Node> {
+        let mut body = self.block(0, 0);
+        for r in 0..DATA {
+            body.push(Node::Inst(Inst::St {
+                ty: MemTy::B32,
+                src: Operand::Reg(Reg(r)),
+                addr: Operand::Reg(ADDR),
+                offset: (SITES - 1 - r) as i64 * 128,
+            }));
+        }
+        body
     }
 
     fn next(&mut self) -> u64 {
@@ -347,8 +378,9 @@ impl Gen {
         out
     }
 
-    /// `ctr = 0; loop { ctr += 1; if ctr + (lane & k) > bound { break } … }`:
-    /// lanes leave after different trip counts, and `continue` still counts.
+    /// `ctr = 0; loop { ctr += 1; if ctr + (lane & k) > bound { break } … }`,
+    /// sometimes with a `continue` test after the `break`'s: lanes leave
+    /// after different trip counts, and `continue` still counts.
     fn loop_node(&mut self, depth: u32, loops: u32) -> Vec<Node> {
         let ctr = Reg(COUNTER0 + loops);
         let t = self.temp();
@@ -362,11 +394,143 @@ impl Gen {
                 Operand::ImmI(self.below(4) as i64),
             ),
             bin(BinOp::Add, t, Operand::Reg(t), Operand::Reg(ctr)),
-            bin(BinOp::SetGt, t, Operand::Reg(t), Operand::ImmI(1 + self.below(3) as i64)),
-            Node::If { cond: Operand::Reg(t), then_b: vec![Node::Break], else_b: vec![] },
         ];
+        let bound = 1 + self.below(3) as i64;
+        body.extend(self.exit_test(t, bound, Node::Break));
+        if self.chance(30) {
+            let lower = bound - 1 - self.below(2) as i64;
+            body.extend(self.exit_test(t, lower, Node::Continue));
+        }
         body.extend(self.block(depth + 1, loops + 1));
         vec![Node::Inst(Inst::Mov { dst: ctr, src: Operand::ImmI(0) }), Node::Loop { body }]
+    }
+
+    /// `if t > bound { exit }` as nvccsim emits a loop test, `setp.le t1, t,
+    /// bound; not.i32 t2, t1; if t2 { exit }`, or without the `not`, or with
+    /// the `setp` into `t` itself (written again, so not folded). The
+    /// lowering folds it into one op, unless the `if` has an else, the exit
+    /// sits in a second `if` (which folds on its own), another op sits
+    /// between two links, or a temporary is read again.
+    fn exit_test(&mut self, t: Reg, bound: i64, exit: Node) -> Vec<Node> {
+        let temps = [TEST0 + 2 * (self.tests % SETS), TEST0 + 2 * (self.tests % SETS) + 1];
+        let [t1, t2] = temps.map(Reg);
+        self.tests += 1;
+        let setp = |op, dst| {
+            let (a, b) = (Operand::Reg(t), Operand::ImmI(bound));
+            Node::Inst(Inst::Bin { ty: ScalarTy::I32, op, dst, a, b })
+        };
+        let not = |dst, a| Node::Inst(Inst::Un { ty: ScalarTy::I32, op: UnOp::Not, dst, a });
+        let (mut out, cond) = match self.below(3) {
+            0 => (vec![setp(BinOp::SetLe, t1), not(t2, Operand::Reg(t1))], t2),
+            1 => (vec![setp(BinOp::SetGt, t1)], t1),
+            _ => (vec![setp(BinOp::SetLe, t), not(t2, Operand::Reg(t))], t2),
+        };
+        let (mut then_b, mut else_b) = (vec![exit], vec![]);
+        match self.below(10) {
+            0 => else_b.push(self.alu()),
+            // Every lane passes a `break`'s second `if`, so each loop ends.
+            1 => {
+                let cond = match then_b[0] {
+                    Node::Break => Operand::ImmI(1),
+                    _ => Operand::Special(SpecialReg::LaneId),
+                };
+                then_b = vec![Node::If { cond, then_b, else_b: vec![] }];
+            }
+            2 => {
+                let at = self.below(out.len() as u64) as usize;
+                out.insert(at, self.alu());
+            }
+            3 => then_b.insert(0, self.alu()),
+            _ => {}
+        }
+        out.push(Node::If { cond: Operand::Reg(cond), then_b, else_b });
+        if self.chance(10) {
+            let a = Operand::Reg(Reg(temps[self.below(2) as usize]));
+            let dst = self.data();
+            out.push(Node::Inst(Inst::Bin { ty: ScalarTy::I32, op: BinOp::Add, dst, a, b: a }));
+        }
+        out
+    }
+
+    /// `op t, …; mov x, t`, nvccsim's assignment through a temporary, `x`
+    /// often an operand of `op`: the `mov` is forwarded into `op` unless
+    /// `op` may trap (a `div`, by zero now and then, or an `ld`), another op
+    /// sits between the two, or `t` is read or written again.
+    fn forward(&mut self) -> Vec<Node> {
+        let t = Reg(FWD0 + self.fwds % SETS);
+        self.fwds += 1;
+        let x = self.data();
+        let a = if self.chance(50) { Operand::Reg(x) } else { self.operand() };
+        let op = match self.below(8) {
+            0 => Inst::Mov { dst: t, src: a },
+            1 => {
+                let op = [UnOp::Neg, UnOp::Not, UnOp::BitNot][self.below(3) as usize];
+                Inst::Un { ty: ScalarTy::I32, op, dst: t, a }
+            }
+            2 => Inst::Cvt { to: CvtTy::I64, from: CvtTy::I32, dst: t, src: a },
+            3 => Inst::Bin { ty: ScalarTy::F32, op: BinOp::Mul, dst: t, a, b: Operand::ImmF(1.5) },
+            4 => {
+                let b = Operand::ImmI(self.below(8) as i64 - 1);
+                Inst::Bin { ty: ScalarTy::I32, op: BinOp::Div, dst: t, a, b }
+            }
+            5 => {
+                let offset = (self.below(SITES as u64) * 128) as i64;
+                Inst::Ld { ty: MemTy::B32, dst: t, addr: Operand::Reg(ADDR), offset }
+            }
+            _ => {
+                let op = [BinOp::Add, BinOp::Sub, BinOp::Xor][self.below(3) as usize];
+                Inst::Bin { ty: ScalarTy::I32, op, dst: t, a, b: self.operand() }
+            }
+        };
+        let mut out = vec![Node::Inst(op)];
+        if self.chance(15) {
+            out.push(self.alu());
+        }
+        out.push(Node::Inst(Inst::Mov { dst: x, src: Operand::Reg(t) }));
+        if self.chance(10) {
+            let dst = self.data();
+            let b = Operand::ImmI(1);
+            out.push(Node::Inst(Inst::Bin {
+                ty: ScalarTy::I32,
+                op: BinOp::Add,
+                dst,
+                a: Operand::Reg(t),
+                b,
+            }));
+        }
+        out
+    }
+
+    /// `mov t, const` (a `cvt` of a literal, folded) and the op that reads
+    /// `t`: the constant becomes that op's operand when the op is a `bin` or
+    /// `un` reading `t` once right after it.
+    fn constant(&mut self) -> Vec<Node> {
+        let t = Reg(CONST0 + self.consts % SETS);
+        self.consts += 1;
+        let (ty, def) = if self.chance(50) {
+            let src = Operand::ImmF([2123.0, 0.5, -3.25][self.below(3) as usize]);
+            (ScalarTy::F32, Inst::Cvt { to: CvtTy::F32, from: CvtTy::F64, dst: t, src })
+        } else {
+            (ScalarTy::I32, Inst::Mov { dst: t, src: Operand::ImmI(self.below(9) as i64 - 4) })
+        };
+        let (x, tr) = (self.data(), Operand::Reg(t));
+        let reader = match self.below(8) {
+            0 => Inst::Un { ty, op: UnOp::Neg, dst: x, a: tr },
+            1 => Inst::St { ty: MemTy::B32, src: tr, addr: Operand::Reg(ADDR), offset: 128 },
+            2 => Inst::Bin { ty, op: BinOp::Add, dst: x, a: tr, b: tr },
+            _ => {
+                let op = [BinOp::Mul, BinOp::Add, BinOp::Sub][self.below(3) as usize];
+                let (a, b) =
+                    if self.chance(50) { (Operand::Reg(x), tr) } else { (tr, Operand::Reg(x)) };
+                Inst::Bin { ty, op, dst: x, a, b }
+            }
+        };
+        let mut out = vec![Node::Inst(def)];
+        if self.chance(15) {
+            out.push(self.alu());
+        }
+        out.push(Node::Inst(reader));
+        out
     }
 
     fn block(&mut self, depth: u32, loops: u32) -> Vec<Node> {
@@ -376,7 +540,7 @@ impl Gen {
                 break;
             }
             self.budget -= 1;
-            match self.below(12) {
+            match self.below(14) {
                 0..=2 if depth < MAX_DEPTH => out.extend(self.if_node(depth, loops)),
                 3 | 4 if depth < MAX_DEPTH && loops < MAX_LOOPS => {
                     out.extend(self.loop_node(depth, loops))
@@ -390,6 +554,8 @@ impl Gen {
                     out.push(Node::Inst(Inst::Ret { val }));
                 }
                 7 | 8 => out.extend(self.chain()),
+                9 => out.extend(self.forward()),
+                10 => out.extend(self.constant()),
                 _ => out.push(self.alu()),
             }
         }
@@ -434,7 +600,7 @@ fn observe<'a>(
     let result = engine(&mut w).map_err(|e| e.to_string());
     let mut mem = vec![0u8; BUF_BYTES as usize];
     env.device.global.read_bytes(addr::offset(buf), &mut mem).unwrap();
-    // A fused chain never writes its temporaries, which nothing else reads.
+    // A fold never writes its one-use temporaries, which nothing else reads.
     let mut regs = w.regs.clone();
     regs[CHAIN0 as usize * 32..].fill(0);
     Outcome {
@@ -449,20 +615,71 @@ fn observe<'a>(
     }
 }
 
+/// The register row `op` writes, if any.
+fn dst_row(op: &Op) -> Option<u32> {
+    match *op {
+        Op::Mov { dst, .. }
+        | Op::Bin { dst, .. }
+        | Op::Un { dst, .. }
+        | Op::Cvt { dst, .. }
+        | Op::Ld { dst, .. }
+        | Op::AtomCas { dst, .. }
+        | Op::Atom { dst, .. } => Some(dst),
+        _ => None,
+    }
+}
+
+/// How many of `body`'s instructions write a register in `regs`, and how
+/// many of `f`'s ops still do.
+fn writes_into(body: &[Node], f: &Func, regs: std::ops::Range<u32>) -> (u32, u32) {
+    let mut emitted = 0;
+    sptx::visit_insts(body, &mut |i| {
+        let dst = match i {
+            Inst::Mov { dst, .. }
+            | Inst::Bin { dst, .. }
+            | Inst::Un { dst, .. }
+            | Inst::Cvt { dst, .. }
+            | Inst::Ld { dst, .. } => Some(dst.0),
+            _ => None,
+        };
+        emitted += dst.is_some_and(|d| regs.contains(&d)) as u32;
+    });
+    let left = f.ops.iter().filter_map(|op| dst_row(&op.op)).filter(|r| regs.contains(&(r / 32)));
+    (emitted, left.count() as u32)
+}
+
 #[test]
 fn lowered_control_flow_matches_the_tree_walk() {
     const FLOW_MASKS: [u32; 5] = [u32::MAX, 0x1, 0x8000_0001, 0x5555_5555, 0xF_FFFF];
     let (mut divergent, mut traps, mut all_left) = (0, 0, 0);
     let (mut chains, mut fused) = (0, 0);
+    // Per fold kind, the writes of its temporaries emitted and left.
+    let kinds =
+        [("loop test", TEST0..FWD0), ("result", FWD0..CONST0), ("constant", CONST0..REGS as u32)];
+    let mut folded = [(0, 0); 3];
     with_env(sptx::Module::default(), |env| {
         let buf = env.device.mem_alloc(BUF_BYTES).unwrap();
         for seed in 0..2000 {
             let mut gen = Gen::new(seed);
-            let body = gen.block(0, 0);
+            let body = gen.kernel();
             let oracle = tree(&body);
-            let flat = lowered(body);
+            let flat = lowered(body.clone());
             chains += gen.chains;
-            fused += flat.ops.iter().filter(|op| op.count > 1).count() as u32;
+            fused += flat
+                .ops
+                .iter()
+                .filter(|op| {
+                    matches!(
+                        op.op,
+                        Op::Ld { addr: Addr::Index { .. }, .. }
+                            | Op::St { addr: Addr::Index { .. }, .. }
+                    )
+                })
+                .count() as u32;
+            for (n, (_, regs)) in folded.iter_mut().zip(&kinds) {
+                let (emitted, left) = writes_into(&body, &flat, regs.clone());
+                *n = (n.0 + emitted, n.1 + left);
+            }
             for mask in FLOW_MASKS {
                 let want =
                     observe(env, buf, |w| exec_nodes(w, &oracle, mask, &mut FlowMasks::default()));
@@ -480,10 +697,14 @@ fn lowered_control_flow_matches_the_tree_walk() {
             }
         }
     });
-    // The generator reaches every kind of exit, and the lowering fuses some
-    // of its chains but not all.
+    // The generator reaches every kind of exit, and the lowering folds some
+    // of each kind of shape but not all.
     assert!(divergent > 2000 && traps > 50 && all_left > 200, "{divergent} {traps} {all_left}");
     assert!(fused > chains / 4 && fused < chains * 3 / 4, "{fused} of {chains} chains fused");
+    for ((kind, _), (emitted, left)) in kinds.iter().zip(folded) {
+        let gone = emitted - left;
+        assert!(gone > emitted / 4 && gone < emitted * 3 / 4, "{kind}: {gone} of {emitted} folded");
+    }
 }
 
 #[test]
@@ -561,8 +782,30 @@ fn bicg_inner_loop_fuses_both_address_chains() {
     let module = sptx::text::parse_module(BICG_INNER_LOOP).unwrap();
     let sptx_fn = &module.functions[0];
     let f = Func::lower(sptx_fn);
-    // mov, loop, 20 ops of body, loop end, ret: 24 unfused, 6 fewer fused.
-    assert_eq!(f.ops.len(), 18);
+    // mov, loop, 20 ops of body, loop end, ret: 24 unfolded. The address
+    // chains take 6, the loop test 4 (`setp`, `not`, `if`, `break` and the
+    // `if`'s end become one op) and the two `mov`s 2.
+    assert_eq!(f.ops.len(), 12);
+    let test =
+        Cond::Cmp { ty: ScalarTy::I32, op: BinOp::SetLt, a: Src::Reg(9 * 32), b: Src::Reg(0) };
+    assert!(
+        matches!(f.ops[2], WarpOp { issue: 3, lat: 10, count: 2, op: Op::Leave { cond, negate: true, cont: false, up: 0 } } if cond == test),
+        "{:?}",
+        f.ops[2]
+    );
+    // `add.f32 %r47, %r8, %r46; mov %r8, %r47` is one op writing %r8.
+    assert!(
+        matches!(
+            f.ops[8],
+            WarpOp {
+                count: 2,
+                op: Op::Bin { ty: ScalarTy::F32, dst: 256, a: Src::Reg(256), .. },
+                ..
+            }
+        ),
+        "{:?}",
+        f.ops[8]
+    );
     let index = |base: u32, idx: u32| Addr::Index {
         base: Src::Reg(base * 32),
         idx: Src::Reg(idx * 32),

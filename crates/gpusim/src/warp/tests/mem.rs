@@ -231,6 +231,32 @@ fn access(w: &mut Warp<'_>, path: impl FnOnce(&mut Warp<'_>) -> Result<(), ExecE
     (result, reg(w, R2), charges, mem)
 }
 
+/// A fused index computes `base + idx * scale + offset` in wrapping 64-bit
+/// arithmetic whether the scale is a power of two (a shift) or not.
+#[test]
+fn an_index_address_shifts_exactly_as_it_multiplies() {
+    use crate::program::{Addr, Src};
+    let extremes =
+        [0, 1, 7, 0x7fff_ffff, 0x8000_0000, 0xffff_ffff, u64::MAX, 1 << 40, 0x1234_5678_9abc];
+    with_warp(sptx::Module::default(), |w| {
+        let f = Func::lower(&frame_fn(vec![]));
+        *reg_mut(w, R0) = std::array::from_fn(|l| 0x1000 * l as u64 + 3);
+        *reg_mut(w, R1) = std::array::from_fn(|l| extremes[l % extremes.len()] ^ (l as u64) << 33);
+        for scale in [1, 2, 4, 8, 1 << 40, 1 << 62, 0, 3, 12, -4, -8, i64::MIN] {
+            for sext in [false, true] {
+                let (base, idx) = (Src::Reg(R0.0 * 32), Src::Reg(R1.0 * 32));
+                let addrs = w.lane_addrs(&f, Addr::Index { base, idx, sext, scale }, -24);
+                let (b, x) = (reg(w, R0), reg(w, R1));
+                for (l, (&got, (&b, &x))) in addrs.iter().zip(b.iter().zip(&x)).enumerate() {
+                    let x = if sext { x as u32 as i32 as i64 } else { x as i64 };
+                    let want = (b as i64).wrapping_add(x.wrapping_mul(scale)).wrapping_sub(24);
+                    assert_eq!(got, want as u64, "scale {scale}, sext {sext}, lane {l}");
+                }
+            }
+        }
+    });
+}
+
 #[test]
 fn every_address_shape_matches_the_lane_ordered_path() {
     use super::super::mem::{shape, Shape};
