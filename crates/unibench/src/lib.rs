@@ -26,19 +26,37 @@ pub use harness::{
     build_variant_cfg, measure, output_checksum, validate_app, Built, Measurement, Variant,
 };
 
+/// Floats moved per bulk copy by [`alloc_f32`] and [`read_f32`]: they
+/// stream through one stack buffer of this many, not a full-size copy.
+const CHUNK: usize = 16 << 10;
+
 /// Allocate a guest f32 buffer on a machine's heap and fill it.
 pub fn alloc_f32(m: &Machine, data: &[f32]) -> IResult<Value> {
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    let off = m.heap.lock().alloc(bytes.len().max(4) as u64)?;
-    m.mem.write_bytes(off, &bytes)?;
+    let len = data.len() as u64 * 4;
+    let off = m.heap.lock().alloc(len.max(4))?;
+    m.mem.check_range(off, len)?;
+    let mut buf = [0u8; CHUNK * 4];
+    for (i, floats) in data.chunks(CHUNK).enumerate() {
+        let bytes = &mut buf[..floats.len() * 4];
+        for (b, v) in bytes.chunks_exact_mut(4).zip(floats) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        m.mem.write_bytes(off + (i * CHUNK * 4) as u64, bytes)?;
+    }
     Ok(Value::Ptr(addr::make(addr::Space::Host, off)))
 }
 
 /// Read back a guest f32 buffer.
 pub fn read_f32(m: &Machine, ptr: Value, len: usize) -> IResult<Vec<f32>> {
-    let mut bytes = vec![0u8; len * 4];
-    m.mem.read_bytes(addr::offset(ptr.as_ptr()), &mut bytes)?;
-    Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+    let off = addr::offset(ptr.as_ptr());
+    m.mem.check_range(off, len as u64 * 4)?;
+    let (mut out, mut buf) = (Vec::with_capacity(len), [0u8; CHUNK * 4]);
+    while out.len() < len {
+        let bytes = &mut buf[..(len - out.len()).min(CHUNK) * 4];
+        m.mem.read_bytes(off + out.len() as u64 * 4, bytes)?;
+        out.extend(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())));
+    }
+    Ok(out)
 }
 
 /// Relative-error comparison for float outputs produced with different
@@ -118,4 +136,26 @@ pub fn run_entry(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Buffers on either side of the chunk size round-trip bit for bit,
+    /// and a read past the arena fails on its whole range before any copy.
+    #[test]
+    fn f32_buffers_stream_through_the_chunk_buffer() {
+        let m = Machine::from_source_with_mem("int main() { return 0; }", 1 << 20).unwrap();
+        for n in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5] {
+            let data: Vec<f32> = (0..n).map(|i| i as f32 * -0.75 + f32::EPSILON).collect();
+            let p = alloc_f32(&m, &data).unwrap();
+            let back = read_f32(&m, p, n).unwrap();
+            assert!(back.iter().map(|v| v.to_bits()).eq(data.iter().map(|v| v.to_bits())), "{n}");
+        }
+        let arena = m.mem.size() as u64;
+        let err = read_f32(&m, Value::Ptr(addr::make(addr::Space::Host, 8)), arena as usize / 4);
+        let want = vmcommon::MemError::OutOfBounds { offset: 8, size: arena };
+        assert!(matches!(err, Err(minic::interp::InterpError::Mem(e)) if e == want), "{err:?}");
+    }
 }
