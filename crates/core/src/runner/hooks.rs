@@ -646,7 +646,8 @@ impl Hooks for OmpiHooks {
                 Ok(Some(Value::I32(0)))
             }
             "cudaFree" => {
-                self.baseline_device()?.1.mem_free(a(0).as_ptr()).map_err(trap)?;
+                let (dev, device) = self.baseline_device()?;
+                dev.baseline_free(&device, a(0).as_ptr()).map_err(trap)?;
                 Ok(Some(Value::I32(0)))
             }
             "cudaMemcpy" => {

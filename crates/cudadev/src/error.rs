@@ -38,6 +38,10 @@ pub enum CudadevError {
     /// (`CudaDevConfig::launch_timeout`) and recovery could not bring the
     /// device back within the reset budget. Equivalent to a lost device.
     Timeout { site: String, deadline_ms: u64 },
+    /// A terminal `error` needed a device reset, which would drop the CUDA
+    /// baseline's live `cudaMalloc` blocks (`(dev_ptr, bytes)`): they have
+    /// no host copy to replay, so the device is latched broken instead.
+    BaselineLost { blocks: Vec<(u64, u64)>, error: ExecError },
 }
 
 impl CudadevError {
@@ -67,7 +71,9 @@ impl CudadevError {
     pub fn exec_error(&self) -> Option<&ExecError> {
         match self {
             CudadevError::Init(e) | CudadevError::Data(e) => Some(e),
-            CudadevError::Launch { error, .. } => Some(error),
+            CudadevError::Launch { error, .. } | CudadevError::BaselineLost { error, .. } => {
+                Some(error)
+            }
             _ => None,
         }
     }
@@ -100,6 +106,15 @@ impl std::fmt::Display for CudadevError {
                     "watchdog timeout: `{site}` exceeded its {deadline_ms} ms deadline and \
                      recovery exhausted the reset budget"
                 )
+            }
+            CudadevError::BaselineLost { blocks, error } => {
+                write!(
+                    f,
+                    "{error} needs a device reset, which would lose {} live cudaMalloc \
+                     block(s) with no host copy to replay:",
+                    blocks.len()
+                )?;
+                blocks.iter().try_for_each(|(ptr, len)| write!(f, " {ptr:#x} ({len} B)"))
             }
         }
     }

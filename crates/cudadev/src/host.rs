@@ -13,7 +13,7 @@
 //! 3. **launch** — set grid/block dimensions and enter the simulator
 //!    (`cuLaunchKernel`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -301,6 +301,9 @@ pub struct CudaDev {
     cache: Mutex<HashMap<u64, governor::CacheEntry>>,
     /// Monotone counter stamping cache entries for LRU ordering.
     lru_tick: std::sync::atomic::AtomicU64,
+    /// The CUDA baseline's live `cudaMalloc` blocks, device pointer to
+    /// bytes. A reset cannot replay them: they have no host copy.
+    baseline: Mutex<BTreeMap<u64, u64>>,
     pub clock: Mutex<DevClock>,
     /// Async command-stream state (engines, streams, pending busy time).
     streams: stream::AsyncState,
@@ -330,6 +333,7 @@ impl CudaDev {
             maps: Mutex::new(HashMap::new()),
             cache: Mutex::new(HashMap::new()),
             lru_tick: std::sync::atomic::AtomicU64::new(0),
+            baseline: Mutex::new(BTreeMap::new()),
             clock: Mutex::new(DevClock::default()),
             streams: stream::AsyncState::default(),
             recovery: Mutex::new(recovery::RecoveryCtl::default()),
@@ -1073,9 +1077,19 @@ impl CudaDev {
     }
 
     /// The CUDA baseline's `cudaMalloc`: one retried driver allocation,
-    /// outside the governor and the mapped data environment.
+    /// outside the governor and the mapped data environment, tracked until
+    /// its [`CudaDev::baseline_free`].
     pub fn baseline_alloc(&self, device: &Device, size: u64) -> Result<u64, ExecError> {
-        self.retrying("alloc", || device.mem_alloc(size))
+        let ptr = self.retrying("alloc", || device.mem_alloc(size))?;
+        self.baseline.lock().insert(ptr, size);
+        Ok(ptr)
+    }
+
+    /// The CUDA baseline's `cudaFree`.
+    pub fn baseline_free(&self, device: &Device, ptr: u64) -> Result<(), ExecError> {
+        device.mem_free(ptr)?;
+        self.baseline.lock().remove(&ptr);
+        Ok(())
     }
 
     /// Captured device-side printf output, bringing the device up if it is

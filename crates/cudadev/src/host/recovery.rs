@@ -164,6 +164,14 @@ impl CudaDev {
             if matches!(err, ExecError::Hang(_)) {
                 self.charge_watchdog(site);
             }
+            // A reset would drop the CUDA baseline's `cudaMalloc` blocks,
+            // which nothing can replay: the run ends here, naming them.
+            let blocks: Vec<(u64, u64)> =
+                self.baseline.lock().iter().map(|(&p, &n)| (p, n)).collect();
+            if device.is_some() && !blocks.is_empty() {
+                self.latch_broken(&err);
+                return Err(CudadevError::BaselineLost { blocks, error: err });
+            }
             let used = self.recovery.lock().resets_used;
             if used >= self.cfg.max_resets {
                 self.latch_broken(&err);

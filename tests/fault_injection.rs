@@ -174,6 +174,35 @@ fn cuda_baseline_retries_transient_alloc_and_h2d_faults() {
     }
 }
 
+/// A hang on the CUDA baseline needs a device reset, which would drop the
+/// baseline's `cudaMalloc` blocks: there is no host copy to replay them, so
+/// the run ends in one error that names every live block, and the device
+/// latches. The OMPi variant, whose mappings do have host copies, recovers
+/// under the same plan with the fault-free output.
+#[test]
+fn a_hang_on_the_cuda_baseline_names_the_blocks_a_reset_would_drop() {
+    let app = app_by_name("bicg").expect("bicg is a unibench app");
+    let n = app.test_size;
+    let cfg = runner_config((app.footprint)(n));
+    let hang = RunnerConfig { fault_spec: Some("hang@launch".into()), ..cfg.clone() };
+    let cuda = compile_cuda(&app, &work("cuda-baseline-hang"));
+    let clean = run_once(&app, &Runner::new(&cuda, &cfg).unwrap(), n).unwrap();
+
+    let runner = Runner::new(&cuda, &hang).unwrap();
+    let err = run_once(&app, &runner, n).unwrap_err().to_string();
+    // bicg's baseline holds its matrix and four vectors when its first
+    // kernel launches.
+    assert!(err.starts_with("trap: device hang: injected hang"), "{err}");
+    assert!(err.contains("needs a device reset, which would lose 5 live cudaMalloc"), "{err}");
+    let sizes: Vec<&str> = err.split(" (").skip(1).map(|b| b.split(' ').next().unwrap()).collect();
+    assert_eq!(sizes, ["36864", "384", "384", "384", "384"], "{err}");
+    assert!(runner.device_broken(), "a reset that would lose blocks latches the device");
+
+    let omp = compile_omp(&app, &work("ompi-hang"));
+    let out = run_once(&app, &Runner::new(&omp, &hang).unwrap(), n).unwrap();
+    assert_eq!(output_checksum(&out), output_checksum(&clean));
+}
+
 /// A `cudaMemcpy` whose host range leaves the guest arena is the guest's
 /// memory fault, raised before the device sees the copy: the transient
 /// fault armed on the first copy of each direction is never consumed, so
