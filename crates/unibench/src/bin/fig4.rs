@@ -197,7 +197,9 @@ fn main() {
     // Every runner shares this sink, so one trace and one flight dump
     // cover the whole run.
     let obs = obs::Obs::new(trace_path.is_some() || profile, flight_dump);
-    let work = std::env::temp_dir().join("ompi-fig4");
+    // Per process: two runs side by side must not load each other's
+    // half-written kernel binaries.
+    let work = std::env::temp_dir().join(format!("ompi-fig4-{}", std::process::id()));
 
     let apps = match &app_filter {
         Some(name) => vec![app_by_name(name).unwrap_or_else(|| {
@@ -328,6 +330,7 @@ fn main() {
         }
         println!();
     }
+    let _ = std::fs::remove_dir_all(&work);
 
     if let Some(path) = &json_path {
         match std::fs::write(path, render_json(&format!("{mode:?}"), &rows)) {

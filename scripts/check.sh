@@ -91,6 +91,14 @@ if grep -rnE 'NamedBarrier|BARRIER_HOST_TIMEOUT|BlockAborted|can_wait|may_wait|i
     exit 1
 fi
 
+echo "== gpusim stays safe Rust (#![forbid(unsafe_code)] in its lib.rs) =="
+# The lowering's folds and the warp-wide lane loops are plain safe code;
+# a speed-up that needs unsafe is out of bounds for the simulator.
+if ! grep -qx '#!\[forbid(unsafe_code)\]' crates/gpusim/src/lib.rs; then
+    echo "FAIL: crates/gpusim/src/lib.rs must keep #![forbid(unsafe_code)]"
+    exit 1
+fi
+
 echo "== warp programs (the tree walk is a test oracle; costs are attached when lowering) =="
 # gpusim lowers each function once (crates/gpusim/src/program.rs) and warps
 # step the flat ops; the structured walk survives only as the control-flow
